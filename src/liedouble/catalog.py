@@ -31,7 +31,7 @@ from .lie_core import (
     from_matrices,
 )
 from .linalg import Matrix
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, parse_rational, parse_scalar
 
 _ALPHA = Scalar.variable("alpha")
 _BETA = Scalar.variable("beta")
@@ -340,7 +340,7 @@ def get(name: str, assignments=None) -> LieAlgebra:
                 raise ValueError(f"{spec.name} must be an integer")
             sizes[spec.name] = val
         elif spec.name in given:
-            val = Fraction(str(given.pop(spec.name)))
+            val = parse_rational(str(given.pop(spec.name)))
             if val in spec.excluded:
                 raise ExcludedParameterValue(f"{ent.name}: {spec.name} = {val}")
             scalars[spec.name] = val

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import acceptance
 from .catalog import check_no_builtin_collision, entry, get, load_file, names, table1
@@ -44,7 +43,7 @@ from .lie_core import (
     solvability_class,
 )
 from .rmatrix import build_double, is_classical_rmatrix, mybe_solve, recognize_r31
-from .scalars import parse_scalar
+from .scalars import parse_rational, parse_scalar
 
 
 class _Usage(Exception):
@@ -152,7 +151,7 @@ def _materialize(name: str, params: dict, external: dict) -> LieAlgebra:
             unknown = sorted(set(params) - set(g.params))
             if unknown:
                 raise ValueError(f"{name} has no parameter {', '.join(unknown)}")
-            g = g.specialize({k: Fraction(v) for k, v in params.items()})
+            g = g.specialize({k: parse_rational(v) for k, v in params.items()})
         return g
     return get(name, params or None)
 
@@ -332,7 +331,7 @@ def _cmd_derivations(args, params, external):
     if args.general is None:
         space = derivation_space(g)
     else:
-        space = generalized_derivation_space(g, Fraction(args.general))
+        space = generalized_derivation_space(g, parse_rational(args.general))
     doc = {
         "schema": 1,
         "command": "derivations",

@@ -10,8 +10,7 @@ matrices together with the exceptional parameter values of the elimination.
 
 from __future__ import annotations
 
-from .errors import NotIndependent
-from .lie_core import LieAlgebra, LinearMap, Subspace, from_matrices
+from .lie_core import LieAlgebra, LinearMap, _leibniz_matrix, from_matrices
 from .linalg import ExceptionalSet, Matrix, nullspace, _eliminate
 from .scalars import Scalar
 
@@ -44,30 +43,6 @@ class DerivationSpace:
         return f"DerivationSpace(dim={self.dim}, kind={self.kind}, weight={self.weight})"
 
 
-def _leibniz_rows(g: LieAlgebra, weight: Scalar):
-    """One row per (pair, coordinate); unknown d[a][b] lives at index a*n+b."""
-    n = g.dim
-    c = [[g._c(i, j) for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = c[i][j]
-            for a in range(n):
-                row = [_ZERO] * (n * n)
-                for k, coef in cij.items():
-                    row[a * n + k] = row[a * n + k] + coef * weight
-                for b in range(n):
-                    c1 = c[b][j].get(a)
-                    if c1 is not None:
-                        row[b * n + i] = row[b * n + i] - c1
-                    c2 = c[i][b].get(a)
-                    if c2 is not None:
-                        row[b * n + j] = row[b * n + j] - c2
-                if any(not e.is_zero() for e in row):
-                    rows.append(row)
-    return rows
-
-
 def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
     """All weighted derivations; weight 1 gives the usual derivation algebra.
 
@@ -79,26 +54,13 @@ def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
         return hit
     kind = "ordinary" if weight == _ONE else "generalized"
     n = g.dim
-    rows = _leibniz_rows(g, weight)
-    if not rows:
-        basis = [
-            LinearMap(
-                [
-                    [_ONE if (a, b) == (p, q) else _ZERO for b in range(n)]
-                    for a in range(n)
-                ]
-            )
-            for p in range(n)
-            for q in range(n)
-        ]
-        out = DerivationSpace(g, basis, ExceptionalSet(), weight, kind)
-    else:
-        ns = nullspace(Matrix(rows))
-        maps = [
-            LinearMap([[vec[a * n + b] for b in range(n)] for a in range(n)])
-            for vec in ns.basis
-        ]
-        out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ns = nullspace(_leibniz_matrix(n, g._c, pairs, weight))
+    maps = [
+        LinearMap([[vec[a * n + b] for b in range(n)] for a in range(n)])
+        for vec in ns.basis
+    ]
+    out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
     g._cache[key] = out
     return out
 
@@ -115,19 +77,18 @@ def inner_derivations(g: LieAlgebra) -> DerivationSpace:
     if hit is not None:
         return hit
     n = g.dim
-    ads = [g.ad(g.basis_element(i)) for i in range(n)]
-    flat = [list(m.vec()) for m in ads if not m.is_zero()]
-    if not flat:
-        out = DerivationSpace(g, (), ExceptionalSet(), kind="inner")
-    else:
-        ech = _eliminate([row[:] for row in flat], n * n)
-        maps = []
-        for r, _ in ech.pivots:
-            vec = ech.rows[r]
-            maps.append(
-                LinearMap([[vec[a * n + b] for b in range(n)] for a in range(n)])
-            )
-        out = DerivationSpace(g, maps, ExceptionalSet(ech.exceptional), kind="inner")
+    rows = []
+    for i in range(n):
+        ad = g.ad(g.basis_element(i))
+        row = {a * n + b: e for b, col in enumerate(ad.columns) for a, e in col.items()}
+        if row:
+            rows.append(row)
+    ech = _eliminate(rows, n * n, n * n)
+    maps = [
+        LinearMap([[ech.rows[r].get(a * n + b, 0) for b in range(n)] for a in range(n)])
+        for r, _ in ech.pivots
+    ]
+    out = DerivationSpace(g, maps, ExceptionalSet(ech.exceptional), kind="inner")
     g._cache[key] = out
     return out
 

@@ -19,7 +19,7 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import ExceptionalSet, Matrix, nullspace, rank, solve_columns
+from .linalg import ExceptionalSet, Matrix, _eliminate, nullspace, rank, solve_columns
 from .scalars import Poly, Scalar, parse_scalar_with_names
 
 _ZERO = Scalar.of(0)
@@ -435,20 +435,16 @@ class Subspace:
 
     @staticmethod
     def span(algebra, vectors, carry=None) -> "Subspace":
-        vecs = [v.coords if isinstance(v, Element) else tuple(v) for v in vectors]
-        vecs = [v for v in vecs if any(not Scalar.of(c).is_zero() for c in v)]
-        if not vecs:
+        vecs = [v.coords if isinstance(v, Element) else v for v in vectors]
+        rows = [r for r in map(_sparse_of, vecs) if r]
+        if not rows:
             return Subspace(algebra, (), carry)
-        from .linalg import _eliminate  # reuse the elimination core
-
-        ech = _eliminate([[Scalar.of(c) for c in v] for v in vecs], algebra.dim)
-        rows = []
-        for r, _ in ech.pivots:
-            rows.append(_normalize_row(ech.rows[r]))
+        ech = _eliminate(rows, algebra.dim, algebra.dim)
+        basis = [_normalize_row(ech.rows[r], pc, algebra.dim) for r, pc in ech.pivots]
         exc = ExceptionalSet(ech.exceptional)
         if carry is not None:
             exc = exc.union(carry)
-        return Subspace(algebra, rows, exc)
+        return Subspace(algebra, basis, exc)
 
     @property
     def dim(self) -> int:
@@ -471,22 +467,17 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
 
 
-def _normalize_row(row):
-    """Divide an echelon row by its leading entry's rational content and fix
-    the sign, for deterministic bases."""
-    lead = None
-    for e in row:
-        if not e.is_zero():
-            lead = e
-            break
-    if lead is None:
-        return tuple(row)
+def _normalize_row(row, pc, dim):
+    """Dense form of a sparse echelon row with pivot column ``pc``, divided
+    by its leading entry's rational content with the sign fixed, for
+    deterministic bases."""
+    lead = Scalar.of(row[pc])
     if lead.is_rational:
-        c = Scalar.of(lead.as_fraction())
+        c = lead
     else:
         p = lead.numerator_poly()
         c = Scalar.of(p.content() if p.leading()[1] > 0 else -p.content())
-    return tuple(e / c for e in row)
+    return tuple(Scalar.of(row[j]) / c if j in row else _ZERO for j in range(dim))
 
 
 def lower_central_series(g: LieAlgebra):
@@ -519,19 +510,24 @@ def derived_series(g: LieAlgebra):
     current = Subspace.span(g, vectors)
     chain = [current]
     while current.dim:
-        nxt_vecs = []
-        basis = [_sparse_of(b) for b in current.basis]
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                w = g.bracket_sparse(basis[a], basis[b])
-                if w:
-                    nxt_vecs.append(_dense(w, g.dim))
-        nxt = Subspace.span(g, nxt_vecs, carry=current.exceptional)
+        nxt = _derived(g, current)
         if nxt.dim == current.dim:
             break
         current = nxt
         chain.append(current)
     return chain
+
+
+def _derived(g: LieAlgebra, sub: Subspace) -> Subspace:
+    """Span of the pairwise brackets of a subspace's basis."""
+    basis = [_sparse_of(b) for b in sub.basis]
+    vecs = []
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            w = g.bracket_sparse(basis[a], basis[b])
+            if w:
+                vecs.append(_dense(w, g.dim))
+    return Subspace.span(g, vecs, carry=sub.exceptional)
 
 
 def nilpotency_class(g: LieAlgebra):
@@ -547,22 +543,15 @@ def solvability_class(g: LieAlgebra):
 
 
 def center(g: LieAlgebra) -> Subspace:
+    n = g.dim
     rows = []
-    for j in range(g.dim):
-        cols = [g._c(i, j) for i in range(g.dim)]
-        for k in range(g.dim):
-            row = [cols[i].get(k, _ZERO) for i in range(g.dim)]
-            if any(not e.is_zero() for e in row):
+    for j in range(n):
+        cols = [g._c(i, j) for i in range(n)]
+        for k in range(n):
+            row = {i: c[k] for i, c in enumerate(cols) if k in c}
+            if row:
                 rows.append(row)
-    if not rows:
-        return Subspace(
-            g,
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(g.dim))
-                for i in range(g.dim)
-            ),
-        )
-    ns = nullspace(Matrix(rows))
+    ns = nullspace(Matrix.sparse(rows, n))
     return Subspace(g, ns.basis, ns.exceptional)
 
 
@@ -591,15 +580,7 @@ def second_derived(g: LieAlgebra) -> Subspace:
     if len(chain) >= 2:
         return chain[1]
     # derived series stabilized at the first term (perfect derived ideal)
-    vecs = []
-    basis = [_sparse_of(b) for b in chain[0].basis]
-    out = []
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            w = g.bracket_sparse(basis[a], basis[b])
-            if w:
-                out.append(_dense(w, g.dim))
-    return Subspace.span(g, out, carry=chain[0].exceptional)
+    return _derived(g, chain[0])
 
 
 def is_center_by_metabelian(g: LieAlgebra) -> bool:
@@ -720,40 +701,45 @@ class BilinearAlgebra:
         return out
 
 
+def _leibniz_matrix(n, product, pairs, weight=_ONE) -> Matrix:
+    """Sparse Leibniz system weight*D(e_i e_j) = D(e_i) e_j + e_i D(e_j),
+    one row per (pair, coordinate a) that is not identically zero.
+
+    ``product(i, j)`` is the sparse coordinate dict of e_i e_j; the unknown
+    D[a][b] sits at column a*n + b.  A Lie table is a bilinear table with
+    both orders filled, so Lie algebras pass i < j pairs only."""
+    c = [[product(i, j) for j in range(n)] for i in range(n)]
+    rows = []
+    for i, j in pairs:
+        for a in range(n):
+            row = {}
+            for k, coef in c[i][j].items():
+                row[a * n + k] = row.get(a * n + k, _ZERO) + coef * weight
+            for b in range(n):
+                c1 = c[b][j].get(a)
+                if c1 is not None:
+                    row[b * n + i] = row.get(b * n + i, _ZERO) - c1
+                c2 = c[i][b].get(a)
+                if c2 is not None:
+                    row[b * n + j] = row.get(b * n + j, _ZERO) - c2
+            row = {col: e for col, e in row.items() if not e.is_zero()}
+            if row:
+                rows.append(row)
+    return Matrix.sparse(rows, n * n)
+
+
 def derivations_of_bilinear(b: BilinearAlgebra):
     """Basis of the derivation algebra of a bilinear product.
 
     Solves the Leibniz constraints over all ordered basis pairs; returns a
     list of LinearMaps."""
     n = b.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            tij = b.table.get((i, j), {})
-            for a in range(n):
-                row = [_ZERO] * (n * n)
-                for k, c in tij.items():
-                    row[a * n + k] = row[a * n + k] + c
-                for p in range(n):
-                    c1 = b.table.get((p, j), {}).get(a)
-                    if c1 is not None:
-                        row[p * n + i] = row[p * n + i] - c1
-                    c2 = b.table.get((i, p), {}).get(a)
-                    if c2 is not None:
-                        row[p * n + j] = row[p * n + j] - c2
-                if any(not e.is_zero() for e in row):
-                    rows.append(row)
-    if not rows:
-        ns_basis = [
-            tuple(_ONE if t == s else _ZERO for t in range(n * n))
-            for s in range(n * n)
-        ]
-    else:
-        ns_basis = nullspace(Matrix(rows)).basis
-    maps = []
-    for vec in ns_basis:
-        maps.append(LinearMap([[vec[a * n + q] for q in range(n)] for a in range(n)]))
-    return maps
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    ns = nullspace(_leibniz_matrix(n, lambda i, j: b.table.get((i, j), {}), pairs))
+    return [
+        LinearMap([[vec[a * n + q] for q in range(n)] for a in range(n)])
+        for vec in ns.basis
+    ]
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:

@@ -1,6 +1,8 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact sparse linear algebra over the scalar field.
 
-Elimination is fraction-free (division-postponed): every update step is
+Matrices are stored as sparse rows (``{column: Scalar}``, nonzeros only).
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): every update
+step is
 
     a'[i][j] = (pivot * a[i][j] - a[i][c] * row_c[j]) / previous_pivot
 
@@ -11,15 +13,18 @@ parameter-free entries; every pivot that does involve parameters is recorded
 bases, solutions) are then valid at every parameter specialization that
 avoids the roots of the recorded polynomials.
 
-Parameter-free matrices take a pure integer fast path: rows are scaled to
-integers and eliminated with native arithmetic.
+Parameter-free systems stay sparse throughout: each row is scaled once to
+``{column: int}``, eliminated as a dict of rows, and back-substituted over
+its nonzeros in Fraction arithmetic.  Parametric systems are eliminated as
+dense Poly rows, in the operation order that fixes how their polynomials
+print.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import DivisionByZero
 from .scalars import Poly, Scalar, poly_normalize
 
 _ZERO = Scalar.of(0)
@@ -75,43 +80,48 @@ class ExceptionalSet:
 
 
 class Matrix:
-    """Immutable dense matrix of Scalars."""
+    """Immutable matrix of Scalars, stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``sparse_rows[i]`` maps column -> nonzero Scalar; ``entries`` is the
+    dense view (a tuple of row tuples), built on first use."""
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
+        dense = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else 0
+        for row in dense:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
+        self._entries = dense
+        self.sparse_rows = tuple(
+            {j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense
+        )
 
     @staticmethod
-    def from_rows(rows) -> "Matrix":
-        return Matrix(rows)
+    def sparse(rows, cols) -> "Matrix":
+        """Matrix from ``{column: Scalar}`` rows that hold nonzeros only."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols = len(rows), cols
+        m.sparse_rows = tuple(rows)
+        m._entries = None
+        return m
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = tuple(
+                tuple(row.get(j, _ZERO) for j in range(self.cols))
+                for row in self.sparse_rows
+            )
+        return self._entries
 
     def row(self, i):
         return self.entries[i]
 
     def is_parametric(self) -> bool:
-        return any(not e.is_rational for row in self.entries for e in row)
-
-    def apply(self, vec):
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for row in self.entries:
-            total = _ZERO
-            for a, v in zip(row, vec):
-                if not a.is_zero():
-                    total = total + a * Scalar.of(v)
-            out.append(total)
-        return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries))) if self.entries else Matrix(())
+        return any(not e.is_rational for row in self.sparse_rows for e in row.values())
 
     def __repr__(self):
         body = "; ".join(
@@ -124,54 +134,68 @@ class Matrix:
 
 
 class _Echelon:
-    """Result of fraction-free elimination on (possibly augmented) rows."""
+    """Result of fraction-free elimination on (possibly augmented) rows.
 
-    __slots__ = ("rows", "pivots", "exceptional", "ncols", "npivot")
+    Rows are sparse: ``{column: int}`` when ``integral`` (parameter-free
+    input, scaled to integers), ``{column: Scalar}`` otherwise."""
 
-    def __init__(self, rows, pivots, exceptional, ncols, npivot):
-        self.rows = rows                # list[list[Scalar]]
+    __slots__ = ("rows", "pivots", "exceptional", "npivot", "integral")
+
+    def __init__(self, rows, pivots, exceptional, npivot, integral):
+        self.rows = rows                # list[dict]
         self.pivots = pivots            # list[(row, col)], col < npivot
         self.exceptional = exceptional  # list[Poly], normalized
-        self.ncols = ncols
         self.npivot = npivot
+        self.integral = integral
 
 
 def _int_bareiss(rows, npivot):
-    """In-place Bareiss over integer rows; returns pivot positions."""
+    """In-place Bareiss over ``{column: int}`` rows; returns pivot positions.
+
+    Pivots, row swaps and values are those of dense Bareiss.  Dense Bareiss
+    also rescales, by pivot / previous pivot, every row that a step leaves
+    untouched; here such a row keeps the pivot it was last brought to
+    (``level``) and is rescaled only when next touched, by current / level,
+    which the exact divisions make equal to the chain of dense steps."""
     m = len(rows)
-    if not m:
-        return []
-    n = len(rows[0])
+    level = [1] * m
     pivots = []
     prev = 1
     r = 0
+
+    def lift(i):
+        if level[i] != prev:
+            rows[i] = {j: v * prev // level[i] for j, v in rows[i].items()}
+            level[i] = prev
+        return rows[i]
+
     for c in range(npivot):
-        p = -1
-        for i in range(r, m):
-            if rows[i][c]:
-                p = i
-                break
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if c in rows[i]), -1)
         if p < 0:
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
-        rowr = rows[r]
+            level[p], level[r] = level[r], level[p]
+        rowr = lift(r)
         piv = rowr[c]
         for i in range(r + 1, m):
-            rowi = rows[i]
+            if c not in rows[i]:
+                continue
+            rowi = lift(i)
             f = rowi[c]
-            if f:
-                for j in range(c + 1, n):
-                    rowi[j] = (piv * rowi[j] - f * rowr[j]) // prev
-                rowi[c] = 0
-            elif prev != piv:
-                for j in range(c + 1, n):
-                    rowi[j] = (piv * rowi[j]) // prev
+            new = {j: piv * v for j, v in rowi.items() if j != c}
+            for j, v in rowr.items():
+                if j != c:
+                    new[j] = new.get(j, 0) - f * v
+            rows[i] = {j: v // prev for j, v in new.items() if v}
+            level[i] = piv
         prev = piv
         pivots.append((r, c))
         r += 1
-        if r == m:
-            break
+    for i in range(r, m):
+        lift(i)
     return pivots
 
 
@@ -226,30 +250,24 @@ def _poly_bareiss(rows, npivot):
     return pivots, exceptional
 
 
-def _eliminate(rows, npivot) -> _Echelon:
-    """Eliminate Scalar rows; only the first ``npivot`` columns may carry
-    pivots (remaining columns ride along as augmented data)."""
-    rows = [list(row) for row in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    exceptional = []
-
-    if all(e.is_rational for row in rows for e in row):
+def _eliminate(rows, ncols, npivot) -> _Echelon:
+    """Eliminate sparse ``{column: Scalar}`` rows of width ``ncols``; only
+    the first ``npivot`` columns may carry pivots (remaining columns ride
+    along as augmented data)."""
+    if all(e.is_rational for row in rows for e in row.values()):
         work = []
         for row in rows:
-            den = 1
-            for e in row:
-                q = e.as_fraction().denominator
-                den = den * q // _gcd(den, q)
-            work.append([int(e.as_fraction() * den) for e in row])
-        pivots = _int_bareiss(work, npivot)
-        out = [[Scalar.of(v) for v in row] for row in work]
-        return _Echelon(out, pivots, [], n, npivot)
+            qs = [e.as_fraction() for e in row.values()]
+            den = lcm(*(q.denominator for q in qs))
+            work.append({j: q.numerator * (den // q.denominator) for j, q in zip(row, qs)})
+        return _Echelon(work, _int_bareiss(work, npivot), [], npivot, True)
 
     # clear denominators row by row; each cleared denominator is a
     # degeneration locus of the input itself, so record it
+    exceptional = []
     work = []
-    for row in rows:
+    for sparse in rows:
+        row = [sparse.get(j, _ZERO) for j in range(ncols)]
         dens = []
         for e in row:
             if e.is_fraction:
@@ -269,33 +287,64 @@ def _eliminate(rows, npivot) -> _Echelon:
 
     pivots, piv_exc = _poly_bareiss(work, npivot)
     exceptional.extend(piv_exc)
-    out = [[Scalar.of(p) for p in row] for row in work]
-    return _Echelon(out, pivots, exceptional, n, npivot)
+    out = [{j: Scalar.of(p) for j, p in enumerate(row) if not p.is_zero()} for row in work]
+    return _Echelon(out, pivots, exceptional, npivot, False)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
+    """Solve the echelon system with every free column zero except
+    ``free_col`` (None: all zero), which is one.
 
-
-def _back_substitute(ech: _Echelon, col_take, rhs_col=None):
-    """Solve the echelon system for one assignment of the free columns.
-
-    ``col_take`` maps free column -> Scalar value; ``rhs_col`` is the index
-    of an augmented column used as right-hand side (None for homogeneous).
-    Returns a dense tuple over the first ``npivot`` columns."""
-    x = dict(col_take)
+    ``rhs_col`` is the index of an augmented column used as right-hand side
+    (None for homogeneous).  Returns a dense tuple over the first ``npivot``
+    columns.  Integer rows are walked over their nonzeros in Fraction
+    arithmetic.  Scalar rows are walked over the coordinates solved so far,
+    in the order they were found: that order of the Poly sums fixes the
+    variable order in which they print."""
+    x = {} if free_col is None else {free_col: 1 if ech.integral else _ONE}
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
-        total = row[rhs_col] if rhs_col is not None else _ZERO
-        for j, v in x.items():
-            if j > pc:
-                a = row[j]
-                if not a.is_zero() and not v.is_zero():
+        if ech.integral:
+            total = Fraction(row.get(rhs_col, 0))
+            for j, a in row.items():
+                v = x.get(j)
+                if v is not None:
+                    total -= a * v
+            total /= row[pc]
+            if total:
+                x[pc] = total
+        else:
+            total = row.get(rhs_col, _ZERO)
+            for j, v in x.items():
+                a = row.get(j)
+                if a is not None:
                     total = total - a * v
-        x[pc] = total / row[pc]
-    return tuple(x.get(j, _ZERO) for j in range(ech.npivot))
+            total = total / row[pc]
+            if not total.is_zero():
+                x[pc] = total
+    return tuple(Scalar.of(x[j]) if j in x else _ZERO for j in range(ech.npivot))
+
+
+def _free_columns(ech: _Echelon):
+    pivot_cols = {c for _, c in ech.pivots}
+    return [c for c in range(ech.npivot) if c not in pivot_cols]
+
+
+def _residuals(ech: _Echelon, col):
+    """Nonzero entries of augmented column ``col`` below the pivot rows."""
+    return [row[col] for row in ech.rows[len(ech.pivots):] if col in row]
+
+
+def _conditions(resid):
+    """Normalized numerators of the residuals that involve parameters."""
+    polys = [v.numerator_poly() for v in resid if isinstance(v, Scalar)]
+    return [poly_normalize(p) for p in polys if not p.is_constant()]
+
+
+def _identity_basis(n):
+    return tuple(
+        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
+    )
 
 
 class NullspaceResult:
@@ -313,35 +362,10 @@ class NullspaceResult:
 def nullspace(m: Matrix) -> NullspaceResult:
     """Basis of the right nullspace, generic in any parameters."""
     if m.rows == 0 or m.cols == 0:
-        basis = tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(m.cols))
-            for i in range(m.cols)
-        )
-        return NullspaceResult(basis, ExceptionalSet())
-    ech = _eliminate(m.entries, m.cols)
-    pivot_cols = {c for _, c in ech.pivots}
-    free = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        take = {c: (_ONE if c == f else _ZERO) for c in free}
-        # homogeneous back-substitution needs the sum over free columns too
-        vec = _back_substitute_homogeneous(ech, take)
-        basis.append(vec)
-    return NullspaceResult(tuple(basis), ExceptionalSet(ech.exceptional))
-
-
-def _back_substitute_homogeneous(ech: _Echelon, take):
-    x = dict(take)
-    for r, pc in reversed(ech.pivots):
-        row = ech.rows[r]
-        total = _ZERO
-        for j, v in x.items():
-            if j > pc and not v.is_zero():
-                a = row[j]
-                if not a.is_zero():
-                    total = total - a * v
-        x[pc] = total / row[pc]
-    return tuple(x.get(j, _ZERO) for j in range(ech.npivot))
+        return NullspaceResult(_identity_basis(m.cols), ExceptionalSet())
+    ech = _eliminate(m.sparse_rows, m.cols, m.cols)
+    basis = tuple(_back_substitute(ech, f) for f in _free_columns(ech))
+    return NullspaceResult(basis, ExceptionalSet(ech.exceptional))
 
 
 class RankResult:
@@ -356,7 +380,7 @@ def rank(m: Matrix) -> RankResult:
     """Generic rank with the parameter degenerations that could lower it."""
     if m.rows == 0 or m.cols == 0:
         return RankResult(0, ExceptionalSet())
-    ech = _eliminate(m.entries, m.cols)
+    ech = _eliminate(m.sparse_rows, m.cols, m.cols)
     return RankResult(len(ech.pivots), ExceptionalSet(ech.exceptional))
 
 
@@ -372,42 +396,38 @@ class SolveResult:
         self.exceptional = exceptional
 
 
+def _augment(m: Matrix, rhs_columns):
+    """Sparse rows of ``m`` with the right-hand sides appended as columns."""
+    rows = []
+    for i, row in enumerate(m.sparse_rows):
+        row = dict(row)
+        for t, col in enumerate(rhs_columns):
+            b = Scalar.of(col[i])
+            if not b.is_zero():
+                row[m.cols + t] = b
+        rows.append(row)
+    return rows
+
+
 def solve_affine(m: Matrix, rhs) -> SolveResult:
     """Solve a linear system exactly, reporting the full solution set."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    rows = [list(row) + [Scalar.of(b)] for row, b in zip(m.entries, rhs)]
-    if not rows:
-        basis = tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(m.cols))
-            for i in range(m.cols)
-        )
+    if not m.rows:
         status = "unique" if m.cols == 0 else "affine"
         return SolveResult(status, tuple(_ZERO for _ in range(m.cols)),
-                           basis if m.cols else (), ExceptionalSet())
-    ech = _eliminate(rows, m.cols)
+                           _identity_basis(m.cols), ExceptionalSet())
+    ech = _eliminate(_augment(m, [rhs]), m.cols + 1, m.cols)
     exceptional = list(ech.exceptional)
-    ok = True
-    for r in range(len(ech.pivots), len(ech.rows)):
-        resid = ech.rows[r][m.cols]
-        if resid.is_zero():
-            continue
-        ok = False
-        p = resid.numerator_poly()
-        if not p.is_constant():
-            exceptional.append(poly_normalize(p))
-    if not ok:
+    resid = _residuals(ech, m.cols)
+    if resid:
+        exceptional.extend(_conditions(resid))
         return SolveResult("none", None, (), ExceptionalSet(exceptional))
-    pivot_cols = {c for _, c in ech.pivots}
-    free = [c for c in range(m.cols) if c not in pivot_cols]
-    take = {c: _ZERO for c in free}
-    particular = _back_substitute(ech, take, rhs_col=m.cols)
-    basis = []
-    for f in free:
-        hom = {c: (_ONE if c == f else _ZERO) for c in free}
-        basis.append(_back_substitute_homogeneous(ech, hom))
+    free = _free_columns(ech)
+    particular = _back_substitute(ech, rhs_col=m.cols)
+    basis = tuple(_back_substitute(ech, f) for f in free)
     status = "unique" if not free else "affine"
-    return SolveResult(status, particular, tuple(basis), ExceptionalSet(exceptional))
+    return SolveResult(status, particular, basis, ExceptionalSet(exceptional))
 
 
 def solve_columns(m: Matrix, rhs_columns):
@@ -417,26 +437,14 @@ def solve_columns(m: Matrix, rhs_columns):
     tuple or None when that column is inconsistent.  Free coordinates are
     set to zero."""
     ncols = m.cols
-    k = len(rhs_columns)
-    rows = []
-    for i, row in enumerate(m.entries):
-        rows.append(list(row) + [Scalar.of(col[i]) for col in rhs_columns])
-    ech = _eliminate(rows, ncols)
+    ech = _eliminate(_augment(m, rhs_columns), ncols + len(rhs_columns), ncols)
     exceptional = list(ech.exceptional)
-    pivot_cols = {c for _, c in ech.pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    take = {c: _ZERO for c in free}
     out = []
-    for t in range(k):
-        col = ncols + t
-        consistent = True
-        for r in range(len(ech.pivots), len(ech.rows)):
-            resid = ech.rows[r][col]
-            if not resid.is_zero():
-                consistent = False
-                p = resid.numerator_poly()
-                if not p.is_constant():
-                    exceptional.append(poly_normalize(p))
-                break
-        out.append(_back_substitute(ech, take, rhs_col=col) if consistent else None)
+    for t in range(len(rhs_columns)):
+        resid = _residuals(ech, ncols + t)
+        if resid:
+            exceptional.extend(_conditions(resid[:1]))
+            out.append(None)
+        else:
+            out.append(_back_substitute(ech, rhs_col=ncols + t))
     return out, ExceptionalSet(exceptional)

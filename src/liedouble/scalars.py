@@ -756,8 +756,13 @@ class Scalar:
         if n < 0:
             return _S_ONE / self ** (-n)
         out = _S_ONE
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -958,6 +963,11 @@ def parse_scalar(text: str, allowed=None) -> Scalar:
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty scalar literal")
     return _Parser(text, allowed).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a parameter-free literal such as ``3`` or ``-1/2``."""
+    return parse_scalar(text, allowed=frozenset()).as_fraction()
 
 
 def parse_scalar_with_names(text: str, allowed=None):

@@ -136,6 +136,25 @@ def test_param_must_be_name_value(capsys):
     assert "usage error" in err
 
 
+def test_bad_parameter_values_are_validation_errors(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(dumps({"tri": get("glambda")}), encoding="utf-8")
+    for argv in (
+        ("show", "glambda", "--param", "lam=1/0"),
+        ("show", "glambda", "--param", "lam=t"),
+        ("show", "tri", "--catalog", str(path), "--param", "lam=1/0"),
+        ("derivations", "n3", "--general", "1/0"),
+        ("derivations", "n3", "--general", "t"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    specialized = run(capsys, "show", "tri", "--catalog", str(path),
+                      "--param", "lam=-2/4", "--format", "json")
+    assert specialized[0] == 0
+    assert json.loads(specialized[1])["params"] == []
+
+
 def test_missing_required_scalar_parameter_is_fine_for_families(capsys):
     # families stay symbolic when no assignment is given
     code, out, _ = run(capsys, "show", "glambda", "--format", "json")

@@ -130,3 +130,19 @@ def test_scalar_equality_normalizes_representation():
     assert t + 1 - 1 == t
     assert Scalar.of(Fraction(4, 2)) == Scalar.of(2)
     assert (2 * t) / 2 == t
+
+
+def test_power_matches_repeated_multiplication():
+    x, y = Scalar.variable("x"), Scalar.variable("y")
+    bases = (x + 1, y * x - 2 * y + Fraction(1, 3), (x + y) / (x - 2 * y),
+             Scalar.of(Fraction(-3, 7)))
+    for base in bases:
+        for n in range(-3, 10):
+            slow = Scalar.of(1)
+            for _ in range(abs(n)):
+                slow = slow * base
+            if n < 0:
+                slow = 1 / slow
+            fast = base ** n
+            assert fast == slow and str(fast) == str(slow), (base, n)
+    assert str(parse_scalar("(y + x)^3")) == str((y + x) * (y + x) * (y + x))
