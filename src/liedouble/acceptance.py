@@ -26,7 +26,6 @@ from .derivations import (
 from .identities import (
     ALL_DERIVATIONS,
     ALL_ELEMENTS,
-    ALL_INNER_DERIVATIONS,
     Fixed,
     check_quantified,
     cbm_implies_id34_audit,

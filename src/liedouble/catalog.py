@@ -189,9 +189,8 @@ def octonion_algebra() -> BilinearAlgebra:
 
 def _build_g2() -> LieAlgebra:
     maps = derivations_of_bilinear(octonion_algebra())
-    mats = [Matrix(m.entries) for m in maps]
     labels = tuple(f"D{i + 1}" for i in range(len(maps)))
-    return from_matrices(mats, labels=labels).algebra
+    return from_matrices(maps, labels=labels).algebra
 
 
 # ---------------------------------------------------------------------------

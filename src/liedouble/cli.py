@@ -29,7 +29,6 @@ from .errors import DuplicateName, JacobiViolation, LieDoubleError, NotADerivati
 from .identities import Fixed, canonical_identity, check_quantified, quantifier_from_name
 from .lie_core import (
     LieAlgebra,
-    LinearMap,
     center,
     derived_series,
     is_abelian,
@@ -42,6 +41,7 @@ from .lie_core import (
     parse_element,
     solvability_class,
 )
+from .linalg import Matrix
 from .rmatrix import build_double, is_classical_rmatrix, mybe_solve, recognize_r31
 from .scalars import parse_rational, parse_scalar
 
@@ -156,7 +156,7 @@ def _materialize(name: str, params: dict, external: dict) -> LieAlgebra:
     return get(name, params or None)
 
 
-def _read_matrix(path: str, dim: int) -> LinearMap:
+def _read_matrix(path: str, dim: int) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or len(raw) != dim or any(
@@ -167,11 +167,11 @@ def _read_matrix(path: str, dim: int) -> LinearMap:
     for row in raw:
         done = []
         for cell in row:
-            if isinstance(cell, bool) or isinstance(cell, float):
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
                 raise ValueError(f"{path}: entries must be exact (int or string)")
             done.append(parse_scalar(str(cell)))
         rows.append(done)
-    return LinearMap(rows)
+    return Matrix(rows)
 
 
 def _fractions_sorted(values) -> list:

@@ -10,7 +10,7 @@ matrices together with the exceptional parameter values of the elimination.
 
 from __future__ import annotations
 
-from .lie_core import LieAlgebra, LinearMap, _leibniz_matrix, from_matrices
+from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices
 from .linalg import ExceptionalSet, Matrix, nullspace, _eliminate
 from .scalars import Scalar
 
@@ -56,10 +56,7 @@ def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
     n = g.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ns = nullspace(_leibniz_matrix(n, g._c, pairs, weight))
-    maps = [
-        LinearMap([[vec[a * n + b] for b in range(n)] for a in range(n)])
-        for vec in ns.basis
-    ]
+    maps = [Matrix.from_flat(enumerate(vec), n) for vec in ns.basis]
     out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
     g._cache[key] = out
     return out
@@ -80,20 +77,17 @@ def inner_derivations(g: LieAlgebra) -> DerivationSpace:
     rows = []
     for i in range(n):
         ad = g.ad(g.basis_element(i))
-        row = {a * n + b: e for b, col in enumerate(ad.columns) for a, e in col.items()}
+        row = {a * n + b: e for a, r in enumerate(ad.sparse_rows) for b, e in r.items()}
         if row:
             rows.append(row)
     ech = _eliminate(rows, n * n, n * n)
-    maps = [
-        LinearMap([[ech.rows[r].get(a * n + b, 0) for b in range(n)] for a in range(n)])
-        for r, _ in ech.pivots
-    ]
+    maps = [Matrix.from_flat(ech.rows[r].items(), n) for r, _ in ech.pivots]
     out = DerivationSpace(g, maps, ExceptionalSet(ech.exceptional), kind="inner")
     g._cache[key] = out
     return out
 
 
-def is_derivation(g: LieAlgebra, m: LinearMap, weight=1):
+def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
     """Exact symbolic check; returns (ok, witness_pair_or_None).
 
     The witness is the first basis pair (i, j), 0-based, where the Leibniz
@@ -123,8 +117,7 @@ def derivation_lie_structure(space: DerivationSpace, labels=None) -> LieAlgebra:
         return LieAlgebra(0, {}, labels=())
     if labels is None:
         labels = tuple(f"D{t + 1}" for t in range(space.dim))
-    mats = [Matrix(m.entries) for m in space.basis]
-    return from_matrices(mats, labels=labels).algebra
+    return from_matrices(space.basis, labels=labels).algebra
 
 
 def is_characteristically_nilpotent(g: LieAlgebra) -> bool:

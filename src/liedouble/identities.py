@@ -36,13 +36,12 @@ from .derivations import derivation_space, inner_derivations
 from .lie_core import (
     Element,
     LieAlgebra,
-    LinearMap,
     center,
     is_metabelian,
     lower_central_series,
     nilpotency_class,
 )
-from .linalg import ExceptionalSet
+from .linalg import ExceptionalSet, Matrix, _sadd
 from .scalars import Scalar, poly_normalize, rational_roots
 
 _ZERO = Scalar.of(0)
@@ -127,16 +126,6 @@ _SLOT_COUNT = {"1": 4, "2": 4, "3": 4, "4": 3, "6": 4, "s5": 5}
 # ---------------------------------------------------------------------------
 # sparse evaluation cores
 
-def _sadd(acc: dict, v: dict, sign=1) -> None:
-    for k, c in v.items():
-        s = acc.get(k)
-        s = (c if sign == 1 else -c) if s is None else (s + c if sign == 1 else s - c)
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-
-
 def _scaled(v: dict, s: Scalar) -> dict:
     return {k: c * s for k, c in v.items()}
 
@@ -169,7 +158,7 @@ def _e4(g, z1, z2, z3, xs, ys):
 def _e6(g, zs, w1, w2, xs, ys):
     b = g.bracket_sparse
     out = b(zs, b(b(w1, xs), b(w2, ys)))
-    _sadd(out, b(w1, b(b(zs, w2), b(xs, ys))), sign=-1)
+    _sadd(out, b(w1, b(b(zs, w2), b(xs, ys))), -1)
     return out
 
 
@@ -201,7 +190,7 @@ def _e_s5(g, x0, x1, x2, x3, x4):
         v = x0
         for idx in reversed(perm):
             v = b(slots[idx], v)
-        _sadd(out, v, sign=sign)
+        _sadd(out, v, sign)
     return out
 
 
@@ -221,9 +210,9 @@ def _prep_elem(g, e, ident):
 
 
 def _prep_map(g, m, ident):
-    if not isinstance(m, LinearMap):
+    if not isinstance(m, Matrix):
         raise ArityMismatch(f"identity {ident} expects a linear map, got {type(m).__name__}")
-    if m.dim != g.dim:
+    if m.rows != g.dim or m.cols != g.dim:
         raise AlgebraMismatch("map dimension does not match the algebra")
     return m
 
@@ -262,7 +251,7 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
 
 def _classify(q):
     if isinstance(q, Fixed):
-        if isinstance(q.payload, LinearMap):
+        if isinstance(q.payload, Matrix):
             return "fixed-map", q.payload
         if isinstance(q.payload, Element):
             return "fixed-elem", q.payload
@@ -345,6 +334,31 @@ def _sweep(g, ident, tag, payload, maps):
                 yield (x0,) + t, _e_s5(g, basis[x0], *parts)
 
 
+def _scan_conditions(values):
+    """Verdict data of a sweep over ``(key, sparse value)`` pairs.
+
+    A coordinate whose numerator is a nonzero constant is nonzero for every
+    parameter value: the first such pair is returned as ``(key, value, (),
+    ())``.  Otherwise the result is ``(None, None, conditions, roots)``: the
+    distinct normalized numerators, sorted by degree and then text, and
+    their rational root sets (None for a multivariate condition)."""
+    conditions = []
+    for key, sparse in values:
+        for coord in sorted(sparse):
+            num = sparse[coord].numerator_poly()
+            if num.is_constant():
+                return key, sparse, (), ()
+            p = poly_normalize(num)
+            if all(p != q for q in conditions):
+                conditions.append(p)
+    conditions.sort(key=lambda p: (p.total_degree(), str(p)))
+    roots = [
+        rational_roots(p).roots if len(p.variables()) == 1 else None
+        for p in conditions
+    ]
+    return None, None, tuple(conditions), tuple(roots)
+
+
 class IdentityReport:
     """Outcome of a quantified identity check.
 
@@ -397,6 +411,10 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
         raise IncompatibleQuantifier(
             f"identity {ident} does not admit quantifier {tag}"
         )
+    if tag == "fixed-map":
+        _prep_map(g, payload, ident)
+    elif tag == "fixed-elem":
+        _prep_elem(g, payload, ident)
     exceptional = ExceptionalSet()
     maps = None
     if tag == "all-der":
@@ -405,25 +423,16 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     elif tag == "all-inner":
         space = inner_derivations(g)
         maps, exceptional = space.basis, space.exceptional
-    conditions = []
-    for witness, sparse in _sweep(g, ident, tag, payload, maps):
-        for coord in sorted(sparse):
-            num = sparse[coord].numerator_poly()
-            if num.is_constant():
-                return IdentityReport(
-                    ident, quantifier, "fails",
-                    witness=witness, value=_elem(g, sparse),
-                    exceptional=exceptional,
-                )
-            p = poly_normalize(num)
-            if all(p != q for q in conditions):
-                conditions.append(p)
+    witness, value, conditions, roots = _scan_conditions(
+        _sweep(g, ident, tag, payload, maps)
+    )
+    if witness is not None:
+        return IdentityReport(
+            ident, quantifier, "fails",
+            witness=witness, value=_elem(g, value), exceptional=exceptional,
+        )
     if not conditions:
         return IdentityReport(ident, quantifier, "holds", exceptional=exceptional)
-    conditions.sort(key=lambda p: (p.total_degree(), str(p)))
-    roots = []
-    for p in conditions:
-        roots.append(rational_roots(p).roots if len(p.variables()) == 1 else None)
     common = None
     varsets = {p.variables() for p in conditions}
     if len(varsets) == 1 and len(next(iter(varsets))) == 1:
@@ -517,7 +526,7 @@ def metabelian_equivalences(g: LieAlgebra) -> AuditReport:
     return AuditReport("metabelian-equivalences", facts)
 
 
-def nilpotent_witness_derivation(g: LieAlgebra) -> LinearMap:
+def nilpotent_witness_derivation(g: LieAlgebra) -> Matrix:
     """A nonzero derivation D with identity 2 at Fixed(D), for nilpotent g.
 
     Class at most 2: every derivation works, the first basis derivation is

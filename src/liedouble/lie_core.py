@@ -6,6 +6,10 @@ Jacobi identity on strictly increasing triples, which suffices in
 characteristic zero by multilinearity and alternation.  All data is exact
 (:class:`liedouble.scalars.Scalar`) and immutable after construction, so
 algebra objects can be shared and cached freely.
+
+Linear maps on an algebra's coordinate space (derivations, ``ad``
+operators, r-matrices) are square :class:`liedouble.linalg.Matrix`
+objects; ``LinearMap`` is another name for that class.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import ExceptionalSet, Matrix, _eliminate, nullspace, rank, solve_columns
+from .linalg import ExceptionalSet, Matrix, _eliminate, _sadd, nullspace, rank, solve_columns
 from .scalars import Poly, Scalar, parse_scalar_with_names
 
 _ZERO = Scalar.of(0)
@@ -27,18 +31,6 @@ _ONE = Scalar.of(1)
 
 
 # -- sparse coordinate helpers ---------------------------------------------
-
-
-def _sadd_into(acc: dict, v: dict, coef: Scalar) -> None:
-    if coef.is_zero():
-        return
-    for k, c in v.items():
-        s = acc.get(k)
-        s = c * coef if s is None else s + c * coef
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = s
 
 
 def _sparse_of(coords) -> dict:
@@ -116,125 +108,8 @@ class Element:
         return f"Element({self})"
 
 
-class LinearMap:
-    """Square matrix acting on an algebra's coordinate space.
-
-    ``entries[a][b]`` is the coefficient of basis vector ``a`` in the image
-    of basis vector ``b``."""
-
-    __slots__ = ("entries", "dim", "columns")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
-        self.dim = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.dim:
-                raise ValueError("linear map matrix must be square")
-        cols = []
-        for b in range(self.dim):
-            col = {}
-            for a in range(self.dim):
-                e = self.entries[a][b]
-                if not e.is_zero():
-                    col[a] = e
-            cols.append(col)
-        self.columns = tuple(cols)
-
-    @staticmethod
-    def from_columns(cols, dim) -> "LinearMap":
-        return LinearMap(
-            [[cols[b].get(a, _ZERO) for b in range(dim)] for a in range(dim)]
-        )
-
-    @staticmethod
-    def zero(dim) -> "LinearMap":
-        return LinearMap([[_ZERO] * dim for _ in range(dim)])
-
-    @staticmethod
-    def identity(dim) -> "LinearMap":
-        return LinearMap(
-            [[_ONE if a == b else _ZERO for b in range(dim)] for a in range(dim)]
-        )
-
-    @staticmethod
-    def diagonal(values) -> "LinearMap":
-        values = [Scalar.of(v) for v in values]
-        n = len(values)
-        return LinearMap(
-            [[values[a] if a == b else _ZERO for b in range(n)] for a in range(n)]
-        )
-
-    def apply_sparse(self, v: dict) -> dict:
-        out: dict = {}
-        for b, vb in v.items():
-            _sadd_into(out, self.columns[b], vb)
-        return out
-
-    def apply_vec(self, coords) -> tuple:
-        return _dense(self.apply_sparse(_sparse_of(coords)), self.dim)
-
-    def apply(self, x: Element) -> Element:
-        return Element(x.algebra, self.apply_vec(x.coords))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """Matrix product self @ other (apply other first)."""
-        cols = [self.apply_sparse(other.columns[b]) for b in range(self.dim)]
-        return LinearMap.from_columns(cols, self.dim)
-
-    def commutator(self, other: "LinearMap") -> "LinearMap":
-        return self.compose(other) - other.compose(self)
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def scale(self, c) -> "LinearMap":
-        c = Scalar.of(c)
-        return LinearMap([[a * c for a in row] for row in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def is_nilpotent(self) -> bool:
-        """True when some power (at most the dimension) vanishes."""
-        p = self
-        k = 1
-        while True:
-            if p.is_zero():
-                return True
-            if k >= self.dim:
-                return False
-            p = p.compose(p)
-            k *= 2
-
-    def vec(self) -> tuple:
-        """Row-major flattening, used to treat maps as vectors."""
-        return tuple(e for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
-        return f"LinearMap[{self.dim}]({body})"
+#: Square matrices act as linear maps on coordinate space.
+LinearMap = Matrix
 
 
 class LieAlgebra:
@@ -305,7 +180,7 @@ class LieAlgebra:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             inner = self._c(a, b)
             if inner:
-                _sadd_into(out, self.bracket_sparse(inner, {c: _ONE}), _ONE)
+                _sadd(out, self.bracket_sparse(inner, {c: _ONE}), _ONE)
         return out
 
     def _c(self, i, j) -> dict:
@@ -334,7 +209,7 @@ class LieAlgebra:
             if uj is not None and vi is not None:
                 coef = -uj * vi if coef is None else coef - uj * vi
             if coef is not None and not coef.is_zero():
-                _sadd_into(out, comps, coef)
+                _sadd(out, comps, coef)
         return out
 
     def bracket(self, x: Element, y: Element) -> Element:
@@ -342,13 +217,13 @@ class LieAlgebra:
             raise AlgebraMismatch("elements do not belong to this algebra")
         return Element(self, _dense(self.bracket_sparse(x.sparse(), y.sparse()), self.dim))
 
-    def ad(self, z: Element) -> LinearMap:
+    def ad(self, z: Element) -> Matrix:
         """Left bracket operator x -> [z, x]."""
         if z.algebra is not self:
             raise AlgebraMismatch("element does not belong to this algebra")
         zs = z.sparse()
         cols = [self.bracket_sparse(zs, {j: _ONE}) for j in range(self.dim)]
-        return LinearMap.from_columns(cols, self.dim)
+        return Matrix.from_columns(cols, self.dim)
 
     def element(self, coords) -> Element:
         return Element(self, coords)
@@ -605,37 +480,6 @@ class MatrixRealization:
         self.matrices = matrices
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            total = _ZERO
-            for k in range(a.cols):
-                x = a.entries[i][k]
-                y = b.entries[k][j]
-                if not x.is_zero() and not y.is_zero():
-                    total = total + x * y
-            row.append(total)
-        rows.append(row)
-    return Matrix(rows)
-
-
-def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    return Matrix(
-        [
-            [x - y for x, y in zip(ra, rb)]
-            for ra, rb in zip(ab.entries, ba.entries)
-        ]
-    )
-
-
-def _mat_vec_flat(m: Matrix) -> tuple:
-    return tuple(e for row in m.entries for e in row)
-
-
 def from_matrices(mats, labels=None) -> MatrixRealization:
     """Lie algebra spanned by given square matrices under the commutator.
 
@@ -649,12 +493,12 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
         if m.rows != size or m.cols != size:
             raise ValueError("all matrices must be square of equal size")
     k = len(mats)
-    flat = [_mat_vec_flat(m) for m in mats]
+    flat = [m.vec() for m in mats]
     if rank(Matrix(flat)).value != k:
         raise NotIndependent("the given matrices are linearly dependent")
     basis_cols = Matrix(list(zip(*flat)))  # size^2 x k
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    rhs = [_mat_vec_flat(_mat_commutator(mats[i], mats[j])) for i, j in pairs]
+    rhs = [mats[i].commutator(mats[j]).vec() for i, j in pairs]
     sols, _ = solve_columns(basis_cols, rhs)
     brackets = {}
     for (i, j), sol in zip(pairs, sols):
@@ -697,7 +541,7 @@ class BilinearAlgebra:
             ui = u.get(i)
             vj = v.get(j)
             if ui is not None and vj is not None:
-                _sadd_into(out, comps, ui * vj)
+                _sadd(out, comps, ui * vj)
         return out
 
 
@@ -736,10 +580,7 @@ def derivations_of_bilinear(b: BilinearAlgebra):
     n = b.dim
     pairs = [(i, j) for i in range(n) for j in range(n)]
     ns = nullspace(_leibniz_matrix(n, lambda i, j: b.table.get((i, j), {}), pairs))
-    return [
-        LinearMap([[vec[a * n + q] for q in range(n)] for a in range(n)])
-        for vec in ns.basis
-    ]
+    return [Matrix.from_flat(enumerate(vec), n) for vec in ns.basis]
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:

@@ -1,6 +1,10 @@
 """Exact sparse linear algebra over the scalar field.
 
-Matrices are stored as sparse rows (``{column: Scalar}``, nonzeros only).
+:class:`Matrix` is the one matrix type of the package.  It is stored as
+sparse rows (``{column: Scalar}``, nonzeros only) and serves both as the
+coefficient matrix of a linear system and, when square, as a linear map
+(derivations, ``ad`` operators, r-matrices), with composition, commutators
+and sums computed on the sparse rows and columns.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): every update
 step is
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .scalars import Poly, Scalar, poly_normalize
 
@@ -79,13 +84,44 @@ class ExceptionalSet:
         return f"ExceptionalSet({[str(p) for p in self.polys]})"
 
 
+def _sadd(acc: dict, v: dict, coef=1) -> None:
+    """``acc += coef * v`` on sparse ``{index: Scalar}`` vectors, dropping
+    zeros.  ``coef`` is a Scalar, or the int 1 or -1 to add or subtract
+    ``v`` with no multiplication."""
+    if type(coef) is int:
+        for k, c in v.items():
+            s = acc.get(k)
+            if s is None:
+                s = c if coef > 0 else -c
+            else:
+                s = s + c if coef > 0 else s - c
+            if s.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        return
+    if coef.is_zero():
+        return
+    for k, c in v.items():
+        s = acc.get(k)
+        s = c * coef if s is None else s + c * coef
+        if s.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+
+
 class Matrix:
     """Immutable matrix of Scalars, stored as sparse rows.
 
-    ``sparse_rows[i]`` maps column -> nonzero Scalar; ``entries`` is the
-    dense view (a tuple of row tuples), built on first use."""
+    ``sparse_rows[i]`` maps column -> nonzero Scalar.  ``entries`` (dense row
+    tuples) and ``columns`` (``{row: Scalar}`` per column) are views built
+    on first use.  A square matrix is also a linear map on coordinate space
+    (``lie_core.LinearMap`` is this class): ``entries[a][b]`` is the
+    coefficient of basis vector ``a`` in the image of basis vector ``b``.
+    Every operation below works on the sparse rows or columns."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns")
 
     def __init__(self, entries):
         dense = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
@@ -95,9 +131,12 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
         self._entries = dense
+        self._columns = None
         self.sparse_rows = tuple(
             {j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense
         )
+
+    # -- builders ---------------------------------------------------------
 
     @staticmethod
     def sparse(rows, cols) -> "Matrix":
@@ -106,7 +145,49 @@ class Matrix:
         m.rows, m.cols = len(rows), cols
         m.sparse_rows = tuple(rows)
         m._entries = None
+        m._columns = None
         return m
+
+    @staticmethod
+    def from_columns(cols, dim) -> "Matrix":
+        """``dim``-row matrix from ``{row: Scalar}`` columns of nonzeros."""
+        rows = [{} for _ in range(dim)]
+        for b, col in enumerate(cols):
+            for a, e in col.items():
+                rows[a][b] = e
+        return Matrix.sparse(rows, len(cols))
+
+    @staticmethod
+    def from_flat(items, dim) -> "Matrix":
+        """Square matrix from ``(a * dim + b, value)`` pairs of its row-major
+        flattening; zero values are skipped."""
+        rows = [{} for _ in range(dim)]
+        for k, e in items:
+            if e is _ZERO:  # the shared zero of dense views and nullspace vectors
+                continue
+            e = Scalar.of(e)
+            if not e.is_zero():
+                a, b = divmod(k, dim)
+                rows[a][b] = e
+        return Matrix.sparse(rows, dim)
+
+    @staticmethod
+    def zero(dim) -> "Matrix":
+        return Matrix.sparse([{} for _ in range(dim)], dim)
+
+    @staticmethod
+    def identity(dim) -> "Matrix":
+        return Matrix.sparse([{a: _ONE} for a in range(dim)], dim)
+
+    @staticmethod
+    def diagonal(values) -> "Matrix":
+        values = [Scalar.of(v) for v in values]
+        return Matrix.sparse(
+            [{a: v} if not v.is_zero() else {} for a, v in enumerate(values)],
+            len(values),
+        )
+
+    # -- views --------------------------------------------------------------
 
     @property
     def entries(self):
@@ -117,11 +198,126 @@ class Matrix:
             )
         return self._entries
 
-    def row(self, i):
-        return self.entries[i]
+    @property
+    def columns(self):
+        if self._columns is None:
+            cols = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self.sparse_rows):
+                for j, e in row.items():
+                    cols[j][i] = e
+            self._columns = tuple(cols)
+        return self._columns
+
+    @property
+    def dim(self) -> int:
+        """Size of a square matrix."""
+        if self.rows != self.cols:
+            raise ValueError(f"a {self.rows}x{self.cols} matrix is not square")
+        return self.rows
+
+    def vec(self) -> tuple:
+        """Row-major flattening, used to treat maps as vectors."""
+        return tuple(
+            row.get(j, _ZERO) for row in self.sparse_rows for j in range(self.cols)
+        )
 
     def is_parametric(self) -> bool:
         return any(not e.is_rational for row in self.sparse_rows for e in row.values())
+
+    # -- linear-map operations ------------------------------------------------
+
+    def apply_sparse(self, v: dict) -> dict:
+        cols = self.columns
+        out: dict = {}
+        for b, vb in v.items():
+            _sadd(out, cols[b], vb)
+        return out
+
+    def apply_vec(self, coords) -> tuple:
+        coords = [Scalar.of(c) for c in coords]
+        out = self.apply_sparse({b: c for b, c in enumerate(coords) if not c.is_zero()})
+        return tuple(out.get(a, _ZERO) for a in range(self.rows))
+
+    def apply(self, x):
+        """Image of an algebra element."""
+        return x.algebra.element(self.apply_vec(x.coords))
+
+    def compose(self, other: "Matrix") -> "Matrix":
+        """Matrix product self @ other (apply other first)."""
+        return Matrix.from_columns(
+            [self.apply_sparse(col) for col in other.columns], self.rows
+        )
+
+    def _product(self, other: "Matrix") -> "Matrix":
+        """self @ other with each entry summed from zero over ascending
+        inner indices, the order of the dense product (it fixes how
+        rational-function entries print)."""
+        cols = []
+        for col in other.columns:
+            acc = {}
+            for k, y in col.items():
+                for a, x in self.columns[k].items():
+                    acc[a] = acc.get(a, _ZERO) + x * y
+            cols.append({a: e for a, e in acc.items() if not e.is_zero()})
+        return Matrix.from_columns(cols, self.rows)
+
+    def commutator(self, other: "Matrix") -> "Matrix":
+        return self._product(other) - other._product(self)
+
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            row = {}
+            for j in sorted(ra.keys() | rb.keys()):
+                e = op(ra.get(j, _ZERO), rb.get(j, _ZERO))
+                if not e.is_zero():
+                    row[j] = e
+            out.append(row)
+        return Matrix.sparse(out, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, sub)
+
+    def scale(self, c) -> "Matrix":
+        c = Scalar.of(c)
+        out = []
+        for row in self.sparse_rows:
+            new = {}
+            for j, e in row.items():
+                e = e * c
+                if not e.is_zero():
+                    new[j] = e
+            out.append(new)
+        return Matrix.sparse(out, self.cols)
+
+    def is_zero(self) -> bool:
+        return not any(self.sparse_rows)
+
+    def is_nilpotent(self) -> bool:
+        """True when some power (at most the dimension) vanishes."""
+        p = self
+        k = 1
+        while True:
+            if p.is_zero():
+                return True
+            if k >= self.dim:
+                return False
+            p = p.compose(p)
+            k *= 2
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and (
+            self.sparse_rows == other.sparse_rows
+        )
+
+    __hash__ = None
 
     def __repr__(self):
         body = "; ".join(

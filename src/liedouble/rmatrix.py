@@ -12,46 +12,37 @@ built directly.
 from __future__ import annotations
 
 from .errors import NotADerivation
-from .lie_core import Element, LieAlgebra, LinearMap, derived_series
+from .lie_core import Element, LieAlgebra, derived_series
 from .derivations import is_derivation
-from .linalg import ExceptionalSet, Matrix, solve_affine
-from .scalars import Poly, Scalar, poly_normalize, rational_roots
+from .identities import _scan_conditions
+from .linalg import ExceptionalSet, Matrix, _sadd, solve_affine
+from .scalars import Scalar
 
 _ZERO = Scalar.of(0)
 _ONE = Scalar.of(1)
 
 
-def _sadd(acc: dict, v: dict, sign=1) -> None:
-    for k, c in v.items():
-        s = acc.get(k)
-        s = (c if sign == 1 else -c) if s is None else (s + c if sign == 1 else s - c)
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-
-
-def _r_bracket_sparse(g: LieAlgebra, r: LinearMap, u: dict, v: dict) -> dict:
+def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
     out = g.bracket_sparse(r.apply_sparse(u), v)
     _sadd(out, g.bracket_sparse(u, r.apply_sparse(v)))
     return out
 
 
-def r_bracket(g: LieAlgebra, r: LinearMap, x: Element, y: Element) -> Element:
+def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
     out = _r_bracket_sparse(g, r, x.sparse(), y.sparse())
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
 
-def b_r(g: LieAlgebra, r: LinearMap, x: Element, y: Element) -> Element:
+def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
     out = _b_r_sparse(g, r, x.sparse(), y.sparse())
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
 
-def _b_r_sparse(g: LieAlgebra, r: LinearMap, u: dict, v: dict) -> dict:
+def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
     out = g.bracket_sparse(r.apply_sparse(u), r.apply_sparse(v))
-    _sadd(out, r.apply_sparse(_r_bracket_sparse(g, r, u, v)), sign=-1)
+    _sadd(out, r.apply_sparse(_r_bracket_sparse(g, r, u, v)), -1)
     return out
 
 
@@ -84,7 +75,7 @@ class RBracketObstruction:
         return f"RBracketObstruction(nonzero on {len(self.entries)} triples)"
 
 
-def _jacobiator_triples(g: LieAlgebra, r: LinearMap):
+def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     """Yield (triple, sparse Jacobiator of [,]_R) in lexicographic order;
     zero values are skipped."""
     if r.dim != g.dim:
@@ -103,7 +94,7 @@ def _jacobiator_triples(g: LieAlgebra, r: LinearMap):
                     yield (i, j, k), jac
 
 
-def rmatrix_obstruction(g: LieAlgebra, r: LinearMap) -> RBracketObstruction:
+def rmatrix_obstruction(g: LieAlgebra, r: Matrix) -> RBracketObstruction:
     entries = {
         t: Element(g, [jac.get(a, _ZERO) for a in range(g.dim)])
         for t, jac in _jacobiator_triples(g, r)
@@ -135,52 +126,19 @@ class RMatrixReport:
         return "RMatrixReport(holds)"
 
 
-def _scan_conditions(values):
-    """Classify a sweep of sparse values: constant nonzero -> fails at the
-    first such tuple (carrying its sparse value); otherwise collect
-    normalized numerator conditions."""
-    conditions = []
-    for key, sparse in values:
-        for coord in sorted(sparse):
-            s = sparse[coord]
-            num = s.numerator_poly()
-            if num.is_constant():
-                # nonzero for every parameter value
-                return ("fails", key, sparse)
-            p = poly_normalize(num)
-            if all(p != q for q in conditions):
-                conditions.append(p)
-    if not conditions:
-        return ("holds", None, ())
-    conditions.sort(key=lambda p: (p.total_degree(), str(p)))
-    return ("conditional", None, tuple(conditions))
-
-
-def _condition_roots(conditions):
-    out = []
-    for p in conditions:
-        if len(p.variables()) == 1:
-            out.append(rational_roots(p).roots)
-        else:
-            out.append(None)
-    return tuple(out)
-
-
-def is_classical_rmatrix(g: LieAlgebra, r: LinearMap) -> RMatrixReport:
+def is_classical_rmatrix(g: LieAlgebra, r: Matrix) -> RMatrixReport:
     """Decide whether [ , ]_R satisfies the Jacobi identity.
 
     Fails carries the first (lexicographic) basis triple with a nonzero
     constant evaluation; parametric-only failures become conditions."""
-    status, key, payload = _scan_conditions(_jacobiator_triples(g, r))
-    if status == "fails":
+    key, value, conditions, roots = _scan_conditions(_jacobiator_triples(g, r))
+    if key is not None:
         return RMatrixReport(
-            "fails", key, Element(g, [payload.get(a, _ZERO) for a in range(g.dim)])
+            "fails", key, Element(g, [value.get(a, _ZERO) for a in range(g.dim)])
         )
-    if status == "holds":
+    if not conditions:
         return RMatrixReport("holds")
-    return RMatrixReport(
-        "conditional", conditions=payload, roots=_condition_roots(payload)
-    )
+    return RMatrixReport("conditional", conditions=conditions, roots=roots)
 
 
 class MYBESolution:
@@ -199,7 +157,7 @@ class MYBESolution:
         return f"MYBESolution({self.status})"
 
 
-def mybe_solve(g: LieAlgebra, r: LinearMap) -> MYBESolution:
+def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
     n = g.dim
     basis = [{i: _ONE} for i in range(n)]
     rows = []
@@ -221,7 +179,7 @@ def mybe_solve(g: LieAlgebra, r: LinearMap) -> MYBESolution:
     return MYBESolution("all", exceptional=res.exceptional)
 
 
-def build_double(g: LieAlgebra, op: LinearMap, kind: str = "derivation") -> LieAlgebra:
+def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlgebra:
     """New algebra on the same basis with the deformed bracket.
 
     kind "derivation": requires op to be a derivation D and uses
@@ -278,8 +236,8 @@ def extremal_functional(g: LieAlgebra, z: Element):
             pivot = a
             break
     values = []
-    for j in range(g.dim):
-        v = [sq.entries[a][j] for a in range(g.dim)]
+    for col in sq.columns:
+        v = [col.get(a, _ZERO) for a in range(g.dim)]
         if pivot is None:
             if any(not e.is_zero() for e in v):
                 return None

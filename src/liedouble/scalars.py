@@ -829,20 +829,6 @@ ZERO = _S_ZERO
 ONE = _S_ONE
 
 
-def scalar_arith(a, b, op: str) -> Scalar:
-    """Field operation dispatch; ``op`` is one of ``+ - * /``."""
-    a, b = Scalar.of(a), Scalar.of(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # -- literal grammar -------------------------------------------------------
 #
 #   expr   := ['-'] term (('+' | '-') term)*
@@ -851,6 +837,9 @@ def scalar_arith(a, b, op: str) -> Scalar:
 #   primary:= integer | name | '(' expr ')'
 #
 # Whitespace is insignificant.  '*' is mandatory between factors.
+# Parentheses nest at most MAX_DEPTH deep.
+
+MAX_DEPTH = 100
 
 
 class _Tokens:
@@ -899,6 +888,7 @@ class _Parser:
         self.toks = _Tokens(text)
         self.allowed = allowed
         self.seen: set = set()
+        self.depth = 0
 
     def parse(self) -> Scalar:
         value = self._expr()
@@ -949,8 +939,14 @@ class _Parser:
             self.seen.add(text)
             return Scalar.variable(text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_DEPTH} deep in literal"
+                )
             value = self._expr()
             self.toks.take(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r} in {self.toks.text!r}")
 

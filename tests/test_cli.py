@@ -200,3 +200,40 @@ def test_check_paper_reports_known_failure_but_exits_zero(capsys):
     assert code == 0
     assert "overall: FAIL" in out
     assert out.count("criterion") >= 12
+
+
+def test_deeply_nested_literals_exit_two(tmp_path, capsys):
+    # a literal nested past the parser's depth limit is a parse error, not
+    # a RecursionError; the limit itself still parses
+    deep = "(" * 250 + "1" + ")" * 250
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([[deep, 0, 0], [0, 0, 0], [0, 0, 0]]), encoding="utf-8")
+    catalog = tmp_path / "deep_catalog.json"
+    catalog.write_text(json.dumps([{"name": "deep", "dim": 3, "brackets": [
+        {"i": 1, "j": 2, "value": {"3": deep}}]}]), encoding="utf-8")
+    for argv in (
+        ("show", "deep", "--catalog", str(catalog)),
+        ("identity", "sl2", "--id", "4", "--z", f"{deep}*e1"),
+        ("show", "glambda", "--param", f"lam={deep}"),
+        ("identity", "n3", "--id", "2", "--map", str(path)),
+        ("rmatrix", "n3", "--matrix", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    limit = "(" * 100 + "1" + ")" * 100
+    assert run(capsys, "show", "glambda", "--param", f"lam={limit}")[0] == 0
+    over = "(" * 101 + "1" + ")" * 101
+    assert run(capsys, "show", "glambda", "--param", f"lam={over}")[0] == 2
+
+
+def test_null_matrix_cell_is_rejected(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps([[None, 0, 0], [0, 0, 0], [0, 0, 0]]), encoding="utf-8")
+    for argv in (
+        ("identity", "n3", "--id", "2", "--map", str(path)),
+        ("rmatrix", "n3", "--matrix", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:"), argv

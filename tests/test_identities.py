@@ -26,7 +26,7 @@ from liedouble import (
     parse_element,
     quantifier_from_name,
 )
-from liedouble.errors import IncompatibleQuantifier, NotNilpotent
+from liedouble.errors import AlgebraMismatch, IncompatibleQuantifier, NotNilpotent
 
 
 def _apply(g, m, x):
@@ -119,6 +119,25 @@ def test_quantifier_compatibility_is_enforced():
         check_quantified(g, "1", Fixed(g.basis_element(0)))
     with pytest.raises(IncompatibleQuantifier):
         check_quantified(g, "4", Fixed(LinearMap.identity(3)))
+
+
+def test_fixed_payload_must_belong_to_the_algebra():
+    # the same checks as eval_identity: a map of the wrong size or an
+    # element of another algebra is rejected, never swept
+    g = get("sl2")
+    with pytest.raises(AlgebraMismatch):
+        check_quantified(g, "2", Fixed(LinearMap.identity(2)))
+    with pytest.raises(AlgebraMismatch):
+        check_quantified(g, "2", Fixed(LinearMap.identity(4)))
+    with pytest.raises(AlgebraMismatch):
+        check_quantified(g, "3", Fixed(get("sl3").basis_element(7)))
+    with pytest.raises(AlgebraMismatch):
+        check_quantified(g, "1", Fixed(LinearMap([[0, 1, 0], [0, 0, 1]])))
+    x = g.basis_element(0)
+    with pytest.raises(AlgebraMismatch):
+        eval_identity(g, "2", LinearMap([[0, 1, 0], [0, 0, 1]]), x, x, x)
+    # with D the identity, identity 2 is the Jacobi identity
+    assert check_quantified(g, "2", Fixed(LinearMap.identity(3))).holds
 
 
 def test_all_elements_verdict_matches_symbolic_evaluation():

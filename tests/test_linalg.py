@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from liedouble import (
     ExceptionalSet,
+    LinearMap,
     Matrix,
     Scalar,
     generalized_derivation_space,
@@ -259,3 +260,92 @@ def test_parametric_exceptional_set_prints_unchanged():
     ]
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (len(texts), digest) == (7, "d193e33eb630138df742a5f76127189d9940ed60d944d4a333a895f1908b8330")
+
+
+# -- matrix operations against dense Fraction arithmetic ---------------------
+
+
+def _dense_random(rng, rows, cols, nilpotent=False):
+    """Random rational matrix with some zero rows and columns; with
+    ``nilpotent``, a strictly triangular one conjugated by a permutation."""
+    values = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2, 3)]
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    a = [[rng.choice(values) if i not in zero_rows and j not in zero_cols
+          and rng.random() < 0.6 else Fraction(0) for j in range(cols)]
+         for i in range(rows)]
+    if nilpotent:
+        perm = list(range(rows))
+        rng.shuffle(perm)
+        a = [[a[i][j] if i < j else Fraction(0) for j in range(cols)] for i in range(rows)]
+        a = [[a[perm[i]][perm[j]] for j in range(cols)] for i in range(rows)]
+    return a
+
+
+def _ref_mul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _ref_nilpotent(a):
+    p = a
+    for _ in range(len(a)):
+        if all(x == 0 for row in p for x in row):
+            return True
+        p = _ref_mul(p, a)
+    return all(x == 0 for row in p for x in row)
+
+
+def _fractions(m):
+    assert all(len(row) == m.cols for row in m.entries)
+    return [[e.as_fraction() for e in row] for row in m.entries]
+
+
+def test_matrix_operations_match_dense_fraction_arithmetic():
+    assert LinearMap is Matrix
+    rng = random.Random(20260101)
+    for trial in range(200):
+        n = rng.randint(0, 6)
+        a = _dense_random(rng, n, n, nilpotent=trial % 3 == 0)
+        b = _dense_random(rng, n, n)
+        ma, mb = Matrix(a), Matrix(b)
+        assert ma.dim == n
+        assert _fractions(ma.compose(mb)) == _ref_mul(a, b)
+        ab, ba = _ref_mul(a, b), _ref_mul(b, a)
+        assert _fractions(ma.commutator(mb)) == [
+            [x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+        assert _fractions(ma + mb) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        assert _fractions(ma - mb) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert _fractions(ma.scale(c)) == [[x * c for x in r] for r in a]
+        assert (ma == mb) == (a == b)
+        assert ma == Matrix(a) and ma - ma == Matrix.zero(n)
+        assert (ma - ma).is_zero() and ma.is_zero() == all(x == 0 for r in a for x in r)
+        v = [rng.choice((Fraction(0), Fraction(1), Fraction(-2, 3))) for _ in range(n)]
+        assert [e.as_fraction() for e in ma.apply_vec(v)] == [
+            sum((a[i][j] * v[j] for j in range(n)), Fraction(0)) for i in range(n)]
+        assert ma.is_nilpotent() == _ref_nilpotent(a)
+        if trial % 3 == 0:
+            assert ma.is_nilpotent()
+        cols = [{i: Scalar.of(a[i][j]) for i in range(n) if a[i][j]} for j in range(n)]
+        assert Matrix.from_columns(cols, n) == ma
+        assert ma.vec() == tuple(Scalar.of(x) for row in a for x in row)
+
+        # rectangular products and sums
+        r, k = rng.randint(1, 4), rng.randint(1, 4)
+        p, q = _dense_random(rng, r, n), _dense_random(rng, n, k)
+        assert _fractions(Matrix(p).compose(Matrix(q))) == _ref_mul(p, q)
+        p2 = _dense_random(rng, r, n)
+        assert _fractions(Matrix(p) + Matrix(p2)) == [
+            [x + y for x, y in zip(s, t)] for s, t in zip(p, p2)]
+
+
+def test_map_builders_are_sparse():
+    assert Matrix.identity(3) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert Matrix.diagonal([2, 0, -1]).sparse_rows == ({0: Scalar.of(2)}, {}, {2: Scalar.of(-1)})
+    assert Matrix.zero(2).sparse_rows == ({}, {})
+    flat = [Scalar.of(x) for x in (0, 1, 0, 0, 0, 2, 3, 0, 0)]
+    assert Matrix.from_flat(enumerate(flat), 3) == Matrix([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+    assert Matrix([[1, 2]]) != Matrix([[1], [2]])
