@@ -26,7 +26,7 @@ from . import acceptance
 from .catalog import check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
 from .errors import DuplicateName, JacobiViolation, LieDoubleError, NotADerivation
-from .identities import Fixed, canonical_identity, check_quantified, quantifier_from_name
+from .identities import _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
 from .lie_core import (
     LieAlgebra,
     center,
@@ -359,22 +359,19 @@ def _cmd_derivations(args, params, external):
     return doc, text, rows
 
 
-_DEFAULT_QUANTIFIER = {"1": "all-der", "2": "all-der", "3": "all-elem",
-                       "4": "all-elem", "6": "all-elem", "s5": "all-elem"}
-
-
 def _identity_quantifier(args, g, code):
     qname = args.quantifier
     if args.z is not None and args.map_file is not None:
         raise ValueError("--z and --map are mutually exclusive")
     has_payload = args.z is not None or args.map_file is not None
+    takes_map = _IDENTITIES[code].argument == "map"
     if qname is None:
-        qname = "fixed" if has_payload else _DEFAULT_QUANTIFIER[code]
+        qname = "fixed" if has_payload else "all-der" if takes_map else "all-elem"
     if qname != "fixed":
         if has_payload:
             raise ValueError(f"--quantifier {qname} does not take --z or --map")
         return qname, quantifier_from_name(qname)
-    if code in ("1", "2"):
+    if takes_map:
         if args.map_file is None:
             raise ValueError(f"identity {code} with fixed quantifier needs --map FILE")
         payload = _read_matrix(args.map_file, g.dim)

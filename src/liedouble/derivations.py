@@ -11,7 +11,7 @@ matrices together with the exceptional parameter values of the elimination.
 from __future__ import annotations
 
 from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices
-from .linalg import ExceptionalSet, Matrix, nullspace, _eliminate
+from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, nullspace
 from .scalars import Scalar
 
 _ZERO = Scalar.of(0)
@@ -92,8 +92,7 @@ def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
 
     The witness is the first basis pair (i, j), 0-based, where the Leibniz
     rule fails identically."""
-    if m.dim != g.dim:
-        raise ValueError("map dimension does not match the algebra")
+    _check_map(m, g.dim, "is_derivation")
     weight = Scalar.of(weight)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):

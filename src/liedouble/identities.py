@@ -11,19 +11,24 @@ x, y, w, z of a fixed algebra:
   s5  sum over permutations p of (1,2,3,4) of
       sign(p) * [x_p1,[x_p2,[x_p3,[x_p4, x0]]]] = 0
 
-A quantified check sweeps basis tuples only.  Slots in which an identity is
-multilinear and alternating are swept over strictly increasing index tuples;
-slots of higher degree (the repeated z in 3 and 4, the repeated w in 6) are
-polarized: the identity is split into one symbol per occurrence and the
-symmetrized average over all orderings is required to vanish.  The average
-uses weight 1/d! so that a diagonal tuple reproduces the plain evaluation.
-Witnesses are reported as the lexicographically first failing tuple.
+Each identity is described once, in ``_IDENTITIES``, which evaluation, the
+quantified sweep and the quantifier check all read.  A quantified check
+sweeps basis tuples only.  Alternating slots are swept over strictly
+increasing index tuples.  A repeated slot (the D in 1, the z in 3 and 4,
+the w in 6) is polarized: it is swept over non-decreasing index tuples, one
+symbol per occurrence, and the value is the identity's weight times the sum
+over all orderings of those symbols.  The weight is 1/d! for 3, 4 and 6, so
+there a diagonal tuple gives the plain evaluation; identity 1 has weight 1,
+so at a diagonal pair of maps its value is twice the plain one.  A Fixed
+argument is not polarized.  Witnesses are the lexicographically first
+failing tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import Callable, NamedTuple
 
 from .errors import (
     AlgebraMismatch,
@@ -41,7 +46,7 @@ from .lie_core import (
     lower_central_series,
     nilpotency_class,
 )
-from .linalg import ExceptionalSet, Matrix, _sadd
+from .linalg import ExceptionalSet, Matrix, _check_map, _sadd
 from .scalars import Scalar, poly_normalize, rational_roots
 
 _ZERO = Scalar.of(0)
@@ -110,88 +115,91 @@ def canonical_identity(ident) -> str:
     return canon
 
 
-# quantifier tags each identity admits
-_COMPAT = {
-    "1": ("fixed-map", "all-der", "all-inner"),
-    "2": ("fixed-map", "all-der", "all-inner"),
-    "3": ("fixed-elem", "all-elem"),
-    "4": ("fixed-elem", "all-elem"),
-    "6": ("all-elem",),
-    "s5": ("all-elem",),
-}
-
-_SLOT_COUNT = {"1": 4, "2": 4, "3": 4, "4": 3, "6": 4, "s5": 5}
+# quantifier tags admitted by each kind of quantified argument
+_ADMITTED = {"map": ("fixed-map", "all-der", "all-inner"), "z": ("fixed-elem", "all-elem"),
+             None: ("all-elem",)}
 
 
 # ---------------------------------------------------------------------------
-# sparse evaluation cores
+# the identity table
 
-def _scaled(v: dict, s: Scalar) -> dict:
-    return {k: c * s for k, c in v.items()}
-
-
-def _e2(g, d, xs, ys, ws):
-    b = g.bracket_sparse
-    out = b(d.apply_sparse(xs), b(ys, ws))
-    _sadd(out, b(d.apply_sparse(ys), b(ws, xs)))
-    _sadd(out, b(d.apply_sparse(ws), b(xs, ys)))
+def _e2(b, d, x, y, w):
+    out = b(d.apply_sparse(x), b(y, w))
+    _sadd(out, b(d.apply_sparse(y), b(w, x)))
+    _sadd(out, b(d.apply_sparse(w), b(x, y)))
     return out
 
 
-def _e1(g, outer, inner, xs, ys, ws):
-    return outer.apply_sparse(_e2(g, inner, xs, ys, ws))
-
-
-def _e3(g, z1, z2, xs, ys, ws):
-    b = g.bracket_sparse
-    out = b(z1, b(b(z2, xs), b(ys, ws)))
-    _sadd(out, b(z1, b(b(z2, ys), b(ws, xs))))
-    _sadd(out, b(z1, b(b(z2, ws), b(xs, ys))))
+def _e3(b, z1, z2, x, y, w):
+    out = b(z1, b(b(z2, x), b(y, w)))
+    _sadd(out, b(z1, b(b(z2, y), b(w, x))))
+    _sadd(out, b(z1, b(b(z2, w), b(x, y))))
     return out
 
 
-def _e4(g, z1, z2, z3, xs, ys):
-    b = g.bracket_sparse
-    return b(z1, b(b(z2, xs), b(z3, ys)))
-
-
-def _e6(g, zs, w1, w2, xs, ys):
-    b = g.bracket_sparse
-    out = b(zs, b(b(w1, xs), b(w2, ys)))
-    _sadd(out, b(w1, b(b(zs, w2), b(xs, ys))), -1)
+def _e6(b, z, w1, w2, x, y):
+    out = b(z, b(b(w1, x), b(w2, y)))
+    _sadd(out, b(w1, b(b(z, w2), b(x, y))), -1)
     return out
 
 
-def _perm_signs(n):
-    out = []
-    for perm in permutations(range(n)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if perm[i] > perm[j]
-        )
-        out.append((perm, -1 if inv % 2 else 1))
-    return out
+# the orderings of s5's four alternating slots, each with its sign
+_SIGNED_ORDERS = tuple(
+    (p, (-1) ** sum(p[i] > p[j] for i, j in combinations(range(4), 2)))
+    for p in permutations(range(4))
+)
 
 
-_S2 = _perm_signs(2)
-_S3 = _perm_signs(3)
-_S4 = _perm_signs(4)
-_HALF = Scalar.of(Fraction(1, 2))
-_SIXTH = Scalar.of(Fraction(1, 6))
-
-
-def _e_s5(g, x0, x1, x2, x3, x4):
-    b = g.bracket_sparse
-    slots = (x1, x2, x3, x4)
+def _e_s5(b, x0, *xs):
     out: dict = {}
-    for perm, sign in _S4:
+    for order, sign in _SIGNED_ORDERS:
         v = x0
-        for idx in reversed(perm):
-            v = b(slots[idx], v)
+        for i in reversed(order):
+            v = b(xs[i], v)
         _sadd(out, v, sign)
     return out
+
+
+class _Identity(NamedTuple):
+    """Slot groups in witness order, the polarization weight, and the
+    evaluator ``f(bracket, *occurrences)`` on sparse vectors and maps.
+
+    A group ``(kind, d)`` is the quantified argument repeated d times ("map"
+    for the D of 1 and 2, "z" for the z of 3 and 4), a basis element
+    repeated d times ("elem": z and w in 6, x0 in s5), or d alternating
+    basis slots ("alt")."""
+
+    groups: tuple
+    weight: Fraction
+    f: Callable
+
+    @property
+    def argument(self):
+        """Kind of the quantified argument: "map", "z", or None."""
+        kind = self.groups[0][0]
+        return kind if kind in ("map", "z") else None
+
+
+_IDENTITIES = {
+    "1": _Identity(
+        (("map", 2), ("alt", 3)), 1,
+        lambda b, d1, d2, x, y, w: d1.apply_sparse(_e2(b, d2, x, y, w)),
+    ),
+    "2": _Identity((("map", 1), ("alt", 3)), 1, _e2),
+    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3),
+    "4": _Identity(
+        (("z", 3), ("alt", 2)), Fraction(1, 6),
+        lambda b, z1, z2, z3, x, y: b(z1, b(b(z2, x), b(z3, y))),
+    ),
+    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6),
+    "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5),
+}
+
+# [[z,x],[z,y]] polarized in z: it vanishes iff [[g,g],[g,g]] = 0
+_SQUARE_BRACKET = _Identity(
+    (("elem", 2), ("alt", 2)), 1,
+    lambda b, z1, z2, x, y: b(b(z1, x), b(z2, y)),
+)
 
 
 def _elem(g, sparse: dict) -> Element:
@@ -209,41 +217,26 @@ def _prep_elem(g, e, ident):
     return e.sparse()
 
 
-def _prep_map(g, m, ident):
-    if not isinstance(m, Matrix):
-        raise ArityMismatch(f"identity {ident} expects a linear map, got {type(m).__name__}")
-    if m.rows != g.dim or m.cols != g.dim:
-        raise AlgebraMismatch("map dimension does not match the algebra")
-    return m
-
-
 def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     """Plain (unpolarized) evaluation at concrete slots.
 
     Slot orders: 1 and 2 take (D, x, y, w); 3 takes (z, x, y, w); 4 takes
     (z, x, y); 6 takes (z, w, x, y); s5 takes (x0, x1, x2, x3, x4)."""
     ident = canonical_identity(ident)
-    if len(slots) != _SLOT_COUNT[ident]:
-        raise ArityMismatch(
-            f"identity {ident} takes {_SLOT_COUNT[ident]} slots, got {len(slots)}"
-        )
-    if ident in ("1", "2"):
-        d = _prep_map(g, slots[0], ident)
-        xs, ys, ws = (_prep_elem(g, e, ident) for e in slots[1:])
-        out = _e2(g, d, xs, ys, ws) if ident == "2" else _e1(g, d, d, xs, ys, ws)
-    elif ident == "3":
-        zs, xs, ys, ws = (_prep_elem(g, e, ident) for e in slots)
-        out = _e3(g, zs, zs, xs, ys, ws)
-    elif ident == "4":
-        zs, xs, ys = (_prep_elem(g, e, ident) for e in slots)
-        out = _e4(g, zs, zs, zs, xs, ys)
-    elif ident == "6":
-        zs, ws, xs, ys = (_prep_elem(g, e, ident) for e in slots)
-        out = _e6(g, zs, ws, ws, xs, ys)
-    else:
-        parts = [_prep_elem(g, e, ident) for e in slots]
-        out = _e_s5(g, *parts)
-    return _elem(g, out)
+    spec = _IDENTITIES[ident]
+    count = sum(d if kind == "alt" else 1 for kind, d in spec.groups)
+    if len(slots) != count:
+        raise ArityMismatch(f"identity {ident} takes {count} slots, got {len(slots)}")
+    slot = iter(slots)
+    occurrences = []
+    for kind, d in spec.groups:
+        if kind == "alt":
+            occurrences += [_prep_elem(g, next(slot), ident) for _ in range(d)]
+        elif kind == "map":
+            occurrences += [_check_map(next(slot), g.dim, f"identity {ident}")] * d
+        else:
+            occurrences += [_prep_elem(g, next(slot), ident)] * d
+    return _elem(g, spec.f(g.bracket_sparse, *occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -265,73 +258,40 @@ def _classify(q):
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
-def _sweep(g, ident, tag, payload, maps):
-    n = g.dim
-    basis = [{i: _ONE} for i in range(n)]
-    if ident in ("1", "2"):
-        if tag == "fixed-map":
-            d = payload
-            for t in combinations(range(n), 3):
-                xs, ys, ws = (basis[i] for i in t)
-                if ident == "2":
-                    yield t, _e2(g, d, xs, ys, ws)
-                else:
-                    yield t, _e1(g, d, d, xs, ys, ws)
-        elif ident == "2":
-            for a, d in enumerate(maps):
-                for t in combinations(range(n), 3):
-                    xs, ys, ws = (basis[i] for i in t)
-                    yield (a,) + t, _e2(g, d, xs, ys, ws)
+def _sweep(g, spec: _Identity, payload, maps):
+    """Lazily yield ``(key, sparse value)`` for the basis tuples of ``spec``
+    in lexicographic key order.  A Fixed ``payload`` (a map, or an element's
+    sparse vector) fills the argument's group and adds nothing to the key;
+    otherwise the argument runs over ``maps`` or the basis.  The orderings
+    are summed in ``permutations`` order, and the weight is applied last."""
+    b, f = g.bracket_sparse, spec.f
+    basis = [{i: _ONE} for i in range(g.dim)]
+    # per group: (key part, orderings of its occurrences) for every choice
+    choices = []
+    for kind, d in spec.groups:
+        if kind == "alt":
+            group = [(t, (tuple(basis[i] for i in t),)) for t in combinations(range(g.dim), d)]
+        elif payload is not None and kind in ("map", "z"):
+            group = [((), ((payload,) * d,))]
         else:
-            m = len(maps)
-            for a in range(m):
-                for b in range(a, m):
-                    for t in combinations(range(n), 3):
-                        xs, ys, ws = (basis[i] for i in t)
-                        out = _e1(g, maps[a], maps[b], xs, ys, ws)
-                        _sadd(out, _e1(g, maps[b], maps[a], xs, ys, ws))
-                        yield (a, b) + t, out
-    elif ident == "3":
-        if tag == "fixed-elem":
-            zs = payload.sparse()
-            for t in combinations(range(n), 3):
-                xs, ys, ws = (basis[i] for i in t)
-                yield t, _e3(g, zs, zs, xs, ys, ws)
-        else:
-            for a, b in combinations_with_replacement(range(n), 2):
-                for t in combinations(range(n), 3):
-                    xs, ys, ws = (basis[i] for i in t)
-                    out = _e3(g, basis[a], basis[b], xs, ys, ws)
-                    _sadd(out, _e3(g, basis[b], basis[a], xs, ys, ws))
-                    yield (a, b) + t, _scaled(out, _HALF)
-    elif ident == "4":
-        if tag == "fixed-elem":
-            zs = payload.sparse()
-            for t in combinations(range(n), 2):
-                xs, ys = (basis[i] for i in t)
-                yield t, _e4(g, zs, zs, zs, xs, ys)
-        else:
-            for zt in combinations_with_replacement(range(n), 3):
-                for t in combinations(range(n), 2):
-                    xs, ys = (basis[i] for i in t)
-                    out: dict = {}
-                    for perm, _sign in _S3:
-                        z1, z2, z3 = (basis[zt[p]] for p in perm)
-                        _sadd(out, _e4(g, z1, z2, z3, xs, ys))
-                    yield zt + t, _scaled(out, _SIXTH)
-    elif ident == "6":
-        for zi in range(n):
-            for a, b in combinations_with_replacement(range(n), 2):
-                for t in combinations(range(n), 2):
-                    xs, ys = (basis[i] for i in t)
-                    out = _e6(g, basis[zi], basis[a], basis[b], xs, ys)
-                    _sadd(out, _e6(g, basis[zi], basis[b], basis[a], xs, ys))
-                    yield (zi, a, b) + t, _scaled(out, _HALF)
-    else:  # s5
-        for x0 in range(n):
-            for t in combinations(range(n), 4):
-                parts = [basis[i] for i in t]
-                yield (x0,) + t, _e_s5(g, basis[x0], *parts)
+            pool = maps if kind == "map" else basis
+            group = [(t, tuple(permutations([pool[i] for i in t])))
+                     for t in combinations_with_replacement(range(len(pool)), d)]
+        choices.append(group)
+    weight = None if payload is not None or spec.weight == 1 else Scalar.of(spec.weight)
+    # the last group is the inner loop; the others are combined once per head
+    *outer, inner = choices
+    for head in product(*outer):
+        head_key = sum([key for key, _ in head], ())
+        heads = [sum(parts, ()) for parts in product(*[orders for _, orders in head])]
+        for t, orders in inner:
+            out: dict = {}
+            for occ in heads:
+                for tail in orders:
+                    _sadd(out, f(b, *occ, *tail))
+            if weight is not None:
+                out = {k: c * weight for k, c in out.items()}
+            yield head_key + t, out
 
 
 def _scan_conditions(values):
@@ -406,15 +366,16 @@ class IdentityReport:
 
 def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     ident = canonical_identity(ident)
+    spec = _IDENTITIES[ident]
     tag, payload = _classify(quantifier)
-    if tag not in _COMPAT[ident]:
+    if tag not in _ADMITTED[spec.argument]:
         raise IncompatibleQuantifier(
             f"identity {ident} does not admit quantifier {tag}"
         )
     if tag == "fixed-map":
-        _prep_map(g, payload, ident)
+        payload = _check_map(payload, g.dim, f"identity {ident}")
     elif tag == "fixed-elem":
-        _prep_elem(g, payload, ident)
+        payload = _prep_elem(g, payload, ident)
     exceptional = ExceptionalSet()
     maps = None
     if tag == "all-der":
@@ -424,7 +385,7 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
         space = inner_derivations(g)
         maps, exceptional = space.basis, space.exceptional
     witness, value, conditions, roots = _scan_conditions(
-        _sweep(g, ident, tag, payload, maps)
+        _sweep(g, spec, payload, maps)
     )
     if witness is not None:
         return IdentityReport(
@@ -502,19 +463,7 @@ def metabelian_equivalences(g: LieAlgebra) -> AuditReport:
     [[z,x],[z,y]] and to identity 2 over all inner derivations."""
     _require_plain(g)
     meta = is_metabelian(g)
-    n = g.dim
-    basis = [{i: _ONE} for i in range(n)]
-    b = g.bracket_sparse
-    square_zero = True
-    for za, zb in combinations_with_replacement(range(n), 2):
-        for i, j in combinations(range(n), 2):
-            out = b(b(basis[za], basis[i]), b(basis[zb], basis[j]))
-            _sadd(out, b(b(basis[zb], basis[i]), b(basis[za], basis[j])))
-            if out:
-                square_zero = False
-                break
-        if not square_zero:
-            break
+    square_zero = not any(value for _, value in _sweep(g, _SQUARE_BRACKET, None, None))
     inner2 = check_quantified(g, "2", ALL_INNER_DERIVATIONS).holds
     facts = {
         "metabelian": meta,

@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
+from .errors import AlgebraMismatch, ArityMismatch
 from .scalars import Poly, Scalar, poly_normalize
 
 _ZERO = Scalar.of(0)
@@ -324,6 +325,16 @@ class Matrix:
             " ".join(str(e) for e in row) for row in self.entries
         )
         return f"Matrix[{self.rows}x{self.cols}]({body})"
+
+
+def _check_map(m, n: int, who: str) -> Matrix:
+    """``m`` itself when it is an n x n Matrix.  Anything else is
+    ArityMismatch; a matrix of another shape is AlgebraMismatch."""
+    if not isinstance(m, Matrix):
+        raise ArityMismatch(f"{who} expects a linear map, got {type(m).__name__}")
+    if m.rows != n or m.cols != n:
+        raise AlgebraMismatch("map dimension does not match the algebra")
+    return m
 
 
 # -- elimination core -----------------------------------------------------

@@ -15,7 +15,7 @@ from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, derived_series
 from .derivations import is_derivation
 from .identities import _scan_conditions
-from .linalg import ExceptionalSet, Matrix, _sadd, solve_affine
+from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
 from .scalars import Scalar
 
 _ZERO = Scalar.of(0)
@@ -30,12 +30,14 @@ def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
 
 def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
+    _check_map(r, g.dim, "r_bracket")
     out = _r_bracket_sparse(g, r, x.sparse(), y.sparse())
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
 
 def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
+    _check_map(r, g.dim, "b_r")
     out = _b_r_sparse(g, r, x.sparse(), y.sparse())
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
@@ -78,8 +80,7 @@ class RBracketObstruction:
 def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     """Yield (triple, sparse Jacobiator of [,]_R) in lexicographic order;
     zero values are skipped."""
-    if r.dim != g.dim:
-        raise ValueError("operator dimension does not match the algebra")
+    _check_map(r, g.dim, "the R-bracket")
     n = g.dim
     basis = [{i: _ONE} for i in range(n)]
     rb = [[_r_bracket_sparse(g, r, basis[i], basis[j]) for j in range(n)] for i in range(n)]
@@ -158,6 +159,7 @@ class MYBESolution:
 
 
 def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
+    _check_map(r, g.dim, "mybe_solve")
     n = g.dim
     basis = [{i: _ONE} for i in range(n)]
     rows = []
@@ -188,8 +190,7 @@ def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlge
     witness triple."""
     if kind not in ("derivation", "rbracket"):
         raise ValueError(f"unknown double kind {kind!r}")
-    if op.dim != g.dim:
-        raise ValueError("operator dimension does not match the algebra")
+    _check_map(op, g.dim, "build_double")
     if kind == "derivation":
         ok, pair = is_derivation(g, op)
         if not ok:

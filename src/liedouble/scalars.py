@@ -837,9 +837,10 @@ ONE = _S_ONE
 #   primary:= integer | name | '(' expr ')'
 #
 # Whitespace is insignificant.  '*' is mandatory between factors.
-# Parentheses nest at most MAX_DEPTH deep.
+# Parentheses nest at most MAX_DEPTH deep, and '^' takes at most MAX_EXPONENT.
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 64
 
 
 class _Tokens:
@@ -925,8 +926,10 @@ class _Parser:
         value = self._primary()
         if self.toks.peek()[0] == "^":
             self.toks.take()
-            exp = self.toks.take("int")[1]
-            value = value ** int(exp)
+            digits = self.toks.take("int")[1].lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT} in literal")
+            value = value ** int(digits or 0)
         return value
 
     def _primary(self) -> Scalar:

@@ -227,6 +227,16 @@ def test_deeply_nested_literals_exit_two(tmp_path, capsys):
     assert run(capsys, "show", "glambda", "--param", f"lam={over}")[0] == 2
 
 
+def test_large_exponent_exits_two(capsys):
+    # an exponent past the parser's limit is a parse error, raised before
+    # the power is computed
+    code, out, err = run(capsys, "identity", "sl2", "--id", "4", "--z", "(x+1)^100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exponent" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "identity", "sl2", "--id", "4", "--z", "(x+1)^64*e1")
+    assert code == 0 and out
+
+
 def test_null_matrix_cell_is_rejected(tmp_path, capsys):
     path = tmp_path / "null.json"
     path.write_text(json.dumps([[None, 0, 0], [0, 0, 0], [0, 0, 0]]), encoding="utf-8")

@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from liedouble import (
     LinearMap,
+    Matrix,
     abelian_algebra,
     derivation_lie_structure,
     derivation_space,
@@ -14,6 +17,7 @@ from liedouble import (
     is_derivation,
     rational_roots,
 )
+from liedouble.errors import AlgebraMismatch, ArityMismatch
 
 
 def test_derivations_of_abelian_algebra_fill_all_maps():
@@ -133,3 +137,13 @@ def test_derivation_space_of_parametric_family_has_exceptional_locus():
     assert space.dim == 4
     assert [str(p) for p in space.exceptional] == ["lam - 1"]
     assert derivation_space(get("r3lambda", {"lam": Fraction(1)})).dim == 6
+
+
+def test_is_derivation_rejects_a_map_of_the_wrong_size():
+    g = get("sl2")
+    for bad in (LinearMap.identity(2), Matrix([[1, 0], [0, 1], [0, 0]])):
+        with pytest.raises(AlgebraMismatch):
+            is_derivation(g, bad)
+    with pytest.raises(ArityMismatch):
+        is_derivation(g, "not a map")
+    assert is_derivation(g, g.ad(g.basis_element(0)))[0]

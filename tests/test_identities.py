@@ -325,3 +325,76 @@ def test_inner_quantifier_weaker_than_full_derivation_quantifier():
             for z in _random_elements(g, rng, 3):
                 x, y, w = _random_elements(g, rng, 3)
                 assert eval_identity(g, "2", g.ad(z), x, y, w).is_zero()
+
+
+def _polarized(f, parts, weight):
+    """``weight * sum over nonempty subsets S of parts of (-1)^(d-|S|) *
+    f(sum of S)``: by inclusion-exclusion, the sum of the multilinear form
+    behind the degree-d map f over all orderings of ``parts``."""
+    d = len(parts)
+    total = None
+    for mask in range(1, 1 << d):
+        chosen = [parts[k] for k in range(d) if mask >> k & 1]
+        arg = chosen[0]
+        for extra in chosen[1:]:
+            arg = arg + extra
+        v = f(arg)
+        if (d - len(chosen)) % 2:
+            v = v.scale(-1)
+        total = v if total is None else total + v
+    return total.scale(weight)
+
+
+# identity: (position of the polarized slot in eval_identity's slots, its
+# degree, the weight a sweep applies)
+_POLARIZATION = {
+    "1": (0, 2, 1),
+    "2": (0, 1, 1),
+    "3": (0, 2, Fraction(1, 2)),
+    "4": (0, 3, Fraction(1, 6)),
+    "6": (1, 2, Fraction(1, 2)),
+    "s5": (0, 1, 1),
+}
+
+
+def test_reported_values_are_weighted_polarization_sums():
+    # a failing sweep reports the weighted sum over all orderings of the
+    # polarized slot, not eval_identity at the witness's basis elements
+    from liedouble import derivation_space, inner_derivations
+
+    g3 = get("g3")
+    report = check_quantified(g3, "1", ALL_DERIVATIONS)
+    d7, e = derivation_space(g3).basis[6], g3.basis_element
+    assert report.witness == (6, 6, 0, 1, 2)
+    assert report.value == eval_identity(g3, "1", d7, e(0), e(1), e(2)).scale(2)
+    assert str(report.value) == "-2*e4"
+
+    checked = 0
+    for name in ("g3", "ex413", "sl3", "sp4"):
+        g = get(name)
+        e = g.basis_element
+        for code, quant, space in (
+            ("1", ALL_DERIVATIONS, derivation_space),
+            ("2", ALL_DERIVATIONS, derivation_space),
+            ("1", ALL_INNER_DERIVATIONS, inner_derivations),
+            ("2", ALL_INNER_DERIVATIONS, inner_derivations),
+            ("3", ALL_ELEMENTS, None),
+            ("4", ALL_ELEMENTS, None),
+            ("6", ALL_ELEMENTS, None),
+            ("s5", ALL_ELEMENTS, None),
+        ):
+            report = check_quantified(g, code, quant)
+            if report.status != "fails":
+                continue
+            pos, degree, weight = _POLARIZATION[code]
+            w = report.witness
+            pool = e if space is None else space(g).basis.__getitem__
+            before = [e(i) for i in w[:pos]]
+            after = [e(i) for i in w[pos + degree:]]
+            parts = [pool(i) for i in w[pos:pos + degree]]
+            value = _polarized(
+                lambda v: eval_identity(g, code, *before, v, *after), parts, weight
+            )
+            assert value == report.value, (name, code, quant, w)
+            checked += 1
+    assert checked == 30

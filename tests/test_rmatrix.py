@@ -7,6 +7,7 @@ import pytest
 
 from liedouble import (
     LinearMap,
+    Matrix,
     Scalar,
     abelian_algebra,
     ad_cube_is_derivation,
@@ -23,7 +24,7 @@ from liedouble import (
     recognize_r31,
     rmatrix_obstruction,
 )
-from liedouble.errors import JacobiViolation, NotADerivation
+from liedouble.errors import AlgebraMismatch, ArityMismatch, JacobiViolation, NotADerivation
 
 
 def _apply(g, m, x):
@@ -182,3 +183,25 @@ def test_ad_cube_derivation_matches_extremal_elements():
         z = sp4.basis_element(j)
         if is_extremal(sp4, z):
             assert ad_cube_is_derivation(sp4, z)
+
+
+def test_map_of_the_wrong_size_is_a_typed_error():
+    # one shared check: a non-matrix is ArityMismatch, a matrix of another
+    # shape is AlgebraMismatch (still a ValueError for older callers)
+    g = get("sl2")
+    rect = Matrix([[1, 0], [0, 1], [0, 0]])
+    for bad in (LinearMap.identity(2), LinearMap.identity(4), rect):
+        for call in (is_classical_rmatrix, rmatrix_obstruction, mybe_solve, build_double):
+            with pytest.raises(AlgebraMismatch):
+                call(g, bad)
+        with pytest.raises(ValueError):
+            is_classical_rmatrix(g, bad)
+    with pytest.raises(AlgebraMismatch):
+        build_double(g, rect, kind="rbracket")
+    x = g.basis_element(2)
+    for call in (r_bracket, b_r):
+        with pytest.raises(AlgebraMismatch):
+            call(g, LinearMap.identity(2), x, x)
+    for call in (is_classical_rmatrix, rmatrix_obstruction, mybe_solve, build_double):
+        with pytest.raises(ArityMismatch):
+            call(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -146,3 +146,15 @@ def test_power_matches_repeated_multiplication():
             fast = base ** n
             assert fast == slow and str(fast) == str(slow), (base, n)
     assert str(parse_scalar("(y + x)^3")) == str((y + x) * (y + x) * (y + x))
+
+
+def test_exponent_is_bounded():
+    # '^' takes at most 64; anything larger is a parse error raised before
+    # any multiplication, however many digits it has
+    x = Scalar.variable("x")
+    assert parse_scalar("(x+1)^64") == (x + 1) ** 64
+    assert parse_scalar("x^0064") == x ** 64
+    assert parse_scalar("2^0") == Scalar.of(1)
+    for text in ("(x+1)^65", "x^0065", "2^100", "x^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
