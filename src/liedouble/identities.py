@@ -12,16 +12,22 @@ x, y, w, z of a fixed algebra:
       sign(p) * [x_p1,[x_p2,[x_p3,[x_p4, x0]]]] = 0
 
 Each identity is described once, in ``_IDENTITIES``, which evaluation, the
-quantified sweep and the quantifier check all read.  A quantified check
-sweeps basis tuples only.  Alternating slots are swept over strictly
-increasing index tuples.  A repeated slot (the D in 1, the z in 3 and 4,
-the w in 6) is polarized: it is swept over non-decreasing index tuples, one
-symbol per occurrence, and the value is the identity's weight times the sum
-over all orderings of those symbols.  The weight is 1/d! for 3, 4 and 6, so
-there a diagonal tuple gives the plain evaluation; identity 1 has weight 1,
-so at a diagonal pair of maps its value is twice the plain one.  A Fixed
-argument is not polarized.  Witnesses are the lexicographically first
-failing tuple.
+quantified sweep and the quantifier check all read.  An entry may split its
+evaluator into an inner part, which depends only on the last map (or
+element) and the alternating tuple, and an outer step; a sweep then
+computes each inner value once per (map, tuple) pair instead of once per
+ordering of every tuple of maps.  Identity 1 does: its inner part is
+identity 2's sum, and the outer step applies the other map.
+
+A quantified check sweeps basis tuples only.  Alternating slots are swept
+over strictly increasing index tuples.  A repeated slot (the D in 1, the z
+in 3 and 4, the w in 6) is polarized: it is swept over non-decreasing index
+tuples, one symbol per occurrence, and the value is the identity's weight
+times the sum over all orderings of those symbols.  The weight is 1/d! for
+3, 4 and 6, so there a diagonal tuple gives the plain evaluation; identity
+1 has weight 1, so at a diagonal pair of maps its value is twice the plain
+one.  A Fixed argument is not polarized.  Witnesses are the
+lexicographically first failing tuple.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .scalars import Scalar, poly_normalize, rational_roots
 
 _ZERO = Scalar.of(0)
 _ONE = Scalar.of(1)
+_UNSET = object()
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +174,17 @@ class _Identity(NamedTuple):
     A group ``(kind, d)`` is the quantified argument repeated d times ("map"
     for the D of 1 and 2, "z" for the z of 3 and 4), a basis element
     repeated d times ("elem": z and w in 6, x0 in s5), or d alternating
-    basis slots ("alt")."""
+    basis slots ("alt").  The last group is always alternating.
+
+    With ``inner`` set, the value at ``(*head, last, *tail)``, where tail
+    fills the last group, is ``f(bracket, *head, inner(bracket, last,
+    *tail))``: the inner value depends only on ``last`` and the tuple, so
+    a sweep computes it once per pair of them (identity 1's ``_e2``)."""
 
     groups: tuple
     weight: Fraction
     f: Callable
+    inner: Callable = None
 
     @property
     def argument(self):
@@ -181,10 +194,7 @@ class _Identity(NamedTuple):
 
 
 _IDENTITIES = {
-    "1": _Identity(
-        (("map", 2), ("alt", 3)), 1,
-        lambda b, d1, d2, x, y, w: d1.apply_sparse(_e2(b, d2, x, y, w)),
-    ),
+    "1": _Identity((("map", 2), ("alt", 3)), 1, lambda b, d1, v: d1.apply_sparse(v), _e2),
     "2": _Identity((("map", 1), ("alt", 3)), 1, _e2),
     "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3),
     "4": _Identity(
@@ -209,9 +219,11 @@ def _elem(g, sparse: dict) -> Element:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
-def _prep_elem(g, e, ident):
+def _prep_elem(g, e, who: str) -> dict:
+    """Sparse coordinates of ``e`` when it is an element of g.  Anything
+    else is ArityMismatch; an element of another algebra is AlgebraMismatch."""
     if not isinstance(e, Element):
-        raise ArityMismatch(f"identity {ident} expects an element, got {type(e).__name__}")
+        raise ArityMismatch(f"{who} expects an element, got {type(e).__name__}")
     if e.algebra is not g:
         raise AlgebraMismatch("element belongs to a different algebra")
     return e.sparse()
@@ -228,15 +240,20 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     if len(slots) != count:
         raise ArityMismatch(f"identity {ident} takes {count} slots, got {len(slots)}")
     slot = iter(slots)
+    who = f"identity {ident}"
     occurrences = []
     for kind, d in spec.groups:
         if kind == "alt":
-            occurrences += [_prep_elem(g, next(slot), ident) for _ in range(d)]
+            occurrences += [_prep_elem(g, next(slot), who) for _ in range(d)]
         elif kind == "map":
-            occurrences += [_check_map(next(slot), g.dim, f"identity {ident}")] * d
+            occurrences += [_check_map(next(slot), g.dim, who)] * d
         else:
-            occurrences += [_prep_elem(g, next(slot), ident)] * d
-    return _elem(g, spec.f(g.bracket_sparse, *occurrences))
+            occurrences += [_prep_elem(g, next(slot), who)] * d
+    b = g.bracket_sparse
+    if spec.inner is not None:
+        k = len(occurrences) - spec.groups[-1][1] - 1
+        occurrences[k:] = [spec.inner(b, *occurrences[k:])]
+    return _elem(g, spec.f(b, *occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +280,12 @@ def _sweep(g, spec: _Identity, payload, maps):
     in lexicographic key order.  A Fixed ``payload`` (a map, or an element's
     sparse vector) fills the argument's group and adds nothing to the key;
     otherwise the argument runs over ``maps`` or the basis.  The orderings
-    are summed in ``permutations`` order, and the weight is applied last."""
-    b, f = g.bracket_sparse, spec.f
+    are summed in ``permutations`` order, and the weight is applied last.
+    An entry's inner values are kept for this call only: one list per last
+    head occurrence (a map, the payload or a basis vector, all alive for
+    the whole call, so keyed by ``id``), indexed by the tuple's position."""
+    b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
+    cache: dict = {}
     basis = [{i: _ONE} for i in range(g.dim)]
     # per group: (key part, orderings of its occurrences) for every choice
     choices = []
@@ -284,11 +305,22 @@ def _sweep(g, spec: _Identity, payload, maps):
     for head in product(*outer):
         head_key = sum([key for key, _ in head], ())
         heads = [sum(parts, ()) for parts in product(*[orders for _, orders in head])]
-        for t, orders in inner:
+        for pos, (t, orders) in enumerate(inner):
             out: dict = {}
             for occ in heads:
                 for tail in orders:
-                    _sadd(out, f(b, *occ, *tail))
+                    if inner_f is None:
+                        _sadd(out, f(b, *occ, *tail))
+                        continue
+                    row = cache.get(id(occ[-1]))
+                    if row is None:
+                        row = cache[id(occ[-1])] = [_UNSET] * len(inner)
+                    v = row[pos]
+                    if v is _UNSET:
+                        # a zero inner value is kept as None, not as a dict
+                        v = row[pos] = inner_f(b, occ[-1], *tail) or None
+                    if v is not None:  # f is linear in v: zero adds nothing
+                        _sadd(out, f(b, *occ[:-1], v))
             if weight is not None:
                 out = {k: c * weight for k, c in out.items()}
             yield head_key + t, out
@@ -375,7 +407,7 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     if tag == "fixed-map":
         payload = _check_map(payload, g.dim, f"identity {ident}")
     elif tag == "fixed-elem":
-        payload = _prep_elem(g, payload, ident)
+        payload = _prep_elem(g, payload, f"identity {ident}")
     exceptional = ExceptionalSet()
     maps = None
     if tag == "all-der":

@@ -115,7 +115,7 @@ LinearMap = Matrix
 class LieAlgebra:
     """Finite-dimensional Lie algebra over the exact scalar field."""
 
-    __slots__ = ("dim", "labels", "params", "table", "_cache")
+    __slots__ = ("dim", "labels", "params", "table", "_pairs", "_cache")
 
     def __init__(self, dim, brackets, labels=None, params=(), validate=True):
         self._cache = {}
@@ -152,6 +152,11 @@ class LieAlgebra:
                 else:
                     entry[k] = s
         self.table = {pair: comps for pair, comps in table.items() if comps}
+        # _pairs[a][b]: (position in the table, i, j, [e_i, e_j]) for each
+        # table pair {i, j} = {a, b}; the table is fixed from here on
+        self._pairs = [{} for _ in range(dim)]
+        for pos, ((i, j), comps) in enumerate(self.table.items()):
+            self._pairs[i][j] = self._pairs[j][i] = (pos, i, j, comps)
 
         if validate:
             self._validate()
@@ -197,8 +202,19 @@ class LieAlgebra:
     # -- basic operations ------------------------------------------------
 
     def bracket_sparse(self, u: dict, v: dict) -> dict:
+        """[u, v] on sparse coordinate dicts.  Only the table pairs with one
+        index in each support are visited, in table order, so the sum is
+        accumulated in the same order as a scan of the whole table."""
+        hits = {}
+        for a in u:
+            row = self._pairs[a]
+            for b in v:
+                hit = row.get(b)
+                if hit is not None:
+                    hits[hit[0]] = hit
         out: dict = {}
-        for (i, j), comps in self.table.items():
+        for pos in sorted(hits):
+            _, i, j, comps = hits[pos]
             ui = u.get(i)
             vj = v.get(j)
             uj = u.get(j)
@@ -208,7 +224,7 @@ class LieAlgebra:
                 coef = ui * vj
             if uj is not None and vi is not None:
                 coef = -uj * vi if coef is None else coef - uj * vi
-            if coef is not None and not coef.is_zero():
+            if not coef.is_zero():
                 _sadd(out, comps, coef)
         return out
 
@@ -553,13 +569,25 @@ def _leibniz_matrix(n, product, pairs, weight=_ONE) -> Matrix:
     D[a][b] sits at column a*n + b.  A Lie table is a bilinear table with
     both orders filled, so Lie algebras pass i < j pairs only."""
     c = [[product(i, j) for j in range(n)] for i in range(n)]
+    # left[j][a]: the b with coordinate a in e_b e_j; right[i][a]: the b
+    # with coordinate a in e_i e_b.  Other (pair, a, b) add nothing.
+    left = [{} for _ in range(n)]
+    right = [{} for _ in range(n)]
+    for b in range(n):
+        for j in range(n):
+            for a in c[b][j]:
+                left[j].setdefault(a, set()).add(b)
+                right[b].setdefault(a, set()).add(j)
+    none = frozenset()
     rows = []
     for i, j in pairs:
-        for a in range(n):
+        cij, lj, ri = c[i][j], left[j], right[i]
+        # every a has the D[a][k] terms of e_i e_j when that is nonzero
+        for a in range(n) if cij else sorted(lj.keys() | ri.keys()):
             row = {}
-            for k, coef in c[i][j].items():
+            for k, coef in cij.items():
                 row[a * n + k] = row.get(a * n + k, _ZERO) + coef * weight
-            for b in range(n):
+            for b in sorted(lj.get(a, none) | ri.get(a, none)):
                 c1 = c[b][j].get(a)
                 if c1 is not None:
                     row[b * n + i] = row.get(b * n + i, _ZERO) - c1

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, derived_series
 from .derivations import is_derivation
-from .identities import _scan_conditions
+from .identities import _prep_elem, _scan_conditions
 from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
 from .scalars import Scalar
 
@@ -31,14 +31,14 @@ def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
 def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
     _check_map(r, g.dim, "r_bracket")
-    out = _r_bracket_sparse(g, r, x.sparse(), y.sparse())
+    out = _r_bracket_sparse(g, r, _prep_elem(g, x, "r_bracket"), _prep_elem(g, y, "r_bracket"))
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
 
 def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
     _check_map(r, g.dim, "b_r")
-    out = _b_r_sparse(g, r, x.sparse(), y.sparse())
+    out = _b_r_sparse(g, r, _prep_elem(g, x, "b_r"), _prep_elem(g, y, "b_r"))
     return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
 
 

@@ -837,10 +837,13 @@ ONE = _S_ONE
 #   primary:= integer | name | '(' expr ')'
 #
 # Whitespace is insignificant.  '*' is mandatory between factors.
-# Parentheses nest at most MAX_DEPTH deep, and '^' takes at most MAX_EXPONENT.
+# Parentheses nest at most MAX_DEPTH deep, '^' takes at most MAX_EXPONENT,
+# and an integer has at most MAX_DIGITS decimal digits: fewer than 640, the
+# smallest int-string limit Python can be set to, so int() never refuses one.
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 64
+MAX_DIGITS = 600
 
 
 class _Tokens:
@@ -854,9 +857,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.items.append(("int", text[i:j]))
                 i = j
@@ -935,6 +938,8 @@ class _Parser:
     def _primary(self) -> Scalar:
         kind, text = self.toks.take()
         if kind == "int":
+            if len(text) > MAX_DIGITS:
+                raise ParseError(f"integer of more than {MAX_DIGITS} digits in literal")
             return Scalar.of(int(text))
         if kind == "name":
             if self.allowed is not None and text not in self.allowed:

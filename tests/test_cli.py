@@ -237,6 +237,16 @@ def test_large_exponent_exits_two(capsys):
     assert code == 0 and out
 
 
+def test_long_integer_literal_exits_two(capsys):
+    # an integer literal past the parser's digit limit is a parse error,
+    # not Python's int-string ValueError
+    code, out, err = run(capsys, "identity", "sl2", "--id", "4", "--z", "1" * 5000 + "*e1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "identity", "sl2", "--id", "4", "--z", "1" * 600 + "*e1")
+    assert code == 0 and out
+
+
 def test_null_matrix_cell_is_rejected(tmp_path, capsys):
     path = tmp_path / "null.json"
     path.write_text(json.dumps([[None, 0, 0], [0, 0, 0], [0, 0, 0]]), encoding="utf-8")

@@ -15,7 +15,10 @@ from liedouble import (
     inner_derivations,
     is_characteristically_nilpotent,
     is_derivation,
+    names,
+    quaternion_algebra,
     rational_roots,
+    Scalar,
 )
 from liedouble.errors import AlgebraMismatch, ArityMismatch
 
@@ -147,3 +150,53 @@ def test_is_derivation_rejects_a_map_of_the_wrong_size():
     with pytest.raises(ArityMismatch):
         is_derivation(g, "not a map")
     assert is_derivation(g, g.ad(g.basis_element(0)))[0]
+
+
+def _full_scan_leibniz_rows(n, product, pairs, weight):
+    """The Leibniz rows built by visiting every (pair, a, b)."""
+    c = [[product(i, j) for j in range(n)] for i in range(n)]
+    rows = []
+    for i, j in pairs:
+        for a in range(n):
+            row = {}
+            for k, coef in c[i][j].items():
+                row[a * n + k] = row.get(a * n + k, Scalar.of(0)) + coef * weight
+            for b in range(n):
+                c1 = c[b][j].get(a)
+                if c1 is not None:
+                    row[b * n + i] = row.get(b * n + i, Scalar.of(0)) - c1
+                c2 = c[i][b].get(a)
+                if c2 is not None:
+                    row[b * n + j] = row.get(b * n + j, Scalar.of(0)) - c2
+            row = {col: e for col, e in row.items() if not e.is_zero()}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def test_leibniz_rows_match_a_full_scan():
+    # the builder visits only the b that carry structure constants; every
+    # row, its entries' printed values and its key order stay those of the
+    # full scan, on every catalog algebra and at several weights
+    from liedouble.lie_core import _leibniz_matrix
+
+    algebras = [abelian_algebra(20)]
+    for name in names():
+        sizes = range(3, 11) if name == "filiform" else [None]
+        algebras += [get(name, {"n": n} if n else None) for n in sizes]
+    def shown(rows):
+        return [[(k, str(e)) for k, e in r.items()] for r in rows]
+
+    weights = [Scalar.of(1), Scalar.of(2), Scalar.of(0), Scalar.variable("t")]
+    for g in algebras:
+        n = g.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for w in weights:
+            got = _leibniz_matrix(n, g._c, pairs, w).sparse_rows
+            assert shown(got) == shown(_full_scan_leibniz_rows(n, g._c, pairs, w)), (g, w)
+    # a bilinear table: all ordered pairs
+    q = quaternion_algebra()
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    prod = lambda i, j: q.table.get((i, j), {})
+    got = _leibniz_matrix(4, prod, pairs).sparse_rows
+    assert shown(got) == shown(_full_scan_leibniz_rows(4, prod, pairs, Scalar.of(1)))

@@ -1,5 +1,6 @@
 """Structure constants, elements, linear maps, and classical invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from liedouble import (
     is_nilpotent,
     is_solvable,
     lower_central_series,
+    names,
     nilpotency_class,
     parse_element,
     second_derived,
@@ -183,3 +185,88 @@ def test_parametric_specialize_replaces_scalars():
 def test_bracket_lines_describe_nonzero_products_only():
     g = get("n3")
     assert g.bracket_lines() == ["[e1,e2] = e3"]
+
+
+def _full_scan_bracket(g, u, v):
+    """[u, v] by visiting every table pair in table order."""
+    out = {}
+    for (i, j), comps in g.table.items():
+        ui, vj, uj, vi = u.get(i), v.get(j), u.get(j), v.get(i)
+        coef = None
+        if ui is not None and vj is not None:
+            coef = ui * vj
+        if uj is not None and vi is not None:
+            coef = -uj * vi if coef is None else coef - uj * vi
+        if coef is None or coef.is_zero():
+            continue
+        for k, c in comps.items():
+            s = out.get(k)
+            s = c * coef if s is None else s + c * coef
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _bracket_algebras():
+    out = []
+    for name in names():
+        sizes = range(3, 11) if name == "filiform" else [None]
+        out += [get(name, {"n": n} if n else None) for n in sizes]
+    # a table whose order is not sorted
+    g = get("sl3")
+    out.append(LieAlgebra(g.dim, dict(reversed(list(g.table.items()))), labels=g.labels))
+    return out
+
+
+def test_bracket_matches_a_full_table_scan():
+    # the kernel visits only the table pairs its inputs touch; values,
+    # key order and the variable order of printed scalars are those of a
+    # scan of the whole table
+    def shown(out):
+        return [(k, str(c)) for k, c in out.items()]
+
+    rng = random.Random(20141)
+    one = Scalar.of(1)
+    for g in _bracket_algebras():
+        n = g.dim
+        basis = [{i: one} for i in range(n)]
+        inputs = list(basis)
+        for density in (0.2, 0.5, 1.0):
+            for _ in range(4):
+                inputs.append({
+                    i: Scalar.of(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+                    for i in range(n) if rng.random() < density
+                })
+        for u in inputs:
+            for v in inputs:
+                assert shown(g.bracket_sparse(u, v)) == shown(_full_scan_bracket(g, u, v)), g
+        for i in range(n):
+            for j in range(n):
+                assert list(g.bracket_sparse(basis[i], basis[j])) == list(
+                    _full_scan_bracket(g, basis[i], basis[j])
+                )
+        if g.params:
+            # parametric structure constants times symbolic coordinates
+            w = {i: Scalar.variable(f"w{i}") for i in range(n)}
+            for u in inputs[: n + 3]:
+                assert shown(g.bracket_sparse(u, w)) == shown(_full_scan_bracket(g, u, w))
+                assert shown(g.bracket_sparse(w, u)) == shown(_full_scan_bracket(g, w, u))
+
+
+def test_bracket_of_symbolic_elements_matches_a_full_table_scan():
+    def shown(out):
+        return [(k, str(c)) for k, c in out.items()]
+
+    for name in ("sl2", "sl3", "sp4"):
+        g = get(name)
+        e = g.labels  # z1*e1 + z2*e2 + z3*e3 in the algebra's own labels
+        z = parse_element(g, f"z1*{e[0]} + z2*{e[1]} + z3*{e[2]}").sparse()
+        y = parse_element(g, f"y1*{e[0]} + y2*{e[-1]} + 3*{e[1]}").sparse()
+        others = [{i: Scalar.of(1)} for i in range(g.dim)] + [z, y]
+        for v in others:
+            assert shown(g.bracket_sparse(z, v)) == shown(_full_scan_bracket(g, z, v)), name
+            assert shown(g.bracket_sparse(v, z)) == shown(_full_scan_bracket(g, v, z)), name
+        zz = g.bracket_sparse(z, y)
+        assert shown(g.bracket_sparse(zz, z)) == shown(_full_scan_bracket(g, zz, z))

@@ -205,3 +205,26 @@ def test_map_of_the_wrong_size_is_a_typed_error():
     for call in (is_classical_rmatrix, rmatrix_obstruction, mybe_solve, build_double):
         with pytest.raises(ArityMismatch):
             call(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_elements_of_another_algebra_are_typed_errors():
+    # x and y are checked as eval_identity checks its elements: an element of
+    # another algebra is AlgebraMismatch, a non-element is ArityMismatch
+    g = get("sl2")
+    r = LinearMap.identity(3)
+    x = g.basis_element(0)
+    foreign = (get("sl3").basis_element(7), get("n3").basis_element(0))
+    for call in (r_bracket, b_r):
+        for bad in foreign:
+            with pytest.raises(AlgebraMismatch):
+                call(g, r, bad, x)
+            with pytest.raises(AlgebraMismatch):
+                call(g, r, x, bad)
+        for bad in ({0: Scalar.of(1)}, (1, 0, 0), None):
+            with pytest.raises(ArityMismatch):
+                call(g, r, bad, x)
+            with pytest.raises(ArityMismatch):
+                call(g, r, x, bad)
+    y = g.basis_element(1)
+    assert r_bracket(g, r, x, y) == g.bracket(x, y).scale(2)
+    assert b_r(g, r, x, y) == -g.bracket(x, y)

@@ -158,3 +158,26 @@ def test_exponent_is_bounded():
     for text in ("(x+1)^65", "x^0065", "2^100", "x^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_scalar(text)
+
+
+MAX_DIGITS = 600
+
+
+def test_integer_literal_is_bounded():
+    # an integer has at most 600 digits (the documented limit, below 640,
+    # the smallest int-string limit Python accepts); a longer one is a parse
+    # error raised before int(), so Python's own limit is never reached
+    assert parse_scalar("1" * MAX_DIGITS) == Scalar.of(int("1" * MAX_DIGITS))
+    assert parse_scalar("x + 0" + "0" * (MAX_DIGITS - 2) + "7") == Scalar.variable("x") + 7
+    for text in ("1" * (MAX_DIGITS + 1), "1" * 5000, "x + " + "0" * (MAX_DIGITS + 1), "3/" + "7" * 5000):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+
+
+def test_non_decimal_digit_is_a_parse_error():
+    # superscript digits pass str.isdigit but not int(); they are rejected
+    # by the tokenizer, while decimal digits of any script still parse
+    for text in ("²", "x^²", "2³"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+    assert parse_scalar("١٢ + 1") == Scalar.of(13)
