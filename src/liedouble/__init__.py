@@ -5,6 +5,8 @@ parameters; no floating point is used anywhere.  Parametric computations
 track the polynomial conditions under which a generic answer changes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -128,113 +130,10 @@ from .catalog import (
     table1,
 )
 
-__all__ = [
-    "ALL_DERIVATIONS",
-    "ALL_ELEMENTS",
-    "ALL_INNER_DERIVATIONS",
-    "AuditReport",
-    "CatalogEntry",
-    "DerivationSpace",
-    "Fixed",
-    "IdentityReport",
-    "MYBESolution",
-    "ParamSpec",
-    "RBracketObstruction",
-    "RMatrixReport",
-    "Table1Row",
-    "ad_cube_is_derivation",
-    "b_r",
-    "build_double",
-    "canonical_identity",
-    "cbm_implies_id34_audit",
-    "check_no_builtin_collision",
-    "check_quantified",
-    "derivation_lie_structure",
-    "derivation_space",
-    "dumps",
-    "entry",
-    "eval_identity",
-    "extremal_functional",
-    "generalized_derivation_space",
-    "get",
-    "id6_from_id3_audit",
-    "implication_audit",
-    "inner_derivations",
-    "is_characteristically_nilpotent",
-    "is_classical_rmatrix",
-    "is_derivation",
-    "is_extremal",
-    "is_sandwich",
-    "load_file",
-    "loads",
-    "metabelian_equivalences",
-    "mybe_solve",
-    "names",
-    "nilpotent_witness_derivation",
-    "octonion_algebra",
-    "quantifier_from_name",
-    "quaternion_algebra",
-    "r_bracket",
-    "recognize_r31",
-    "rmatrix_obstruction",
-    "save_file",
-    "shipped_example",
-    "table1",
-    "AlgebraMismatch",
-    "ArityMismatch",
-    "BilinearAlgebra",
-    "DenominatorVanishes",
-    "DivisionByZero",
-    "DuplicateName",
-    "Element",
-    "ExceptionalSet",
-    "ExcludedParameterValue",
-    "IncompatibleQuantifier",
-    "JacobiViolation",
-    "LieAlgebra",
-    "LieDoubleError",
-    "LinearMap",
-    "Matrix",
-    "MatrixRealization",
-    "NotADerivation",
-    "NotClosed",
-    "NotIndependent",
-    "NotNilpotent",
-    "NotUnivariate",
-    "NullspaceResult",
-    "ParseError",
-    "Poly",
-    "RankResult",
-    "RootReport",
-    "Scalar",
-    "SolveResult",
-    "Subspace",
-    "UnknownName",
-    "abelian_algebra",
-    "center",
-    "derivations_of_bilinear",
-    "derived_series",
-    "direct_sum",
-    "from_matrices",
-    "is_abelian",
-    "is_center_by_metabelian",
-    "is_metabelian",
-    "is_nilpotent",
-    "is_solvable",
-    "lower_central_series",
-    "nilpotency_class",
-    "nullspace",
-    "parse_element",
-    "parse_scalar",
-    "parse_scalar_with_names",
-    "poly_gcd_univariate",
-    "poly_normalize",
-    "rank",
-    "rational_roots",
-    "second_derived",
-    "solvability_class",
-    "solve_affine",
-    "solve_columns",
-]
+# every public name imported above; the submodules themselves stay out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command renders one report in the format picked by ``--format``
-(text, json, or csv); all three views are produced from the same report
-document, and re-running a command is deterministic byte for byte.  JSON
-documents carry ``"schema": 1``.
+Every command builds one JSON document and renders it in the format
+picked by ``--format`` (text, json, or csv).  The text lines and CSV rows
+are read from that document; only the bracket tables of ``show`` and
+``rmatrix --build-double`` are printed by the library's element printer.
+Re-running a command is deterministic byte for byte.  JSON documents carry
+``"schema": 1``.
 
 Exit status: 0 when the computation completed (verdicts live in the
 output, so a failing identity still exits 0), 2 for usage, parse, or
@@ -23,7 +25,7 @@ import json
 import sys
 
 from . import acceptance
-from .catalog import check_no_builtin_collision, entry, get, load_file, names, table1
+from .catalog import ParamSpec, check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
 from .errors import DuplicateName, JacobiViolation, LieDoubleError, NotADerivation
 from .identities import _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
@@ -75,22 +77,18 @@ def build_parser() -> _Parser:
     _add_common(p)
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    q = sub.add_parser("catalog-list", help="list catalog entries")
-    _add_common(q)
+    sub.add_parser("catalog-list", help="list catalog entries")
 
     q = sub.add_parser("show", help="print an algebra's brackets")
     q.add_argument("name")
-    _add_common(q)
 
     q = sub.add_parser("invariants", help="series, classes, center, derivation dimension")
     q.add_argument("name")
-    _add_common(q)
 
     q = sub.add_parser("derivations", help="basis of the (weighted) derivation algebra")
     q.add_argument("name")
     q.add_argument("--general", metavar="T", default=None,
                    help="weight t of the rule t*D[x,y] = [Dx,y] + [x,Dy]")
-    _add_common(q)
 
     q = sub.add_parser("identity", help="check one of the bracket identities")
     q.add_argument("name")
@@ -101,7 +99,6 @@ def build_parser() -> _Parser:
                    help="element for a fixed-element check (identities 3, 4)")
     q.add_argument("--map", dest="map_file", default=None, metavar="FILE",
                    help="JSON matrix for a fixed-map check (identities 1, 2)")
-    _add_common(q)
 
     q = sub.add_parser("rmatrix", help="R-matrix verdict, modified equation, double")
     q.add_argument("name")
@@ -109,13 +106,13 @@ def build_parser() -> _Parser:
     q.add_argument("--matrix", default=None, metavar="FILE", help="use an explicit matrix R")
     q.add_argument("--build-double", dest="build_double", action="store_true",
                    help="also print the doubled bracket table")
-    _add_common(q)
 
-    q = sub.add_parser("table1", help="regenerate the verdict table for dim <= 4")
-    _add_common(q)
+    sub.add_parser("table1", help="regenerate the verdict table for dim <= 4")
 
-    q = sub.add_parser("check-paper", help="run the full verification suite")
-    _add_common(q)
+    sub.add_parser("check-paper", help="run the full verification suite")
+
+    for q in sub.choices.values():
+        _add_common(q)
     return p
 
 
@@ -163,135 +160,155 @@ def _read_matrix(path: str, dim: int) -> Matrix:
         not isinstance(row, list) or len(row) != dim for row in raw
     ):
         raise ValueError(f"{path}: expected a {dim}x{dim} JSON array of rows")
-    rows = []
-    for row in raw:
-        done = []
-        for cell in row:
-            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
-                raise ValueError(f"{path}: entries must be exact (int or string)")
-            done.append(parse_scalar(str(cell)))
-        rows.append(done)
-    return Matrix(rows)
 
+    def cell(value):
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"{path}: entries must be exact (int or string)")
+        return parse_scalar(str(value))
 
-def _fractions_sorted(values) -> list:
-    return [str(v) for v in sorted(values)]
+    return Matrix([[cell(value) for value in row] for row in raw])
 
 
 def _csv_text(rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _bracket_doc(g: LieAlgebra) -> list:
+def _table(header, rows, right=()) -> list:
+    """Text lines of an aligned table; columns listed in ``right`` are
+    right-aligned, and the last column is left unpadded."""
+    widths = [max(len(r[c]) for r in [header, *rows]) for c in range(len(header) - 1)]
     out = []
-    for i, j in sorted(g.table):
-        comps = g.table[(i, j)]
-        out.append({
-            "i": i + 1,
-            "j": j + 1,
-            "value": {str(k + 1): str(c) for k, c in sorted(comps.items())},
-        })
+    for r in [header, *rows]:
+        cells = [f"{r[c]:>{w}}" if c in right else f"{r[c]:<{w}}" for c, w in enumerate(widths)]
+        out.append("  ".join(cells + [r[-1]]))
     return out
+
+
+def _bracket_doc(g: LieAlgebra) -> list:
+    return [
+        {"i": i + 1, "j": j + 1,
+         "value": {str(k + 1): str(c) for k, c in sorted(g.table[(i, j)].items())}}
+        for i, j in sorted(g.table)
+    ]
 
 
 def _yesno(flag) -> str:
     return "yes" if flag else "no"
 
 
+def _strs(values) -> list:
+    return [str(v) for v in values]
+
+
+def _report_doc(rep) -> dict:
+    """Shared serializer for identity and R-matrix reports."""
+    def sorted_strs(values):
+        return None if values is None else _strs(sorted(values))
+
+    return {
+        "status": rep.status,
+        "witness": None if rep.witness is None else list(rep.witness),
+        "value": None if rep.value is None else str(rep.value),
+        "conditions": _strs(rep.conditions),
+        "roots": [sorted_strs(rs) for rs in rep.roots],
+        "common_roots": sorted_strs(rep.common_roots),
+        "exceptional": _strs(rep.exceptional),
+    }
+
+
+def _report_view(title, d) -> tuple:
+    """Text lines and ``(key, value)`` CSV rows of a serialized report."""
+    text = [f"{title}: {d['status']}"]
+    if d["witness"] is not None:
+        text.append(f"  witness: {tuple(d['witness'])}")
+    if d["value"] is not None:
+        text.append(f"  value: {d['value']}")
+    if d["conditions"]:
+        text.append("  conditions: " + "; ".join(d["conditions"]))
+        shown = ["{" + ", ".join(rs) + "}" if rs is not None else "-" for rs in d["roots"]]
+        text.append("  rational roots: " + "; ".join(shown))
+    if d["common_roots"] is not None:
+        text.append("  common roots: {" + ", ".join(d["common_roots"]) + "}")
+    if d["exceptional"]:
+        text.append("  exceptional: " + "; ".join(d["exceptional"]))
+    rows = [
+        ("status", d["status"]),
+        ("witness", "" if d["witness"] is None else " ".join(map(str, d["witness"]))),
+        ("value", d["value"] or ""),
+        ("conditions", "; ".join(d["conditions"])),
+        ("common_roots", "" if d["common_roots"] is None else " ".join(d["common_roots"])),
+        ("exceptional", "; ".join(d["exceptional"])),
+    ]
+    return text, rows
+
+
 # ---------------------------------------------------------------------------
-# commands; each returns (doc, text_lines, csv_rows)
+# commands; each builds its JSON document and reads the text lines and CSV
+# rows from it; main() adds the schema and command keys
 
 def _cmd_catalog_list(args, params, external):
-    entries = []
-    for n in names():
-        e = entry(n)
-        entries.append({
-            "name": e.name,
-            "dim": e.dim,
-            "params": [
-                {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "special": [str(v) for v in s.special],
-                    "excluded": [str(v) for v in s.excluded],
-                }
-                for s in e.params
-            ],
-            "note": e.note,
-        })
-    for name, g in external.items():
-        entries.append({
+    found = [(e.name, e.dim, e.params, e.note) for e in map(entry, names())]
+    found += [
+        (name, g.dim, [ParamSpec(p) for p in g.params], "external")
+        for name, g in external.items()
+    ]
+    doc = {"entries": [
+        {
             "name": name,
-            "dim": g.dim,
+            "dim": dim,
             "params": [
-                {"name": p, "kind": "scalar", "special": [], "excluded": []}
-                for p in g.params
+                {"name": s.name, "kind": s.kind, "special": _strs(s.special),
+                 "excluded": _strs(s.excluded)}
+                for s in specs
             ],
-            "note": "external",
-        })
-    doc = {"schema": 1, "command": "catalog-list", "entries": entries}
-
-    def dim_text(e):
-        return str(e["dim"]) if e["dim"] is not None else e["params"][0]["name"]
-
-    width = max(len(e["name"]) for e in entries)
-    pwidth = max(
-        [len(",".join(s["name"] for s in e["params"])) for e in entries] + [6]
-    )
-    text = [f"{'name':<{width}}  {'dim':>3}  {'params':<{pwidth}}  note"]
-    for e in entries:
-        ps = ",".join(s["name"] for s in e["params"])
-        text.append(f"{e['name']:<{width}}  {dim_text(e):>3}  {ps:<{pwidth}}  {e['note']}")
-    rows = [("name", "dim", "params", "note")]
-    for e in entries:
-        rows.append(
-            (e["name"], dim_text(e), ",".join(s["name"] for s in e["params"]), e["note"])
+            "note": note,
+        }
+        for name, dim, specs, note in found
+    ]}
+    cells = [
+        (
+            e["name"],
+            str(e["dim"]) if e["dim"] is not None else e["params"][0]["name"],
+            ",".join(s["name"] for s in e["params"]),
+            e["note"],
         )
-    return doc, text, rows
+        for e in doc["entries"]
+    ]
+    header = ("name", "dim", "params", "note")
+    return doc, _table(header, cells, right=(1,)), [header] + cells
 
 
 def _cmd_show(args, params, external):
     g = _materialize(args.name, params, external)
     doc = {
-        "schema": 1,
-        "command": "show",
         "name": args.name,
         "dim": g.dim,
         "params": list(g.params),
         "labels": list(g.labels),
         "brackets": _bracket_doc(g),
     }
-    text = [f"{args.name}: dimension {g.dim}"]
-    if g.params:
-        text.append("parameters: " + ", ".join(g.params))
-    lines = g.bracket_lines()
-    text.extend(lines if lines else ["all brackets vanish"])
+    text = [f"{args.name}: dimension {doc['dim']}"]
+    if doc["params"]:
+        text.append("parameters: " + ", ".join(doc["params"]))
+    text.extend(g.bracket_lines() or ["all brackets vanish"])
     rows = [("i", "j", "k", "coefficient")]
     for b in doc["brackets"]:
-        for k, c in b["value"].items():
-            rows.append((b["i"], b["j"], k, c))
+        rows.extend((b["i"], b["j"], k, c) for k, c in b["value"].items())
     return doc, text, rows
 
 
 def _cmd_invariants(args, params, external):
     g = _materialize(args.name, params, external)
-    lcs = lower_central_series(g)
-    ds = derived_series(g)
     space = derivation_space(g)
     parametric = bool(g.params) or g.is_parametric()
-    cnla = None if parametric else is_characteristically_nilpotent(g)
     doc = {
-        "schema": 1,
-        "command": "invariants",
         "name": args.name,
         "dim": g.dim,
         "params": list(g.params),
-        "lower_central_dims": [s.dim for s in lcs],
-        "derived_dims": [s.dim for s in ds],
+        "lower_central_dims": [s.dim for s in lower_central_series(g)],
+        "derived_dims": [s.dim for s in derived_series(g)],
         "nilpotency_class": nilpotency_class(g),
         "solvability_class": solvability_class(g),
         "center_dim": center(g).dim,
@@ -300,30 +317,33 @@ def _cmd_invariants(args, params, external):
         "solvable": is_solvable(g),
         "metabelian": is_metabelian(g),
         "center_by_metabelian": is_center_by_metabelian(g),
-        "characteristically_nilpotent": cnla,
+        "characteristically_nilpotent": None if parametric else is_characteristically_nilpotent(g),
         "derivation_dim": space.dim,
-        "derivation_exceptional": [str(p) for p in space.exceptional],
+        "derivation_exceptional": _strs(space.exceptional),
     }
-    order = (
+
+    def dash(value, show=str):
+        return "-" if value is None else show(value)
+
+    pairs = (
         ("dim", str(doc["dim"])),
         ("params", ", ".join(doc["params"]) or "-"),
         ("lower central dims", " ".join(map(str, doc["lower_central_dims"]))),
         ("derived dims", " ".join(map(str, doc["derived_dims"]))),
-        ("nilpotency class", "-" if doc["nilpotency_class"] is None else str(doc["nilpotency_class"])),
-        ("solvability class", "-" if doc["solvability_class"] is None else str(doc["solvability_class"])),
+        ("nilpotency class", dash(doc["nilpotency_class"])),
+        ("solvability class", dash(doc["solvability_class"])),
         ("center dim", str(doc["center_dim"])),
         ("abelian", _yesno(doc["abelian"])),
         ("nilpotent", _yesno(doc["nilpotent"])),
         ("solvable", _yesno(doc["solvable"])),
         ("metabelian", _yesno(doc["metabelian"])),
         ("center-by-metabelian", _yesno(doc["center_by_metabelian"])),
-        ("characteristically nilpotent", "-" if cnla is None else _yesno(cnla)),
+        ("characteristically nilpotent", dash(doc["characteristically_nilpotent"], _yesno)),
         ("dim Der", str(doc["derivation_dim"])),
         ("Der exceptional", "; ".join(doc["derivation_exceptional"]) or "-"),
     )
-    text = [f"{args.name}: invariants"] + [f"  {k}: {v}" for k, v in order]
-    rows = [("key", "value")] + [(k, v) for k, v in order]
-    return doc, text, rows
+    text = [f"{args.name}: invariants"] + [f"  {k}: {v}" for k, v in pairs]
+    return doc, text, [("key", "value"), *pairs]
 
 
 def _cmd_derivations(args, params, external):
@@ -333,29 +353,21 @@ def _cmd_derivations(args, params, external):
     else:
         space = generalized_derivation_space(g, parse_rational(args.general))
     doc = {
-        "schema": 1,
-        "command": "derivations",
         "name": args.name,
         "weight": str(space.weight),
         "dim": space.dim,
-        "exceptional": [str(p) for p in space.exceptional],
-        "basis": [
-            [[str(e) for e in row] for row in m.entries] for m in space.basis
-        ],
+        "exceptional": _strs(space.exceptional),
+        "basis": [[_strs(row) for row in m.entries] for m in space.basis],
     }
-    text = [f"{args.name}: derivation space of weight {doc['weight']}, dimension {space.dim}"]
+    text = [f"{args.name}: derivation space of weight {doc['weight']}, dimension {doc['dim']}"]
     if doc["exceptional"]:
         text.append("exceptional: " + "; ".join(doc["exceptional"]))
-    for t, m in enumerate(space.basis):
-        text.append(f"D{t + 1}:")
-        for row in m.entries:
-            text.append("  " + " ".join(str(e) for e in row))
     rows = [("map", "row", "col", "value")]
-    for t, m in enumerate(space.basis):
-        for a, row in enumerate(m.entries):
-            for b, e in enumerate(row):
-                if not e.is_zero():
-                    rows.append((t + 1, a + 1, b + 1, str(e)))
+    for t, m in enumerate(doc["basis"], 1):
+        text.append(f"D{t}:")
+        for a, row in enumerate(m, 1):
+            text.append("  " + " ".join(row))
+            rows.extend((t, a, b, e) for b, e in enumerate(row, 1) if e != "0")
     return doc, text, rows
 
 
@@ -382,70 +394,21 @@ def _identity_quantifier(args, g, code):
     return "fixed", Fixed(payload)
 
 
-def _report_doc(rep) -> dict:
-    """Shared serializer for identity and R-matrix reports."""
-    roots = []
-    for rs in rep.roots:
-        roots.append(None if rs is None else _fractions_sorted(rs))
-    common = getattr(rep, "common_roots", None)
-    return {
-        "status": rep.status,
-        "witness": None if rep.witness is None else list(rep.witness),
-        "value": None if rep.value is None else str(rep.value),
-        "conditions": [str(p) for p in rep.conditions],
-        "roots": roots,
-        "common_roots": None if common is None else _fractions_sorted(common),
-        "exceptional": [str(p) for p in getattr(rep, "exceptional", ())],
-    }
-
-
-def _report_text(prefix, d) -> list:
-    text = [f"{prefix}: {d['status']}"]
-    if d["witness"] is not None:
-        text.append(f"  witness: {tuple(d['witness'])}")
-    if d["value"] is not None:
-        text.append(f"  value: {d['value']}")
-    if d["conditions"]:
-        text.append("  conditions: " + "; ".join(d["conditions"]))
-        shown = ["{" + ", ".join(rs) + "}" if rs is not None else "-" for rs in d["roots"]]
-        text.append("  rational roots: " + "; ".join(shown))
-    if d["common_roots"] is not None:
-        text.append("  common roots: {" + ", ".join(d["common_roots"]) + "}")
-    if d["exceptional"]:
-        text.append("  exceptional: " + "; ".join(d["exceptional"]))
-    return text
-
-
-def _report_rows(d) -> list:
-    return [
-        ("status", d["status"]),
-        ("witness", "" if d["witness"] is None else " ".join(map(str, d["witness"]))),
-        ("value", d["value"] or ""),
-        ("conditions", "; ".join(d["conditions"])),
-        ("common_roots", "" if d["common_roots"] is None else " ".join(d["common_roots"])),
-        ("exceptional", "; ".join(d["exceptional"])),
-    ]
+_QUANTIFIER_TEXT = {"all-der": "over all derivations", "all-inner": "over all inner derivations",
+                    "all-elem": "over all elements", "fixed": "at the fixed argument"}
 
 
 def _cmd_identity(args, params, external):
     code = canonical_identity(args.ident)
     g = _materialize(args.name, params, external)
     qname, quant = _identity_quantifier(args, g, code)
-    rep = check_quantified(g, code, quant)
-    d = _report_doc(rep)
-    doc = {
-        "schema": 1,
-        "command": "identity",
-        "name": args.name,
-        "identity": code,
-        "quantifier": qname,
-    }
-    doc.update(d)
-    label = {"all-der": "over all derivations", "all-inner": "over all inner derivations",
-             "all-elem": "over all elements", "fixed": "at the fixed argument"}[qname]
-    text = _report_text(f"identity {code} {label} on {args.name}", d)
-    rows = [("key", "value"), ("identity", code), ("quantifier", qname)] + _report_rows(d)
-    return doc, text, rows
+    doc = {"name": args.name, "identity": code, "quantifier": qname}
+    doc.update(_report_doc(check_quantified(g, code, quant)))
+    text, rows = _report_view(f"identity {code} {_QUANTIFIER_TEXT[qname]} on {args.name}", doc)
+    return doc, text, [("key", "value"), ("identity", code), ("quantifier", qname), *rows]
+
+
+_MYBE_TEXT = {"unique": "unique scalar", "all": "every scalar", "none": "no scalar"}
 
 
 def _cmd_rmatrix(args, params, external):
@@ -459,106 +422,80 @@ def _cmd_rmatrix(args, params, external):
         op = _read_matrix(args.matrix, g.dim)
         source = args.matrix
     rep = is_classical_rmatrix(g, op)
-    d = _report_doc(rep)
     sol = mybe_solve(g, op)
-    mybe = {
-        "status": sol.status,
-        "value": None if sol.value is None else str(sol.value),
-        "exceptional": [str(p) for p in sol.exceptional],
-    }
     doc = {
-        "schema": 1,
-        "command": "rmatrix",
         "name": args.name,
         "operator": source,
-        "classical": d,
-        "mybe": mybe,
+        "classical": _report_doc(rep),
+        "mybe": {
+            "status": sol.status,
+            "value": None if sol.value is None else str(sol.value),
+            "exceptional": _strs(sol.exceptional),
+        },
         "r31": None,
         "double": None,
     }
     double = None
-    double_error = None
     if rep.status == "holds" and (args.build_double or g.dim == 3):
         try:
             double = build_double(g, op, kind="rbracket")
         except (JacobiViolation, NotADerivation) as e:
-            double_error = str(e)
-    if double is not None and g.dim == 3 and not double.params:
-        doc["r31"] = recognize_r31(double)
-    if args.build_double:
-        if double is not None:
+            if args.build_double:
+                doc["double"] = {"error": str(e)}
+    if double is not None:
+        if g.dim == 3 and not double.params:
+            doc["r31"] = recognize_r31(double)
+        if args.build_double:
             doc["double"] = {
                 "dim": double.dim,
                 "params": list(double.params),
                 "brackets": _bracket_doc(double),
             }
-        elif double_error is not None:
-            doc["double"] = {"error": double_error}
 
-    text = _report_text(f"R-matrix check for {source} on {args.name}", d)
-    word = {"unique": "unique scalar", "all": "every scalar", "none": "no scalar"}[mybe["status"]]
-    line = f"modified equation: {word}"
+    text, rows = _report_view(f"R-matrix check for {source} on {args.name}", doc["classical"])
+    mybe = doc["mybe"]
+    line = f"modified equation: {_MYBE_TEXT[mybe['status']]}"
     if mybe["value"] is not None:
         line += f", lambda = {mybe['value']}"
     text.append(line)
     if mybe["exceptional"]:
         text.append("  exceptional: " + "; ".join(mybe["exceptional"]))
-    if doc["r31"] is not None:
-        text.append(f"double recognized as the 3-dim solvable type: {_yesno(doc['r31'])}")
-    if args.build_double:
-        if double is not None:
+    r31 = "" if doc["r31"] is None else _yesno(doc["r31"])
+    if r31:
+        text.append(f"double recognized as the 3-dim solvable type: {r31}")
+    if doc["double"] is not None:
+        if "error" in doc["double"]:
+            text.append(f"double not formed: {doc['double']['error']}")
+        else:
             text.append("double bracket table:")
-            lines = double.bracket_lines()
-            text.extend("  " + ln for ln in (lines or ["all brackets vanish"]))
-        elif double_error is not None:
-            text.append(f"double not formed: {double_error}")
-    rows = [("key", "value")] + _report_rows(d)
-    rows.append(("mybe_status", mybe["status"]))
-    rows.append(("mybe_value", mybe["value"] or ""))
-    rows.append(("r31", "" if doc["r31"] is None else _yesno(doc["r31"])))
-    return doc, text, rows
+            text.extend("  " + ln for ln in (double.bracket_lines() or ["all brackets vanish"]))
+    rows += [("mybe_status", mybe["status"]), ("mybe_value", mybe["value"] or ""), ("r31", r31)]
+    return doc, text, [("key", "value"), *rows]
 
 
 def _cmd_table1(args, params, external):
-    rows_data = table1()
-    doc = {
-        "schema": 1,
-        "command": "table1",
-        "rows": [
-            {"name": r.name, "note": r.note, "marks": dict(r.marks)} for r in rows_data
-        ],
-    }
-    width = max(len(r.name) for r in rows_data)
-    nwidth = max(len(r.note) for r in rows_data)
-    text = [f"{'algebra':<{width}}  {'case':<{nwidth}}  1 2 3 4"]
-    for r in rows_data:
-        marks = " ".join(r.marks[c] for c in "1234")
-        text.append(f"{r.name:<{width}}  {r.note:<{nwidth}}  {marks}")
-    rows = [("name", "note", "id1", "id2", "id3", "id4")]
-    for r in rows_data:
-        rows.append((r.name, r.note, r.marks["1"], r.marks["2"], r.marks["3"], r.marks["4"]))
-    return doc, text, rows
+    doc = {"rows": [{"name": r.name, "note": r.note, "marks": dict(r.marks)} for r in table1()]}
+    cells = [(r["name"], r["note"], *(r["marks"][c] for c in "1234")) for r in doc["rows"]]
+    text = _table(("algebra", "case", "1 2 3 4"), [(a, b, " ".join(m)) for a, b, *m in cells])
+    return doc, text, [("name", "note", "id1", "id2", "id3", "id4"), *cells]
 
 
 def _cmd_check_paper(args, params, external):
     results = acceptance.run_all()
     doc = {
-        "schema": 1,
-        "command": "check-paper",
         "ok": all(r.ok for r in results),
         "criteria": [
             {"number": r.number, "title": r.title, "ok": r.ok, "facts": list(r.lines)}
             for r in results
         ],
     }
-    text = []
-    for r in results:
-        text.append(f"criterion {r.number:2d} [{'pass' if r.ok else 'FAIL'}] {r.title}")
-        text.extend("    " + ln for ln in r.lines)
+    text, rows = [], [("number", "status", "title")]
+    for c in doc["criteria"]:
+        status = "pass" if c["ok"] else "FAIL"
+        text.append(f"criterion {c['number']:2d} [{status}] {c['title']}")
+        text.extend("    " + ln for ln in c["facts"])
+        rows.append((c["number"], status, c["title"]))
     text.append(f"overall: {'pass' if doc['ok'] else 'FAIL'}")
-    rows = [("number", "status", "title")]
-    for r in results:
-        rows.append((r.number, "pass" if r.ok else "FAIL", r.title))
     return doc, text, rows
 
 
@@ -582,7 +519,7 @@ def main(argv=None) -> int:
             raise _Usage("a command is required (see --help)")
         params = _parse_params(args.param)
         external = _load_external(args.catalog)
-        doc, text, rows = _COMMANDS[args.command](args, params, external)
+        body, text, rows = _COMMANDS[args.command](args, params, external)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -590,6 +527,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.format == "json":
+        doc = {"schema": 1, "command": args.command, **body}
         sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
     elif args.format == "csv":
         sys.stdout.write(_csv_text(rows))

@@ -56,7 +56,7 @@ def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
     n = g.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ns = nullspace(_leibniz_matrix(n, g._c, pairs, weight))
-    maps = [Matrix.from_flat(enumerate(vec), n) for vec in ns.basis]
+    maps = [Matrix.from_flat(vec.items(), n) for vec in ns.vectors]
     out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
     g._cache[key] = out
     return out

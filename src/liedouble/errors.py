@@ -13,6 +13,10 @@ class NotUnivariate(LieDoubleError, ValueError):
     """Operation requires a polynomial in at most one variable."""
 
 
+class ValueTooLarge(LieDoubleError, ValueError):
+    """A value has more digits than the interpreter can print."""
+
+
 class ParseError(LieDoubleError, ValueError):
     """Malformed scalar literal, element expression, or catalog file."""
 

@@ -52,10 +52,9 @@ from .lie_core import (
     lower_central_series,
     nilpotency_class,
 )
-from .linalg import ExceptionalSet, Matrix, _check_map, _sadd
+from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd
 from .scalars import Scalar, poly_normalize, rational_roots
 
-_ZERO = Scalar.of(0)
 _ONE = Scalar.of(1)
 _UNSET = object()
 
@@ -213,7 +212,7 @@ _SQUARE_BRACKET = _Identity(
 
 
 def _elem(g, sparse: dict) -> Element:
-    return Element(g, [sparse.get(i, _ZERO) for i in range(g.dim)])
+    return Element(g, _dense(sparse, g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +350,22 @@ def _scan_conditions(values):
     return None, None, tuple(conditions), tuple(roots)
 
 
-class IdentityReport:
-    """Outcome of a quantified identity check.
+class Report:
+    """Verdict shape shared by identity and R-matrix checks.
 
     status is "holds", "fails" or "conditional".  A failure carries the
-    lexicographically first witness tuple (map indices first, then basis
-    indices in slot order) and the nonzero value.  A conditional outcome
-    carries normalized parameter conditions, their rational root sets
-    (None for multivariate conditions) and the intersection when every
-    condition is univariate in the same variable."""
+    lexicographically first witness tuple and the nonzero value.  A
+    conditional outcome carries normalized parameter conditions, their
+    rational root sets (None for multivariate conditions) and, where
+    computed, the intersection when every condition is univariate in the
+    same variable.  ``exceptional`` holds the degenerations of the generic
+    answer the verdict was computed on."""
 
-    __slots__ = (
-        "identity", "quantifier", "status", "witness", "value",
-        "conditions", "roots", "common_roots", "exceptional",
-    )
+    __slots__ = ("status", "witness", "value", "conditions", "roots",
+                 "common_roots", "exceptional")
 
-    def __init__(self, identity, quantifier, status, witness=None, value=None,
-                 conditions=(), roots=(), common_roots=None, exceptional=None):
-        self.identity = identity
-        self.quantifier = quantifier
+    def __init__(self, status, witness=None, value=None, conditions=(), roots=(),
+                 common_roots=None, exceptional=None):
         self.status = status
         self.witness = witness
         self.value = value
@@ -381,6 +377,21 @@ class IdentityReport:
     @property
     def holds(self) -> bool:
         return self.status == "holds"
+
+
+class IdentityReport(Report):
+    """Outcome of a quantified identity check.
+
+    The witness lists map indices first, then basis indices in slot
+    order."""
+
+    __slots__ = ("identity", "quantifier")
+
+    def __init__(self, identity, quantifier, status, witness=None, value=None,
+                 conditions=(), roots=(), common_roots=None, exceptional=None):
+        super().__init__(status, witness, value, conditions, roots, common_roots, exceptional)
+        self.identity = identity
+        self.quantifier = quantifier
 
     def __repr__(self):
         if self.status == "fails":

@@ -23,7 +23,7 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import ExceptionalSet, Matrix, _eliminate, _sadd, nullspace, rank, solve_columns
+from .linalg import ExceptionalSet, Matrix, _dense, _eliminate, _sadd, nullspace, rank, solve_columns
 from .scalars import Poly, Scalar, parse_scalar_with_names
 
 _ZERO = Scalar.of(0)
@@ -35,10 +35,6 @@ _ONE = Scalar.of(1)
 
 def _sparse_of(coords) -> dict:
     return {i: Scalar.of(c) for i, c in enumerate(coords) if not Scalar.of(c).is_zero()}
-
-
-def _dense(v: dict, dim: int) -> tuple:
-    return tuple(v.get(i, _ZERO) for i in range(dim))
 
 
 class Element:
@@ -250,9 +246,6 @@ class LieAlgebra:
     def zero_element(self) -> Element:
         return Element(self, [_ZERO] * self.dim)
 
-    def basis(self):
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def label_index(self, name: str) -> int:
         try:
             return self.labels.index(name)
@@ -263,13 +256,6 @@ class LieAlgebra:
         return any(
             not c.is_rational for comps in self.table.values() for c in comps.values()
         )
-
-    def scalar_variables(self) -> frozenset:
-        out = frozenset()
-        for comps in self.table.values():
-            for c in comps.values():
-                out = out | c.variables()
-        return out
 
     # -- rebuilding -------------------------------------------------------
 
@@ -350,9 +336,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
-
-    def elements(self):
-        return [Element(self.algebra, v) for v in self.basis]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -551,15 +534,6 @@ class BilinearAlgebra:
                 clean[(i, j)] = entry
         self.table = clean
 
-    def product_sparse(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for (i, j), comps in self.table.items():
-            ui = u.get(i)
-            vj = v.get(j)
-            if ui is not None and vj is not None:
-                _sadd(out, comps, ui * vj)
-        return out
-
 
 def _leibniz_matrix(n, product, pairs, weight=_ONE) -> Matrix:
     """Sparse Leibniz system weight*D(e_i e_j) = D(e_i) e_j + e_i D(e_j),
@@ -608,7 +582,7 @@ def derivations_of_bilinear(b: BilinearAlgebra):
     n = b.dim
     pairs = [(i, j) for i in range(n) for j in range(n)]
     ns = nullspace(_leibniz_matrix(n, lambda i, j: b.table.get((i, j), {}), pairs))
-    return [Matrix.from_flat(enumerate(vec), n) for vec in ns.basis]
+    return [Matrix.from_flat(vec.items(), n) for vec in ns.vectors]
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:

@@ -37,6 +37,11 @@ _ZERO = Scalar.of(0)
 _ONE = Scalar.of(1)
 
 
+def _dense(v: dict, n: int) -> tuple:
+    """Coordinate tuple of length ``n`` of a sparse ``{index: Scalar}``."""
+    return tuple(v.get(j, _ZERO) for j in range(n))
+
+
 class ExceptionalSet:
     """Normalized polynomials whose roots the generic answer may miss."""
 
@@ -52,10 +57,6 @@ class ExceptionalSet:
                 seen.append(p)
         seen.sort(key=lambda q: (q.total_degree(), str(q)))
         self.polys = tuple(seen)
-
-    @staticmethod
-    def empty() -> "ExceptionalSet":
-        return ExceptionalSet()
 
     def is_empty(self) -> bool:
         return not self.polys
@@ -164,8 +165,6 @@ class Matrix:
         flattening; zero values are skipped."""
         rows = [{} for _ in range(dim)]
         for k, e in items:
-            if e is _ZERO:  # the shared zero of dense views and nullspace vectors
-                continue
             e = Scalar.of(e)
             if not e.is_zero():
                 a, b = divmod(k, dim)
@@ -193,10 +192,7 @@ class Matrix:
     @property
     def entries(self):
         if self._entries is None:
-            self._entries = tuple(
-                tuple(row.get(j, _ZERO) for j in range(self.cols))
-                for row in self.sparse_rows
-            )
+            self._entries = tuple(_dense(row, self.cols) for row in self.sparse_rows)
         return self._entries
 
     @property
@@ -237,7 +233,7 @@ class Matrix:
     def apply_vec(self, coords) -> tuple:
         coords = [Scalar.of(c) for c in coords]
         out = self.apply_sparse({b: c for b, c in enumerate(coords) if not c.is_zero()})
-        return tuple(out.get(a, _ZERO) for a in range(self.rows))
+        return _dense(out, self.rows)
 
     def apply(self, x):
         """Image of an algebra element."""
@@ -503,11 +499,12 @@ def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
     ``free_col`` (None: all zero), which is one.
 
     ``rhs_col`` is the index of an augmented column used as right-hand side
-    (None for homogeneous).  Returns a dense tuple over the first ``npivot``
-    columns.  Integer rows are walked over their nonzeros in Fraction
-    arithmetic.  Scalar rows are walked over the coordinates solved so far,
-    in the order they were found: that order of the Poly sums fixes the
-    variable order in which they print."""
+    (None for homogeneous).  Returns the nonzero coordinates among the first
+    ``npivot`` columns as ``{column: Scalar}`` in column order.  Integer
+    rows are walked over their nonzeros in Fraction arithmetic.  Scalar
+    rows are walked over the coordinates solved so far, in the order they
+    were found: that order of the Poly sums fixes the variable order in
+    which they print."""
     x = {} if free_col is None else {free_col: 1 if ech.integral else _ONE}
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
@@ -529,7 +526,7 @@ def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
             total = total / row[pc]
             if not total.is_zero():
                 x[pc] = total
-    return tuple(Scalar.of(x[j]) if j in x else _ZERO for j in range(ech.npivot))
+    return {j: Scalar.of(x[j]) for j in sorted(x)}
 
 
 def _free_columns(ech: _Echelon):
@@ -549,30 +546,42 @@ def _conditions(resid):
 
 
 def _identity_basis(n):
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-    )
+    return tuple({j: _ONE} for j in range(n))
 
 
 class NullspaceResult:
-    __slots__ = ("basis", "exceptional")
+    """Nullspace basis with the exceptional set of the elimination.
 
-    def __init__(self, basis, exceptional):
-        self.basis = basis
+    ``vectors`` holds each basis vector sparse (``{column: Scalar}``,
+    nonzeros in column order); ``basis`` is the dense tuple view, built on
+    first use."""
+
+    __slots__ = ("vectors", "cols", "exceptional", "_basis")
+
+    def __init__(self, vectors, cols, exceptional):
+        self.vectors = tuple(vectors)
+        self.cols = cols
         self.exceptional = exceptional
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = tuple(_dense(v, self.cols) for v in self.vectors)
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.vectors)
 
 
 def nullspace(m: Matrix) -> NullspaceResult:
     """Basis of the right nullspace, generic in any parameters."""
     if m.rows == 0 or m.cols == 0:
-        return NullspaceResult(_identity_basis(m.cols), ExceptionalSet())
+        return NullspaceResult(_identity_basis(m.cols), m.cols, ExceptionalSet())
     ech = _eliminate(m.sparse_rows, m.cols, m.cols)
-    basis = tuple(_back_substitute(ech, f) for f in _free_columns(ech))
-    return NullspaceResult(basis, ExceptionalSet(ech.exceptional))
+    vectors = [_back_substitute(ech, f) for f in _free_columns(ech)]
+    return NullspaceResult(vectors, m.cols, ExceptionalSet(ech.exceptional))
 
 
 class RankResult:
@@ -622,8 +631,8 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
         raise ValueError("right-hand side length does not match row count")
     if not m.rows:
         status = "unique" if m.cols == 0 else "affine"
-        return SolveResult(status, tuple(_ZERO for _ in range(m.cols)),
-                           _identity_basis(m.cols), ExceptionalSet())
+        basis = tuple(_dense(v, m.cols) for v in _identity_basis(m.cols))
+        return SolveResult(status, _dense({}, m.cols), basis, ExceptionalSet())
     ech = _eliminate(_augment(m, [rhs]), m.cols + 1, m.cols)
     exceptional = list(ech.exceptional)
     resid = _residuals(ech, m.cols)
@@ -631,8 +640,8 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
         exceptional.extend(_conditions(resid))
         return SolveResult("none", None, (), ExceptionalSet(exceptional))
     free = _free_columns(ech)
-    particular = _back_substitute(ech, rhs_col=m.cols)
-    basis = tuple(_back_substitute(ech, f) for f in free)
+    particular = _dense(_back_substitute(ech, rhs_col=m.cols), m.cols)
+    basis = tuple(_dense(_back_substitute(ech, f), m.cols) for f in free)
     status = "unique" if not free else "affine"
     return SolveResult(status, particular, basis, ExceptionalSet(exceptional))
 
@@ -653,5 +662,5 @@ def solve_columns(m: Matrix, rhs_columns):
             exceptional.extend(_conditions(resid[:1]))
             out.append(None)
         else:
-            out.append(_back_substitute(ech, rhs_col=ncols + t))
+            out.append(_dense(_back_substitute(ech, rhs_col=ncols + t), ncols))
     return out, ExceptionalSet(exceptional)

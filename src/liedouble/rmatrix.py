@@ -14,8 +14,8 @@ from __future__ import annotations
 from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, derived_series
 from .derivations import is_derivation
-from .identities import _prep_elem, _scan_conditions
-from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
+from .identities import Report, _prep_elem, _scan_conditions
+from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd, solve_affine
 from .scalars import Scalar
 
 _ZERO = Scalar.of(0)
@@ -32,14 +32,14 @@ def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
     _check_map(r, g.dim, "r_bracket")
     out = _r_bracket_sparse(g, r, _prep_elem(g, x, "r_bracket"), _prep_elem(g, y, "r_bracket"))
-    return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
+    return Element(g, _dense(out, g.dim))
 
 
 def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
     _check_map(r, g.dim, "b_r")
     out = _b_r_sparse(g, r, _prep_elem(g, x, "b_r"), _prep_elem(g, y, "b_r"))
-    return Element(g, [out.get(i, _ZERO) for i in range(g.dim)])
+    return Element(g, _dense(out, g.dim))
 
 
 def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
@@ -97,27 +97,16 @@ def _jacobiator_triples(g: LieAlgebra, r: Matrix):
 
 def rmatrix_obstruction(g: LieAlgebra, r: Matrix) -> RBracketObstruction:
     entries = {
-        t: Element(g, [jac.get(a, _ZERO) for a in range(g.dim)])
+        t: Element(g, _dense(jac, g.dim))
         for t, jac in _jacobiator_triples(g, r)
     }
     return RBracketObstruction(g, r, entries)
 
 
-class RMatrixReport:
+class RMatrixReport(Report):
     """Verdict for "is [ , ]_R a Lie bracket": holds / fails / conditional."""
 
-    __slots__ = ("status", "witness", "value", "conditions", "roots")
-
-    def __init__(self, status, witness=None, value=None, conditions=(), roots=()):
-        self.status = status
-        self.witness = witness
-        self.value = value
-        self.conditions = tuple(conditions)
-        self.roots = tuple(roots)
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
+    __slots__ = ()
 
     def __repr__(self):
         if self.status == "fails":
@@ -135,7 +124,7 @@ def is_classical_rmatrix(g: LieAlgebra, r: Matrix) -> RMatrixReport:
     key, value, conditions, roots = _scan_conditions(_jacobiator_triples(g, r))
     if key is not None:
         return RMatrixReport(
-            "fails", key, Element(g, [value.get(a, _ZERO) for a in range(g.dim)])
+            "fails", key, Element(g, _dense(value, g.dim))
         )
     if not conditions:
         return RMatrixReport("holds")

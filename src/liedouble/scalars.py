@@ -19,9 +19,11 @@ fractions are fully reduced, which is all the rest of the package needs.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import DivisionByZero, NotUnivariate, ParseError
+from .errors import DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
 
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, with
 # every exponent >= 1.  The empty tuple is the constant monomial.
@@ -227,8 +229,8 @@ class Poly:
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = _igcd(num_gcd, c.numerator)
-            den_lcm = _ilcm(den_lcm, c.denominator)
+            num_gcd = gcd(num_gcd, c.numerator)
+            den_lcm = lcm(den_lcm, c.denominator)
         return Fraction(num_gcd, den_lcm)
 
     def monomial_content(self) -> Monomial:
@@ -336,11 +338,11 @@ class Poly:
             for name, exp in sorted(m, key=lambda p: order.index(p[0])):
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             if not factors:
-                body = str(abs(c))
+                body = _rat_str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
+                body = "*".join([_rat_str(abs(c))] + factors)
             if not pieces:
                 pieces.append(body if c > 0 else "-" + body)
             else:
@@ -351,17 +353,15 @@ class Poly:
         return f"Poly({self})"
 
 
-def _igcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _ilcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // _igcd(a, b)
+def _rat_str(q: Fraction) -> str:
+    """Decimal text of a rational.  A value with more digits than Python's
+    int-string limit raises ValueTooLarge instead of a plain ValueError."""
+    try:
+        return str(q)
+    except ValueError:
+        raise ValueTooLarge(
+            f"value too large to print: over {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 # -- univariate helpers ------------------------------------------------
@@ -511,11 +511,11 @@ def rational_roots(p: Poly) -> RootReport:
     coeffs = _list_trim(_coeff_list(p, name))
     den = 1
     for c in coeffs:
-        den = _ilcm(den, c.denominator)
+        den = lcm(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     g = 0
     for v in ints:
-        g = _igcd(g, v)
+        g = gcd(g, v)
     ints = [v // g for v in ints]
 
     roots = set()
@@ -655,10 +655,6 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return self._den is None and isinstance(self._num, Fraction)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self._den is None and isinstance(self._num, Poly)
 
     @property
     def is_fraction(self) -> bool:
@@ -802,7 +798,7 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.is_rational:
-            return str(self._num)
+            return _rat_str(self._num)
         if self._den is None:
             return str(self._num)
         return f"({self._num})/({self._den})"
@@ -824,9 +820,6 @@ def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
 
 _S_ZERO = Scalar(Fraction(0))
 _S_ONE = Scalar(Fraction(1))
-
-ZERO = _S_ZERO
-ONE = _S_ONE
 
 
 # -- literal grammar -------------------------------------------------------

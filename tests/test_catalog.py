@@ -201,3 +201,17 @@ def test_table_of_verdicts_shape():
     assert last.name == "g5alpha"
     assert last.note == "alpha = 0,-1"
     assert last.marks == {"1": "-", "2": "-", "3": "✓", "4": "✓"}
+
+
+def test_package_exports_every_public_name_once():
+    import types
+
+    import liedouble
+
+    exported = liedouble.__all__
+    assert len(exported) == len(set(exported)) == 106
+    for name in exported:
+        assert not isinstance(getattr(liedouble, name), types.ModuleType), name
+    assert {"get", "check_quantified", "IdentityReport", "RMatrixReport", "LieDoubleError",
+            "ParseError", "LinearMap"} <= set(exported)
+    assert "Report" not in exported and "ValueTooLarge" not in exported

@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import sys
 
 import pytest
 
@@ -257,3 +259,93 @@ def test_null_matrix_cell_is_rejected(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:"), argv
+
+
+def test_value_too_large_to_print_exits_two(capsys):
+    # a value past the interpreter's int-string limit is a typed error, so
+    # the command exits 2 with a one-line message
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 38_400:
+        pytest.skip("this interpreter prints integers of any length")
+    code, out, err = run(capsys, "identity", "sl3", "--id", "3", "--quantifier", "fixed",
+                         "--z", "9" * 600 + "^64*e1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value too large to print") and "Traceback" not in err
+
+
+_FUZZ_NAMES = ("r2", "n3", "sl2", "r3lambda", "n4", "g4ab", "g5alpha", "glambda",
+               "filiform", "nope", "", "sl2+C")
+_FUZZ_VALUES = {
+    "--param": ("lam=1", "lam=-2/3", "lam=1/0", "lam=t", "alpha=0", "alpha=-1", "beta=2",
+                "n=4", "n=2", "n=x", "mu=1", "=", "lam"),
+    "--z": ("e1", "e2+x*e3", "2*e1-e3/3", "t/(t-1)*e1", "1/0*e1", "(", "e9", "x^65*e1",
+            "9" * 700 + "*e1", "((((e1", "e1*e2", "0", "", "E11+E22"),
+    "--general": ("2", "0", "-1/2", "1/0", "t", "", "9" * 700),
+}
+_FUZZ_COMMANDS = {
+    "catalog-list": (),
+    "show": (),
+    "invariants": (),
+    "derivations": ("--general",),
+    "identity": ("--id", "--quantifier", "--z", "--map"),
+    "rmatrix": ("--z", "--matrix", "--build-double"),
+}
+_FUZZ_COMMON = ("--format", "--param", "--catalog")
+_FUZZ_IDS = ("1", "2", "3", "4", "6", "s5", "id1", "std5", "7", "")
+_FUZZ_QUANTIFIERS = ("all-der", "all-inner", "all-elem", "fixed", "some")
+
+
+def _fuzz_argv(rng, files):
+    """Mostly well-formed argv with hostile values; now and then a flag the
+    command does not take, a missing name, or an unknown command."""
+    command = rng.choice(list(_FUZZ_COMMANDS) + ["bogus"])
+    argv = [command]
+    if (command != "catalog-list") == (rng.random() < 0.95):
+        argv.append(rng.choice(_FUZZ_NAMES))
+    own = _FUZZ_COMMANDS.get(command, ())
+    for _ in range(rng.randrange(5)):
+        if rng.random() < 0.05:
+            flag = rng.choice(_FUZZ_COMMON + ("--general", "--id", "--map", "--build-double"))
+        else:
+            flag = rng.choice(own * 3 + _FUZZ_COMMON)
+        argv.append(flag)
+        if flag == "--format":
+            argv.append(rng.choice(("text", "json", "csv", "csv", "yaml")))
+        elif flag == "--id":
+            argv.append(rng.choice(_FUZZ_IDS))
+        elif flag == "--quantifier":
+            argv.append(rng.choice(_FUZZ_QUANTIFIERS))
+        elif flag in ("--catalog", "--map", "--matrix"):
+            argv.append(rng.choice(files))
+        elif flag != "--build-double":
+            argv.append(rng.choice(_FUZZ_VALUES[flag]))
+    if command == "identity" and "--id" not in argv and rng.random() < 0.9:
+        argv += ["--id", rng.choice(_FUZZ_IDS)]
+    if "filiform" in argv and rng.random() < 0.7:
+        argv += ["--param", f"n={rng.choice((3, 4, 5))}"]
+    return argv
+
+
+def test_seeded_fuzz_exits_zero_or_two_without_traceback(tmp_path, capsys):
+    files = {
+        "good.json": [[0, 0, 0], [0, 1, 0], [0, 0, 2]],
+        "sym.json": [["t", 0, 0], [0, "t", 0], [0, 0, "2*t"]],
+        "ragged.json": [[1, 2], [3]],
+        "nulls.json": [[None]],
+        "text.json": "not a matrix",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    (tmp_path / "catalog.json").write_text(dumps({"mine": get("n4")}), encoding="utf-8")
+    paths = [str(p) for p in sorted(tmp_path.iterdir())] + [str(tmp_path / "missing.json")]
+    rng = random.Random(20141)
+    codes = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng, paths)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        assert "Traceback" not in err, argv
+        assert (out == "") == (code == 2), argv
+        codes.add(code)
+    assert codes == {0, 2}

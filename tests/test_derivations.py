@@ -200,3 +200,12 @@ def test_leibniz_rows_match_a_full_scan():
     prod = lambda i, j: q.table.get((i, j), {})
     got = _leibniz_matrix(4, prod, pairs).sparse_rows
     assert shown(got) == shown(_full_scan_leibniz_rows(4, prod, pairs, Scalar.of(1)))
+
+
+def test_empty_leibniz_system_gives_sparse_unit_maps():
+    # an abelian algebra has no Leibniz equations: the nullspace is every
+    # unit vector, kept sparse, and each map has a single nonzero entry
+    space = derivation_space(abelian_algebra(40))
+    assert space.dim == 1600
+    assert all(len(m.sparse_rows[k // 40]) == 1 and m.sparse_rows[k // 40][k % 40] == 1
+               for k, m in enumerate(space.basis))

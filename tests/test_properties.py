@@ -1,0 +1,211 @@
+"""Property and differential tests of the arithmetic under every verdict.
+
+hypothesis draws the inputs (derandomized, so every run checks the same
+cases); sympy is the reference for univariate gcd and rational roots.  Both
+are optional test dependencies: without hypothesis the module is skipped,
+without sympy only the differential tests are.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from liedouble import (  # noqa: E402
+    Matrix,
+    Poly,
+    Scalar,
+    nullspace,
+    parse_scalar,
+    poly_gcd_univariate,
+    rank,
+    rational_roots,
+)
+
+def checks(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def polys(draw, names=("x", "y"), max_terms=4, max_exp=3):
+    """A sparse polynomial, built through the public arithmetic."""
+    out = Poly.const(0)
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = Poly.const(draw(RATIONALS))
+        for name in names:
+            exp = draw(st.integers(0, max_exp))
+            if exp:
+                term = term * Poly.variable(name) ** exp
+        out = out + term
+    return out
+
+
+@st.composite
+def univariate(draw, max_degree=5):
+    """A nonzero polynomial in t, often with rational linear factors."""
+    t = Poly.variable("t")
+    p = Poly.const(draw(RATIONALS.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * (t - Poly.const(draw(RATIONALS)))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = polys(names=("t",), max_terms=3, max_exp=max_degree).filter(
+            lambda q: not q.is_zero())
+        p = p * draw(extra)
+    return p
+
+
+@st.composite
+def scalars(draw):
+    num = draw(polys())
+    den = draw(polys().filter(lambda q: not q.is_zero()))
+    return Scalar.of(num) / Scalar.of(den)
+
+
+def _coeffs(p: Poly, name="t") -> list:
+    """Coefficients of a univariate polynomial, constant term first."""
+    out = [Fraction(0)] * (p.degree_in(name) + 1)
+    for mono, c in p.terms.items():
+        out[dict(mono).get(name, 0)] = c
+    return out
+
+
+# -- scalars ---------------------------------------------------------------
+
+
+@checks(60)
+@given(polys(names=("x", "y", "z")), polys(names=("x", "y", "z")))
+def test_exact_division_undoes_multiplication(a, b):
+    assume(not b.is_zero())
+    assert (a * b).exact_div(b) == a
+
+
+@checks(60)
+@given(scalars())
+def test_printed_scalar_parses_back(s):
+    assert parse_scalar(str(s)) == s
+
+
+@checks(25)
+@given(scalars(), scalars(), scalars())
+def test_scalar_field_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    if not b.is_zero():
+        assert (a / b) * b == a
+
+
+@checks(40)
+@given(univariate())
+def test_rational_roots_verify_and_leave_no_rational_root(p):
+    report = rational_roots(p)
+    for r in report.roots:
+        assert p.evaluate({"t": r}) == 0
+    residual = report.residual
+    if not residual.is_constant():
+        assert rational_roots(residual).roots == frozenset()
+        for r in report.roots:
+            assert residual.evaluate({"t": r}) != 0
+
+
+# -- elimination -------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, parametric=False):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    cells = st.integers(-3, 3)
+    if parametric:
+        t = Scalar.variable("t")
+        cells = st.one_of(cells, cells.map(lambda k: k * t + 1))
+    grid = [[draw(cells) for _ in range(cols)] for _ in range(rows)]
+    # repeat a combination of rows now and then, so the rank drops
+    if rows > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        grid[-1] = [a + k * b for a, b in zip(grid[0], grid[1 % (rows - 1)])]
+    return Matrix(grid)
+
+
+def _check_nullspace(m: Matrix):
+    ns = nullspace(m)
+    assert rank(m).value + ns.dim == m.cols
+    assert len(ns.vectors) == len(ns.basis)
+    for sparse, dense in zip(ns.vectors, ns.basis):
+        assert all(not e.is_zero() for e in sparse.values())
+        assert list(sparse) == sorted(sparse)
+        assert dense == tuple(sparse.get(j, Scalar.of(0)) for j in range(m.cols))
+        for row in m.sparse_rows:
+            total = Scalar.of(0)
+            for j, a in row.items():
+                total = total + a * dense[j]
+            assert total.is_zero()
+
+
+@checks(100)
+@given(matrices())
+def test_nullspace_is_annihilated_and_rank_nullity_holds(m):
+    _check_nullspace(m)
+
+
+@checks(25)
+@given(matrices(parametric=True))
+def test_parametric_nullspace_is_annihilated_and_rank_nullity_holds(m):
+    _check_nullspace(m)
+
+
+@checks(60)
+@given(st.data())
+def test_map_application_matches_the_dense_product(data):
+    n = data.draw(st.integers(1, 5))
+    t = Scalar.variable("t")
+    cells = st.one_of(st.integers(-3, 3), RATIONALS, st.integers(-2, 2).map(lambda k: k * t - 1))
+    grid = [[data.draw(cells) for _ in range(n)] for _ in range(n)]
+    v = [Scalar.of(data.draw(cells)) for _ in range(n)]
+    expected = []
+    for row in grid:
+        total = Scalar.of(0)
+        for a, x in zip(row, v):
+            total = total + a * x
+        expected.append(total)
+    assert Matrix(grid).apply_vec(v) == tuple(expected)
+
+
+# -- differential tests against sympy -----------------------------------------
+
+
+def _sympy_poly(p: Poly, sympy):
+    t = sympy.Symbol("t")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in _coeffs(p)]
+    return sympy.Poly(list(reversed(coeffs)), t, domain="QQ")
+
+
+@checks(30)
+@given(univariate(), univariate())
+def test_univariate_gcd_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    coeffs = _coeffs(poly_gcd_univariate(a, b))
+    ref = _sympy_poly(a, sympy).gcd(_sympy_poly(b, sympy)).monic()
+    assert [c / coeffs[-1] for c in coeffs] == [
+        Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())
+    ]
+
+
+@checks(30)
+@given(univariate())
+def test_rational_roots_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    _, factors = _sympy_poly(p, sympy).factor_list()
+    expected = set()
+    for f, _ in factors:
+        if f.degree() == 1:
+            a, b = f.all_coeffs()
+            root = -b / a
+            expected.add(Fraction(int(root.p), int(root.q)))
+    assert set(rational_roots(p).roots) == expected

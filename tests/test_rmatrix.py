@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liedouble import (
+    IdentityReport,
     LinearMap,
     Matrix,
     Scalar,
@@ -228,3 +229,15 @@ def test_elements_of_another_algebra_are_typed_errors():
     y = g.basis_element(1)
     assert r_bracket(g, r, x, y) == g.bracket(x, y).scale(2)
     assert b_r(g, r, x, y) == -g.bracket(x, y)
+
+
+def test_identity_and_rmatrix_reports_share_one_shape():
+    from liedouble.identities import Report
+
+    # one base holds the verdict fields; an R-matrix report is not an
+    # identity report, so consumers can tell them apart with isinstance
+    rep = is_classical_rmatrix(get("sl2"), Matrix.diagonal([0, 1, 2]))
+    assert isinstance(rep, Report) and issubclass(IdentityReport, Report)
+    assert not isinstance(rep, IdentityReport)
+    assert rep.common_roots is None and rep.exceptional.is_empty()
+    assert (rep.status, rep.witness) == ("fails", (0, 1, 2))

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, sparse polynomials, rational functions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from liedouble import (
     poly_normalize,
     rational_roots,
 )
-from liedouble.errors import DivisionByZero, NotUnivariate, ParseError
+from liedouble.errors import DivisionByZero, LieDoubleError, NotUnivariate, ParseError, ValueTooLarge
 
 
 def test_rational_arithmetic_is_exact():
@@ -181,3 +182,20 @@ def test_non_decimal_digit_is_a_parse_error():
         with pytest.raises(ParseError):
             parse_scalar(text)
     assert parse_scalar("١٢ + 1") == Scalar.of(13)
+
+
+def test_value_past_the_int_string_limit_is_a_typed_error():
+    # the literal is within the digit and exponent limits, but its value
+    # has 38,400 digits: printing it raises ValueTooLarge, a typed
+    # ValueError, wherever a rational is printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 38_400:
+        pytest.skip("this interpreter prints integers of any length")
+    big = "9" * MAX_DIGITS + "^64"
+    for text in (big, "-" + big, big + "*x + 1", "x/" + big, "(x + 1)/(" + big + "*y + 1)"):
+        with pytest.raises(ValueTooLarge) as caught:
+            str(parse_scalar(text))
+        assert isinstance(caught.value, LieDoubleError)
+        assert isinstance(caught.value, ValueError)
+        assert "too large" in str(caught.value)
+    assert str(parse_scalar("9" * MAX_DIGITS + "^6")).startswith("9")
