@@ -474,21 +474,27 @@ def _entry_from_json(raw, pos):
     return name, LieAlgebra(dim, table, labels=labels, params=tuple(params))
 
 
+def _bracket_doc(g) -> list:
+    """The nonzero brackets of g in index order, as 1-based ``{"i", "j",
+    "value"}`` records; ``value`` maps each component to its printed
+    coefficient.  Catalog files and the CLI's JSON share this shape."""
+    return [
+        {"i": i + 1, "j": j + 1,
+         "value": {str(k + 1): str(c) for k, c in sorted(g.table[(i, j)].items())}}
+        for i, j in sorted(g.table)
+    ]
+
+
 def dumps(entries) -> str:
     doc = []
     for name, g in entries.items():
-        brackets = []
-        for i, j in sorted(g.table):
-            comps = g.table[(i, j)]
-            value = {str(k + 1): str(c) for k, c in sorted(comps.items())}
-            brackets.append({"i": i + 1, "j": j + 1, "value": value})
         item = {"name": name, "dim": g.dim}
         default_labels = tuple(f"e{k + 1}" for k in range(g.dim))
         if g.labels != default_labels:
             item["labels"] = list(g.labels)
         if g.params:
             item["params"] = list(g.params)
-        item["brackets"] = brackets
+        item["brackets"] = _bracket_doc(g)
         doc.append(item)
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
@@ -520,32 +526,32 @@ class Table1Row:
         return f"Table1Row({self.name}: {m['1']}{m['2']}{m['3']}{m['4']})"
 
 
+# (entry, note, special): a special row evaluates the entry's special
+# parameter values; every other row uses the symbolic parameters
 _TABLE1_LAYOUT = (
-    ("r2", "plain", ""),
-    ("n3", "plain", ""),
-    ("r3lambda", "plain", "lam generic"),
-    ("sl2", "plain", ""),
-    ("n3+C", "plain", ""),
-    ("n4", "plain", ""),
-    ("r2+C2", "plain", ""),
-    ("r2+r2", "plain", ""),
-    ("sl2+C", "plain", ""),
-    ("g1", "plain", ""),
-    ("g2alpha", "plain", "alpha generic"),
-    ("g3", "plain", ""),
-    ("g4ab", "plain", "alpha,beta generic"),
-    ("g5alpha", "generic", "alpha != 0,-1"),
-    ("g5alpha", "special", "alpha = 0,-1"),
+    ("r2", "", False),
+    ("n3", "", False),
+    ("r3lambda", "lam generic", False),
+    ("sl2", "", False),
+    ("n3+C", "", False),
+    ("n4", "", False),
+    ("r2+C2", "", False),
+    ("r2+r2", "", False),
+    ("sl2+C", "", False),
+    ("g1", "", False),
+    ("g2alpha", "alpha generic", False),
+    ("g3", "", False),
+    ("g4ab", "alpha,beta generic", False),
+    ("g5alpha", "alpha != 0,-1", False),
+    ("g5alpha", "alpha = 0,-1", True),
 )
 
 
 def _marks(g) -> dict:
-    tick = lambda rep: "✓" if rep.status == "holds" else "-"
+    checks = (("1", ALL_DERIVATIONS), ("2", ALL_DERIVATIONS), ("3", ALL_ELEMENTS), ("4", ALL_ELEMENTS))
     return {
-        "1": tick(check_quantified(g, "1", ALL_DERIVATIONS)),
-        "2": tick(check_quantified(g, "2", ALL_DERIVATIONS)),
-        "3": tick(check_quantified(g, "3", ALL_ELEMENTS)),
-        "4": tick(check_quantified(g, "4", ALL_ELEMENTS)),
+        code: "✓" if check_quantified(g, code, quant).status == "holds" else "-"
+        for code, quant in checks
     }
 
 
@@ -554,10 +560,9 @@ def table1():
     at most 4; generic rows use the symbolic parameters, the special row
     evaluates each listed special value and requires agreement."""
     rows = []
-    for key, mode, note in _TABLE1_LAYOUT:
-        ent = entry(key)
-        if mode == "special":
-            spec = ent.params[0]
+    for key, note, special in _TABLE1_LAYOUT:
+        if special:
+            spec = entry(key).params[0]
             marksets = [
                 _marks(get(key, {spec.name: v})) for v in spec.special
             ]

@@ -25,9 +25,9 @@ import json
 import sys
 
 from . import acceptance
-from .catalog import ParamSpec, check_no_builtin_collision, entry, get, load_file, names, table1
+from .catalog import ParamSpec, _bracket_doc, check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
-from .errors import DuplicateName, JacobiViolation, LieDoubleError, NotADerivation
+from .errors import DuplicateName, LieDoubleError, ParseError
 from .identities import _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
 from .lie_core import (
     LieAlgebra,
@@ -153,9 +153,13 @@ def _materialize(name: str, params: dict, external: dict) -> LieAlgebra:
     return get(name, params or None)
 
 
-def _read_matrix(path: str, dim: int) -> Matrix:
+def _read_matrix(path: str, g: LieAlgebra) -> Matrix:
+    """The square JSON matrix in ``path`` as an operator on g.  A cell may
+    not mention a basis label of g: the operator's variables become
+    parameters of any double built from it."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    dim = g.dim
     if not isinstance(raw, list) or len(raw) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in raw
     ):
@@ -164,7 +168,10 @@ def _read_matrix(path: str, dim: int) -> Matrix:
     def cell(value):
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError(f"{path}: entries must be exact (int or string)")
-        return parse_scalar(str(value))
+        value = parse_scalar(str(value))
+        if value.variables() & set(g.labels):
+            raise ParseError("parameter names collide with basis labels")
+        return value
 
     return Matrix([[cell(value) for value in row] for row in raw])
 
@@ -184,14 +191,6 @@ def _table(header, rows, right=()) -> list:
         cells = [f"{r[c]:>{w}}" if c in right else f"{r[c]:<{w}}" for c, w in enumerate(widths)]
         out.append("  ".join(cells + [r[-1]]))
     return out
-
-
-def _bracket_doc(g: LieAlgebra) -> list:
-    return [
-        {"i": i + 1, "j": j + 1,
-         "value": {str(k + 1): str(c) for k, c in sorted(g.table[(i, j)].items())}}
-        for i, j in sorted(g.table)
-    ]
 
 
 def _yesno(flag) -> str:
@@ -386,7 +385,7 @@ def _identity_quantifier(args, g, code):
     if takes_map:
         if args.map_file is None:
             raise ValueError(f"identity {code} with fixed quantifier needs --map FILE")
-        payload = _read_matrix(args.map_file, g.dim)
+        payload = _read_matrix(args.map_file, g)
     else:
         if args.z is None:
             raise ValueError(f"identity {code} with fixed quantifier needs --z EXPR")
@@ -419,7 +418,7 @@ def _cmd_rmatrix(args, params, external):
         op = g.ad(parse_element(g, args.z))
         source = f"ad({args.z})"
     else:
-        op = _read_matrix(args.matrix, g.dim)
+        op = _read_matrix(args.matrix, g)
         source = args.matrix
     rep = is_classical_rmatrix(g, op)
     sol = mybe_solve(g, op)
@@ -435,14 +434,10 @@ def _cmd_rmatrix(args, params, external):
         "r31": None,
         "double": None,
     }
-    double = None
     if rep.status == "holds" and (args.build_double or g.dim == 3):
-        try:
-            double = build_double(g, op, kind="rbracket")
-        except (JacobiViolation, NotADerivation) as e:
-            if args.build_double:
-                doc["double"] = {"error": str(e)}
-    if double is not None:
+        # a holding verdict means the R-bracket Jacobiator is zero, so the
+        # double's Jacobi check passes
+        double = build_double(g, op, kind="rbracket")
         if g.dim == 3 and not double.params:
             doc["r31"] = recognize_r31(double)
         if args.build_double:
@@ -464,11 +459,8 @@ def _cmd_rmatrix(args, params, external):
     if r31:
         text.append(f"double recognized as the 3-dim solvable type: {r31}")
     if doc["double"] is not None:
-        if "error" in doc["double"]:
-            text.append(f"double not formed: {doc['double']['error']}")
-        else:
-            text.append("double bracket table:")
-            text.extend("  " + ln for ln in (double.bracket_lines() or ["all brackets vanish"]))
+        text.append("double bracket table:")
+        text.extend("  " + ln for ln in (double.bracket_lines() or ["all brackets vanish"]))
     rows += [("mybe_status", mybe["status"]), ("mybe_value", mybe["value"] or ""), ("r31", r31)]
     return doc, text, [("key", "value"), *rows]
 

@@ -11,11 +11,8 @@ matrices together with the exceptional parameter values of the elimination.
 from __future__ import annotations
 
 from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices
-from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, nullspace
-from .scalars import Scalar
-
-_ZERO = Scalar.of(0)
-_ONE = Scalar.of(1)
+from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace
+from .scalars import _ONE, Scalar
 
 
 class DerivationSpace:
@@ -76,8 +73,7 @@ def inner_derivations(g: LieAlgebra) -> DerivationSpace:
     n = g.dim
     rows = []
     for i in range(n):
-        ad = g.ad(g.basis_element(i))
-        row = {a * n + b: e for a, r in enumerate(ad.sparse_rows) for b, e in r.items()}
+        row = g.ad(g.basis_element(i)).flat()
         if row:
             rows.append(row)
     ech = _eliminate(rows, n * n, n * n)
@@ -96,15 +92,10 @@ def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
     weight = Scalar.of(weight)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply_sparse(g._c(i, j))
-            rhs = g.bracket_sparse(m.columns[i], {j: _ONE})
-            for k, v in g.bracket_sparse({i: _ONE}, m.columns[j]).items():
-                rhs[k] = rhs.get(k, _ZERO) + v
-            diff = {}
-            for k in set(lhs) | set(rhs):
-                d = lhs.get(k, _ZERO) * weight - rhs.get(k, _ZERO)
-                if not d.is_zero():
-                    diff[k] = d
+            diff: dict = {}
+            _sadd(diff, m.apply_sparse(g._c(i, j)), weight)
+            _sadd(diff, g.bracket_sparse(m.columns[i], {j: _ONE}), -1)
+            _sadd(diff, g.bracket_sparse({i: _ONE}, m.columns[j]), -1)
             if diff:
                 return False, (i, j)
     return True, None

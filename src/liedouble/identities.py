@@ -52,10 +52,9 @@ from .lie_core import (
     lower_central_series,
     nilpotency_class,
 )
-from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd
-from .scalars import Scalar, poly_normalize, rational_roots
+from .linalg import ExceptionalSet, Matrix, _check_map, _sadd
+from .scalars import _ONE, Scalar, poly_normalize, rational_roots
 
-_ONE = Scalar.of(1)
 _UNSET = object()
 
 
@@ -211,10 +210,6 @@ _SQUARE_BRACKET = _Identity(
 )
 
 
-def _elem(g, sparse: dict) -> Element:
-    return Element(g, _dense(sparse, g.dim))
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
@@ -252,7 +247,7 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     if spec.inner is not None:
         k = len(occurrences) - spec.groups[-1][1] - 1
         occurrences[k:] = [spec.inner(b, *occurrences[k:])]
-    return _elem(g, spec.f(b, *occurrences))
+    return Element(g, spec.f(b, *occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     if witness is not None:
         return IdentityReport(
             ident, quantifier, "fails",
-            witness=witness, value=_elem(g, value), exceptional=exceptional,
+            witness=witness, value=Element(g, value), exceptional=exceptional,
         )
     if not conditions:
         return IdentityReport(ident, quantifier, "holds", exceptional=exceptional)
@@ -536,7 +531,7 @@ def nilpotent_witness_derivation(g: LieAlgebra) -> Matrix:
         raise LieDoubleError("derivation space is unexpectedly trivial")
     chain = lower_central_series(g)
     zc = center(g)
-    for vec in chain[c - 3].basis:
+    for vec in chain[c - 3].vectors:
         if not zc.contains_vector(vec):
             return g.ad(Element(g, vec))
     raise LieDoubleError("lower central term is unexpectedly central")

@@ -24,50 +24,60 @@ from .errors import (
     ParseError,
 )
 from .linalg import ExceptionalSet, Matrix, _dense, _eliminate, _sadd, nullspace, rank, solve_columns
-from .scalars import Poly, Scalar, parse_scalar_with_names
-
-_ZERO = Scalar.of(0)
-_ONE = Scalar.of(1)
-
-
-# -- sparse coordinate helpers ---------------------------------------------
-
-
-def _sparse_of(coords) -> dict:
-    return {i: Scalar.of(c) for i, c in enumerate(coords) if not Scalar.of(c).is_zero()}
+from .scalars import _ONE, _ZERO, Poly, Scalar, _signed_content, parse_scalar_with_names
 
 
 class Element:
-    """Element of a fixed algebra, as a dense coordinate tuple."""
+    """Element of a fixed algebra, stored as its sparse coordinates.
 
-    __slots__ = ("algebra", "coords")
+    The constructor takes a dense coordinate sequence or a sparse
+    ``{index: value}`` dict.  The stored vector holds nonzero Scalars only,
+    keys in index order; ``sparse()`` returns it and must not be mutated
+    (like ``Matrix.sparse_rows``).  ``coords`` is the dense tuple view."""
+
+    __slots__ = ("algebra", "_sparse")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = tuple(Scalar.of(c) for c in coords)
-        if len(self.coords) != algebra.dim:
-            raise ValueError("coordinate count does not match the dimension")
+        if isinstance(coords, dict):
+            if any(not 0 <= i < algebra.dim for i in coords):
+                raise ValueError("coordinate index out of range")
+            items = sorted(coords.items())
+        else:
+            items = list(enumerate(coords))
+            if len(items) != algebra.dim:
+                raise ValueError("coordinate count does not match the dimension")
+        values = ((i, Scalar.of(c)) for i, c in items)
+        self._sparse = {i: c for i, c in values if not c.is_zero()}
+
+    @property
+    def coords(self) -> tuple:
+        return _dense(self._sparse, self.algebra.dim)
 
     def sparse(self) -> dict:
-        return {i: c for i, c in enumerate(self.coords) if not c.is_zero()}
+        return self._sparse
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self._sparse
+
+    def _with(self, acc: dict, v: dict, coef) -> "Element":
+        """The element ``acc + coef * v``; ``acc`` is consumed."""
+        _sadd(acc, v, coef)
+        return Element(self.algebra, acc)
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._with(dict(self._sparse), other._sparse, 1)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._with(dict(self._sparse), other._sparse, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-c for c in self.coords])
+        return self._with({}, self._sparse, -1)
 
     def scale(self, c) -> "Element":
-        c = Scalar.of(c)
-        return Element(self.algebra, [a * c for a in self.coords])
+        return self._with({}, self._sparse, Scalar.of(c))
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -76,18 +86,14 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra is other.algebra and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
+        return self.algebra is other.algebra and self._sparse == other._sparse
 
     __hash__ = None
 
     def __str__(self) -> str:
         labels = self.algebra.labels
         pieces = []
-        for i, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
+        for i, c in self._sparse.items():
             if c.is_rational:
                 q = c.as_fraction()
                 body = labels[i] if abs(q) == 1 else f"{abs(q)}*{labels[i]}"
@@ -129,24 +135,15 @@ class LieAlgebra:
         for (i, j), comps in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: {(i, j)}")
-            sign = 1
             if i == j:
                 if any(not Scalar.of(c).is_zero() for c in comps.values()):
                     raise ValueError(f"[e{i + 1}, e{i + 1}] must vanish")
                 continue
-            if i > j:
-                i, j, sign = j, i, -1
-            entry = table.setdefault((i, j), {})
-            for k, c in comps.items():
+            for k in comps:
                 if not (0 <= k < dim):
                     raise ValueError(f"bracket component out of range: {k}")
-                c = Scalar.of(c) if sign == 1 else -Scalar.of(c)
-                s = entry.get(k)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    entry.pop(k, None)
-                else:
-                    entry[k] = s
+            entry = table.setdefault((min(i, j), max(i, j)), {})
+            _sadd(entry, {k: Scalar.of(c) for k, c in comps.items()}, 1 if i < j else -1)
         self.table = {pair: comps for pair, comps in table.items() if comps}
         # _pairs[a][b]: (position in the table, i, j, [e_i, e_j]) for each
         # table pair {i, j} = {a, b}; the table is fixed from here on
@@ -227,7 +224,7 @@ class LieAlgebra:
     def bracket(self, x: Element, y: Element) -> Element:
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraMismatch("elements do not belong to this algebra")
-        return Element(self, _dense(self.bracket_sparse(x.sparse(), y.sparse()), self.dim))
+        return Element(self, self.bracket_sparse(x.sparse(), y.sparse()))
 
     def ad(self, z: Element) -> Matrix:
         """Left bracket operator x -> [z, x]."""
@@ -241,10 +238,10 @@ class LieAlgebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, [_ONE if j == i else _ZERO for j in range(self.dim)])
+        return Element(self, {i: _ONE})
 
     def zero_element(self) -> Element:
-        return Element(self, [_ZERO] * self.dim)
+        return Element(self, {})
 
     def label_index(self, name: str) -> int:
         try:
@@ -289,7 +286,7 @@ class LieAlgebra:
         """Human-readable nonzero brackets in index order."""
         out = []
         for (i, j) in sorted(self.table):
-            value = Element(self, _dense(self.table[(i, j)], self.dim))
+            value = Element(self, self.table[(i, j)])
             out.append(f"[{self.labels[i]},{self.labels[j]}] = {value}")
         return out
 
@@ -301,57 +298,62 @@ class LieAlgebra:
 
 
 class Subspace:
-    """Subspace given by an echelonized basis of coordinate vectors."""
+    """Subspace given by an echelonized basis of sparse coordinate vectors.
 
-    __slots__ = ("algebra", "basis", "exceptional")
+    ``vectors`` holds each basis vector as ``{index: Scalar}``, nonzeros in
+    index order; ``basis`` is the dense tuple view, built on first use."""
 
-    def __init__(self, algebra, basis, exceptional=None):
+    __slots__ = ("algebra", "vectors", "exceptional", "_basis")
+
+    def __init__(self, algebra, vectors, exceptional=None):
         self.algebra = algebra
-        self.basis = tuple(tuple(Scalar.of(c) for c in v) for v in basis)
+        self.vectors = tuple(vectors)
         self.exceptional = exceptional or ExceptionalSet()
+        self._basis = None
 
     @staticmethod
     def span(algebra, vectors, carry=None) -> "Subspace":
-        vecs = [v.coords if isinstance(v, Element) else v for v in vectors]
-        rows = [r for r in map(_sparse_of, vecs) if r]
+        """Echelonized span of sparse vectors that hold nonzero Scalars
+        only; ``carry`` is added to the exceptional set."""
+        rows = [v for v in vectors if v]
         if not rows:
             return Subspace(algebra, (), carry)
         ech = _eliminate(rows, algebra.dim, algebra.dim)
-        basis = [_normalize_row(ech.rows[r], pc, algebra.dim) for r, pc in ech.pivots]
+        basis = [_normalize_row(ech.rows[r], pc) for r, pc in ech.pivots]
         exc = ExceptionalSet(ech.exceptional)
         if carry is not None:
             exc = exc.union(carry)
         return Subspace(algebra, basis, exc)
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(_dense(v, self.algebra.dim) for v in self.vectors)
+        return self._basis
 
-    def contains_vector(self, coords) -> bool:
-        """Generic membership test via a rank comparison."""
-        if not self.basis:
-            return all(Scalar.of(c).is_zero() for c in coords)
-        stacked = Matrix(list(self.basis) + [list(coords)])
+    @property
+    def dim(self) -> int:
+        return len(self.vectors)
+
+    def contains_vector(self, v: dict) -> bool:
+        """Generic membership test, via a rank comparison, of a sparse
+        vector that holds nonzero Scalars only."""
+        stacked = Matrix.sparse([*self.vectors, v], self.algebra.dim)
         return rank(stacked).value == self.dim
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self.contains_vector(v) for v in other.vectors)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
 
 
-def _normalize_row(row, pc, dim):
-    """Dense form of a sparse echelon row with pivot column ``pc``, divided
-    by its leading entry's rational content with the sign fixed, for
-    deterministic bases."""
-    lead = Scalar.of(row[pc])
-    if lead.is_rational:
-        c = lead
-    else:
-        p = lead.numerator_poly()
-        c = Scalar.of(p.content() if p.leading()[1] > 0 else -p.content())
-    return tuple(Scalar.of(row[j]) / c if j in row else _ZERO for j in range(dim))
+def _normalize_row(row, pc):
+    """Sparse echelon row with pivot column ``pc``, keys in index order,
+    divided by the signed rational content of its leading entry's
+    numerator, for deterministic bases."""
+    c = Scalar.of(_signed_content(Scalar.of(row[pc]).numerator_poly()))
+    return {j: Scalar.of(row[j]) / c for j in sorted(row)}
 
 
 def lower_central_series(g: LieAlgebra):
@@ -359,17 +361,10 @@ def lower_central_series(g: LieAlgebra):
 
     Entry ``i`` (0-based) is the (i+1)-st term of the chain; the full algebra
     itself is not included."""
-    vectors = [_dense(comps, g.dim) for comps in g.table.values()]
-    current = Subspace.span(g, vectors)
+    current = Subspace.span(g, g.table.values())
     chain = [current]
     while current.dim:
-        nxt_vecs = []
-        for i in range(g.dim):
-            ei = {i: _ONE}
-            for b in current.basis:
-                w = g.bracket_sparse(ei, _sparse_of(b))
-                if w:
-                    nxt_vecs.append(_dense(w, g.dim))
+        nxt_vecs = [g.bracket_sparse({i: _ONE}, b) for i in range(g.dim) for b in current.vectors]
         nxt = Subspace.span(g, nxt_vecs, carry=current.exceptional)
         if nxt.dim == current.dim:
             break
@@ -380,8 +375,7 @@ def lower_central_series(g: LieAlgebra):
 
 def derived_series(g: LieAlgebra):
     """Descending chain of derived ideals until zero or stabilization."""
-    vectors = [_dense(comps, g.dim) for comps in g.table.values()]
-    current = Subspace.span(g, vectors)
+    current = Subspace.span(g, g.table.values())
     chain = [current]
     while current.dim:
         nxt = _derived(g, current)
@@ -394,14 +388,9 @@ def derived_series(g: LieAlgebra):
 
 def _derived(g: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of the pairwise brackets of a subspace's basis."""
-    basis = [_sparse_of(b) for b in sub.basis]
-    vecs = []
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            w = g.bracket_sparse(basis[a], basis[b])
-            if w:
-                vecs.append(_dense(w, g.dim))
-    return Subspace.span(g, vecs, carry=sub.exceptional)
+    v = sub.vectors
+    pairs = [g.bracket_sparse(v[a], v[b]) for a in range(len(v)) for b in range(a + 1, len(v))]
+    return Subspace.span(g, pairs, carry=sub.exceptional)
 
 
 def nilpotency_class(g: LieAlgebra):
@@ -426,7 +415,7 @@ def center(g: LieAlgebra) -> Subspace:
             if row:
                 rows.append(row)
     ns = nullspace(Matrix.sparse(rows, n))
-    return Subspace(g, ns.basis, ns.exceptional)
+    return Subspace(g, ns.vectors, ns.exceptional)
 
 
 def is_abelian(g: LieAlgebra) -> bool:
@@ -492,10 +481,10 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
         if m.rows != size or m.cols != size:
             raise ValueError("all matrices must be square of equal size")
     k = len(mats)
-    flat = [m.vec() for m in mats]
-    if rank(Matrix(flat)).value != k:
+    flat = [m.flat() for m in mats]
+    if rank(Matrix.sparse(flat, size * size)).value != k:
         raise NotIndependent("the given matrices are linearly dependent")
-    basis_cols = Matrix(list(zip(*flat)))  # size^2 x k
+    basis_cols = Matrix.from_columns(flat, size * size)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     rhs = [mats[i].commutator(mats[j]).vec() for i, j in pairs]
     sols, _ = solve_columns(basis_cols, rhs)
@@ -503,9 +492,7 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
     for (i, j), sol in zip(pairs, sols):
         if sol is None:
             raise NotClosed(i, j)
-        comps = {t: c for t, c in enumerate(sol) if not c.is_zero()}
-        if comps:
-            brackets[(i, j)] = comps
+        brackets[(i, j)] = dict(enumerate(sol))  # the constructor drops zeros
     names = frozenset()
     for comps in brackets.values():
         for c in comps.values():
@@ -641,4 +628,4 @@ def parse_element(g: LieAlgebra, text: str, allow_new_names=True) -> Element:
     if not den.is_constant() or den.constant_value() != 1:
         dd = Scalar.of(den)
         coords = {i: c / dd for i, c in coords.items()}
-    return Element(g, _dense(coords, g.dim))
+    return Element(g, coords)

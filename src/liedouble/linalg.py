@@ -31,10 +31,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch
-from .scalars import Poly, Scalar, poly_normalize
-
-_ZERO = Scalar.of(0)
-_ONE = Scalar.of(1)
+from .scalars import _ONE, _ZERO, Poly, Scalar, poly_normalize
 
 
 def _dense(v: dict, n: int) -> tuple:
@@ -218,6 +215,12 @@ class Matrix:
             row.get(j, _ZERO) for row in self.sparse_rows for j in range(self.cols)
         )
 
+    def flat(self) -> dict:
+        """Sparse row-major flattening ``{a * cols + b: value}``."""
+        return {
+            a * self.cols + b: e for a, row in enumerate(self.sparse_rows) for b, e in row.items()
+        }
+
     def is_parametric(self) -> bool:
         return any(not e.is_rational for row in self.sparse_rows for e in row.values())
 
@@ -237,7 +240,7 @@ class Matrix:
 
     def apply(self, x):
         """Image of an algebra element."""
-        return x.algebra.element(self.apply_vec(x.coords))
+        return x.algebra.element(self.apply_sparse(x.sparse()))
 
     def compose(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply other first)."""

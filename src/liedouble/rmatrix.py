@@ -15,11 +15,8 @@ from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, derived_series
 from .derivations import is_derivation
 from .identities import Report, _prep_elem, _scan_conditions
-from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd, solve_affine
-from .scalars import Scalar
-
-_ZERO = Scalar.of(0)
-_ONE = Scalar.of(1)
+from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
+from .scalars import _ONE, _ZERO
 
 
 def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
@@ -32,14 +29,14 @@ def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
     _check_map(r, g.dim, "r_bracket")
     out = _r_bracket_sparse(g, r, _prep_elem(g, x, "r_bracket"), _prep_elem(g, y, "r_bracket"))
-    return Element(g, _dense(out, g.dim))
+    return Element(g, out)
 
 
 def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
     _check_map(r, g.dim, "b_r")
     out = _b_r_sparse(g, r, _prep_elem(g, x, "b_r"), _prep_elem(g, y, "b_r"))
-    return Element(g, _dense(out, g.dim))
+    return Element(g, out)
 
 
 def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
@@ -96,10 +93,7 @@ def _jacobiator_triples(g: LieAlgebra, r: Matrix):
 
 
 def rmatrix_obstruction(g: LieAlgebra, r: Matrix) -> RBracketObstruction:
-    entries = {
-        t: Element(g, _dense(jac, g.dim))
-        for t, jac in _jacobiator_triples(g, r)
-    }
+    entries = {t: Element(g, jac) for t, jac in _jacobiator_triples(g, r)}
     return RBracketObstruction(g, r, entries)
 
 
@@ -123,9 +117,7 @@ def is_classical_rmatrix(g: LieAlgebra, r: Matrix) -> RMatrixReport:
     constant evaluation; parametric-only failures become conditions."""
     key, value, conditions, roots = _scan_conditions(_jacobiator_triples(g, r))
     if key is not None:
-        return RMatrixReport(
-            "fails", key, Element(g, _dense(value, g.dim))
-        )
+        return RMatrixReport("fails", key, Element(g, value))
     if not conditions:
         return RMatrixReport("holds")
     return RMatrixReport("conditional", conditions=conditions, roots=roots)
@@ -219,24 +211,15 @@ def extremal_functional(g: LieAlgebra, z: Element):
     None when z is not extremal."""
     m = g.ad(z)
     sq = m.compose(m)
-    zc = z.coords
-    pivot = None
-    for a, c in enumerate(zc):
-        if not c.is_zero():
-            pivot = a
-            break
+    zs = z.sparse()
+    pivot = next(iter(zs), None)
     values = []
     for col in sq.columns:
-        v = [col.get(a, _ZERO) for a in range(g.dim)]
-        if pivot is None:
-            if any(not e.is_zero() for e in v):
-                return None
-            values.append(_ZERO)
-            continue
-        mu = v[pivot] / zc[pivot]
-        for a in range(g.dim):
-            if v[a] != zc[a] * mu:
-                return None
+        mu = _ZERO if pivot is None else col.get(pivot, _ZERO) / zs[pivot]
+        rest = dict(col)
+        _sadd(rest, zs, -mu)
+        if rest:
+            return None
         values.append(mu)
     return tuple(values)
 
@@ -261,17 +244,14 @@ def recognize_r31(g: LieAlgebra) -> bool:
     derived = chain[0]
     if derived.dim != 2:
         return False
-    b1, b2 = derived.basis
-    sb = [
-        {i: c for i, c in enumerate(vec) if not c.is_zero()} for vec in (b1, b2)
-    ]
-    if g.bracket_sparse(sb[0], sb[1]):
+    b1, b2 = derived.vectors
+    if g.bracket_sparse(b1, b2):
         return False
     rows = []
     rhs = []
-    for vec, sv in zip((b1, b2), sb):
-        cols = [g.bracket_sparse({i: _ONE}, sv) for i in range(g.dim)]
+    for vec in (b1, b2):
+        cols = [g.bracket_sparse({i: _ONE}, vec) for i in range(g.dim)]
         for a in range(g.dim):
-            rows.append([cols[i].get(a, _ZERO) for i in range(g.dim)])
-            rhs.append(vec[a])
-    return solve_affine(Matrix(rows), rhs).status != "none"
+            rows.append({i: c[a] for i, c in enumerate(cols) if a in c})
+            rhs.append(vec.get(a, _ZERO))
+    return solve_affine(Matrix.sparse(rows, g.dim), rhs).status != "none"

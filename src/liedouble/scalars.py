@@ -293,7 +293,7 @@ class Poly:
 
     def substitute(self, values: dict) -> "Scalar":
         """Replace variables by Scalars (or ints/Fractions); exact result."""
-        out = _S_ZERO
+        out = _ZERO
         for m, c in self.terms.items():
             term = Scalar.of(c)
             for name, exp in m:
@@ -406,9 +406,7 @@ def _list_divmod(num: list, den: list):
         if c:
             for i in range(dd + 1):
                 num[k - dd + i] -= c * den[i]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
+    return q, _list_trim(num)
 
 
 def _list_trim(c: list) -> list:
@@ -434,15 +432,16 @@ def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
     ca = _list_trim(_coeff_list(a, name))
     cb = _list_trim(_coeff_list(b, name))
     while len(cb) > 1 or cb[0]:
-        _, r = _list_divmod(ca, cb)
-        ca, cb = cb, _list_trim(r)
-        if len(cb) == 1 and not cb[0]:
-            break
+        ca, cb = cb, _list_divmod(ca, cb)[1]
     g = _from_coeff_list(ca, name)
-    c = g.content()
-    if g.leading()[1] < 0:
-        c = -c
-    return g.scale(1 / c)
+    return g.scale(1 / _signed_content(g))
+
+
+def _signed_content(p: Poly) -> Fraction:
+    """Rational content of a nonzero ``p`` with the sign of its leading
+    coefficient: dividing by it gives the canonical primitive form."""
+    c = p.content()
+    return c if p.leading()[1] > 0 else -c
 
 
 def poly_normalize(p: Poly) -> Poly:
@@ -461,10 +460,7 @@ def poly_normalize(p: Poly) -> Poly:
         g = poly_gcd_univariate(p, deriv)
         if g.total_degree() > 0:
             p = p.exact_div(g)
-    c = p.content()
-    if p.leading()[1] < 0:
-        c = -c
-    return p.scale(1 / c)
+    return p.scale(1 / _signed_content(p))
 
 
 def _derivative(p: Poly, name: str) -> Poly:
@@ -501,22 +497,15 @@ def rational_roots(p: Poly) -> RootReport:
     """All rational roots of a nonzero univariate polynomial.
 
     Candidates come from the usual integer divisor bounds on the primitive
-    integer form; every reported root is verified by exact evaluation.  The
+    integer form; every reported root is verified by exact division.  The
     residual is the primitive root-free cofactor."""
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     name = _univar(p)
     if name is None:
         return RootReport(frozenset(), Poly.const(1))
-    coeffs = _list_trim(_coeff_list(p, name))
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
+    content = _signed_content(p)
+    ints = [int(c / content) for c in _list_trim(_coeff_list(p, name))]
 
     roots = set()
     # strip powers of the variable: x = 0
@@ -537,16 +526,14 @@ def rational_roots(p: Poly) -> RootReport:
                 candidates.add(Fraction(pnum, qden))
                 candidates.add(Fraction(-pnum, qden))
         for r in sorted(candidates):
-            while len(work) > 1 and _horner(work, r) == 0:
+            while len(work) > 1:
+                quotient, rem = _list_divmod(work, [-r, 1])
+                if rem[0]:
+                    break
                 roots.add(r)
-                work = _deflate(work, r)
+                work = quotient
     residual = _from_coeff_list(work, name)
-    c = residual.content()
-    if not residual.is_zero() and residual.leading()[1] < 0:
-        c = -c
-    if c:
-        residual = residual.scale(1 / c)
-    return RootReport(frozenset(roots), residual)
+    return RootReport(frozenset(roots), residual.scale(1 / _signed_content(residual)))
 
 
 def _divisors(n: int) -> list:
@@ -560,25 +547,6 @@ def _divisors(n: int) -> list:
             if d != n // d:
                 out.append(n // d)
         d += 1
-    return out
-
-
-def _horner(coeffs: list, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _deflate(coeffs: list, r: Fraction) -> list:
-    """Divide by (x - r); exact by assumption."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    carry = coeffs[n]
-    out[n - 1] = carry
-    for k in range(n - 1, 0, -1):
-        carry = coeffs[k] + r * carry
-        out[k - 1] = carry
     return out
 
 
@@ -624,7 +592,7 @@ class Scalar:
         if den.is_zero():
             raise DivisionByZero("scalar division by zero")
         if num.is_zero():
-            return _S_ZERO
+            return _ZERO
         common = _mono_gcd(num.monomial_content(), den.monomial_content())
         if common:
             num = num.divide_monomial(common)
@@ -642,9 +610,7 @@ class Scalar:
                 return Scalar(num.constant_value())
             return Scalar(num)
         # make the denominator primitive with positive leading coefficient
-        c = den.content()
-        if den.leading()[1] < 0:
-            c = -c
+        c = _signed_content(den)
         if c != 1:
             num = num.scale(1 / c)
             den = den.scale(1 / c)
@@ -750,8 +716,8 @@ class Scalar:
 
     def __pow__(self, n: int):
         if n < 0:
-            return _S_ONE / self ** (-n)
-        out = _S_ONE
+            return _ONE / self ** (-n)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -818,8 +784,8 @@ def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-_S_ZERO = Scalar(Fraction(0))
-_S_ONE = Scalar(Fraction(1))
+_ZERO = Scalar(Fraction(0))
+_ONE = Scalar(Fraction(1))
 
 
 # -- literal grammar -------------------------------------------------------

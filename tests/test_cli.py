@@ -261,6 +261,22 @@ def test_null_matrix_cell_is_rejected(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_matrix_cells_naming_a_basis_label_are_rejected(tmp_path, capsys):
+    # the same contract on every algebra and command, checked before any
+    # verdict is computed
+    for n in (3, 4):
+        grid = [[0] * n for _ in range(n)]
+        grid[0][0] = "e1"
+        (tmp_path / f"label{n}.json").write_text(json.dumps(grid), encoding="utf-8")
+    for argv in (
+        ("rmatrix", "n3", "--matrix", str(tmp_path / "label3.json")),
+        ("rmatrix", "n4", "--matrix", str(tmp_path / "label4.json")),
+        ("identity", "n3", "--id", "2", "--map", str(tmp_path / "label3.json")),
+    ):
+        assert run(capsys, *argv) == (
+            2, "", "error: parameter names collide with basis labels\n"), argv
+
+
 def test_value_too_large_to_print_exits_two(capsys):
     # a value past the interpreter's int-string limit is a typed error, so
     # the command exits 2 with a one-line message

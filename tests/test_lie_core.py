@@ -9,6 +9,7 @@ from liedouble import (
     LieAlgebra,
     LinearMap,
     Scalar,
+    Subspace,
     center,
     derived_series,
     direct_sum,
@@ -270,3 +271,39 @@ def test_bracket_of_symbolic_elements_matches_a_full_table_scan():
             assert shown(g.bracket_sparse(v, z)) == shown(_full_scan_bracket(g, v, z)), name
         zz = g.bracket_sparse(z, y)
         assert shown(g.bracket_sparse(zz, z)) == shown(_full_scan_bracket(g, zz, z))
+
+
+def test_element_from_a_dict_matches_the_dense_tuple():
+    g = get("sl3")
+    t = Scalar.variable("t")
+    dense = [0] * g.dim
+    dense[1], dense[5], dense[6] = 1, Fraction(-3, 2), t
+    # unsorted keys and an explicit zero
+    a, b = g.element(dense), g.element({6: t, 3: 0, 1: 1, 5: Fraction(-3, 2)})
+    assert a == b and str(a) == str(b) and a.coords == b.coords
+    assert list(a.sparse()) == list(b.sparse()) == [1, 5, 6]
+    assert g.element({2: 0}).is_zero() and g.element({2: 0}) == g.zero_element()
+    assert (a - b).sparse() == {} and list((b + b).sparse()) == [1, 5, 6]
+    for bad in ({g.dim: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            g.element(bad)
+    with pytest.raises(ValueError):
+        g.element([1] * (g.dim + 1))
+
+
+def test_subspace_basis_is_the_dense_view_of_its_vectors():
+    zero = Scalar.of(0)
+    for name in ("n4", "ex413", "sl2+C", "g4ab"):
+        g = get(name)
+        for sub in lower_central_series(g) + derived_series(g) + [center(g)]:
+            assert len(sub.basis) == len(sub.vectors) == sub.dim
+            for v, row in zip(sub.vectors, sub.basis):
+                assert list(v) == sorted(v) and not any(c.is_zero() for c in v.values())
+                assert row == tuple(v.get(i, zero) for i in range(g.dim))
+    g = get("n3")
+    one, two = Scalar.of(1), Scalar.of(2)
+    sub = Subspace.span(g, [{1: two, 0: two}, {}, {0: one, 1: one}])
+    assert sub.vectors == ({0: one, 1: one},) and sub.basis == ((one, one, zero),)
+    assert sub.contains_vector({0: two, 1: two}) and sub.contains_vector({})
+    assert not sub.contains_vector({2: one})
+    assert center(g).contains(Subspace.span(g, [{2: two}]))

@@ -19,6 +19,7 @@ from liedouble import (  # noqa: E402
     Matrix,
     Poly,
     Scalar,
+    get,
     nullspace,
     parse_scalar,
     poly_gcd_univariate,
@@ -175,6 +176,40 @@ def test_map_application_matches_the_dense_product(data):
             total = total + a * x
         expected.append(total)
     assert Matrix(grid).apply_vec(v) == tuple(expected)
+
+
+# -- elements ------------------------------------------------------------------
+
+_ELEMENT_ALGEBRAS = ("r2", "n3", "sl2", "n4", "r2+r2", "gl2", "ex413", "sl3", "g2")
+
+
+def _reference_bracket(g, x, y):
+    """[x, y] on dense Fraction lists, summed over the whole table."""
+    out = [Fraction(0)] * g.dim
+    for (i, j), comps in g.table.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        for k, c in comps.items():
+            out[k] += coef * c.as_fraction()
+    return out
+
+
+def _assert_matches(element, reference):
+    assert element.coords == tuple(Scalar.of(v) for v in reference)
+    assert list(element.sparse()) == [i for i, v in enumerate(reference) if v]
+
+
+@checks(60)
+@given(st.data())
+def test_element_arithmetic_matches_a_dense_fraction_reference(data):
+    g = get(data.draw(st.sampled_from(_ELEMENT_ALGEBRAS)))
+    coords = st.lists(st.one_of(st.just(Fraction(0)), RATIONALS), min_size=g.dim, max_size=g.dim)
+    x, y, c = data.draw(coords), data.draw(coords), data.draw(RATIONALS)
+    ex, ey = g.element(x), g.element(y)
+    _assert_matches(ex + ey, [a + b for a, b in zip(x, y)])
+    _assert_matches(ex - ey, [a - b for a, b in zip(x, y)])
+    _assert_matches(-ex, [-a for a in x])
+    _assert_matches(ex.scale(c), [a * c for a in x])
+    _assert_matches(g.bracket(ex, ey), _reference_bracket(g, x, y))
 
 
 # -- differential tests against sympy -----------------------------------------
