@@ -53,7 +53,7 @@ from .lie_core import (
     nilpotency_class,
 )
 from .linalg import ExceptionalSet, Matrix, _check_map, _sadd
-from .scalars import _ONE, Scalar, poly_normalize, rational_roots
+from .scalars import Scalar, _native, poly_normalize, rational_roots
 
 _UNSET = object()
 
@@ -277,10 +277,17 @@ def _sweep(g, spec: _Identity, payload, maps):
     are summed in ``permutations`` order, and the weight is applied last.
     An entry's inner values are kept for this call only: one list per last
     head occurrence (a map, the payload or a basis vector, all alive for
-    the whole call, so keyed by ``id``), indexed by the tuple's position."""
+    the whole call, so keyed by ``id``), indexed by the tuple's position.
+
+    On rational data the sweep computes with native numbers: basis vectors
+    are ``{i: 1}``, maps are applied through their native columns,
+    ``g._pairs`` holds native constants, an element payload arrives
+    converted and the weight is a Fraction.  Only values that carry a
+    variable are Scalars, so yielded vectors mix ints, Fractions and
+    Scalars; callers wrap what they return in an ``Element``."""
     b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
     cache: dict = {}
-    basis = [{i: _ONE} for i in range(g.dim)]
+    basis = [{i: 1} for i in range(g.dim)]
     # per group: (key part, orderings of its occurrences) for every choice
     choices = []
     for kind, d in spec.groups:
@@ -293,7 +300,7 @@ def _sweep(g, spec: _Identity, payload, maps):
             group = [(t, tuple(permutations([pool[i] for i in t])))
                      for t in combinations_with_replacement(range(len(pool)), d)]
         choices.append(group)
-    weight = None if payload is not None or spec.weight == 1 else Scalar.of(spec.weight)
+    weight = None if payload is not None or spec.weight == 1 else spec.weight
     # the last group is the inner loop; the others are combined once per head
     *outer, inner = choices
     for head in product(*outer):
@@ -323,16 +330,18 @@ def _sweep(g, spec: _Identity, payload, maps):
 def _scan_conditions(values):
     """Verdict data of a sweep over ``(key, sparse value)`` pairs.
 
-    A coordinate whose numerator is a nonzero constant is nonzero for every
-    parameter value: the first such pair is returned as ``(key, value, (),
-    ())``.  Otherwise the result is ``(None, None, conditions, roots)``: the
-    distinct normalized numerators, sorted by degree and then text, and
-    their rational root sets (None for a multivariate condition)."""
+    A coordinate whose numerator is a nonzero constant, or that is a
+    native (int or Fraction) nonzero, is nonzero for every parameter value:
+    the first such pair is returned as ``(key, value, (), ())``.  Otherwise
+    the result is ``(None, None, conditions, roots)``: the distinct
+    normalized numerators, sorted by degree and then text, and their
+    rational root sets (None for a multivariate condition)."""
     conditions = []
     for key, sparse in values:
         for coord in sorted(sparse):
-            num = sparse[coord].numerator_poly()
-            if num.is_constant():
+            c = sparse[coord]
+            num = c.numerator_poly() if isinstance(c, Scalar) else None
+            if num is None or num.is_constant():
                 return key, sparse, (), ()
             p = poly_normalize(num)
             if all(p != q for q in conditions):
@@ -414,6 +423,7 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
         payload = _check_map(payload, g.dim, f"identity {ident}")
     elif tag == "fixed-elem":
         payload = _prep_elem(g, payload, f"identity {ident}")
+        payload = {i: _native(c) for i, c in payload.items()}
     exceptional = ExceptionalSet()
     maps = None
     if tag == "all-der":

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import ExceptionalSet, Matrix, _dense, _eliminate, _sadd, nullspace, rank, solve_columns
-from .scalars import _ONE, _ZERO, Poly, Scalar, _signed_content, parse_scalar_with_names
+from .scalars import _ONE, _ZERO, Poly, Scalar, _native, _signed_content, parse_scalar_with_names
 
 
 class Element:
@@ -146,10 +146,12 @@ class LieAlgebra:
             _sadd(entry, {k: Scalar.of(c) for k, c in comps.items()}, 1 if i < j else -1)
         self.table = {pair: comps for pair, comps in table.items() if comps}
         # _pairs[a][b]: (position in the table, i, j, [e_i, e_j]) for each
-        # table pair {i, j} = {a, b}; the table is fixed from here on
+        # table pair {i, j} = {a, b}, with rational constants as native
+        # numbers (scalars._native); the table is fixed from here on
         self._pairs = [{} for _ in range(dim)]
         for pos, ((i, j), comps) in enumerate(self.table.items()):
-            self._pairs[i][j] = self._pairs[j][i] = (pos, i, j, comps)
+            native = {k: _native(c) for k, c in comps.items()}
+            self._pairs[i][j] = self._pairs[j][i] = (pos, i, j, native)
 
         if validate:
             self._validate()
@@ -169,16 +171,18 @@ class LieAlgebra:
                     jac = self._jacobiator(i, j, k)
                     if jac:
                         a, b, c = sorted((i, j, k))
+                        coords = {t: Scalar.of(v) for t, v in jac.items()}
                         raise JacobiViolation(
-                            a, b, c, _dense(jac, n), self.labels
+                            a, b, c, _dense(coords, n), self.labels
                         )
 
     def _jacobiator(self, i, j, k) -> dict:
+        """Jacobiator of e_i, e_j, e_k, computed on the native ``_pairs``."""
         out: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self._c(a, b)
-            if inner:
-                _sadd(out, self.bracket_sparse(inner, {c: _ONE}), _ONE)
+            hit = self._pairs[a].get(b)
+            if hit is not None:
+                _sadd(out, self.bracket_sparse(hit[3], {c: 1}), 1 if a < b else -1)
         return out
 
     def _c(self, i, j) -> dict:
@@ -198,6 +202,8 @@ class LieAlgebra:
         """[u, v] on sparse coordinate dicts.  Only the table pairs with one
         index in each support are visited, in table order, so the sum is
         accumulated in the same order as a scan of the whole table."""
+        if not u or not v:
+            return {}
         hits = {}
         for a in u:
             row = self._pairs[a]
@@ -217,7 +223,7 @@ class LieAlgebra:
                 coef = ui * vj
             if uj is not None and vi is not None:
                 coef = -uj * vi if coef is None else coef - uj * vi
-            if not coef.is_zero():
+            if coef:
                 _sadd(out, comps, coef)
         return out
 

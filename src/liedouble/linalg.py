@@ -31,7 +31,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch
-from .scalars import _ONE, _ZERO, Poly, Scalar, poly_normalize
+from .scalars import _ONE, _ZERO, Poly, Scalar, _native, poly_normalize
 
 
 def _dense(v: dict, n: int) -> tuple:
@@ -84,30 +84,43 @@ class ExceptionalSet:
 
 
 def _sadd(acc: dict, v: dict, coef=1) -> None:
-    """``acc += coef * v`` on sparse ``{index: Scalar}`` vectors, dropping
-    zeros.  ``coef`` is a Scalar, or the int 1 or -1 to add or subtract
-    ``v`` with no multiplication."""
-    if type(coef) is int:
+    """``acc += coef * v`` on sparse vectors, dropping entries that cancel.
+
+    Values and ``coef`` may be Scalars or native numbers (int, Fraction),
+    mixed: a native operand of a Scalar goes to the Scalar's method, so any
+    sum or product with a Scalar in it is a Scalar.  Exactly the int 1 and
+    -1 add or subtract ``v`` with no multiplication; every other ``coef``
+    multiplies, and a zero ``coef`` leaves ``acc`` unchanged.  Zeros are
+    tested by truthiness (``Scalar.__bool__`` is ``not is_zero()``)."""
+    if not coef:
+        return
+    if type(coef) is int and (coef == 1 or coef == -1):
         for k, c in v.items():
             s = acc.get(k)
             if s is None:
-                s = c if coef > 0 else -c
+                s = c if coef == 1 else -c
             else:
-                s = s + c if coef > 0 else s - c
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
+                s = s + c if coef == 1 else s - c
+            if s:
                 acc[k] = s
-        return
-    if coef.is_zero():
+            else:
+                acc.pop(k, None)
         return
     for k, c in v.items():
         s = acc.get(k)
         s = c * coef if s is None else s + c * coef
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
+        if s:
             acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def _apply(cols, v: dict) -> dict:
+    """The image of sparse ``v`` under the matrix with columns ``cols``."""
+    out: dict = {}
+    for b, vb in v.items():
+        _sadd(out, cols[b], vb)
+    return out
 
 
 class Matrix:
@@ -118,9 +131,13 @@ class Matrix:
     on first use.  A square matrix is also a linear map on coordinate space
     (``lie_core.LinearMap`` is this class): ``entries[a][b]`` is the
     coefficient of basis vector ``a`` in the image of basis vector ``b``.
-    Every operation below works on the sparse rows or columns."""
+    Every operation below works on the sparse rows or columns.
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns")
+    ``apply_sparse`` reads a private third view, ``_native_columns``: the
+    columns with every rational entry as an int or Fraction, built once per
+    matrix, so a map kept in ``g._cache`` is converted once per process."""
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns", "_native")
 
     def __init__(self, entries):
         dense = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
@@ -131,6 +148,7 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         self._entries = dense
         self._columns = None
+        self._native = None
         self.sparse_rows = tuple(
             {j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense
         )
@@ -145,6 +163,7 @@ class Matrix:
         m.sparse_rows = tuple(rows)
         m._entries = None
         m._columns = None
+        m._native = None
         return m
 
     @staticmethod
@@ -203,6 +222,14 @@ class Matrix:
         return self._columns
 
     @property
+    def _native_columns(self):
+        if self._native is None:
+            self._native = tuple(
+                {a: _native(e) for a, e in col.items()} for col in self.columns
+            )
+        return self._native
+
+    @property
     def dim(self) -> int:
         """Size of a square matrix."""
         if self.rows != self.cols:
@@ -227,11 +254,9 @@ class Matrix:
     # -- linear-map operations ------------------------------------------------
 
     def apply_sparse(self, v: dict) -> dict:
-        cols = self.columns
-        out: dict = {}
-        for b, vb in v.items():
-            _sadd(out, cols[b], vb)
-        return out
+        """Image of a sparse vector, computed on the native columns: Scalar
+        input gives Scalar output, native input native output."""
+        return _apply(self._native_columns, v)
 
     def apply_vec(self, coords) -> tuple:
         coords = [Scalar.of(c) for c in coords]
@@ -244,9 +269,8 @@ class Matrix:
 
     def compose(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply other first)."""
-        return Matrix.from_columns(
-            [self.apply_sparse(col) for col in other.columns], self.rows
-        )
+        cols = self.columns
+        return Matrix.from_columns([_apply(cols, col) for col in other.columns], self.rows)
 
     def _product(self, other: "Matrix") -> "Matrix":
         """self @ other with each entry summed from zero over ascending

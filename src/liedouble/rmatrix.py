@@ -150,11 +150,12 @@ def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
             br = _b_r_sparse(g, r, basis[i], basis[j])
             cij = g._c(i, j)
             for k in sorted(set(br) | set(cij)):
-                rows.append([cij.get(k, _ZERO)])
+                c = cij.get(k)
+                rows.append({} if c is None else {0: c})
                 rhs.append(-br.get(k, _ZERO))
     if not rows:
         return MYBESolution("all")
-    res = solve_affine(Matrix(rows), rhs)
+    res = solve_affine(Matrix.sparse(rows, 1), rhs)
     if res.status == "none":
         return MYBESolution("none", exceptional=res.exceptional)
     if res.status == "unique":

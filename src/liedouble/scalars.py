@@ -661,6 +661,11 @@ class Scalar:
     def is_one(self) -> bool:
         return self.is_rational and self._num == 1
 
+    def __bool__(self) -> bool:
+        # normalized: only a rational Scalar (a Fraction numerator) is zero
+        num = self._num
+        return type(num) is not Fraction or bool(num)
+
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -786,6 +791,17 @@ def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
 
 _ZERO = Scalar(Fraction(0))
 _ONE = Scalar(Fraction(1))
+
+
+def _native(c):
+    """A rational Scalar as the native number the kernels compute on: an
+    int, or a Fraction when the value is not an integer.  Any other value
+    (an int, a Fraction, or a Scalar that carries a variable) is returned
+    unchanged."""
+    if type(c) is Scalar and c._den is None and type(c._num) is Fraction:
+        q = c._num
+        return q.numerator if q.denominator == 1 else q
+    return c
 
 
 # -- literal grammar -------------------------------------------------------

@@ -17,6 +17,7 @@ from liedouble import (
     canonical_identity,
     cbm_implies_id34_audit,
     check_quantified,
+    derivation_space,
     eval_identity,
     get,
     id6_from_id3_audit,
@@ -225,6 +226,33 @@ def test_failing_report_witness_reproduces_value():
     e = g.basis_element
     assert report.value == eval_identity(g, "4", e(0), e(1), e(2))
     assert report.value == -e(7)
+
+
+def test_public_values_stay_scalars():
+    # sweeps compute on native numbers; every value the public surface
+    # returns is a Scalar, on rational, simple and parametric algebras
+    def scalars_only(*vecs):
+        return all(type(c) is Scalar for vec in vecs for c in vec.values())
+
+    for name, assignment in (("filiform", {"n": 8}), ("sl3", None), ("glambda", None)):
+        g = get(name, assignment)
+        n = g.dim
+        m = LinearMap([[Fraction(i + 2 * j + 1, 2) for j in range(n)] for i in range(n)])
+        for code in ("1", "2"):
+            report = check_quantified(g, code, Fixed(m))
+            assert report.status == "fails" and report.value.sparse()
+            assert scalars_only(report.value.sparse())
+        space = derivation_space(g)
+        assert scalars_only(*(row for d in space.basis for row in d.sparse_rows))
+        assert scalars_only(*g.table.values())
+        e = g.basis_element
+        x = g.element([Fraction(1, i + 1) for i in range(n)])
+        assert m.apply_sparse(x.sparse()) and g.bracket(x, e(0)).sparse()
+        assert scalars_only(g.bracket(x, e(0)).sparse(), g.bracket_sparse(x.sparse(), e(0).sparse()))
+        for d in (m, *space.basis):
+            assert scalars_only(d.apply_sparse(x.sparse()))
+            assert scalars_only(eval_identity(g, "2", d, x, e(0), e(1)).sparse())
+        assert scalars_only(eval_identity(g, "3", x, e(0), e(1), e(2)).sparse())
 
 
 def test_five_slot_identity_alternates_in_last_four_slots():

@@ -210,6 +210,12 @@ def _full_scan_bracket(g, u, v):
     return out
 
 
+def _natives(v):
+    """Each rational Scalar of ``v`` as an int, or a Fraction if not integral."""
+    qs = {i: c.as_fraction() for i, c in v.items()}
+    return {i: q.numerator if q.denominator == 1 else q for i, q in qs.items()}
+
+
 def _bracket_algebras():
     out = []
     for name in names():
@@ -243,6 +249,10 @@ def test_bracket_matches_a_full_table_scan():
         for u in inputs:
             for v in inputs:
                 assert shown(g.bracket_sparse(u, v)) == shown(_full_scan_bracket(g, u, v)), g
+                # native inputs (int, Fraction) give the same values in the
+                # same key order as the Scalar-wrapped ones
+                assert shown(g.bracket_sparse(_natives(u), _natives(v))) == shown(
+                    g.bracket_sparse(u, v)), g
         for i in range(n):
             for j in range(n):
                 assert list(g.bracket_sparse(basis[i], basis[j])) == list(
@@ -254,6 +264,7 @@ def test_bracket_matches_a_full_table_scan():
             for u in inputs[: n + 3]:
                 assert shown(g.bracket_sparse(u, w)) == shown(_full_scan_bracket(g, u, w))
                 assert shown(g.bracket_sparse(w, u)) == shown(_full_scan_bracket(g, w, u))
+                assert shown(g.bracket_sparse(_natives(u), w)) == shown(g.bracket_sparse(u, w))
 
 
 def test_bracket_of_symbolic_elements_matches_a_full_table_scan():

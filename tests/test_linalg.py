@@ -17,6 +17,7 @@ from liedouble import (
     solve_affine,
     solve_columns,
 )
+from liedouble.linalg import _sadd
 
 
 def _col(*values):
@@ -349,3 +350,25 @@ def test_map_builders_are_sparse():
     flat = [Scalar.of(x) for x in (0, 1, 0, 0, 0, 2, 3, 0, 0)]
     assert Matrix.from_flat(enumerate(flat), 3) == Matrix([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
     assert Matrix([[1, 2]]) != Matrix([[1], [2]])
+
+
+def test_sadd_multiplies_every_coefficient_but_one_and_minus_one():
+    # only the int 1 and -1 skip the multiplication; a zero coefficient
+    # leaves the accumulator alone; native and Scalar values mix, and a
+    # result with any Scalar operand is a Scalar
+    one, two = Scalar.of(1), Scalar.of(2)
+    empty = {}
+    _sadd(empty, {0: one}, 2)
+    assert empty == {0: 2}
+    _sadd(empty, {0: one}, 0)
+    assert empty == {0: 2}
+    coefs = ((1, 3), (-1, 1), (2, 4), (-2, None), (Fraction(1, 2), Fraction(5, 2)),
+             (two, 4), (Scalar.of(-2), None), (0, 2), (Fraction(0), 2), (Scalar.of(0), 2))
+    for coef, want in coefs:
+        for base, unit in ((2, 1), (Fraction(2), one), (two, 1), (two, one)):
+            acc = {0: base}
+            _sadd(acc, {0: unit}, coef)
+            assert acc == ({} if want is None else {0: want}), (coef, base, unit)
+            if acc and coef:
+                scalar_in = Scalar in (type(base), type(unit), type(coef))
+                assert (type(acc[0]) is Scalar) == scalar_in, (coef, base, unit)

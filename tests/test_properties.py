@@ -95,6 +95,8 @@ def test_printed_scalar_parses_back(s):
 @checks(25)
 @given(scalars(), scalars(), scalars())
 def test_scalar_field_axioms(a, b, c):
+    # truthiness is the zero test of every kind of Scalar
+    assert [bool(s) for s in (a, b, c, a - a)] == [not s.is_zero() for s in (a, b, c, a - a)]
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
