@@ -301,7 +301,6 @@ def _cmd_show(args, params, external):
 def _cmd_invariants(args, params, external):
     g = _materialize(args.name, params, external)
     space = derivation_space(g)
-    parametric = bool(g.params) or g.is_parametric()
     doc = {
         "name": args.name,
         "dim": g.dim,
@@ -316,7 +315,7 @@ def _cmd_invariants(args, params, external):
         "solvable": is_solvable(g),
         "metabelian": is_metabelian(g),
         "center_by_metabelian": is_center_by_metabelian(g),
-        "characteristically_nilpotent": None if parametric else is_characteristically_nilpotent(g),
+        "characteristically_nilpotent": None if g.is_parametric() else is_characteristically_nilpotent(g),
         "derivation_dim": space.dim,
         "derivation_exceptional": _strs(space.exceptional),
     }

@@ -90,12 +90,13 @@ def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
     rule fails identically."""
     _check_map(m, g.dim, "is_derivation")
     weight = Scalar.of(weight)
+    cols = m._column_view
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             diff: dict = {}
             _sadd(diff, m.apply_sparse(g._c(i, j)), weight)
-            _sadd(diff, g.bracket_sparse(m.columns[i], {j: _ONE}), -1)
-            _sadd(diff, g.bracket_sparse({i: _ONE}, m.columns[j]), -1)
+            _sadd(diff, g.bracket_sparse(cols[i], {j: 1}), -1)
+            _sadd(diff, g.bracket_sparse({i: 1}, cols[j]), -1)
             if diff:
                 return False, (i, j)
     return True, None
@@ -115,7 +116,7 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> bool:
 
     Only meaningful for parameter-free algebras; parametric input is
     rejected rather than answered generically."""
-    if g.params or g.is_parametric():
+    if g.is_parametric():
         raise ValueError("requires a parameter-free algebra")
     from .lie_core import is_nilpotent
 

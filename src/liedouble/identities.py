@@ -280,7 +280,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     the whole call, so keyed by ``id``), indexed by the tuple's position.
 
     On rational data the sweep computes with native numbers: basis vectors
-    are ``{i: 1}``, maps are applied through their native columns,
+    are ``{i: 1}``, maps are applied through their column view,
     ``g._pairs`` holds native constants, an element payload arrives
     converted and the weight is a Fraction.  Only values that carry a
     variable are Scalars, so yielded vectors mix ints, Fractions and
@@ -472,7 +472,7 @@ class AuditReport:
 
 
 def _require_plain(g):
-    if g.params:
+    if g.is_parametric():
         raise ValueError("audit requires a parameter-free algebra")
 
 

@@ -256,7 +256,9 @@ class LieAlgebra:
             raise KeyError(f"no basis vector labeled {name!r}") from None
 
     def is_parametric(self) -> bool:
-        return any(
+        """True when the algebra declares a parameter or its table carries a
+        variable; the parameter-free checks refuse exactly these algebras."""
+        return bool(self.params) or any(
             not c.is_rational for comps in self.table.values() for c in comps.values()
         )
 

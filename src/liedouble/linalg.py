@@ -115,29 +115,19 @@ def _sadd(acc: dict, v: dict, coef=1) -> None:
             acc.pop(k, None)
 
 
-def _apply(cols, v: dict) -> dict:
-    """The image of sparse ``v`` under the matrix with columns ``cols``."""
-    out: dict = {}
-    for b, vb in v.items():
-        _sadd(out, cols[b], vb)
-    return out
-
-
 class Matrix:
     """Immutable matrix of Scalars, stored as sparse rows.
 
-    ``sparse_rows[i]`` maps column -> nonzero Scalar.  ``entries`` (dense row
-    tuples) and ``columns`` (``{row: Scalar}`` per column) are views built
-    on first use.  A square matrix is also a linear map on coordinate space
-    (``lie_core.LinearMap`` is this class): ``entries[a][b]`` is the
-    coefficient of basis vector ``a`` in the image of basis vector ``b``.
-    Every operation below works on the sparse rows or columns.
+    ``sparse_rows[i]`` maps column -> nonzero Scalar; ``entries`` (dense row
+    tuples) is a view built on first use.  A square matrix is also a linear
+    map on coordinate space (``lie_core.LinearMap`` is this class):
+    ``entries[a][b]`` is the coefficient of basis vector ``a`` in the image
+    of basis vector ``b``.  Map operations read one private, cached column
+    view, ``_column_view`` (``{row: value}`` per column, rational entries as
+    int or Fraction), so a map kept in ``g._cache`` is converted once per
+    process; ``from_columns`` turns their results back into Scalars."""
 
-    ``apply_sparse`` reads a private third view, ``_native_columns``: the
-    columns with every rational entry as an int or Fraction, built once per
-    matrix, so a map kept in ``g._cache`` is converted once per process."""
-
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns", "_native")
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns")
 
     def __init__(self, entries):
         dense = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
@@ -148,7 +138,6 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         self._entries = dense
         self._columns = None
-        self._native = None
         self.sparse_rows = tuple(
             {j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense
         )
@@ -163,16 +152,16 @@ class Matrix:
         m.sparse_rows = tuple(rows)
         m._entries = None
         m._columns = None
-        m._native = None
         return m
 
     @staticmethod
     def from_columns(cols, dim) -> "Matrix":
-        """``dim``-row matrix from ``{row: Scalar}`` columns of nonzeros."""
+        """``dim``-row matrix from ``{row: value}`` columns of nonzeros;
+        native values are stored as Scalars."""
         rows = [{} for _ in range(dim)]
         for b, col in enumerate(cols):
             for a, e in col.items():
-                rows[a][b] = e
+                rows[a][b] = Scalar.of(e)
         return Matrix.sparse(rows, len(cols))
 
     @staticmethod
@@ -212,22 +201,14 @@ class Matrix:
         return self._entries
 
     @property
-    def columns(self):
+    def _column_view(self):
         if self._columns is None:
             cols = [{} for _ in range(self.cols)]
             for i, row in enumerate(self.sparse_rows):
                 for j, e in row.items():
-                    cols[j][i] = e
+                    cols[j][i] = _native(e)
             self._columns = tuple(cols)
         return self._columns
-
-    @property
-    def _native_columns(self):
-        if self._native is None:
-            self._native = tuple(
-                {a: _native(e) for a, e in col.items()} for col in self.columns
-            )
-        return self._native
 
     @property
     def dim(self) -> int:
@@ -254,9 +235,13 @@ class Matrix:
     # -- linear-map operations ------------------------------------------------
 
     def apply_sparse(self, v: dict) -> dict:
-        """Image of a sparse vector, computed on the native columns: Scalar
-        input gives Scalar output, native input native output."""
-        return _apply(self._native_columns, v)
+        """Image of a sparse vector, computed on the column view: a value is
+        a Scalar when the input or a column entry it meets is one."""
+        cols = self._column_view
+        out: dict = {}
+        for b, vb in v.items():
+            _sadd(out, cols[b], vb)
+        return out
 
     def apply_vec(self, coords) -> tuple:
         coords = [Scalar.of(c) for c in coords]
@@ -269,18 +254,18 @@ class Matrix:
 
     def compose(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply other first)."""
-        cols = self.columns
-        return Matrix.from_columns([_apply(cols, col) for col in other.columns], self.rows)
+        return Matrix.from_columns([self.apply_sparse(c) for c in other._column_view], self.rows)
 
     def _product(self, other: "Matrix") -> "Matrix":
         """self @ other with each entry summed from zero over ascending
         inner indices, the order of the dense product (it fixes how
         rational-function entries print)."""
+        mine = self._column_view
         cols = []
-        for col in other.columns:
+        for col in other._column_view:
             acc = {}
             for k, y in col.items():
-                for a, x in self.columns[k].items():
+                for a, x in mine[k].items():
                     acc[a] = acc.get(a, _ZERO) + x * y
             cols.append({a: e for a, e in acc.items() if not e.is_zero()})
         return Matrix.from_columns(cols, self.rows)

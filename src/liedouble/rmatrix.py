@@ -79,7 +79,7 @@ def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     zero values are skipped."""
     _check_map(r, g.dim, "the R-bracket")
     n = g.dim
-    basis = [{i: _ONE} for i in range(n)]
+    basis = [{i: 1} for i in range(n)]
     rb = [[_r_bracket_sparse(g, r, basis[i], basis[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -142,7 +142,7 @@ class MYBESolution:
 def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
     _check_map(r, g.dim, "mybe_solve")
     n = g.dim
-    basis = [{i: _ONE} for i in range(n)]
+    basis = [{i: 1} for i in range(n)]
     rows = []
     rhs = []
     for i in range(n):
@@ -215,7 +215,7 @@ def extremal_functional(g: LieAlgebra, z: Element):
     zs = z.sparse()
     pivot = next(iter(zs), None)
     values = []
-    for col in sq.columns:
+    for col in sq._column_view:
         mu = _ZERO if pivot is None else col.get(pivot, _ZERO) / zs[pivot]
         rest = dict(col)
         _sadd(rest, zs, -mu)
@@ -237,7 +237,7 @@ def recognize_r31(g: LieAlgebra) -> bool:
     That data pins the algebra up to isomorphism: pick a basis (b1, b2) of
     the derived algebra and extend by the solution x; then [x,b1]=b1,
     [x,b2]=b2 and [b1,b2]=0 is the full table."""
-    if g.params:
+    if g.is_parametric():
         raise ValueError("requires a parameter-free algebra")
     if g.dim != 3:
         return False

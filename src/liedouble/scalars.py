@@ -676,7 +676,10 @@ class Scalar:
         c, d = other.numerator_poly(), other.denominator_poly()
         return Scalar._make(a * d + c * b, b * d)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # other + self, in that order: the operand order of a sum fixes the
+        # variable order its polynomial prints in
+        return Scalar.of(other) + self
 
     def __sub__(self, other):
         other = Scalar.of(other)
@@ -939,9 +942,7 @@ def parse_scalar(text: str, allowed=None) -> Scalar:
 
     ``allowed``, when given, restricts the variable names the literal may
     mention; None admits any name."""
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty scalar literal")
-    return _Parser(text, allowed).parse()
+    return parse_scalar_with_names(text, allowed)[0]
 
 
 def parse_rational(text: str) -> Fraction:

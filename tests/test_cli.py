@@ -110,6 +110,18 @@ def test_rmatrix_matrix_file(tmp_path, capsys):
     json.loads(out)
 
 
+def test_fixed_map_conditions_keep_their_print_order(tmp_path, capsys):
+    # a rational column entry added to a rational-function value keeps the
+    # operand order of an all-Scalar sum, and so the printed variable order
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([["a", "(a*b + b)/(b - a)", "2"],
+                                ["-1", "a", "b/(a + 1)"],
+                                ["3", "a", "1"]]), encoding="utf-8")
+    code, out, err = run(capsys, "identity", "sl2", "--id", "2", "--map", str(path))
+    assert (code, err) == (0, "")
+    assert "  conditions: 6*a - b + 6; a - 1\n" in out
+
+
 def test_unknown_name_is_a_validation_error(capsys):
     code, out, err = run(capsys, "show", "nope")
     assert code == 2

@@ -10,6 +10,7 @@ from liedouble import (
     ALL_ELEMENTS,
     ALL_INNER_DERIVATIONS,
     Fixed,
+    LieAlgebra,
     LinearMap,
     Scalar,
     abelian_algebra,
@@ -26,6 +27,7 @@ from liedouble import (
     nilpotent_witness_derivation,
     parse_element,
     quantifier_from_name,
+    recognize_r31,
 )
 from liedouble.errors import AlgebraMismatch, IncompatibleQuantifier, NotNilpotent
 
@@ -298,6 +300,16 @@ def test_implication_audit_on_nilpotent_algebra():
         "id3_all_elem": True,
         "id4_all_elem": True,
     }
+
+
+def test_parameter_free_checks_refuse_an_undeclared_variable():
+    # the table carries t although the algebra declares no parameter
+    g = LieAlgebra(3, {(0, 1): {2: Scalar.variable("t")}})
+    assert g.params == () and g.is_parametric()
+    for check in (implication_audit, metabelian_equivalences, id6_from_id3_audit,
+                  cbm_implies_id34_audit, nilpotent_witness_derivation, recognize_r31):
+        with pytest.raises(ValueError):
+            check(g)
 
 
 def test_metabelian_equivalences_audit():

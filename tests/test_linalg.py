@@ -13,6 +13,8 @@ from liedouble import (
     get,
     inner_derivations,
     nullspace,
+    parse_scalar,
+    poly_normalize,
     rank,
     solve_affine,
     solve_columns,
@@ -76,6 +78,21 @@ def test_parametric_rank_records_exceptional_polynomials():
     assert result.exceptional.vanishes_at({"t": Fraction(1)})
     assert result.exceptional.vanishes_at({"t": Fraction(-1)})
     assert not result.exceptional.vanishes_at({"t": Fraction(2)})
+
+
+def test_rational_function_rows_record_their_cleared_denominators():
+    # a row with a rational-function entry is multiplied through by its
+    # denominators before elimination; each one joins the exceptional set
+    q = parse_scalar
+    m = Matrix([[q("1/(a - b)"), 1], [1, q("a - b")]])
+    ns = nullspace(m)
+    assert ns.dim == 1
+    assert not m.apply_sparse(ns.vectors[0])
+    assert poly_normalize(q("a - b").numerator_poly()) in ns.exceptional.polys
+    res = solve_affine(Matrix([[q("1/(a - 1)"), 0], [0, 1]]), (1, 2))
+    assert res.status == "unique"
+    assert res.particular == (q("a - 1"), Scalar.of(2))
+    assert [str(p) for p in res.exceptional] == ["a - 1"]
 
 
 def test_exceptional_set_deduplicates_and_drops_constants():

@@ -93,6 +93,36 @@ def test_non_rmatrix_detected_with_witness():
     assert not obstruction.value(0, 1, 2).is_zero()
 
 
+def test_parametric_operator_gives_a_conditional_verdict():
+    g = get("sl2")
+    report = is_classical_rmatrix(g, LinearMap.diagonal([Scalar.variable("t"), 1, 1]))
+    assert report.status == "conditional"
+    assert [str(p) for p in report.conditions] == ["t^2 - 1"]
+    assert report.roots == (frozenset({Fraction(-1), Fraction(1)}),)
+    for t in (1, -1):
+        assert is_classical_rmatrix(g, LinearMap.diagonal([t, 1, 1])).status == "holds"
+    report = is_classical_rmatrix(g, LinearMap.diagonal([2, 1, 1]))
+    assert report.status == "fails" and report.witness == (0, 1, 2)
+    assert str(report.value) == "6*e3"
+
+
+def test_map_operations_return_scalars():
+    # map operations compute on native column entries; what they return
+    # holds Scalars only, on rational and parametric input alike
+    def scalars_only(m):
+        return all(type(e) is Scalar for row in m.sparse_rows for e in row.values())
+
+    for name in ("sl3", "r3lambda"):
+        g = get(name)
+        z = g.element({0: 1, 1: Fraction(1, 2), g.dim - 1: -3})
+        a, b = g.ad(z), g.ad(g.basis_element(1))
+        assert scalars_only(a.compose(b)) and scalars_only(a.commutator(b))
+        assert not a.compose(b).is_zero() and not a.commutator(b).is_zero()
+    sl3 = get("sl3")
+    functional = extremal_functional(sl3, sl3.basis_element(1).scale(Scalar.of(3)))
+    assert any(functional) and all(type(c) is Scalar for c in functional)
+
+
 def test_obstruction_vanishes_for_inner_operator():
     g = get("sl2")
     obstruction = rmatrix_obstruction(g, g.ad(g.basis_element(0)))

@@ -12,7 +12,14 @@ from liedouble import (
     poly_normalize,
     rational_roots,
 )
-from liedouble.errors import DivisionByZero, LieDoubleError, NotUnivariate, ParseError, ValueTooLarge
+from liedouble.errors import (
+    DenominatorVanishes,
+    DivisionByZero,
+    LieDoubleError,
+    NotUnivariate,
+    ParseError,
+    ValueTooLarge,
+)
 
 
 def test_rational_arithmetic_is_exact():
@@ -42,6 +49,15 @@ def test_mixed_int_and_fraction_operands():
     assert (t * 4) / 2 == 2 * t
 
 
+def test_native_plus_scalar_keeps_operand_order():
+    # k + f goes to f.__radd__, which must add in the order k, f: the
+    # operand order of a sum fixes the variable order it prints in
+    f = parse_scalar("(b + a)/(a - b)")
+    for k in (0, 2, Fraction(1, 2)):
+        assert str(k + f) == str(Scalar.of(k) + f)
+    assert str(2 + f) == "(3*a - b)/(a - b)"
+
+
 def test_division_by_zero_scalar_raises():
     t = Scalar.variable("t")
     with pytest.raises(DivisionByZero):
@@ -57,6 +73,11 @@ def test_substitute_full_assignment_yields_rational():
     value = s.substitute({"t": Fraction(2), "u": Fraction(3)})
     assert value == Scalar.of(6)
     assert value.is_rational
+
+
+def test_substitute_into_a_vanishing_denominator_raises():
+    with pytest.raises(DenominatorVanishes):
+        parse_scalar("1/(a - 1)").substitute({"a": 1})
 
 
 def test_rational_function_simplifies_common_factor():
