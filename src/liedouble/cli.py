@@ -24,7 +24,6 @@ import io
 import json
 import sys
 
-from . import acceptance
 from .catalog import ParamSpec, _bracket_doc, check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
 from .errors import DuplicateName, LieDoubleError, ParseError
@@ -472,6 +471,8 @@ def _cmd_table1(args, params, external):
 
 
 def _cmd_check_paper(args, params, external):
+    from . import acceptance  # imported here: no other command needs it
+
     results = acceptance.run_all()
     doc = {
         "ok": all(r.ok for r in results),

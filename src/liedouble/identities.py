@@ -128,23 +128,38 @@ _ADMITTED = {"map": ("fixed-map", "all-der", "all-inner"), "z": ("fixed-elem", "
 # ---------------------------------------------------------------------------
 # the identity table
 
+# Each term below is a bracket [outer, inner] whose inner operand is itself
+# a bracket.  The inner value is computed first, and a term whose inner
+# value is zero is skipped before its outer operand is built.  _sadd into an
+# empty dict copies the values as they are, so the sums and their print
+# order do not change.
+
 def _e2(b, d, x, y, w):
-    out = b(d.apply_sparse(x), b(y, w))
-    _sadd(out, b(d.apply_sparse(y), b(w, x)))
-    _sadd(out, b(d.apply_sparse(w), b(x, y)))
+    out: dict = {}
+    for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
+        inner = b(v1, v2)
+        if inner:
+            _sadd(out, b(d.apply_sparse(u), inner))
     return out
 
 
 def _e3(b, z1, z2, x, y, w):
-    out = b(z1, b(b(z2, x), b(y, w)))
-    _sadd(out, b(z1, b(b(z2, y), b(w, x))))
-    _sadd(out, b(z1, b(b(z2, w), b(x, y))))
+    out: dict = {}
+    for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
+        inner = b(v1, v2)
+        if inner:
+            _sadd(out, b(z1, b(b(z2, u), inner)))
     return out
 
 
 def _e6(b, z, w1, w2, x, y):
-    out = b(z, b(b(w1, x), b(w2, y)))
-    _sadd(out, b(w1, b(b(z, w2), b(x, y))), -1)
+    out: dict = {}
+    inner = b(w2, y)
+    if inner:
+        _sadd(out, b(z, b(b(w1, x), inner)))
+    inner = b(x, y)
+    if inner:
+        _sadd(out, b(w1, b(b(z, w2), inner)), -1)
     return out
 
 
@@ -336,7 +351,7 @@ def _scan_conditions(values):
     the result is ``(None, None, conditions, roots)``: the distinct
     normalized numerators, sorted by degree and then text, and their
     rational root sets (None for a multivariate condition)."""
-    conditions = []
+    seen = {}  # normalized numerator -> the first equal one seen
     for key, sparse in values:
         for coord in sorted(sparse):
             c = sparse[coord]
@@ -344,9 +359,8 @@ def _scan_conditions(values):
             if num is None or num.is_constant():
                 return key, sparse, (), ()
             p = poly_normalize(num)
-            if all(p != q for q in conditions):
-                conditions.append(p)
-    conditions.sort(key=lambda p: (p.total_degree(), str(p)))
+            seen.setdefault(p, p)
+    conditions = sorted(seen.values(), key=lambda p: (p.total_degree(), str(p)))
     roots = [
         rational_roots(p).roots if len(p.variables()) == 1 else None
         for p in conditions

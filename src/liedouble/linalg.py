@@ -31,7 +31,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch
-from .scalars import _ONE, _ZERO, Poly, Scalar, _native, poly_normalize
+from .scalars import _ONE, _ZERO, Poly, Scalar, _merged_vars, _native, poly_normalize
 
 
 def _dense(v: dict, n: int) -> tuple:
@@ -446,14 +446,25 @@ def _poly_bareiss(rows, npivot):
         for i in range(r + 1, m):
             rowi = rows[i]
             f = rowi[c]
+            # a cell whose operands are all zero stays zero, with the
+            # variable order the Poly arithmetic below would give it
             if not f.is_zero():
                 for j in range(c + 1, n):
-                    upd = piv * rowi[j] - f * rowr[j]
+                    a, b = rowi[j], rowr[j]
+                    if not a.terms and not b.terms:
+                        rowi[j] = Poly({}, _merged_vars(
+                            _merged_vars(piv.vars, a.vars), _merged_vars(f.vars, b.vars)))
+                        continue
+                    upd = piv * a - f * b
                     rowi[j] = upd if trivial else upd.exact_div(prev)
                 rowi[c] = Poly.const(0)
             elif not (trivial and piv.is_constant() and piv.constant_value() == 1):
                 for j in range(c + 1, n):
-                    upd = piv * rowi[j]
+                    a = rowi[j]
+                    if not a.terms:
+                        rowi[j] = Poly({}, _merged_vars(piv.vars, a.vars))
+                        continue
+                    upd = piv * a
                     rowi[j] = upd if trivial else upd.exact_div(prev)
         prev = piv
         pivots.append((r, c))

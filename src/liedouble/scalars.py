@@ -4,13 +4,16 @@ Three nested levels, all with decidable equality:
 
 * rationals (``fractions.Fraction``),
 * sparse multivariate polynomials over the rationals (:class:`Poly`),
+  whose coefficients are ``int`` when integral and ``Fraction`` otherwise,
 * fractions of polynomials (represented inside :class:`Scalar`).
 
 A :class:`Scalar` always sits at the lowest level that can represent its
 value: a constant polynomial collapses to a rational, a fraction with
 constant denominator collapses to a polynomial.  Fractions are kept in a
 normal form (see :meth:`Scalar._make`) so that printing is canonical and
-equality can fall back to cross-multiplication.
+equality can fall back to cross-multiplication.  Sums, differences and
+products of Scalars without a denominator combine their numerators
+directly; only genuine fractions go through that normal form.
 
 There is deliberately no multivariate gcd: fractions with more than one
 variable are reduced only by monomial and rational content.  Univariate
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
 
@@ -67,12 +72,29 @@ def _grlex_key(m: Monomial, order: tuple):
     return (_mono_degree(m), tuple(exps.get(name, 0) for name in order))
 
 
+def _merged_vars(a: tuple, b: tuple) -> tuple:
+    """Left-first union of two variable orders: the order a sum, difference
+    or product of polynomials with these orders prints in."""
+    if a == b:
+        return a
+    return a + tuple(v for v in b if v not in a)
+
+
+def _cdiv(a, b):
+    """a / b on coefficients, as an int when exact and a Fraction otherwise."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _native(Fraction(a, b))
+
+
 class Poly:
     """Sparse polynomial over the rationals.
 
-    ``terms`` maps monomials to nonzero Fraction coefficients.  ``vars``
-    records a preferred variable order for printing; arithmetic merges the
-    orders left-first so output stays stable within one computation.
+    ``terms`` maps monomials to nonzero coefficients: an ``int`` when the
+    coefficient is integral and a ``Fraction`` otherwise, so fraction-free
+    elimination runs on machine-friendly integers.  ``vars`` records a
+    preferred variable order for printing; arithmetic merges the orders
+    left-first so output stays stable within one computation.
     """
 
     __slots__ = ("terms", "vars")
@@ -85,14 +107,14 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        value = Fraction(value)
-        if value == 0:
+        value = _native(value)
+        if not value:
             return Poly({}, ())
         return Poly({(): value}, ())
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)}, (name,))
+        return Poly({((name, 1),): 1}, (name,))
 
     # -- basic queries ------------------------------------------------
 
@@ -103,10 +125,11 @@ class Poly:
         return not self.terms or self.terms.keys() == {()}
 
     def constant_value(self) -> Fraction:
-        """Value of a constant polynomial."""
+        """Value of a constant polynomial, always as a Fraction."""
         if not self.terms:
             return Fraction(0)
-        return self.terms[()]
+        c = self.terms[()]
+        return c if type(c) is Fraction else Fraction(c)
 
     def variables(self) -> frozenset:
         return frozenset(name for m in self.terms for name, _ in m)
@@ -125,12 +148,9 @@ class Poly:
         return best
 
     # -- arithmetic ---------------------------------------------------
-
-    def _merged_vars(self, other: "Poly") -> tuple:
-        if self.vars == other.vars:
-            return self.vars
-        extra = tuple(v for v in other.vars if v not in self.vars)
-        return self.vars + extra
+    #
+    # int op int stays an int; a result that involved a Fraction goes
+    # through _native, which turns an integral Fraction back into an int.
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
@@ -141,10 +161,10 @@ class Poly:
             else:
                 s = s + c
                 if s:
-                    terms[m] = s
+                    terms[m] = s if type(s) is int else _native(s)
                 else:
                     del terms[m]
-        return Poly(terms, self._merged_vars(other))
+        return Poly(terms, _merged_vars(self.vars, other.vars))
 
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
@@ -155,38 +175,41 @@ class Poly:
             else:
                 s = s - c
                 if s:
-                    terms[m] = s
+                    terms[m] = s if type(s) is int else _native(s)
                 else:
                     del terms[m]
-        return Poly(terms, self._merged_vars(other))
+        return Poly(terms, _merged_vars(self.vars, other.vars))
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()}, self.vars)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        merged = _merged_vars(self.vars, other.vars)
         if not self.terms or not other.terms:
-            return Poly({}, self._merged_vars(other))
+            return Poly({}, merged)
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 s = terms.get(m)
-                if s is None:
-                    terms[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[m] = s
-                    else:
+                if s is not None:
+                    c = s + c
+                    if not c:
                         del terms[m]
-        return Poly(terms, self._merged_vars(other))
+                        continue
+                terms[m] = c if type(c) is int else _native(c)
+        return Poly(terms, merged)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+        c = _native(c)
+        if not c:
             return Poly({}, self.vars)
-        return Poly({m: k * c for m, k in self.terms.items()}, self.vars)
+        terms = {}
+        for m, k in self.terms.items():
+            k = k * c
+            terms[m] = k if type(k) is int else _native(k)
+        return Poly(terms, self.vars)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -262,32 +285,53 @@ class Poly:
         return Poly(terms, self.vars)
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; the caller guarantees exactness."""
+        """Exact polynomial division; the caller guarantees exactness.
+
+        The remainder's monomials sit in a heap keyed by their negated
+        grlex key, each key built once, so the leading term is a pop
+        rather than a scan; a term that cancels stays in the heap and is
+        skipped when it comes up (Johnson 1974; Monagan and Pearce 2007)."""
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
         if divisor.is_constant():
-            return self.scale(1 / divisor.constant_value())
+            c = divisor.terms[()]
+            return Poly({m: _cdiv(k, c) for m, k in self.terms.items()}, self.vars)
         if self.is_zero():
             return Poly({}, self.vars)
         order = tuple(sorted(self.variables() | divisor.variables()))
+
+        def entry(m):  # the negated grlex key, then the monomial itself
+            exps = dict(m)
+            return (-_mono_degree(m), *[-exps.get(name, 0) for name in order], m)
+
         dmono, dcoef = divisor.leading(order)
+        rest = [(m, c) for m, c in divisor.terms.items() if m != dmono]
         rem = dict(self.terms)
+        heap = [entry(m) for m in rem]
+        heapify(heap)
         out: dict = {}
-        while rem:
-            lm = max(rem, key=lambda mono: _grlex_key(mono, order))
+        while heap:
+            lm = heappop(heap)[-1]
+            lc = rem.pop(lm, None)
+            if lc is None:  # cancelled since it was pushed
+                continue
             q = _mono_div(lm, dmono)
             if q is None:
                 raise ArithmeticError("inexact polynomial division")
-            qc = rem[lm] / dcoef
-            out[q] = out.get(q, Fraction(0)) + qc
-            for m, c in divisor.terms.items():
+            qc = out[q] = _cdiv(lc, dcoef)
+            for m, c in rest:
                 mm = _mono_mul(m, q)
-                s = rem.get(mm, Fraction(0)) - c * qc
-                if s:
-                    rem[mm] = s
+                s = rem.get(mm)
+                if s is None:
+                    s = -c * qc
+                    heappush(heap, entry(mm))
                 else:
-                    rem.pop(mm, None)
-        return Poly({m: c for m, c in out.items() if c}, self.vars)
+                    s = s - c * qc
+                if s:
+                    rem[mm] = s if type(s) is int else _native(s)
+                else:
+                    del rem[mm]
+        return Poly(out, self.vars)
 
     # -- substitution and evaluation -----------------------------------
 
@@ -376,11 +420,11 @@ def _univar(p: Poly):
 
 
 def _coeff_list(p: Poly, name: str) -> list:
-    """Dense coefficient list, index = exponent."""
+    """Dense coefficient list of Fractions, index = exponent."""
     out = [Fraction(0)] * (p.degree_in(name) + 1)
     for m, c in p.terms.items():
         exp = dict(m).get(name, 0)
-        out[exp] = c
+        out[exp] = Fraction(c)
     return out
 
 
@@ -388,7 +432,7 @@ def _from_coeff_list(coeffs: list, name: str) -> Poly:
     terms = {}
     for exp, c in enumerate(coeffs):
         if c:
-            terms[((name, exp),) if exp else ()] = c
+            terms[((name, exp),) if exp else ()] = _native(c)
     return Poly(terms, (name,))
 
 
@@ -474,9 +518,8 @@ def _derivative(p: Poly, name: str) -> Poly:
             del exps[name]
         else:
             exps[name] = e - 1
-        mm = tuple(sorted(exps.items()))
-        terms[mm] = terms.get(mm, Fraction(0)) + c * e
-    return Poly({m: c for m, c in terms.items() if c}, p.vars)
+        terms[tuple(sorted(exps.items()))] = c * e if type(c) is int else _native(c * e)
+    return Poly(terms, p.vars)
 
 
 class RootReport:
@@ -668,13 +711,30 @@ class Scalar:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``self op other`` for op in add, sub and mul.  When neither
+        side has a denominator the numerators combine directly (a rational
+        side as a constant Poly), with the same left-first variable order
+        the route through _make gives; a fraction goes through _make."""
         other = Scalar.of(other)
-        if self.is_rational and other.is_rational:
-            return Scalar(self._num + other._num)
+        a, c = self._num, other._num
+        if self._den is None and other._den is None:
+            if type(a) is Fraction:
+                if type(c) is Fraction:
+                    return Scalar(op(a, c))
+                a = Poly.const(a)
+            elif type(c) is Fraction:
+                c = Poly.const(c)
+            r = op(a, c)
+            return Scalar(r.constant_value()) if r.is_constant() else Scalar(r)
         a, b = self.numerator_poly(), self.denominator_poly()
         c, d = other.numerator_poly(), other.denominator_poly()
-        return Scalar._make(a * d + c * b, b * d)
+        if op is mul:
+            return Scalar._make(a * c, b * d)
+        return Scalar._make(op(a * d, c * b), b * d)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __radd__(self, other):
         # other + self, in that order: the operand order of a sum fixes the
@@ -682,23 +742,13 @@ class Scalar:
         return Scalar.of(other) + self
 
     def __sub__(self, other):
-        other = Scalar.of(other)
-        if self.is_rational and other.is_rational:
-            return Scalar(self._num - other._num)
-        a, b = self.numerator_poly(), self.denominator_poly()
-        c, d = other.numerator_poly(), other.denominator_poly()
-        return Scalar._make(a * d - c * b, b * d)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        if self.is_rational and other.is_rational:
-            return Scalar(self._num * other._num)
-        a, b = self.numerator_poly(), self.denominator_poly()
-        c, d = other.numerator_poly(), other.denominator_poly()
-        return Scalar._make(a * c, b * d)
+        return self._combine(other, mul)
 
     __rmul__ = __mul__
 
@@ -797,13 +847,14 @@ _ONE = Scalar(Fraction(1))
 
 
 def _native(c):
-    """A rational Scalar as the native number the kernels compute on: an
-    int, or a Fraction when the value is not an integer.  Any other value
-    (an int, a Fraction, or a Scalar that carries a variable) is returned
-    unchanged."""
+    """A rational as the native number the kernels and Poly coefficients
+    compute on: an int, or a Fraction when the value is not an integer.
+    Takes an int, a Fraction or a rational Scalar; any other value (a
+    Scalar that carries a variable) is returned unchanged."""
     if type(c) is Scalar and c._den is None and type(c._num) is Fraction:
-        q = c._num
-        return q.numerator if q.denominator == 1 else q
+        c = c._num
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 

@@ -8,6 +8,7 @@ from liedouble import (
     ExceptionalSet,
     LinearMap,
     Matrix,
+    Poly,
     Scalar,
     generalized_derivation_space,
     get,
@@ -19,7 +20,7 @@ from liedouble import (
     solve_affine,
     solve_columns,
 )
-from liedouble.linalg import _sadd
+from liedouble.linalg import _poly_bareiss, _sadd
 
 
 def _col(*values):
@@ -389,3 +390,65 @@ def test_sadd_multiplies_every_coefficient_but_one_and_minus_one():
             if acc and coef:
                 scalar_in = Scalar in (type(base), type(unit), type(coef))
                 assert (type(acc[0]) is Scalar) == scalar_in, (coef, base, unit)
+
+
+def _dense_poly_bareiss(rows, npivot):
+    """The parametric Bareiss loop before zero cells were skipped: every
+    cell update runs the Poly arithmetic."""
+    m, n = len(rows), len(rows[0])
+    exceptional, pivots = [], []
+    prev = Poly.const(1)
+    r = 0
+    for c in range(npivot):
+        p = next((i for i in range(r, m) if not rows[i][c].is_zero() and rows[i][c].is_constant()), -1)
+        if p < 0:
+            p = next((i for i in range(r, m) if not rows[i][c].is_zero()), -1)
+        if p < 0:
+            continue
+        rows[p], rows[r] = rows[r], rows[p]
+        rowr = rows[r]
+        piv = rowr[c]
+        trivial = prev.is_constant() and prev.constant_value() == 1
+        for i in range(r + 1, m):
+            rowi = rows[i]
+            f = rowi[c]
+            if not f.is_zero():
+                for j in range(c + 1, n):
+                    upd = piv * rowi[j] - f * rowr[j]
+                    rowi[j] = upd if trivial else upd.exact_div(prev)
+                rowi[c] = Poly.const(0)
+            elif not (trivial and piv.is_constant() and piv.constant_value() == 1):
+                for j in range(c + 1, n):
+                    upd = piv * rowi[j]
+                    rowi[j] = upd if trivial else upd.exact_div(prev)
+        prev = piv
+        pivots.append((r, c))
+        if not piv.is_constant():
+            exceptional.append(poly_normalize(piv))
+        r += 1
+        if r == m:
+            break
+    return pivots, exceptional
+
+
+def test_poly_bareiss_skips_zero_cells_without_changing_any_cell():
+    # mostly zero cells, zeros carrying variable orders of their own, and
+    # entries whose variable orders differ: every cell must print and
+    # carry its variables as the dense loop leaves them
+    entries = [parse_scalar(text).numerator_poly() for text in (
+        "t + 1", "s - 2*t", "3", "-1", "t*s", "2*s^2 - t", "t/2 + s", "s + t", "-4", "t^2 - 1")]
+    zeros = [Poly({}, v) for v in ((), ("t",), ("s", "t"), ("t", "s"))]
+    rng = random.Random(20141021)
+    for _ in range(150):
+        m, n = rng.randint(2, 7), rng.randint(2, 8)
+        density = rng.choice((0.1, 0.2, 0.35))
+        rows = [[rng.choice(entries) if rng.random() < density else rng.choice(zeros)
+                 for _ in range(n)] for _ in range(m)]
+        npivot = rng.randint(1, n)
+        got, want = [list(row) for row in rows], [list(row) for row in rows]
+        pivots, exceptional = _poly_bareiss(got, npivot)
+        ref_pivots, ref_exceptional = _dense_poly_bareiss(want, npivot)
+        assert pivots == ref_pivots
+        assert [str(p) for p in exceptional] == [str(p) for p in ref_exceptional]
+        assert [[(str(p), p.vars) for p in row] for row in got] == [
+            [(str(p), p.vars) for p in row] for row in want]

@@ -23,6 +23,7 @@ from liedouble import (  # noqa: E402
     nullspace,
     parse_scalar,
     poly_gcd_univariate,
+    poly_normalize,
     rank,
     rational_roots,
 )
@@ -72,7 +73,7 @@ def _coeffs(p: Poly, name="t") -> list:
     """Coefficients of a univariate polynomial, constant term first."""
     out = [Fraction(0)] * (p.degree_in(name) + 1)
     for mono, c in p.terms.items():
-        out[dict(mono).get(name, 0)] = c
+        out[dict(mono).get(name, 0)] = Fraction(c)
     return out
 
 
@@ -84,6 +85,38 @@ def _coeffs(p: Poly, name="t") -> list:
 def test_exact_division_undoes_multiplication(a, b):
     assume(not b.is_zero())
     assert (a * b).exact_div(b) == a
+
+
+def _assert_native_coefficients(p: Poly):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+
+
+@checks(60)
+@given(polys(names=("x", "y", "z")), polys(names=("x", "y", "z")), RATIONALS, univariate())
+def test_poly_coefficients_are_ints_or_non_integral_fractions(a, b, q, u):
+    results = [a + b, a - b, a * b, -a, a.scale(q), poly_normalize(a), poly_normalize(u),
+               poly_gcd_univariate(u, u * (Poly.variable("t") - Poly.const(q)))]
+    if not b.is_zero():
+        results += [(a * b).exact_div(b), (a * b).exact_div(b.scale(q) if q else b)]
+    if q:
+        results.append(a.exact_div(Poly.const(q)))
+    for p in results:
+        _assert_native_coefficients(p)
+        if p.is_constant():
+            assert type(p.constant_value()) is Fraction
+
+
+@checks(40)
+@given(scalars(), scalars(), RATIONALS)
+def test_rational_scalars_keep_a_fraction_numerator(a, b, q):
+    for s in (a + b, a - b, a * b, a - a, a * 0 + q, Scalar.of(Poly.const(q)), q + a - a,
+              a / a if a else Scalar.of(q)):
+        if s.is_rational:
+            assert type(s._num) is Fraction
+        else:
+            for p in (s.numerator_poly(), s.denominator_poly()):
+                _assert_native_coefficients(p)
 
 
 @checks(60)
@@ -246,3 +279,69 @@ def test_rational_roots_match_sympy(p):
             root = -b / a
             expected.add(Fraction(int(root.p), int(root.q)))
     assert set(rational_roots(p).roots) == expected
+
+
+def _grlex(m, order):
+    exps = dict(m)
+    return (sum(exps.values()), tuple(exps.get(name, 0) for name in order))
+
+
+def _max_based_exact_div(p: Poly, d: Poly) -> Poly:
+    """The division the package ran before its heap division: a max over
+    the whole remainder for every leading term, on Fraction coefficients."""
+    order = tuple(sorted(p.variables() | d.variables()))
+    dmono = max(d.terms, key=lambda m: _grlex(m, order))
+    dcoef = Fraction(d.terms[dmono])
+    rem = {m: Fraction(c) for m, c in p.terms.items()}
+    out = {}
+    while rem:
+        lm = max(rem, key=lambda m: _grlex(m, order))
+        q = dict(lm)
+        for name, e in dmono:
+            q[name] -= e
+            assert q[name] >= 0, "inexact division"
+        q = tuple(sorted((n, e) for n, e in q.items() if e))
+        qc = rem[lm] / dcoef
+        out[q] = out.get(q, Fraction(0)) + qc
+        for m, c in d.terms.items():
+            mm = dict(m)
+            for name, e in q:
+                mm[name] = mm.get(name, 0) + e
+            mm = tuple(sorted(mm.items()))
+            s = rem.get(mm, Fraction(0)) - c * qc
+            if s:
+                rem[mm] = s
+            else:
+                rem.pop(mm, None)
+    return Poly({m: c for m, c in out.items() if c}, p.vars)
+
+
+def _sympy_expr(p: Poly, sympy):
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        for name, e in mono:
+            term *= sympy.Symbol(name) ** e
+        total += term
+    return total
+
+
+@checks(60)
+@given(polys(names=("x", "y", "z")), polys(names=("x", "y", "z"), max_terms=3))
+def test_exact_division_matches_the_max_based_division(a, b):
+    assume(not b.is_constant())
+    quotient = (a * b).exact_div(b)
+    reference = _max_based_exact_div(a * b, b)
+    assert list(quotient.terms.items()) == list(reference.terms.items())
+    assert str(quotient) == str(reference) and quotient.vars == reference.vars
+
+
+@checks(30)
+@given(polys(names=("x", "y", "z")), polys(names=("x", "y", "z"), max_terms=3))
+def test_exact_division_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    assume(not b.is_zero())
+    gens = sympy.symbols("x y z")
+    q, r = sympy.div(_sympy_expr(a * b, sympy), _sympy_expr(b, sympy), *gens, domain="QQ")
+    assert r == 0
+    assert sympy.expand(q - _sympy_expr((a * b).exact_div(b), sympy)) == 0
