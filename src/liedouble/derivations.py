@@ -10,6 +10,8 @@ matrices together with the exceptional parameter values of the elimination.
 
 from __future__ import annotations
 
+import weakref
+
 from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices
 from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace
 from .scalars import _ONE, Scalar
@@ -18,16 +20,23 @@ from .scalars import _ONE, Scalar
 class DerivationSpace:
     """Basis of (weighted) derivations of a fixed algebra.
 
-    kind is "ordinary", "generalized" (weight other than 1) or "inner"."""
+    kind is "ordinary", "generalized" (weight other than 1) or "inner".
+    The algebra caches its spaces, so a space refers back to it weakly: a
+    strong reference would make a cycle that only the cyclic collector
+    frees.  ``algebra`` is None once nothing else holds the algebra."""
 
-    __slots__ = ("algebra", "basis", "exceptional", "weight", "kind")
+    __slots__ = ("_algebra", "basis", "exceptional", "weight", "kind")
 
     def __init__(self, algebra, basis, exceptional=None, weight=_ONE, kind="ordinary"):
-        self.algebra = algebra
+        self._algebra = weakref.ref(algebra)
         self.basis = tuple(basis)
         self.exceptional = exceptional or ExceptionalSet()
         self.weight = Scalar.of(weight)
         self.kind = kind
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self._algebra()
 
     @property
     def dim(self) -> int:

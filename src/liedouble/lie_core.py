@@ -117,7 +117,7 @@ LinearMap = Matrix
 class LieAlgebra:
     """Finite-dimensional Lie algebra over the exact scalar field."""
 
-    __slots__ = ("dim", "labels", "params", "table", "_pairs", "_cache")
+    __slots__ = ("dim", "labels", "params", "table", "_pairs", "_cache", "__weakref__")
 
     def __init__(self, dim, brackets, labels=None, params=(), validate=True):
         self._cache = {}

@@ -31,7 +31,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch
-from .scalars import _ONE, _ZERO, Poly, Scalar, _merged_vars, _native, poly_normalize
+from .scalars import _ONE, _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
 
 
 def _dense(v: dict, n: int) -> tuple:
@@ -447,13 +447,16 @@ def _poly_bareiss(rows, npivot):
             rowi = rows[i]
             f = rowi[c]
             # a cell whose operands are all zero stays zero, with the
-            # variable order the Poly arithmetic below would give it
+            # variable order the Poly arithmetic below would give it; it is
+            # rebuilt only when that order differs from its own
             if not f.is_zero():
                 for j in range(c + 1, n):
                     a, b = rowi[j], rowr[j]
-                    if not a.terms and not b.terms:
-                        rowi[j] = Poly({}, _merged_vars(
-                            _merged_vars(piv.vars, a.vars), _merged_vars(f.vars, b.vars)))
+                    if not a._t and not b._t:
+                        v = _merged_vars(
+                            _merged_vars(piv.vars, a.vars), _merged_vars(f.vars, b.vars))
+                        if v != a.vars:
+                            rowi[j] = _poly({}, v)
                         continue
                     upd = piv * a - f * b
                     rowi[j] = upd if trivial else upd.exact_div(prev)
@@ -461,8 +464,10 @@ def _poly_bareiss(rows, npivot):
             elif not (trivial and piv.is_constant() and piv.constant_value() == 1):
                 for j in range(c + 1, n):
                     a = rowi[j]
-                    if not a.terms:
-                        rowi[j] = Poly({}, _merged_vars(piv.vars, a.vars))
+                    if not a._t:
+                        v = _merged_vars(piv.vars, a.vars)
+                        if v != a.vars:
+                            rowi[j] = _poly({}, v)
                         continue
                     upd = piv * a
                     rowi[j] = upd if trivial else upd.exact_div(prev)

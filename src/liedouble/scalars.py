@@ -24,52 +24,89 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 
 from .errors import DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
 
-# A monomial is a tuple of (name, exponent) pairs, sorted by name, with
-# every exponent >= 1.  The empty tuple is the constant monomial.
-Monomial = tuple
+# A monomial is one int.  Each variable name is interned in _FIELDS, in the
+# order names are first seen, which gives it a _W-bit field holding its
+# exponent; the top bit of every field is a guard that stays clear.  So a
+# product of monomials is an int add, b divides a when a - b leaves every
+# guard bit clear, and equality and hashing compare ints; 0 is the constant
+# monomial.  An exponent above MAX_POLY_EXPONENT would reach a guard bit and
+# raises ValueTooLarge instead.
+#
+# The registry order depends on what a process has seen, so no order that
+# reaches a result comes from it.  Graded lex over the alphabetically sorted
+# names picks the leading term (whose sign normalizes conditions) and the
+# exact_div heap's pop order (the quotient's term order); printing sorts by
+# graded lex over the print order.  _grlex_key decodes each monomial once.
+_W = 16
+MAX_POLY_EXPONENT = (1 << (_W - 1)) - 1
+_MASK = (1 << _W) - 1
+_FIELDS: dict = {}  # name -> bit offset of its field
+_NAMES: list = []  # field number -> name
+_GUARD = 0  # the guard bits of every registered field
+_TOO_LARGE = f"exponent above {MAX_POLY_EXPONENT} in a polynomial"
+_new = object.__new__
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for name, exp in b:
-        out[name] = out.get(name, 0) + exp
-    return tuple(sorted(out.items()))
+def _shift(name: str) -> int:
+    s = _FIELDS.get(name)
+    if s is None:
+        global _GUARD
+        s = _FIELDS[name] = _W * len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (s + _W - 1)
+    return s
 
 
-def _mono_div(a: Monomial, b: Monomial):
-    """a / b, or None when b does not divide a."""
-    if not b:
-        return a
-    out = dict(a)
-    for name, exp in b:
-        have = out.get(name, 0)
-        if have < exp:
-            return None
-        if have == exp:
-            del out[name]
-        else:
-            out[name] = have - exp
-    return tuple(sorted(out.items()))
+def _pack(mono: tuple) -> int:
+    """The packed form of a ((name, exponent), ...) monomial."""
+    m = 0
+    for name, e in mono:
+        if not 0 <= e <= MAX_POLY_EXPONENT:
+            raise ValueTooLarge(_TOO_LARGE)
+        m += e << _shift(name)
+    return m
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(exp for _, exp in m)
+def _exps(m: int):
+    """(name, exponent) for every variable of ``m``, in registry order."""
+    i = 0
+    while m:
+        if m & _MASK:
+            yield _NAMES[i], m & _MASK
+        m >>= _W
+        i += 1
 
 
-def _grlex_key(m: Monomial, order: tuple):
-    """Sort key for graded lexicographic comparison w.r.t. a variable order."""
-    exps = dict(m)
-    return (_mono_degree(m), tuple(exps.get(name, 0) for name in order))
+def _unpack(m: int) -> tuple:
+    """The ((name, exponent), ...) form of ``m``, sorted by name."""
+    return tuple(sorted(_exps(m)))
+
+
+def _grlex_key(order: tuple):
+    """Sort key for graded lexicographic comparison w.r.t. a variable order
+    that covers every variable of the monomials it is applied to."""
+    shifts = [_FIELDS[name] for name in order]
+
+    def key(m):
+        exps = [(m >> s) & _MASK for s in shifts]
+        return sum(exps), exps
+
+    return key
+
+
+def _mono_min(a: int, b: int) -> int:
+    """Field-wise minimum: the gcd of two monomials."""
+    ge = (((a | _GUARD) - b) & _GUARD) >> (_W - 1)  # 1 where a's exponent >= b's
+    sel = ge * _MASK
+    return (b & sel) | (a & ~sel)
 
 
 def _merged_vars(a: tuple, b: tuple) -> tuple:
@@ -87,65 +124,75 @@ def _cdiv(a, b):
     return _native(Fraction(a, b))
 
 
+def _poly(t: dict, vars: tuple) -> "Poly":
+    """A Poly on a dict keyed by packed monomials."""
+    p = _new(Poly)
+    p._t = t
+    p.vars = vars
+    return p
+
+
 class Poly:
     """Sparse polynomial over the rationals.
 
-    ``terms`` maps monomials to nonzero coefficients: an ``int`` when the
-    coefficient is integral and a ``Fraction`` otherwise, so fraction-free
-    elimination runs on machine-friendly integers.  ``vars`` records a
-    preferred variable order for printing; arithmetic merges the orders
-    left-first so output stays stable within one computation.
+    ``terms`` maps monomials, as ((name, exponent), ...) tuples sorted by
+    name, to nonzero coefficients: an ``int`` when the coefficient is
+    integral and a ``Fraction`` otherwise, so fraction-free elimination runs
+    on machine-friendly integers.  It is a view built on access; arithmetic
+    runs on ``_t``, the same dict keyed by packed monomials.  ``vars``
+    records a preferred variable order for printing; arithmetic merges the
+    orders left-first so output stays stable within one computation.  An
+    exponent above MAX_POLY_EXPONENT raises ValueTooLarge.
     """
 
-    __slots__ = ("terms", "vars")
+    __slots__ = ("_t", "vars")
 
     def __init__(self, terms: dict, vars: tuple = ()):
-        self.terms = terms
+        self._t = {_pack(m): c for m, c in terms.items()}
         self.vars = vars
+
+    @property
+    def terms(self) -> dict:
+        return {_unpack(m): c for m, c in self._t.items()}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(value) -> "Poly":
         value = _native(value)
-        if not value:
-            return Poly({}, ())
-        return Poly({(): value}, ())
+        return _poly({0: value} if value else {}, ())
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly({((name, 1),): 1}, (name,))
+        return _poly({1 << _shift(name): 1}, (name,))
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {()}
+        t = self._t
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial, always as a Fraction."""
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
-        c = self.terms[()]
+        c = self._t[0]
         return c if type(c) is Fraction else Fraction(c)
 
     def variables(self) -> frozenset:
-        return frozenset(name for m in self.terms for name, _ in m)
+        return frozenset(name for name, _ in _exps(reduce(or_, self._t, 0)))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max((sum(e for _, e in _exps(m)) for m in self._t), default=0)
 
     def degree_in(self, name: str) -> int:
-        best = 0
-        for m in self.terms:
-            for n, e in m:
-                if n == name and e > best:
-                    best = e
-        return best
+        s = _FIELDS.get(name)
+        if s is None:
+            return 0
+        return max(((m >> s) & _MASK for m in self._t), default=0)
 
     # -- arithmetic ---------------------------------------------------
     #
@@ -153,8 +200,8 @@ class Poly:
     # through _native, which turns an integral Fraction back into an int.
 
     def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(self._t)
+        for m, c in other._t.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = c
@@ -164,11 +211,11 @@ class Poly:
                     terms[m] = s if type(s) is int else _native(s)
                 else:
                     del terms[m]
-        return Poly(terms, _merged_vars(self.vars, other.vars))
+        return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(self._t)
+        for m, c in other._t.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = -c
@@ -178,19 +225,17 @@ class Poly:
                     terms[m] = s if type(s) is int else _native(s)
                 else:
                     del terms[m]
-        return Poly(terms, _merged_vars(self.vars, other.vars))
+        return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, self.vars)
+        return _poly({m: -c for m, c in self._t.items()}, self.vars)
 
     def __mul__(self, other: "Poly") -> "Poly":
         merged = _merged_vars(self.vars, other.vars)
-        if not self.terms or not other.terms:
-            return Poly({}, merged)
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+        for m1, c1 in self._t.items():
+            for m2, c2 in other._t.items():
+                m = m1 + m2
                 c = c1 * c2
                 s = terms.get(m)
                 if s is not None:
@@ -199,17 +244,21 @@ class Poly:
                         del terms[m]
                         continue
                 terms[m] = c if type(c) is int else _native(c)
-        return Poly(terms, merged)
+        # a field that overflowed shows as its guard bit (a sum of two
+        # exponents below the guard never carries into the next field)
+        if reduce(or_, terms, 0) & _GUARD:
+            raise ValueTooLarge(_TOO_LARGE)
+        return _poly(terms, merged)
 
     def scale(self, c) -> "Poly":
         c = _native(c)
         if not c:
-            return Poly({}, self.vars)
+            return _poly({}, self.vars)
         terms = {}
-        for m, k in self.terms.items():
+        for m, k in self._t.items():
             k = k * c
             terms[m] = k if type(k) is int else _native(k)
-        return Poly(terms, self.vars)
+        return _poly(terms, self.vars)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -226,63 +275,31 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     # -- leading data under the global (alphabetical grlex) order -----
 
-    def _global_order(self) -> tuple:
-        return tuple(sorted(self.variables()))
-
-    def leading(self, order: tuple = None):
-        """(monomial, coefficient) largest in graded-lex w.r.t. ``order``."""
-        if not self.terms:
+    def leading(self):
+        """(monomial, coefficient) largest in graded lex over the sorted
+        variables."""
+        if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        if order is None:
-            order = self._global_order()
-        m = max(self.terms, key=lambda mono: _grlex_key(mono, order))
-        return m, self.terms[m]
+        m = max(self._t, key=_grlex_key(tuple(sorted(self.variables()))))
+        return _unpack(m), self._t[m]
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
         num_gcd = 0
         den_lcm = 1
-        for c in self.terms.values():
+        for c in self._t.values():
             num_gcd = gcd(num_gcd, c.numerator)
             den_lcm = lcm(den_lcm, c.denominator)
         return Fraction(num_gcd, den_lcm)
-
-    def monomial_content(self) -> Monomial:
-        """Largest monomial dividing every term; () for zero or constants."""
-        if not self.terms:
-            return ()
-        mins: dict = None
-        for m in self.terms:
-            exps = dict(m)
-            if mins is None:
-                mins = exps
-            else:
-                mins = {
-                    n: min(e, exps[n]) for n, e in mins.items() if n in exps
-                }
-            if not mins:
-                return ()
-        return tuple(sorted(mins.items()))
-
-    def divide_monomial(self, mono: Monomial) -> "Poly":
-        if not mono:
-            return self
-        terms = {}
-        for m, c in self.terms.items():
-            q = _mono_div(m, mono)
-            if q is None:
-                raise ValueError("monomial does not divide every term")
-            terms[q] = c
-        return Poly(terms, self.vars)
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; the caller guarantees exactness.
@@ -291,36 +308,38 @@ class Poly:
         grlex key, each key built once, so the leading term is a pop
         rather than a scan; a term that cancels stays in the heap and is
         skipped when it comes up (Johnson 1974; Monagan and Pearce 2007)."""
-        if divisor.is_zero():
+        if not divisor._t:
             raise DivisionByZero("polynomial division by zero")
         if divisor.is_constant():
-            c = divisor.terms[()]
-            return Poly({m: _cdiv(k, c) for m, k in self.terms.items()}, self.vars)
-        if self.is_zero():
-            return Poly({}, self.vars)
-        order = tuple(sorted(self.variables() | divisor.variables()))
+            c = divisor._t[0]
+            return _poly({m: _cdiv(k, c) for m, k in self._t.items()}, self.vars)
+        if not self._t:
+            return _poly({}, self.vars)
+        shifts = [_FIELDS[n] for n in sorted(self.variables() | divisor.variables())]
 
         def entry(m):  # the negated grlex key, then the monomial itself
-            exps = dict(m)
-            return (-_mono_degree(m), *[-exps.get(name, 0) for name in order], m)
+            e = [-((m >> s) & _MASK) for s in shifts]
+            return (sum(e), *e, m)
 
-        dmono, dcoef = divisor.leading(order)
-        rest = [(m, c) for m, c in divisor.terms.items() if m != dmono]
-        rem = dict(self.terms)
+        dmono = min(divisor._t, key=entry)
+        dcoef = divisor._t[dmono]
+        rest = [(m, c) for m, c in divisor._t.items() if m != dmono]
+        rem = dict(self._t)
         heap = [entry(m) for m in rem]
         heapify(heap)
+        guard = _GUARD
         out: dict = {}
         while heap:
             lm = heappop(heap)[-1]
             lc = rem.pop(lm, None)
             if lc is None:  # cancelled since it was pushed
                 continue
-            q = _mono_div(lm, dmono)
-            if q is None:
+            q = lm - dmono
+            if q & guard:
                 raise ArithmeticError("inexact polynomial division")
             qc = out[q] = _cdiv(lc, dcoef)
             for m, c in rest:
-                mm = _mono_mul(m, q)
+                mm = m + q
                 s = rem.get(mm)
                 if s is None:
                     s = -c * qc
@@ -331,16 +350,16 @@ class Poly:
                     rem[mm] = s if type(s) is int else _native(s)
                 else:
                     del rem[mm]
-        return Poly(out, self.vars)
+        return _poly(out, self.vars)
 
     # -- substitution and evaluation -----------------------------------
 
     def substitute(self, values: dict) -> "Scalar":
         """Replace variables by Scalars (or ints/Fractions); exact result."""
         out = _ZERO
-        for m, c in self.terms.items():
+        for m, c in self._t.items():
             term = Scalar.of(c)
-            for name, exp in m:
+            for name, exp in _unpack(m):
                 if name in values:
                     v = Scalar.of(values[name])
                     for _ in range(exp):
@@ -353,9 +372,9 @@ class Poly:
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate with every variable assigned a rational value."""
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for m, c in self._t.items():
             v = c
-            for name, exp in m:
+            for name, exp in _exps(m):
                 v = v * Fraction(values[name]) ** exp
             total += v
         return total
@@ -369,18 +388,14 @@ class Poly:
         return order + extras
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         order = self._print_order()
-        monos = sorted(
-            self.terms, key=lambda m: _grlex_key(m, order), reverse=True
-        )
+        key = _grlex_key(order)
         pieces = []
-        for m in monos:
-            c = self.terms[m]
-            factors = []
-            for name, exp in sorted(m, key=lambda p: order.index(p[0])):
-                factors.append(name if exp == 1 else f"{name}^{exp}")
+        for (_, exps), m in sorted(((key(m), m) for m in self._t), reverse=True):
+            c = self._t[m]
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(order, exps) if e]
             if not factors:
                 body = _rat_str(abs(c))
             elif abs(c) == 1:
@@ -422,18 +437,15 @@ def _univar(p: Poly):
 def _coeff_list(p: Poly, name: str) -> list:
     """Dense coefficient list of Fractions, index = exponent."""
     out = [Fraction(0)] * (p.degree_in(name) + 1)
-    for m, c in p.terms.items():
-        exp = dict(m).get(name, 0)
-        out[exp] = Fraction(c)
+    s = _shift(name)
+    for m, c in p._t.items():
+        out[(m >> s) & _MASK] = Fraction(c)
     return out
 
 
 def _from_coeff_list(coeffs: list, name: str) -> Poly:
-    terms = {}
-    for exp, c in enumerate(coeffs):
-        if c:
-            terms[((name, exp),) if exp else ()] = _native(c)
-    return Poly(terms, (name,))
+    s = _shift(name)
+    return _poly({exp << s: _native(c) for exp, c in enumerate(coeffs) if c}, (name,))
 
 
 def _list_divmod(num: list, den: list):
@@ -496,7 +508,7 @@ def poly_normalize(p: Poly) -> Poly:
     part.  Multivariate input keeps its square structure (no multivariate
     gcd in this package)."""
     if p.is_zero():
-        return Poly({}, p.vars)
+        return _poly({}, p.vars)
     used = p.variables()
     if len(used) == 1:
         name = next(iter(used))
@@ -508,18 +520,13 @@ def poly_normalize(p: Poly) -> Poly:
 
 
 def _derivative(p: Poly, name: str) -> Poly:
+    s = _shift(name)
     terms = {}
-    for m, c in p.terms.items():
-        exps = dict(m)
-        e = exps.get(name, 0)
-        if not e:
-            continue
-        if e == 1:
-            del exps[name]
-        else:
-            exps[name] = e - 1
-        terms[tuple(sorted(exps.items()))] = c * e if type(c) is int else _native(c * e)
-    return Poly(terms, p.vars)
+    for m, c in p._t.items():
+        e = (m >> s) & _MASK
+        if e:
+            terms[m - (1 << s)] = c * e if type(c) is int else _native(c * e)
+    return _poly(terms, p.vars)
 
 
 class RootReport:
@@ -636,10 +643,10 @@ class Scalar:
             raise DivisionByZero("scalar division by zero")
         if num.is_zero():
             return _ZERO
-        common = _mono_gcd(num.monomial_content(), den.monomial_content())
+        common = reduce(_mono_min, chain(num._t, den._t))
         if common:
-            num = num.divide_monomial(common)
-            den = den.divide_monomial(common)
+            num = _poly({m - common: c for m, c in num._t.items()}, num.vars)
+            den = _poly({m - common: c for m, c in den._t.items()}, den.vars)
         if not den.is_constant():
             names = num.variables() | den.variables()
             if len(names) == 1:
@@ -714,18 +721,20 @@ class Scalar:
     def _combine(self, other, op):
         """``self op other`` for op in add, sub and mul.  When neither
         side has a denominator the numerators combine directly (a rational
-        side as a constant Poly), with the same left-first variable order
-        the route through _make gives; a fraction goes through _make."""
+        side scales the other, or joins it as a constant Poly), with the
+        same left-first variable order the route through _make gives; a
+        fraction goes through _make."""
         other = Scalar.of(other)
         a, c = self._num, other._num
         if self._den is None and other._den is None:
             if type(a) is Fraction:
                 if type(c) is Fraction:
                     return Scalar(op(a, c))
-                a = Poly.const(a)
+                r = c.scale(a) if op is mul else op(Poly.const(a), c)
             elif type(c) is Fraction:
-                c = Poly.const(c)
-            r = op(a, c)
+                r = a.scale(c) if op is mul else op(a, Poly.const(c))
+            else:
+                r = op(a, c)
             return Scalar(r.constant_value()) if r.is_constant() else Scalar(r)
         a, b = self.numerator_poly(), self.denominator_poly()
         c, d = other.numerator_poly(), other.denominator_poly()
@@ -829,17 +838,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    if not a or not b:
-        return ()
-    db = dict(b)
-    out = {}
-    for name, exp in a:
-        if name in db:
-            out[name] = min(exp, db[name])
-    return tuple(sorted(out.items()))
 
 
 _ZERO = Scalar(Fraction(0))

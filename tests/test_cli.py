@@ -251,6 +251,17 @@ def test_large_exponent_exits_two(capsys):
     assert code == 0 and out
 
 
+def test_nested_power_past_the_polynomial_exponent_limit_exits_two(capsys):
+    # every "^" is within the parser's limit, but nested powers multiply:
+    # x^(64^3) is past the exponent a polynomial can hold, a typed error
+    for z in ("(((x^64)^64)^64)*e1", "((((((x^64)^64)^64)^64)^64)^64)*e1"):
+        code, out, err = run(capsys, "identity", "sl2", "--id", "4", "--z", z)
+        assert code == 2 and out == "", z
+        assert err == "error: exponent above 32767 in a polynomial\n", z
+    code, out, _ = run(capsys, "identity", "sl2", "--id", "4", "--z", "((x^64)^64)*e1")
+    assert code == 0 and out
+
+
 def test_long_integer_literal_exits_two(capsys):
     # an integer literal past the parser's digit limit is a parse error,
     # not Python's int-string ValueError

@@ -1,5 +1,7 @@
 """Derivation spaces, generalized derivations, and related invariants."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -209,3 +211,22 @@ def test_empty_leibniz_system_gives_sparse_unit_maps():
     assert space.dim == 1600
     assert all(len(m.sparse_rows[k // 40]) == 1 and m.sparse_rows[k // 40][k % 40] == 1
                for k, m in enumerate(space.basis))
+
+
+def test_algebra_with_cached_spaces_is_freed_by_reference_counting():
+    # the algebra caches its spaces and a space refers back to it weakly,
+    # so no cycle waits for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = get("glambda").specialize({"lam": Fraction(2)})
+        spaces = (derivation_space(g), generalized_derivation_space(g, 2), inner_derivations(g))
+        assert all(space.algebra is g for space in spaces)
+        assert derivation_space(g) is spaces[0]
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+        assert all(space.algebra is None for space in spaces)
+    finally:
+        if enabled:
+            gc.enable()

@@ -345,3 +345,110 @@ def test_exact_division_matches_sympy(a, b):
     q, r = sympy.div(_sympy_expr(a * b, sympy), _sympy_expr(b, sympy), *gens, domain="QQ")
     assert r == 0
     assert sympy.expand(q - _sympy_expr((a * b).exact_div(b), sympy)) == 0
+
+
+# -- packed monomials against the tuple monomials they replaced ---------------
+
+# Registered in this order on import, which is not alphabetical.  The packed
+# ints then compare qz's field first, then qa's, then qm's, while graded lex
+# over the sorted names compares qa, qm, qz: an order taken from the packed
+# ints shows in the results.
+_SCRAMBLED = ("qm", "qa", "qz")
+for _name in _SCRAMBLED:
+    Poly.variable(_name)
+
+
+def _tuple_mul(p: Poly, q: Poly) -> Poly:
+    """The multiply the package ran before packed monomials: each product
+    monomial merged through a dict and sorted back into a tuple."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            m = tuple(sorted(exps.items()))
+            c = terms.get(m, 0) + c1 * c2
+            if c:
+                terms[m] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            else:
+                del terms[m]
+    return terms, p.vars + tuple(v for v in q.vars if v not in p.vars)
+
+
+def _tuple_str(terms: dict, vars: tuple) -> str:
+    """The printer of tuple monomials: graded lex over the print order."""
+    if not terms:
+        return "0"
+    used = {name for m in terms for name, _ in m}
+    order = tuple(v for v in vars if v in used) + tuple(sorted(used - set(vars)))
+
+    def key(m):
+        exps = dict(m)
+        return (sum(exps.values()), tuple(exps.get(name, 0) for name in order))
+
+    pieces = []
+    for m in sorted(terms, key=key, reverse=True):
+        c = Fraction(terms[m])
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in sorted(m, key=lambda p: order.index(p[0]))]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        pieces.append(("-" if c < 0 else "") + body if not pieces
+                      else (" + " if c > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+@st.composite
+def scrambled_polys(draw, max_terms=4):
+    """Polys in names first seen against their alphabetical order, built in
+    a drawn order so that ``vars`` is often not alphabetical either."""
+    names = draw(st.permutations(_SCRAMBLED))
+    return draw(polys(names=tuple(names[:draw(st.integers(1, 3))]), max_terms=max_terms))
+
+
+def _assert_same(p: Poly, terms: dict, vars: tuple):
+    assert list(p.terms.items()) == list(terms.items())
+    assert p.vars == vars
+    assert str(p) == _tuple_str(terms, vars)
+
+
+def test_scrambled_names_are_registered_against_their_print_order():
+    from liedouble.scalars import _FIELDS
+
+    assert _FIELDS["qm"] < _FIELDS["qa"] < _FIELDS["qz"]
+
+
+@checks(80)
+@given(scrambled_polys())
+def test_poly_rebuilt_from_its_terms_is_unchanged(p):
+    again = Poly(p.terms, p.vars)
+    assert again == p and hash(again) == hash(p)
+    _assert_same(again, p.terms, p.vars)
+
+
+@checks(80)
+@given(scrambled_polys(), scrambled_polys())
+def test_product_matches_the_tuple_monomial_multiply(a, b):
+    _assert_same(a * b, *_tuple_mul(a, b))
+
+
+@checks(60)
+@given(scrambled_polys(), scrambled_polys(max_terms=3))
+def test_exact_quotient_matches_the_tuple_monomial_division(a, b):
+    assume(not b.is_constant())
+    terms, vars = _tuple_mul(a, b)
+    reference = _max_based_exact_div(Poly(terms, vars), b)
+    _assert_same((a * b).exact_div(b), reference.terms, reference.vars)
+
+
+@checks(80)
+@given(scrambled_polys(), RATIONALS, st.booleans())
+def test_product_with_a_rational_side_matches_the_constant_poly_route(p, q, left):
+    # Scalar._combine scales by a rational side; it used to multiply by it
+    # as a constant Poly, which fixes the expected terms, order and text
+    old = Poly.const(q) * p if left else p * Poly.const(q)
+    s = Scalar.of(q) * Scalar.of(p) if left else Scalar.of(p) * Scalar.of(q)
+    assert str(s) == str(Scalar.of(old))
+    if not s.is_rational:
+        new = s.numerator_poly()
+        assert list(new.terms.items()) == list(old.terms.items()) and new.vars == old.vars

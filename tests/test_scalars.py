@@ -205,6 +205,23 @@ def test_non_decimal_digit_is_a_parse_error():
     assert parse_scalar("١٢ + 1") == Scalar.of(13)
 
 
+def test_exponent_limit_is_a_typed_error_one_past_the_last_allowed():
+    from liedouble.scalars import MAX_POLY_EXPONENT as top
+
+    x, y = Poly.variable("x"), Poly.variable("y")
+    high = x ** top * y
+    assert high.degree_in("x") == top and str(high) == f"x^{top}*y"
+    assert (high * y ** (top - 1)).exact_div(x ** top) == y ** top
+    assert Poly({(("x", top),): 1}) == x ** top
+    for make in (lambda: x ** (top + 1), lambda: high * x, lambda: high * (y + x),
+                 lambda: Poly({(("x", top + 1),): 1}), lambda: parse_scalar("((x^64)^64)^8")):
+        with pytest.raises(ValueTooLarge) as caught:
+            make()
+        assert isinstance(caught.value, LieDoubleError)
+        assert str(caught.value) == f"exponent above {top} in a polynomial"
+    assert str(parse_scalar("((x^64)^64)^7 * (x^64)^63 * x^63")) == f"x^{top}"
+
+
 def test_value_past_the_int_string_limit_is_a_typed_error():
     # the literal is within the digit and exponent limits, but its value
     # has 38,400 digits: printing it raises ValueTooLarge, a typed
