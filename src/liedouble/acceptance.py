@@ -310,32 +310,37 @@ def criterion_10() -> CriterionResult:
 # 11. randomized property suites (fixed seed, exact arithmetic)
 
 def _plain_pool() -> list:
-    """Parameter-free materializations covering every shipped family."""
+    """Parameter-free materializations covering every shipped family, each
+    labeled with the values it assigns, as in ``g4ab(2,3)``."""
+    pool = [
+        ("r2", None),
+        ("n3", None),
+        ("r3lambda", {"lam": 2}),
+        ("sl2", None),
+        ("n3+C", None),
+        ("n4", None),
+        ("r2+C2", None),
+        ("r2+r2", None),
+        ("sl2+C", None),
+        ("g1", None),
+        ("g2alpha", {"alpha": 1}),
+        ("g3", None),
+        ("g4ab", {"alpha": 2, "beta": 3}),
+        ("g5alpha", {"alpha": 3}),
+        ("g5alpha", {"alpha": 0}),
+        ("gl2", None),
+        ("filiform", {"n": 5}),
+        ("ex44", None),
+        ("ex413", None),
+        ("glambda", {"lam": 1}),
+        ("glambda", {"lam": 3}),
+        ("sl3", None),
+        ("sp4", None),
+        ("g2", None),
+    ]
     return [
-        ("r2", get("r2")),
-        ("n3", get("n3")),
-        ("r3lambda(2)", get("r3lambda", {"lam": 2})),
-        ("sl2", get("sl2")),
-        ("n3+C", get("n3+C")),
-        ("n4", get("n4")),
-        ("r2+C2", get("r2+C2")),
-        ("r2+r2", get("r2+r2")),
-        ("sl2+C", get("sl2+C")),
-        ("g1", get("g1")),
-        ("g2alpha(1)", get("g2alpha", {"alpha": 1})),
-        ("g3", get("g3")),
-        ("g4ab(2,3)", get("g4ab", {"alpha": 2, "beta": 3})),
-        ("g5alpha(3)", get("g5alpha", {"alpha": 3})),
-        ("g5alpha(0)", get("g5alpha", {"alpha": 0})),
-        ("gl2", get("gl2")),
-        ("filiform(5)", get("filiform", {"n": 5})),
-        ("ex44", get("ex44")),
-        ("ex413", get("ex413")),
-        ("glambda(1)", get("glambda", {"lam": 1})),
-        ("glambda(3)", get("glambda", {"lam": 3})),
-        ("sl3", get("sl3")),
-        ("sp4", get("sp4")),
-        ("g2", get("g2")),
+        (name + (f"({','.join(map(str, values.values()))})" if values else ""), get(name, values))
+        for name, values in pool
     ]
 
 
@@ -410,22 +415,16 @@ def _mybe_suite(r, rng, pool) -> None:
     r.check(True, f"solution implies R-matrix: {checked} samples, {solved} solvable")
 
 
-def _chain_suite(r, pool) -> None:
+def _chain_and_metabelian_suite(r, pool) -> None:
     audited = []
+    meta = 0
     for name, g in pool:
         if g.dim <= 8:
             implication_audit(g)
             audited.append(name)
+        meta += bool(metabelian_equivalences(g).facts["metabelian"])
     r.check(bool(audited), f"identity chain audited on {len(audited)} algebras")
-
-
-def _metabelian_suite(r, pool) -> None:
-    count = meta = 0
-    for name, g in pool:
-        rep = metabelian_equivalences(g)
-        count += 1
-        meta += bool(rep.facts["metabelian"])
-    r.check(count > 0, f"metabelian equivalences on {count} algebras ({meta} metabelian)")
+    r.check(bool(pool), f"metabelian equivalences on {len(pool)} algebras ({meta} metabelian)")
 
 
 def _extremal_and_cube_suite(r, rng, pool) -> None:
@@ -484,8 +483,7 @@ def criterion_11() -> CriterionResult:
     pool = _plain_pool()
     _transfer_suite(r, rng, pool)
     _mybe_suite(r, rng, pool)
-    _chain_suite(r, pool)
-    _metabelian_suite(r, pool)
+    _chain_and_metabelian_suite(r, pool)
     _extremal_and_cube_suite(r, rng, pool)
     _id6_and_cbm_suite(r, pool)
     _witness_suite(r, pool)

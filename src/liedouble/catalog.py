@@ -197,6 +197,8 @@ def _build_g2() -> LieAlgebra:
 # structure-constant entries
 
 def _build_filiform(n: int) -> LieAlgebra:
+    if n < 3:
+        raise ExcludedParameterValue("filiform needs n >= 3")
     return LieAlgebra(n, {(0, j): {j + 1: 1} for j in range(1, n - 1)})
 
 
@@ -359,19 +361,12 @@ def get(name: str, assignments=None) -> LieAlgebra:
     hit = _MATERIALIZED.get(key)
     if hit is not None:
         return hit
-    if ent.name == "filiform":
-        n = sizes["n"]
-        if n < 3:
-            raise ExcludedParameterValue("filiform needs n >= 3")
-        g = ent.build(n)
-    else:
-        base_key = (ent.name, tuple(sorted(sizes.items())), ())
-        g = _MATERIALIZED.get(base_key)
-        if g is None:
-            g = ent.build()
-            _MATERIALIZED[base_key] = g
-        if scalars:
-            g = g.specialize(scalars)
+    base_key = (*key[:2], ())
+    g = _MATERIALIZED.get(base_key)
+    if g is None:
+        g = _MATERIALIZED[base_key] = ent.build(**sizes)
+    if scalars:
+        g = g.specialize(scalars)
     _MATERIALIZED[key] = g
     return g
 

@@ -27,7 +27,7 @@ import sys
 from .catalog import ParamSpec, _bracket_doc, check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
 from .errors import DuplicateName, LieDoubleError, ParseError
-from .identities import _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
+from .identities import _BY_NAME, _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
 from .lie_core import (
     LieAlgebra,
     center,
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FORMATS = ("text", "json", "csv")
-_QUANTIFIER_NAMES = ("all-der", "all-inner", "all-elem", "fixed")
+_QUANTIFIER_NAMES = (*_BY_NAME, "fixed")
 
 
 def _add_common(p) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import weakref
 
-from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices
+from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices, is_nilpotent
 from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace
 from .scalars import _ONE, Scalar
 
@@ -127,8 +127,6 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> bool:
     rejected rather than answered generically."""
     if g.is_parametric():
         raise ValueError("requires a parameter-free algebra")
-    from .lie_core import is_nilpotent
-
     space = derivation_space(g)
     if space.dim == 0:
         return True

@@ -48,12 +48,13 @@ from .lie_core import (
     Element,
     LieAlgebra,
     center,
+    is_center_by_metabelian,
     is_metabelian,
     lower_central_series,
     nilpotency_class,
 )
 from .linalg import ExceptionalSet, Matrix, _check_map, _sadd
-from .scalars import Scalar, _native, poly_normalize, rational_roots
+from .scalars import Scalar, poly_normalize, rational_roots
 
 _UNSET = object()
 
@@ -235,7 +236,7 @@ def _prep_elem(g, e, who: str) -> dict:
         raise ArityMismatch(f"{who} expects an element, got {type(e).__name__}")
     if e.algebra is not g:
         raise AlgebraMismatch("element belongs to a different algebra")
-    return e.sparse()
+    return e._sparse
 
 
 def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
@@ -275,12 +276,9 @@ def _classify(q):
         if isinstance(q.payload, Element):
             return "fixed-elem", q.payload
         raise ArityMismatch("fixed quantifier payload must be a map or an element")
-    if q is ALL_DERIVATIONS:
-        return "all-der", None
-    if q is ALL_INNER_DERIVATIONS:
-        return "all-inner", None
-    if q is ALL_ELEMENTS:
-        return "all-elem", None
+    for tag, sweep in _BY_NAME.items():
+        if q is sweep:
+            return tag, None
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
@@ -296,10 +294,10 @@ def _sweep(g, spec: _Identity, payload, maps):
 
     On rational data the sweep computes with native numbers: basis vectors
     are ``{i: 1}``, maps are applied through their column view,
-    ``g._pairs`` holds native constants, an element payload arrives
-    converted and the weight is a Fraction.  Only values that carry a
-    variable are Scalars, so yielded vectors mix ints, Fractions and
-    Scalars; callers wrap what they return in an ``Element``."""
+    ``g._pairs`` holds native constants, an element payload is the
+    element's own native storage and the weight is a Fraction.  Only
+    values that carry a variable are Scalars, so yielded vectors mix ints,
+    Fractions and Scalars; callers wrap what they return in an ``Element``."""
     b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
     cache: dict = {}
     basis = [{i: 1} for i in range(g.dim)]
@@ -349,23 +347,30 @@ def _scan_conditions(values):
     native (int or Fraction) nonzero, is nonzero for every parameter value:
     the first such pair is returned as ``(key, value, (), ())``.  Otherwise
     the result is ``(None, None, conditions, roots)``: the distinct
-    normalized numerators, sorted by degree and then text, and their
-    rational root sets (None for a multivariate condition)."""
-    seen = {}  # normalized numerator -> the first equal one seen
-    for key, sparse in values:
-        for coord in sorted(sparse):
-            c = sparse[coord]
-            num = c.numerator_poly() if isinstance(c, Scalar) else None
-            if num is None or num.is_constant():
-                return key, sparse, (), ()
-            p = poly_normalize(num)
-            seen.setdefault(p, p)
-    conditions = sorted(seen.values(), key=lambda p: (p.total_degree(), str(p)))
+    normalized numerators in ExceptionalSet order (degree, then text), and
+    their rational root sets (None for a multivariate condition).  The
+    numerators stream into the ExceptionalSet, which keeps only distinct
+    ones."""
+    failure = []
+
+    def numerators():
+        for key, sparse in values:
+            for coord in sorted(sparse):
+                c = sparse[coord]
+                num = c.numerator_poly() if isinstance(c, Scalar) else None
+                if num is None or num.is_constant():
+                    failure.append((key, sparse, (), ()))
+                    return
+                yield poly_normalize(num)
+
+    conditions = ExceptionalSet(numerators()).polys
+    if failure:
+        return failure[0]
     roots = [
         rational_roots(p).roots if len(p.variables()) == 1 else None
         for p in conditions
     ]
-    return None, None, tuple(conditions), tuple(roots)
+    return None, None, conditions, tuple(roots)
 
 
 class Report:
@@ -437,14 +442,9 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
         payload = _check_map(payload, g.dim, f"identity {ident}")
     elif tag == "fixed-elem":
         payload = _prep_elem(g, payload, f"identity {ident}")
-        payload = {i: _native(c) for i, c in payload.items()}
-    exceptional = ExceptionalSet()
-    maps = None
-    if tag == "all-der":
-        space = derivation_space(g)
-        maps, exceptional = space.basis, space.exceptional
-    elif tag == "all-inner":
-        space = inner_derivations(g)
+    maps, exceptional = None, ExceptionalSet()
+    if tag in ("all-der", "all-inner"):
+        space = (derivation_space if tag == "all-der" else inner_derivations)(g)
         maps, exceptional = space.basis, space.exceptional
     witness, value, conditions, roots = _scan_conditions(
         _sweep(g, spec, payload, maps)
@@ -561,35 +561,30 @@ def nilpotent_witness_derivation(g: LieAlgebra) -> Matrix:
     raise LieDoubleError("lower central term is unexpectedly central")
 
 
+def _premise_audit(g, name, what, facts, premise, codes) -> AuditReport:
+    """Audit ``name``: when ``premise`` holds, identities ``codes`` must hold
+    over all elements.  They are checked only then, and marked "skipped"
+    otherwise; a failure raises, naming ``what``."""
+    for code in codes:
+        facts[f"id{code}_all_elem"] = (
+            check_quantified(g, code, ALL_ELEMENTS).status if premise else "skipped"
+        )
+    if premise and any(facts[f"id{code}_all_elem"] != "holds" for code in codes):
+        raise LieDoubleError(f"{what} audit violated: {facts}")
+    return AuditReport(name, facts)
+
+
 def id6_from_id3_audit(g: LieAlgebra) -> AuditReport:
     """When identity 3 holds over all elements, identity 6 must as well."""
     _require_plain(g)
     s3 = check_quantified(g, "3", ALL_ELEMENTS).status
-    facts = {"id3_all_elem": s3}
-    if s3 == "holds":
-        s6 = check_quantified(g, "6", ALL_ELEMENTS).status
-        facts["id6_all_elem"] = s6
-        if s6 != "holds":
-            raise LieDoubleError(f"identity 6 audit violated: {facts}")
-    else:
-        facts["id6_all_elem"] = "skipped"
-    return AuditReport("id3-implies-id6", facts)
+    return _premise_audit(g, "id3-implies-id6", "identity 6", {"id3_all_elem": s3},
+                          s3 == "holds", ("6",))
 
 
 def cbm_implies_id34_audit(g: LieAlgebra) -> AuditReport:
     """Center-by-metabelian forces identities 3 and 4 over all elements."""
     _require_plain(g)
-    from .lie_core import is_center_by_metabelian
-
     cbm = is_center_by_metabelian(g)
-    facts = {"center_by_metabelian": cbm}
-    if cbm:
-        s3 = check_quantified(g, "3", ALL_ELEMENTS).status
-        s4 = check_quantified(g, "4", ALL_ELEMENTS).status
-        facts["id3_all_elem"] = s3
-        facts["id4_all_elem"] = s4
-        if s3 != "holds" or s4 != "holds":
-            raise LieDoubleError(f"center-by-metabelian audit violated: {facts}")
-    else:
-        facts["id3_all_elem"] = facts["id4_all_elem"] = "skipped"
-    return AuditReport("cbm-implies-id3-id4", facts)
+    return _premise_audit(g, "cbm-implies-id3-id4", "center-by-metabelian",
+                          {"center_by_metabelian": cbm}, cbm, ("3", "4"))

@@ -23,17 +23,21 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import ExceptionalSet, Matrix, _dense, _eliminate, _sadd, nullspace, rank, solve_columns
-from .scalars import _ONE, _ZERO, Poly, Scalar, _native, _signed_content, parse_scalar_with_names
+from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _dense, _eliminate, _sadd, nullspace,
+                     rank, solve_columns)
+from .scalars import _ONE, _ZERO, Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
 
 
 class Element:
     """Element of a fixed algebra, stored as its sparse coordinates.
 
     The constructor takes a dense coordinate sequence or a sparse
-    ``{index: value}`` dict.  The stored vector holds nonzero Scalars only,
-    keys in index order; ``sparse()`` returns it and must not be mutated
-    (like ``Matrix.sparse_rows``).  ``coords`` is the dense tuple view."""
+    ``{index: value}`` dict.  The stored vector ``_sparse`` holds nonzeros
+    only, keys in index order, with rational values as native numbers
+    (``scalars._native``: int or Fraction) and values that carry a variable
+    as Scalars; the kernels read it directly.  ``sparse()`` (a fresh
+    ``{index: Scalar}`` dict) and ``coords`` (the dense tuple) are Scalar
+    views built on access."""
 
     __slots__ = ("algebra", "_sparse")
 
@@ -47,15 +51,15 @@ class Element:
             items = list(enumerate(coords))
             if len(items) != algebra.dim:
                 raise ValueError("coordinate count does not match the dimension")
-        values = ((i, Scalar.of(c)) for i, c in items)
-        self._sparse = {i: c for i, c in values if not c.is_zero()}
+        values = ((i, _native(Scalar.of(c))) for i, c in items)
+        self._sparse = {i: c for i, c in values if c}
 
     @property
     def coords(self) -> tuple:
-        return _dense(self._sparse, self.algebra.dim)
+        return _dense(self.sparse(), self.algebra.dim)
 
     def sparse(self) -> dict:
-        return self._sparse
+        return {i: Scalar.of(c) for i, c in self._sparse.items()}
 
     def is_zero(self) -> bool:
         return not self._sparse
@@ -77,7 +81,7 @@ class Element:
         return self._with({}, self._sparse, -1)
 
     def scale(self, c) -> "Element":
-        return self._with({}, self._sparse, Scalar.of(c))
+        return self._with({}, self._sparse, _native(Scalar.of(c)))
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -94,13 +98,12 @@ class Element:
         labels = self.algebra.labels
         pieces = []
         for i, c in self._sparse.items():
-            if c.is_rational:
-                q = c.as_fraction()
-                body = labels[i] if abs(q) == 1 else f"{abs(q)}*{labels[i]}"
+            if type(c) is not Scalar:
+                body = labels[i] if abs(c) == 1 else f"{_rat_str(abs(c))}*{labels[i]}"
                 if not pieces:
-                    pieces.append(body if q > 0 else "-" + body)
+                    pieces.append(body if c > 0 else "-" + body)
                 else:
-                    pieces.append((" + " if q > 0 else " - ") + body)
+                    pieces.append((" + " if c > 0 else " - ") + body)
             else:
                 body = f"({c})*{labels[i]}"
                 pieces.append(body if not pieces else " + " + body)
@@ -159,22 +162,22 @@ class LieAlgebra:
     # -- construction helpers -----------------------------------------
 
     def _validate(self):
+        """Evaluate the Jacobiator once on every triple that holds a table
+        pair, reached from its first such pair in index order; the
+        Jacobiator is alternating, so later pairs of the triple would only
+        repeat it up to sign."""
         n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = self.table.get((i, j))
-                if not cij:
+        reached = set()
+        for i, j in sorted(self.table):
+            for k in range(n):
+                triple = tuple(sorted((i, j, k)))
+                if k == i or k == j or triple in reached:
                     continue
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    jac = self._jacobiator(i, j, k)
-                    if jac:
-                        a, b, c = sorted((i, j, k))
-                        coords = {t: Scalar.of(v) for t, v in jac.items()}
-                        raise JacobiViolation(
-                            a, b, c, _dense(coords, n), self.labels
-                        )
+                reached.add(triple)
+                jac = self._jacobiator(i, j, k)
+                if jac:
+                    coords = {t: Scalar.of(v) for t, v in jac.items()}
+                    raise JacobiViolation(*triple, _dense(coords, n), self.labels)
 
     def _jacobiator(self, i, j, k) -> dict:
         """Jacobiator of e_i, e_j, e_k, computed on the native ``_pairs``."""
@@ -230,14 +233,13 @@ class LieAlgebra:
     def bracket(self, x: Element, y: Element) -> Element:
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraMismatch("elements do not belong to this algebra")
-        return Element(self, self.bracket_sparse(x.sparse(), y.sparse()))
+        return Element(self, self.bracket_sparse(x._sparse, y._sparse))
 
     def ad(self, z: Element) -> Matrix:
         """Left bracket operator x -> [z, x]."""
         if z.algebra is not self:
             raise AlgebraMismatch("element does not belong to this algebra")
-        zs = z.sparse()
-        cols = [self.bracket_sparse(zs, {j: _ONE}) for j in range(self.dim)]
+        cols = [self.bracket_sparse(z._sparse, {j: 1}) for j in range(self.dim)]
         return Matrix.from_columns(cols, self.dim)
 
     def element(self, coords) -> Element:
@@ -278,16 +280,8 @@ class LieAlgebra:
             pair: {k: c.substitute(values) for k, c in comps.items()}
             for pair, comps in self.table.items()
         }
-        leftover = sorted(
-            {
-                name
-                for comps in brackets.values()
-                for c in comps.values()
-                for name in c.variables()
-            }
-        )
         return LieAlgebra(
-            self.dim, brackets, labels=self.labels, params=tuple(leftover)
+            self.dim, brackets, labels=self.labels, params=_table_params(brackets)
         )
 
     def bracket_lines(self):
@@ -305,19 +299,17 @@ class LieAlgebra:
 # -- subspaces and series ---------------------------------------------------
 
 
-class Subspace:
+class Subspace(NullspaceResult):
     """Subspace given by an echelonized basis of sparse coordinate vectors.
 
     ``vectors`` holds each basis vector as ``{index: Scalar}``, nonzeros in
     index order; ``basis`` is the dense tuple view, built on first use."""
 
-    __slots__ = ("algebra", "vectors", "exceptional", "_basis")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, vectors, exceptional=None):
+        super().__init__(vectors, algebra.dim, exceptional or ExceptionalSet())
         self.algebra = algebra
-        self.vectors = tuple(vectors)
-        self.exceptional = exceptional or ExceptionalSet()
-        self._basis = None
 
     @staticmethod
     def span(algebra, vectors, carry=None) -> "Subspace":
@@ -332,16 +324,6 @@ class Subspace:
         if carry is not None:
             exc = exc.union(carry)
         return Subspace(algebra, basis, exc)
-
-    @property
-    def basis(self) -> tuple:
-        if self._basis is None:
-            self._basis = tuple(_dense(v, self.algebra.dim) for v in self.vectors)
-        return self._basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
 
     def contains_vector(self, v: dict) -> bool:
         """Generic membership test, via a rank comparison, of a sparse
@@ -364,34 +346,33 @@ def _normalize_row(row, pc):
     return {j: Scalar.of(row[j]) / c for j in sorted(row)}
 
 
+def _series(g: LieAlgebra, step):
+    """The chain from [g, g] on, each term ``step(g, previous term)``, until
+    zero or stabilization."""
+    current = Subspace.span(g, g.table.values())
+    chain = [current]
+    while current.dim:
+        nxt = step(g, current)
+        if nxt.dim == current.dim:
+            break
+        current = nxt
+        chain.append(current)
+    return chain
+
+
 def lower_central_series(g: LieAlgebra):
     """Descending chain of ideals [g, [g, ...]] until zero or stabilization.
 
     Entry ``i`` (0-based) is the (i+1)-st term of the chain; the full algebra
     itself is not included."""
-    current = Subspace.span(g, g.table.values())
-    chain = [current]
-    while current.dim:
-        nxt_vecs = [g.bracket_sparse({i: _ONE}, b) for i in range(g.dim) for b in current.vectors]
-        nxt = Subspace.span(g, nxt_vecs, carry=current.exceptional)
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-        chain.append(current)
-    return chain
+    return _series(g, lambda g, sub: Subspace.span(
+        g, [g.bracket_sparse({i: _ONE}, b) for i in range(g.dim) for b in sub.vectors],
+        carry=sub.exceptional))
 
 
 def derived_series(g: LieAlgebra):
     """Descending chain of derived ideals until zero or stabilization."""
-    current = Subspace.span(g, g.table.values())
-    chain = [current]
-    while current.dim:
-        nxt = _derived(g, current)
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-        chain.append(current)
-    return chain
+    return _series(g, _derived)
 
 
 def _derived(g: LieAlgebra, sub: Subspace) -> Subspace:
@@ -417,11 +398,9 @@ def center(g: LieAlgebra) -> Subspace:
     n = g.dim
     rows = []
     for j in range(n):
-        cols = [g._c(i, j) for i in range(n)]
-        for k in range(n):
-            row = {i: c[k] for i, c in enumerate(cols) if k in c}
-            if row:
-                rows.append(row)
+        # rows k of the map x -> [x, e_j]: coordinate k of [e_i, e_j] at i
+        ad_j = Matrix.from_columns([g._c(i, j) for i in range(n)], n)
+        rows += [row for row in ad_j.sparse_rows if row]
     ns = nullspace(Matrix.sparse(rows, n))
     return Subspace(g, ns.vectors, ns.exceptional)
 
@@ -466,6 +445,15 @@ def is_center_by_metabelian(g: LieAlgebra) -> bool:
 # -- building algebras from other data --------------------------------------
 
 
+def _table_params(table: dict, names=()) -> tuple:
+    """Sorted ``names`` and variables of a bracket table's values (Scalars
+    or native numbers): the parameters of an algebra built on the table."""
+    found = set(names)
+    for comps in table.values():
+        found.update(*(c.variables() for c in comps.values() if isinstance(c, Scalar)))
+    return tuple(sorted(found))
+
+
 class MatrixRealization:
     """Abstract algebra plus the matrices its basis came from."""
 
@@ -501,13 +489,7 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
         if sol is None:
             raise NotClosed(i, j)
         brackets[(i, j)] = dict(enumerate(sol))  # the constructor drops zeros
-    names = frozenset()
-    for comps in brackets.values():
-        for c in comps.values():
-            names = names | c.variables()
-    algebra = LieAlgebra(
-        k, brackets, labels=labels, params=tuple(sorted(names))
-    )
+    algebra = LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
     return MatrixRealization(algebra, tuple(mats))
 
 

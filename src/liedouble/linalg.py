@@ -45,15 +45,11 @@ class ExceptionalSet:
     __slots__ = ("polys",)
 
     def __init__(self, polys=()):
-        # dedupe, drop constants, deterministic order
-        seen = []
-        for p in polys:
-            if p.is_zero() or p.is_constant():
-                continue
-            if p not in seen:
-                seen.append(p)
-        seen.sort(key=lambda q: (q.total_degree(), str(q)))
-        self.polys = tuple(seen)
+        # drop constants; dedupe through a dict, which keeps the first of
+        # equal polynomials (their variable orders, and so their text, may
+        # differ); then a deterministic order
+        seen = dict.fromkeys(p for p in polys if not p.is_constant())
+        self.polys = tuple(sorted(seen, key=lambda q: (q.total_degree(), str(q))))
 
     def is_empty(self) -> bool:
         return not self.polys
@@ -186,11 +182,9 @@ class Matrix:
 
     @staticmethod
     def diagonal(values) -> "Matrix":
-        values = [Scalar.of(v) for v in values]
-        return Matrix.sparse(
-            [{a: v} if not v.is_zero() else {} for a, v in enumerate(values)],
-            len(values),
-        )
+        values = list(values)
+        n = len(values)
+        return Matrix.from_flat(((a * n + a, v) for a, v in enumerate(values)), n)
 
     # -- views --------------------------------------------------------------
 
@@ -250,7 +244,7 @@ class Matrix:
 
     def apply(self, x):
         """Image of an algebra element."""
-        return x.algebra.element(self.apply_sparse(x.sparse()))
+        return x.algebra.element(self.apply_sparse(x._sparse))
 
     def compose(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply other first)."""
@@ -297,10 +291,7 @@ class Matrix:
         out = []
         for row in self.sparse_rows:
             new = {}
-            for j, e in row.items():
-                e = e * c
-                if not e.is_zero():
-                    new[j] = e
+            _sadd(new, row, c)
             out.append(new)
         return Matrix.sparse(out, self.cols)
 
@@ -582,7 +573,7 @@ class NullspaceResult:
 
     ``vectors`` holds each basis vector sparse (``{column: Scalar}``,
     nonzeros in column order); ``basis`` is the dense tuple view, built on
-    first use."""
+    first use.  ``lie_core.Subspace`` shares this shape and view."""
 
     __slots__ = ("vectors", "cols", "exceptional", "_basis")
 

@@ -12,11 +12,11 @@ built directly.
 from __future__ import annotations
 
 from .errors import NotADerivation
-from .lie_core import Element, LieAlgebra, derived_series
+from .lie_core import Element, LieAlgebra, _table_params, derived_series
 from .derivations import is_derivation
 from .identities import Report, _prep_elem, _scan_conditions
-from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
-from .scalars import _ONE, _ZERO
+from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd, solve_affine
+from .scalars import _ONE, _ZERO, Scalar
 
 
 def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
@@ -74,20 +74,28 @@ class RBracketObstruction:
         return f"RBracketObstruction(nonzero on {len(self.entries)} triples)"
 
 
+def _r_table(g: LieAlgebra, r: Matrix) -> dict:
+    """``{(i, j): [e_i, e_j]_R}`` for i < j, sparse, on native basis
+    vectors: rational values are native numbers."""
+    n = g.dim
+    return {(i, j): _r_bracket_sparse(g, r, {i: 1}, {j: 1})
+            for i in range(n) for j in range(i + 1, n)}
+
+
 def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     """Yield (triple, sparse Jacobiator of [,]_R) in lexicographic order;
     zero values are skipped."""
     _check_map(r, g.dim, "the R-bracket")
     n = g.dim
     basis = [{i: 1} for i in range(n)]
-    rb = [[_r_bracket_sparse(g, r, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    rb = _r_table(g, r)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 jac: dict = {}
-                _sadd(jac, _r_bracket_sparse(g, r, rb[i][j], basis[k]))
-                _sadd(jac, _r_bracket_sparse(g, r, rb[j][k], basis[i]))
-                _sadd(jac, _r_bracket_sparse(g, r, {a: -c for a, c in rb[i][k].items()}, basis[j]))
+                _sadd(jac, _r_bracket_sparse(g, r, rb[i, j], basis[k]))
+                _sadd(jac, _r_bracket_sparse(g, r, rb[j, k], basis[i]))
+                _sadd(jac, _r_bracket_sparse(g, r, {a: -c for a, c in rb[i, k].items()}, basis[j]))
                 if jac:
                     yield (i, j, k), jac
 
@@ -156,11 +164,10 @@ def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
     if not rows:
         return MYBESolution("all")
     res = solve_affine(Matrix.sparse(rows, 1), rhs)
-    if res.status == "none":
-        return MYBESolution("none", exceptional=res.exceptional)
     if res.status == "unique":
         return MYBESolution("unique", res.particular[0], res.exceptional)
-    return MYBESolution("all", exceptional=res.exceptional)
+    # an "affine" solution set leaves lambda free: every scalar solves it
+    return MYBESolution("none" if res.status == "none" else "all", exceptional=res.exceptional)
 
 
 def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlgebra:
@@ -181,16 +188,9 @@ def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlge
             pair: op.apply_sparse(comps) for pair, comps in g.table.items()
         }
     else:
-        table = {}
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                table[(i, j)] = _r_bracket_sparse(g, op, {i: _ONE}, {j: _ONE})
-    names = set(g.params)
-    for comps in table.values():
-        for c in comps.values():
-            names |= c.variables()
+        table = _r_table(g, op)
     return LieAlgebra(
-        g.dim, table, labels=g.labels, params=tuple(sorted(names))
+        g.dim, table, labels=g.labels, params=_table_params(table, g.params)
     )
 
 
@@ -212,11 +212,12 @@ def extremal_functional(g: LieAlgebra, z: Element):
     None when z is not extremal."""
     m = g.ad(z)
     sq = m.compose(m)
-    zs = z.sparse()
+    zs = z._sparse
     pivot = next(iter(zs), None)
     values = []
     for col in sq._column_view:
-        mu = _ZERO if pivot is None else col.get(pivot, _ZERO) / zs[pivot]
+        # Scalar division: the coordinates may both be native numbers
+        mu = _ZERO if pivot is None else Scalar.of(col.get(pivot, 0)) / zs[pivot]
         rest = dict(col)
         _sadd(rest, zs, -mu)
         if rest:
@@ -252,7 +253,6 @@ def recognize_r31(g: LieAlgebra) -> bool:
     rhs = []
     for vec in (b1, b2):
         cols = [g.bracket_sparse({i: _ONE}, vec) for i in range(g.dim)]
-        for a in range(g.dim):
-            rows.append({i: c[a] for i, c in enumerate(cols) if a in c})
-            rhs.append(vec.get(a, _ZERO))
+        rows += Matrix.from_columns(cols, g.dim).sparse_rows
+        rhs += _dense(vec, g.dim)
     return solve_affine(Matrix.sparse(rows, g.dim), rhs).status != "none"

@@ -30,7 +30,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, or_, sub
 
-from .errors import DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
+from .errors import DenominatorVanishes, DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
 
 # A monomial is one int.  Each variable name is interned in _FIELDS, in the
 # order names are first seen, which gives it a _W-bit field holding its
@@ -124,6 +124,19 @@ def _cdiv(a, b):
     return _native(Fraction(a, b))
 
 
+def _power(base, n: int, one):
+    """``base ** n`` for n >= 0 by repeated squaring, from the unit ``one``;
+    the last square, which no factor would use, is skipped."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def _poly(t: dict, vars: tuple) -> "Poly":
     """A Poly on a dict keyed by packed monomials."""
     p = _new(Poly)
@@ -214,18 +227,7 @@ class Poly:
         return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self._t)
-        for m, c in other._t.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[m] = s if type(s) is int else _native(s)
-                else:
-                    del terms[m]
-        return _poly(terms, _merged_vars(self.vars, other.vars))
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return _poly({m: -c for m, c in self._t.items()}, self.vars)
@@ -263,14 +265,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.const(1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -371,13 +366,7 @@ class Poly:
 
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate with every variable assigned a rational value."""
-        total = Fraction(0)
-        for m, c in self._t.items():
-            v = c
-            for name, exp in _exps(m):
-                v = v * Fraction(values[name]) ** exp
-            total += v
-        return total
+        return self.substitute(values).as_fraction()
 
     # -- printing -------------------------------------------------------
 
@@ -704,9 +693,7 @@ class Scalar:
         return out
 
     def is_zero(self) -> bool:
-        if self.is_rational:
-            return self._num == 0
-        return False  # normalized: polynomial/fraction kinds are nonzero
+        return not self
 
     def is_one(self) -> bool:
         return self.is_rational and self._num == 1
@@ -775,24 +762,12 @@ class Scalar:
         return Scalar.of(other) / self
 
     def __neg__(self):
-        if self.is_rational:
-            return Scalar(-self._num)
-        if self._den is None:
-            return Scalar(-self._num)
         return Scalar(-self._num, self._den)
 
     def __pow__(self, n: int):
         if n < 0:
             return _ONE / self ** (-n)
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, _ONE)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -813,8 +788,6 @@ class Scalar:
     def substitute(self, values: dict) -> "Scalar":
         """Replace named variables; raises DenominatorVanishes when the
         denominator collapses to zero under the assignment."""
-        from .errors import DenominatorVanishes
-
         if self.is_rational:
             return self
         num = self._num.substitute(values)

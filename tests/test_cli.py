@@ -312,6 +312,23 @@ def test_value_too_large_to_print_exits_two(capsys):
     assert err.startswith("error: value too large to print") and "Traceback" not in err
 
 
+def test_huge_element_coordinate_exits_two(capsys, tmp_path):
+    # a failing value whose rational coordinate is past the int-string
+    # limit prints through the same typed error as any other huge value
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 38_400:
+        pytest.skip("this interpreter prints integers of any length")
+    big = "(((10^64)^64)^2)"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[big, "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]))
+    for argv in (("identity", "ex413", "--id", "3", "--z", f"{big}*x1 + x2"),
+                 ("identity", "sl2", "--id", "2", "--map", str(path))):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == f"error: value too large to print: over {limit} digits\n"
+
+
 _FUZZ_NAMES = ("r2", "n3", "sl2", "r3lambda", "n4", "g4ab", "g5alpha", "glambda",
                "filiform", "nope", "", "sl2+C")
 _FUZZ_VALUES = {

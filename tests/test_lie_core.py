@@ -1,6 +1,7 @@
 """Structure constants, elements, linear maps, and classical invariants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from liedouble import (
     second_derived,
     solvability_class,
 )
-from liedouble.errors import JacobiViolation, ParseError
+from liedouble.errors import JacobiViolation, LieDoubleError, ParseError, ValueTooLarge
+from liedouble.linalg import _dense
 
 
 def _dims(chain):
@@ -318,3 +320,84 @@ def test_subspace_basis_is_the_dense_view_of_its_vectors():
     assert sub.contains_vector({0: two, 1: two}) and sub.contains_vector({})
     assert not sub.contains_vector({2: one})
     assert center(g).contains(Subspace.span(g, [{2: two}]))
+
+
+def _validate_every_pair(g):
+    """The Jacobi check as it was written before each triple was evaluated
+    once: every table pair against every third index, raising at the first
+    nonzero Jacobiator."""
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g.table.get((i, j)):
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                jac = g._jacobiator(i, j, k)
+                if jac:
+                    a, b, c = sorted((i, j, k))
+                    coords = {t: Scalar.of(v) for t, v in jac.items()}
+                    raise JacobiViolation(a, b, c, _dense(coords, n), g.labels)
+
+
+def _violation(check, g):
+    try:
+        check(g)
+    except JacobiViolation as e:
+        return str(e), e.triple, e.coords
+    return None
+
+
+def test_validation_matches_the_every_pair_loop():
+    # skipping triples already reached raises the same violation, with the
+    # same message and coordinates, and accepts the same tables
+    rng = random.Random(1405)
+    t = Scalar.variable("t")
+    tables = _bracket_algebras()
+    for _ in range(3000):
+        n = rng.randint(3, 6)
+        density = rng.choice((0.15, 0.3, 0.6))
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    table[(i, j)] = {
+                        k: rng.choice((1, -1, 2, Fraction(1, 2), t)) for k in range(n)
+                        if rng.random() < 0.35
+                    }
+        tables.append(LieAlgebra(n, table, validate=False))
+    failures = 0
+    for g in tables:
+        want = _violation(_validate_every_pair, g)
+        assert _violation(LieAlgebra._validate, g) == want
+        failures += want is not None
+    assert 0 < failures < len(tables)
+
+
+@pytest.mark.parametrize("name, triples", [("g2", 364), ("sp4", 116), ("sl3", 56)])
+def test_validation_evaluates_each_triple_once(monkeypatch, name, triples):
+    g = get(name)
+    calls = []
+    jacobiator = LieAlgebra._jacobiator
+
+    def counted(self, i, j, k):
+        calls.append(tuple(sorted((i, j, k))))
+        return jacobiator(self, i, j, k)
+
+    monkeypatch.setattr(LieAlgebra, "_jacobiator", counted)
+    LieAlgebra(g.dim, g.table, labels=g.labels)
+    assert len(calls) == len(set(calls)) == triples
+
+
+def test_printing_a_huge_coordinate_raises_a_typed_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 38_400:
+        pytest.skip("this interpreter prints integers of any length")
+    g = get("sl2")
+    big = 10 ** 8192
+    for x in (g.element({0: big, 1: 1}), g.element({1: 1, 2: Fraction(-1, big)})):
+        with pytest.raises(ValueTooLarge) as info:
+            str(x)
+        assert isinstance(info.value, LieDoubleError)
+        assert str(info.value) == f"value too large to print: over {limit} digits"

@@ -16,9 +16,13 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from liedouble import (  # noqa: E402
+    Element,
     Matrix,
+    NullspaceResult,
     Poly,
     Scalar,
+    SolveResult,
+    extremal_functional,
     get,
     nullspace,
     parse_scalar,
@@ -26,6 +30,7 @@ from liedouble import (  # noqa: E402
     poly_normalize,
     rank,
     rational_roots,
+    solve_affine,
 )
 
 def checks(examples):
@@ -245,6 +250,57 @@ def test_element_arithmetic_matches_a_dense_fraction_reference(data):
     _assert_matches(-ex, [-a for a in x])
     _assert_matches(ex.scale(c), [a * c for a in x])
     _assert_matches(g.bracket(ex, ey), _reference_bracket(g, x, y))
+
+
+def _assert_no_float(value):
+    """No float anywhere in a returned value: in containers, in an Element's
+    storage and views, in a Matrix's rows, dense view and column view, and in
+    the numerator and denominator of every Scalar."""
+    assert not isinstance(value, float), value
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            _assert_no_float(v)
+    elif isinstance(value, dict):
+        _assert_no_float(list(value.values()))
+    elif isinstance(value, Element):
+        _assert_no_float([value._sparse, value.sparse(), value.coords])
+    elif isinstance(value, Matrix):
+        _assert_no_float([value.sparse_rows, value.entries, value._column_view])
+    elif isinstance(value, NullspaceResult):
+        _assert_no_float([value.vectors, value.basis])
+    elif isinstance(value, SolveResult):
+        _assert_no_float([value.particular, value.basis])
+    elif isinstance(value, Scalar):
+        _assert_no_float([value.numerator_poly(), value.denominator_poly()])
+    elif isinstance(value, Poly):
+        _assert_no_float(list(value.terms.values()))
+    else:
+        assert value is None or type(value) in (int, Fraction), value
+
+
+_NO_FLOAT_ALGEBRAS = ("sl2", "n4", "ex413", "sl3", "r3lambda", "g4ab", "glambda")
+
+
+@checks(60)
+@given(st.data())
+def test_returned_values_hold_no_float(data):
+    g = get(data.draw(st.sampled_from(_NO_FLOAT_ALGEBRAS)))
+    t = Scalar.variable("t")
+    cells = st.one_of(st.integers(-3, 3), RATIONALS, st.integers(-2, 2).map(lambda k: k * t - 1))
+    coords = st.lists(cells, min_size=g.dim, max_size=g.dim)
+    x, y = g.element(data.draw(coords)), g.element(data.draw(coords))
+    c = data.draw(st.one_of(st.integers(-3, 3), RATIONALS))
+    a, b = g.ad(x), g.ad(y)
+    results = [x + y, x - y, x.scale(c), g.bracket(x, y), a.apply(y), a.compose(b),
+               a.commutator(b), extremal_functional(g, x)]
+    # an extremal element scaled by a native number: the functional divides
+    # by its pivot coordinate, which is stored as an int or a Fraction
+    sl3 = get("sl3")
+    results.append(extremal_functional(sl3, sl3.basis_element(1).scale(c or 1)))
+    m = data.draw(st.one_of(matrices(), matrices(parametric=True)))
+    rhs = [data.draw(cells) for _ in range(m.rows)]
+    results += [nullspace(m), solve_affine(m, rhs)]
+    _assert_no_float(results)
 
 
 # -- differential tests against sympy -----------------------------------------
