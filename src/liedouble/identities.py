@@ -354,6 +354,9 @@ def _scan_conditions(values):
     failure = []
 
     def numerators():
+        # a raw numerator equal to one already seen normalizes to an equal
+        # poly, which the ExceptionalSet would drop: normalize it only once
+        seen = set()
         for key, sparse in values:
             for coord in sorted(sparse):
                 c = sparse[coord]
@@ -361,7 +364,9 @@ def _scan_conditions(values):
                 if num is None or num.is_constant():
                     failure.append((key, sparse, (), ()))
                     return
-                yield poly_normalize(num)
+                if num not in seen:
+                    seen.add(num)
+                    yield poly_normalize(num)
 
     conditions = ExceptionalSet(numerators()).polys
     if failure:
@@ -490,7 +495,7 @@ def _require_plain(g):
         raise ValueError("audit requires a parameter-free algebra")
 
 
-def _imply(facts, name, a, b):
+def _imply(facts, a, b):
     if facts[a] and not facts[b]:
         raise LieDoubleError(f"implication audit violated: {a} holds but {b} fails")
 
@@ -511,12 +516,12 @@ def implication_audit(g: LieAlgebra) -> AuditReport:
         "id3_all_elem": check_quantified(g, "3", ALL_ELEMENTS).holds,
         "id4_all_elem": check_quantified(g, "4", ALL_ELEMENTS).holds,
     }
-    _imply(facts, "chain", "id2_all_der", "id1_all_der")
-    _imply(facts, "chain", "id2_all_inner", "id1_all_inner")
-    _imply(facts, "chain", "id2_all_der", "id2_all_inner")
-    _imply(facts, "chain", "id1_all_der", "id1_all_inner")
-    _imply(facts, "chain", "id1_all_inner", "id3_all_elem")
-    _imply(facts, "chain", "id3_all_elem", "id4_all_elem")
+    _imply(facts, "id2_all_der", "id1_all_der")
+    _imply(facts, "id2_all_inner", "id1_all_inner")
+    _imply(facts, "id2_all_der", "id2_all_inner")
+    _imply(facts, "id1_all_der", "id1_all_inner")
+    _imply(facts, "id1_all_inner", "id3_all_elem")
+    _imply(facts, "id3_all_elem", "id4_all_elem")
     return AuditReport("implication-chain", facts)
 
 

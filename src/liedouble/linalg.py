@@ -355,16 +355,42 @@ class _Echelon:
         self.integral = integral
 
 
-def _int_bareiss(rows, npivot):
+def _int_bareiss(rows, npivot, sparsest=False):
     """In-place Bareiss over ``{column: int}`` rows; returns pivot positions.
 
-    Pivots, row swaps and values are those of dense Bareiss.  Dense Bareiss
-    also rescales, by pivot / previous pivot, every row that a step leaves
-    untouched; here such a row keeps the pivot it was last brought to
-    (``level``) and is rescaled only when next touched, by current / level,
-    which the exact divisions make equal to the chain of dense steps."""
+    Columns are taken in order.  A column's pivot is, of the rows below the
+    pivots found so far that hold it, the first, or with ``sparsest`` the
+    one with fewest nonzeros (ties to the first).  Those rows are found
+    through a column -> rows index local to the call.  Pivot rows end in
+    pivot order, in front of the remaining rows.
+
+    The first-row rule gives the pivots, row swaps and values of dense
+    Bareiss.  Dense Bareiss also rescales, by pivot / previous pivot, every
+    row that a step leaves untouched; here such a row keeps the pivot it
+    was last brought to (``level``) and is brought up to date only when
+    next touched, which the exact divisions make equal to the chain of
+    dense steps.
+
+    Any other row choice is dense Bareiss on permuted input rows.  It gives
+    the same pivot columns, which the row space fixes, the same solution
+    for each setting of the free columns and the same augmented columns
+    with nonzero residuals, but other pivot rows.  So only the callers
+    that read nothing else (``nullspace``, ``rank``, ``solve_affine`` and
+    ``solve_columns``) take the sparsest row, which on the sparse Leibniz
+    systems cuts fill-in; ``Subspace.span`` and ``inner_derivations`` hand
+    the pivot rows to users and keep the first."""
     m = len(rows)
     level = [1] * m
+    at = list(range(m))   # at[k]: the input row now at position k
+    pos = list(range(m))  # pos[i]: the position of input row i
+    # column -> rows that held it; a row may since have lost it, so each
+    # candidate is checked again
+    holds = [[] for _ in range(npivot)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < npivot:
+                holds[j].append(i)
+    key = (lambda i: (len(rows[i]), pos[i])) if sparsest else pos.__getitem__
     pivots = []
     prev = 1
     r = 0
@@ -378,30 +404,38 @@ def _int_bareiss(rows, npivot):
     for c in range(npivot):
         if r == m:
             break
-        p = next((i for i in range(r, m) if c in rows[i]), -1)
-        if p < 0:
+        cands = {i for i in holds[c] if pos[i] >= r and c in rows[i]}
+        holds[c] = None
+        if not cands:
             continue
-        if p != r:
-            rows[p], rows[r] = rows[r], rows[p]
-            level[p], level[r] = level[r], level[p]
-        rowr = lift(r)
+        p = min(cands, key=key)
+        cands.remove(p)
+        q = at[r]
+        at[r], at[pos[p]] = p, q
+        pos[p], pos[q] = r, pos[p]
+        rowr = lift(p)
         piv = rowr[c]
-        for i in range(r + 1, m):
-            if c not in rows[i]:
-                continue
-            rowi = lift(i)
+        for i in cands:
+            rowi = rows[i]
             f = rowi[c]
-            new = {j: piv * v for j, v in rowi.items() if j != c}
+            for j in rowr.keys() - rowi.keys():
+                if j < npivot:
+                    holds[j].append(i)
+            new = {j: piv * v for j, v in rowi.items()}
             for j, v in rowr.items():
-                if j != c:
-                    new[j] = new.get(j, 0) - f * v
-            rows[i] = {j: v // prev for j, v in new.items() if v}
+                new[j] = new.get(j, 0) - f * v
+            # Bareiss divides piv * lifted - lifted[c] * rowr by prev, with
+            # lifted = rowi * prev / level[i]; piv * rowi - f * rowr over
+            # level[i] is the same exact quotient.  Column c cancels.
+            d = level[i]
+            rows[i] = {j: v // d for j, v in new.items() if v}
             level[i] = piv
         prev = piv
         pivots.append((r, c))
         r += 1
-    for i in range(r, m):
-        lift(i)
+    for k in range(r, m):
+        lift(at[k])
+    rows[:] = [rows[i] for i in at]
     return pivots
 
 
@@ -472,17 +506,26 @@ def _poly_bareiss(rows, npivot):
     return pivots, exceptional
 
 
-def _eliminate(rows, ncols, npivot) -> _Echelon:
+def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     """Eliminate sparse ``{column: Scalar}`` rows of width ``ncols``; only
     the first ``npivot`` columns may carry pivots (remaining columns ride
-    along as augmented data)."""
+    along as augmented data).
+
+    ``sparsest`` lets parameter-free input take the sparsest candidate
+    row as pivot (see ``_int_bareiss``).  It is for callers that read only
+    the pivot columns, back-substituted values and whether residuals are
+    present, all fixed by the row space: ``nullspace``, ``rank``,
+    ``solve_affine`` and ``solve_columns``.  ``Subspace.span`` and
+    ``inner_derivations`` return the pivot rows themselves, so they keep
+    the first-row rule.  The polynomial path ignores it: its pivot choice
+    decides the exceptional set."""
     if all(e.is_rational for row in rows for e in row.values()):
         work = []
         for row in rows:
             qs = [e.as_fraction() for e in row.values()]
             den = lcm(*(q.denominator for q in qs))
             work.append({j: q.numerator * (den // q.denominator) for j, q in zip(row, qs)})
-        return _Echelon(work, _int_bareiss(work, npivot), [], npivot, True)
+        return _Echelon(work, _int_bareiss(work, npivot, sparsest), [], npivot, True)
 
     # clear denominators row by row; each cleared denominator is a
     # degeneration locus of the input itself, so record it
@@ -520,22 +563,21 @@ def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
     ``rhs_col`` is the index of an augmented column used as right-hand side
     (None for homogeneous).  Returns the nonzero coordinates among the first
     ``npivot`` columns as ``{column: Scalar}`` in column order.  Integer
-    rows are walked over their nonzeros in Fraction arithmetic.  Scalar
-    rows are walked over the coordinates solved so far, in the order they
-    were found: that order of the Poly sums fixes the variable order in
-    which they print."""
+    rows are walked over their nonzeros, and a coordinate becomes a
+    Fraction only when it is nonzero.  Scalar rows are walked over the
+    coordinates solved so far, in the order they were found: that order of
+    the Poly sums fixes the variable order in which they print."""
     x = {} if free_col is None else {free_col: 1 if ech.integral else _ONE}
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
         if ech.integral:
-            total = Fraction(row.get(rhs_col, 0))
+            total = row.get(rhs_col, 0)
             for j, a in row.items():
                 v = x.get(j)
                 if v is not None:
                     total -= a * v
-            total /= row[pc]
             if total:
-                x[pc] = total
+                x[pc] = Fraction(total) / row[pc]
         else:
             total = row.get(rhs_col, _ZERO)
             for j, v in x.items():
@@ -598,7 +640,7 @@ def nullspace(m: Matrix) -> NullspaceResult:
     """Basis of the right nullspace, generic in any parameters."""
     if m.rows == 0 or m.cols == 0:
         return NullspaceResult(_identity_basis(m.cols), m.cols, ExceptionalSet())
-    ech = _eliminate(m.sparse_rows, m.cols, m.cols)
+    ech = _eliminate(m.sparse_rows, m.cols, m.cols, sparsest=True)
     vectors = [_back_substitute(ech, f) for f in _free_columns(ech)]
     return NullspaceResult(vectors, m.cols, ExceptionalSet(ech.exceptional))
 
@@ -615,7 +657,7 @@ def rank(m: Matrix) -> RankResult:
     """Generic rank with the parameter degenerations that could lower it."""
     if m.rows == 0 or m.cols == 0:
         return RankResult(0, ExceptionalSet())
-    ech = _eliminate(m.sparse_rows, m.cols, m.cols)
+    ech = _eliminate(m.sparse_rows, m.cols, m.cols, sparsest=True)
     return RankResult(len(ech.pivots), ExceptionalSet(ech.exceptional))
 
 
@@ -652,7 +694,7 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
         status = "unique" if m.cols == 0 else "affine"
         basis = tuple(_dense(v, m.cols) for v in _identity_basis(m.cols))
         return SolveResult(status, _dense({}, m.cols), basis, ExceptionalSet())
-    ech = _eliminate(_augment(m, [rhs]), m.cols + 1, m.cols)
+    ech = _eliminate(_augment(m, [rhs]), m.cols + 1, m.cols, sparsest=True)
     exceptional = list(ech.exceptional)
     resid = _residuals(ech, m.cols)
     if resid:
@@ -672,7 +714,8 @@ def solve_columns(m: Matrix, rhs_columns):
     tuple or None when that column is inconsistent.  Free coordinates are
     set to zero."""
     ncols = m.cols
-    ech = _eliminate(_augment(m, rhs_columns), ncols + len(rhs_columns), ncols)
+    ech = _eliminate(_augment(m, rhs_columns), ncols + len(rhs_columns), ncols,
+                     sparsest=True)
     exceptional = list(ech.exceptional)
     out = []
     for t in range(len(rhs_columns)):

@@ -25,11 +25,14 @@ from liedouble import (
     implication_audit,
     metabelian_equivalences,
     nilpotent_witness_derivation,
+    ExceptionalSet,
     parse_element,
+    parse_scalar,
     quantifier_from_name,
     recognize_r31,
 )
-from liedouble.errors import AlgebraMismatch, IncompatibleQuantifier, NotNilpotent
+from liedouble import identities
+from liedouble.errors import AlgebraMismatch, IncompatibleQuantifier, LieDoubleError, NotNilpotent
 
 
 def _apply(g, m, x):
@@ -300,6 +303,39 @@ def test_implication_audit_on_nilpotent_algebra():
         "id3_all_elem": True,
         "id4_all_elem": True,
     }
+
+
+def test_implication_audit_names_the_first_broken_link(monkeypatch):
+    # identity 1 over inner derivations holds but identity 3 fails
+    class Verdict:
+        def __init__(self, holds):
+            self.holds = holds
+
+    monkeypatch.setattr(identities, "check_quantified",
+                        lambda g, code, quant: Verdict(code in "12"))
+    with pytest.raises(LieDoubleError) as err:
+        implication_audit(get("n3"))
+    assert str(err.value) == (
+        "implication audit violated: id1_all_inner holds but id3_all_elem fails")
+
+
+def test_scan_conditions_normalizes_each_distinct_numerator_once(monkeypatch):
+    # equal numerators in other variable orders, and a multiple of one
+    a, b = parse_scalar("t*s - 2*t"), parse_scalar("s*t - 2*t")
+    t, t2 = parse_scalar("t"), parse_scalar("2*t")
+    values = [((0,), {0: a, 1: t}), ((1,), {0: b, 2: t2}), ((2,), {1: a})]
+    real = identities.poly_normalize
+    every = ExceptionalSet(real(sparse[k].numerator_poly())
+                           for _, sparse in values for k in sorted(sparse))
+    calls = []
+    monkeypatch.setattr(identities, "poly_normalize", lambda p: calls.append(p) or real(p))
+    key, value, conditions, roots = identities._scan_conditions(values)
+    assert (key, value) == (None, None)
+    assert [(str(p), p.vars) for p in conditions] == [(str(p), p.vars) for p in every.polys]
+    assert len(calls) == 3
+    # a constant numerator still stops the scan at its own pair
+    failing = values + [((3,), {0: parse_scalar("5")}), ((4,), {0: parse_scalar("1")})]
+    assert identities._scan_conditions(failing)[:2] == ((3,), failing[3][1])
 
 
 def test_parameter_free_checks_refuse_an_undeclared_variable():

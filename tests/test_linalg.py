@@ -3,6 +3,9 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
+
+import pytest
 
 from liedouble import (
     ExceptionalSet,
@@ -11,8 +14,10 @@ from liedouble import (
     Poly,
     Scalar,
     generalized_derivation_space,
+    derived_series,
     get,
     inner_derivations,
+    lower_central_series,
     nullspace,
     parse_scalar,
     poly_normalize,
@@ -20,7 +25,15 @@ from liedouble import (
     solve_affine,
     solve_columns,
 )
-from liedouble.linalg import _poly_bareiss, _sadd
+from liedouble import catalog, linalg
+from liedouble.lie_core import Subspace, _leibniz_matrix
+from liedouble.linalg import _int_bareiss, _poly_bareiss, _sadd
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency; the property test skips
+    given = None
 
 
 def _col(*values):
@@ -452,3 +465,183 @@ def test_poly_bareiss_skips_zero_cells_without_changing_any_cell():
         assert [str(p) for p in exceptional] == [str(p) for p in ref_exceptional]
         assert [[(str(p), p.vars) for p in row] for row in got] == [
             [(str(p), p.vars) for p in row] for row in want]
+
+
+# -- pivot rules of the integer Bareiss -------------------------------------
+
+
+def _dense_int_bareiss(rows, npivot):
+    """The integer Bareiss loop before the column index: the pivot of a
+    column is the first row below the pivots that holds it, and every
+    remaining row is scanned for it."""
+    m = len(rows)
+    level = [1] * m
+    pivots = []
+    prev = 1
+    r = 0
+
+    def lift(i):
+        if level[i] != prev:
+            rows[i] = {j: v * prev // level[i] for j, v in rows[i].items()}
+            level[i] = prev
+        return rows[i]
+
+    for c in range(npivot):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if c in rows[i]), -1)
+        if p < 0:
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+            level[p], level[r] = level[r], level[p]
+        rowr = lift(r)
+        piv = rowr[c]
+        for i in range(r + 1, m):
+            if c not in rows[i]:
+                continue
+            rowi = lift(i)
+            f = rowi[c]
+            new = {j: piv * v for j, v in rowi.items() if j != c}
+            for j, v in rowr.items():
+                if j != c:
+                    new[j] = new.get(j, 0) - f * v
+            rows[i] = {j: v // prev for j, v in new.items() if v}
+            level[i] = piv
+        prev = piv
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, m):
+        lift(i)
+    return pivots
+
+
+def _first_row_rule(fn, *args):
+    """``fn(*args)`` with every integer elimination run by the dense loop."""
+    with mock.patch.object(linalg, "_int_bareiss",
+                           lambda rows, npivot, sparsest=False: _dense_int_bareiss(rows, npivot)):
+        return fn(*args)
+
+
+def _answers(m, rhs_columns):
+    """All that nullspace, rank, solve_affine and solve_columns return."""
+    ns = nullspace(m)
+    solved = [solve_affine(m, b) for b in rhs_columns]
+    columns, exceptional = solve_columns(m, rhs_columns)
+    return (
+        [[(j, str(e)) for j, e in v.items()] for v in ns.vectors],
+        [(s.status, s.particular, s.basis, s.exceptional.polys) for s in solved],
+        rank(m).value, columns, exceptional.polys, ns.exceptional.polys,
+    )
+
+
+def test_first_row_rule_keeps_the_rows_of_the_dense_loop():
+    # Subspace.span and inner_derivations read the echelon rows themselves
+    rng = random.Random(20261018)
+    for _ in range(400):
+        m, n = rng.randint(1, 9), rng.randint(1, 8)
+        density = rng.choice((0.15, 0.3, 0.6))
+        rows = [{j: rng.choice((1, -1, 2, -3, 5, 6)) for j in range(n) if rng.random() < density}
+                for _ in range(m)]
+        if m > 2:
+            rows[-1] = dict(rows[0])  # a duplicate row
+        npivot = rng.randint(1, n)
+        got, want = [dict(row) for row in rows], [dict(row) for row in rows]
+        assert _int_bareiss(got, npivot) == _dense_int_bareiss(want, npivot)
+        assert got == want
+
+
+def test_sparsest_row_pivots_match_the_first_row_rule_on_leibniz_systems():
+    algebras = [get(name) for name in catalog.names() if name != "filiform"]
+    algebras += [get("filiform", {"n": n}) for n in (5, 8, 12)]
+    rng = random.Random(14)
+    checked = inconsistent = 0
+    for g in algebras:
+        if g.is_parametric():
+            continue
+        n = g.dim
+        m = _leibniz_matrix(n, g._c, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        image = m.apply_vec([Fraction(rng.randint(-2, 2)) for _ in range(m.cols)])
+        noise = [Scalar.of(rng.randint(-1, 1)) for _ in range(m.rows)]
+        answers = _answers(m, [image, noise])
+        assert answers == _first_row_rule(_answers, m, [image, noise])
+        assert answers[1][0][0] != "none"
+        checked += 1
+        inconsistent += answers[1][1][0] == "none"
+    assert checked == 19 and inconsistent > 0
+
+
+def _echelon_text(vectors):
+    return "\n".join(" ".join(f"{j}:{e}" for j, e in v.items()) for v in vectors)
+
+
+@pytest.mark.parametrize("name, assignments, digests", [
+    ("g2", None, ("256c289ec152cb05259deb8c17f78f25d67ebff216bfb84c7a610b6bcb8a27b0",
+                  "9af4035b9960559c2636d093247a6eee32f563ce2e3358003398aba16507817c")),
+    ("sp4", None, ("02a5fe30a71c83ff9e0bd5ac37c145d60851cedccee71c2a0f4980d937b164c4",
+                   "2c50755166df73513f52f58d44232915f4714561dd39a83cfd31a2b0cef4854c")),
+    ("filiform", {"n": 8}, ("fc53793e72120ae69aa80a69f80c63e53b69a0a36d94646927b374ed588f75ec",
+                            "9d3be6205d3964d08bd18bcde4c2327013a7ed36b776782c4ef5f6691888c262")),
+])
+def test_span_and_inner_derivations_keep_their_echelon_rows(name, assignments, digests):
+    # both hand the pivot rows themselves to users, so they keep the
+    # first-row pivot rule; the digests pin the rows of the dense loop
+    g = get(name, assignments)
+    n = g.dim
+    u = {k: Scalar.of(k + 1) for k in range(n)}
+    w = {k: Scalar.of((-1) ** k * (k % 3 + 1)) for k in range(n)}
+    vectors = [g.bracket_sparse(x, {i: 1}) for x in (u, w) for i in range(n)]
+    spans = [Subspace.span(g, vectors), *lower_central_series(g), *derived_series(g)]
+    span_text = "\n--\n".join(_echelon_text(s.vectors) for s in spans)
+    inner = [{k: e for k, e in enumerate(e for row in d.entries for e in row) if not e.is_zero()}
+             for d in inner_derivations(g).basis]
+    assert (hashlib.sha256(span_text.encode()).hexdigest(),
+            hashlib.sha256(_echelon_text(inner).encode()).hexdigest()) == digests
+
+
+if given is None:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_sparsest_row_pivots_match_the_first_row_rule():
+        pass
+else:
+    @st.composite
+    def _systems(draw):
+        """Integer or rational rows with zero rows, duplicates and scaled
+        copies mixed in; right-hand sides: the image of an integer vector, a
+        random column and, when some row depends on earlier ones, one that
+        is inconsistent on it."""
+        ncols = draw(st.integers(1, 7))
+        cell = (st.integers(-3, 3) if draw(st.booleans())
+                else st.fractions(-3, 3, max_denominator=4))
+        rows, dependent = [], []
+        for i in range(draw(st.integers(1, 9))):
+            kind = draw(st.sampled_from(
+                ("fresh", "fresh", "fresh", "zero", "duplicate", "scaled")))
+            if kind == "fresh" or (kind != "zero" and not rows):
+                rows.append([draw(cell) if draw(st.booleans()) else 0 for _ in range(ncols)])
+                continue
+            if kind == "zero":
+                rows.append([0] * ncols)
+            else:
+                k = 1 if kind == "duplicate" else draw(
+                    st.sampled_from((2, -1, -3, Fraction(1, 2))))
+                rows.append([k * x for x in draw(st.sampled_from(rows))])
+            dependent.append(i)
+        x = [draw(st.integers(-2, 2)) for _ in range(ncols)]
+        image = [sum((a * b for a, b in zip(row, x)), 0) for row in rows]
+        rhs = [image, [draw(cell) for _ in rows]]
+        if dependent:
+            i = draw(st.sampled_from(dependent))
+            rhs.append([b + (i == k) for k, b in enumerate(image)])
+        return rows, rhs
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_systems())
+    def test_sparsest_row_pivots_match_the_first_row_rule(system):
+        rows, rhs = system
+        m = Matrix(rows)
+        rhs = [[Scalar.of(b) for b in col] for col in rhs]
+        answers = _answers(m, rhs)
+        assert answers == _first_row_rule(_answers, m, rhs)
+        if len(rhs) == 3:
+            assert answers[1][2][0] == "none" and answers[3][2] is None
