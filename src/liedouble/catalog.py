@@ -30,7 +30,6 @@ from .lie_core import (
     direct_sum,
     from_matrices,
 )
-from .linalg import Matrix
 from .scalars import Scalar, parse_rational, parse_scalar
 
 _ALPHA = Scalar.variable("alpha")
@@ -73,25 +72,19 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 # matrix realizations
 
-def _mat(rows) -> Matrix:
-    return Matrix([[Scalar.of(x) for x in row] for row in rows])
-
-
 def _elementary(n, i, j):
     return [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
 
 
 def _build_gl2() -> LieAlgebra:
-    mats = [_mat(_elementary(2, a, b)) for a in range(2) for b in range(2)]
+    mats = [_elementary(2, a, b) for a in range(2) for b in range(2)]
     return from_matrices(mats, labels=("E11", "E12", "E21", "E22")).algebra
 
 
 def _build_sl3() -> LieAlgebra:
     pos = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
-    mats = [_mat(_elementary(3, a, b)) for a, b in pos]
-    h1 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
-    h2 = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
-    mats += [_mat(h1), _mat(h2)]
+    mats = [_elementary(3, a, b) for a, b in pos]
+    mats += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
     labels = ("E12", "E13", "E23", "E21", "E31", "E32", "H1", "H2")
     return from_matrices(mats, labels=labels).algebra
 
@@ -111,7 +104,7 @@ def _sp4_block(a=None, b=None, c=None):
         for i in range(2):
             for j in range(2):
                 m[2 + i][j] = c[i][j]
-    return _mat(m)
+    return m
 
 
 def _build_sp4() -> LieAlgebra:
@@ -206,7 +199,7 @@ def _build_glambda() -> LieAlgebra:
     table = {
         (0, 1): {3: 1}, (0, 2): {5: 1}, (0, 3): {4: 1}, (0, 4): {6: 1},
         (1, 2): {4: _LAM}, (1, 3): {5: 1}, (1, 5): {6: 1},
-        (2, 3): {6: Scalar.of(1) - _LAM},
+        (2, 3): {6: 1 - _LAM},
     }
     labels = tuple(f"x{i}" for i in range(1, 8))
     return LieAlgebra(7, table, labels=labels, params=("lam",))
@@ -278,7 +271,7 @@ def _entries():
             {
                 (0, 1): {1: 1},
                 (0, 2): {1: 1, 2: _ALPHA},
-                (0, 3): {3: _ALPHA + Scalar.of(1)},
+                (0, 3): {3: _ALPHA + 1},
                 (1, 2): {3: 1},
             },
             params=("alpha",),
@@ -457,7 +450,7 @@ def _entry_from_json(raw, pos):
             if isinstance(lit, bool) or isinstance(lit, float):
                 raise ParseError(f"{ctx}: coefficient for {kraw} must be exact")
             if isinstance(lit, int):
-                comps[k - 1] = Scalar.of(lit)
+                comps[k - 1] = lit
             elif isinstance(lit, str):
                 try:
                     comps[k - 1] = parse_scalar(lit, allowed=frozenset(params))
@@ -473,10 +466,11 @@ def _bracket_doc(g) -> list:
     """The nonzero brackets of g in index order, as 1-based ``{"i", "j",
     "value"}`` records; ``value`` maps each component to its printed
     coefficient.  Catalog files and the CLI's JSON share this shape."""
+    table = g.table
     return [
         {"i": i + 1, "j": j + 1,
-         "value": {str(k + 1): str(c) for k, c in sorted(g.table[(i, j)].items())}}
-        for i, j in sorted(g.table)
+         "value": {str(k + 1): str(c) for k, c in sorted(table[(i, j)].items())}}
+        for i, j in sorted(table)
     ]
 
 

@@ -14,7 +14,7 @@ import weakref
 
 from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices, is_nilpotent
 from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace
-from .scalars import _ONE, Scalar
+from .scalars import Scalar, _native
 
 
 class DerivationSpace:
@@ -27,7 +27,7 @@ class DerivationSpace:
 
     __slots__ = ("_algebra", "basis", "exceptional", "weight", "kind")
 
-    def __init__(self, algebra, basis, exceptional=None, weight=_ONE, kind="ordinary"):
+    def __init__(self, algebra, basis, exceptional=None, weight=1, kind="ordinary"):
         self._algebra = weakref.ref(algebra)
         self.basis = tuple(basis)
         self.exceptional = exceptional or ExceptionalSet()
@@ -58,11 +58,11 @@ def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
     hit = g._cache.get(key)
     if hit is not None:
         return hit
-    kind = "ordinary" if weight == _ONE else "generalized"
+    kind = "ordinary" if weight == 1 else "generalized"
     n = g.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ns = nullspace(_leibniz_matrix(n, g._c, pairs, weight))
-    maps = [Matrix.from_flat(vec.items(), n) for vec in ns.vectors]
+    ns = nullspace(_leibniz_matrix(n, g._c, pairs, _native(weight)))
+    maps = [Matrix.from_flat(vec.items(), n) for vec in ns._vectors]
     out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
     g._cache[key] = out
     return out
@@ -80,11 +80,7 @@ def inner_derivations(g: LieAlgebra) -> DerivationSpace:
     if hit is not None:
         return hit
     n = g.dim
-    rows = []
-    for i in range(n):
-        row = g.ad(g.basis_element(i)).flat()
-        if row:
-            rows.append(row)
+    rows = [g.ad(g.basis_element(i))._flat() for i in range(n)]
     ech = _eliminate(rows, n * n, n * n)
     maps = [Matrix.from_flat(ech.rows[r].items(), n) for r, _ in ech.pivots]
     out = DerivationSpace(g, maps, ExceptionalSet(ech.exceptional), kind="inner")
@@ -98,7 +94,7 @@ def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
     The witness is the first basis pair (i, j), 0-based, where the Leibniz
     rule fails identically."""
     _check_map(m, g.dim, "is_derivation")
-    weight = Scalar.of(weight)
+    weight = _native(weight)
     cols = m._column_view
     for i in range(g.dim):
         for j in range(i + 1, g.dim):

@@ -292,12 +292,10 @@ def _sweep(g, spec: _Identity, payload, maps):
     head occurrence (a map, the payload or a basis vector, all alive for
     the whole call, so keyed by ``id``), indexed by the tuple's position.
 
-    On rational data the sweep computes with native numbers: basis vectors
-    are ``{i: 1}``, maps are applied through their column view,
-    ``g._pairs`` holds native constants, an element payload is the
-    element's own native storage and the weight is a Fraction.  Only
-    values that carry a variable are Scalars, so yielded vectors mix ints,
-    Fractions and Scalars; callers wrap what they return in an ``Element``."""
+    The sweep computes on stored values (basis vectors ``{i: 1}``, the
+    maps' column views, ``g._pairs``, an element payload's own storage) and
+    a Fraction weight, so yielded vectors mix ints, Fractions and Scalars;
+    callers wrap what they return in an ``Element``."""
     b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
     cache: dict = {}
     basis = [{i: 1} for i in range(g.dim)]
@@ -560,7 +558,7 @@ def nilpotent_witness_derivation(g: LieAlgebra) -> Matrix:
         raise LieDoubleError("derivation space is unexpectedly trivial")
     chain = lower_central_series(g)
     zc = center(g)
-    for vec in chain[c - 3].vectors:
+    for vec in chain[c - 3]._vectors:
         if not zc.contains_vector(vec):
             return g.ad(Element(g, vec))
     raise LieDoubleError("lower central term is unexpectedly central")

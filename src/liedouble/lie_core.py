@@ -23,9 +23,9 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _dense, _eliminate, _sadd, nullspace,
-                     rank, solve_columns)
-from .scalars import _ONE, _ZERO, Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
+from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _eliminate, _nonzero, _sadd,
+                     _solve_columns, _view, nullspace, rank)
+from .scalars import Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
 
 
 class Element:
@@ -33,11 +33,10 @@ class Element:
 
     The constructor takes a dense coordinate sequence or a sparse
     ``{index: value}`` dict.  The stored vector ``_sparse`` holds nonzeros
-    only, keys in index order, with rational values as native numbers
-    (``scalars._native``: int or Fraction) and values that carry a variable
-    as Scalars; the kernels read it directly.  ``sparse()`` (a fresh
-    ``{index: Scalar}`` dict) and ``coords`` (the dense tuple) are Scalar
-    views built on access."""
+    only, keys in index order, values in the stored form
+    (``scalars._native``); the kernels read it directly.  ``sparse()`` (a
+    fresh ``{index: Scalar}`` dict) and ``coords`` (the dense tuple) are
+    Scalar views built on access."""
 
     __slots__ = ("algebra", "_sparse")
 
@@ -51,15 +50,14 @@ class Element:
             items = list(enumerate(coords))
             if len(items) != algebra.dim:
                 raise ValueError("coordinate count does not match the dimension")
-        values = ((i, _native(Scalar.of(c))) for i, c in items)
-        self._sparse = {i: c for i, c in values if c}
+        self._sparse = _nonzero(items)
 
     @property
     def coords(self) -> tuple:
-        return _dense(self.sparse(), self.algebra.dim)
+        return _view(self._sparse, self.algebra.dim)
 
     def sparse(self) -> dict:
-        return {i: Scalar.of(c) for i, c in self._sparse.items()}
+        return _view(self._sparse)
 
     def is_zero(self) -> bool:
         return not self._sparse
@@ -81,7 +79,7 @@ class Element:
         return self._with({}, self._sparse, -1)
 
     def scale(self, c) -> "Element":
-        return self._with({}, self._sparse, _native(Scalar.of(c)))
+        return self._with({}, self._sparse, _native(c))
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -118,9 +116,13 @@ LinearMap = Matrix
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over the exact scalar field."""
+    """Finite-dimensional Lie algebra over the exact scalar field.
 
-    __slots__ = ("dim", "labels", "params", "table", "_pairs", "_cache", "__weakref__")
+    ``_table`` maps each pair i < j with a nonzero bracket to the sparse
+    coordinates of [e_i, e_j], values in the stored form
+    (``scalars._native``); ``table`` is its Scalar view, built on access."""
+
+    __slots__ = ("dim", "labels", "params", "_table", "_pairs", "_cache", "__weakref__")
 
     def __init__(self, dim, brackets, labels=None, params=(), validate=True):
         self._cache = {}
@@ -139,25 +141,28 @@ class LieAlgebra:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: {(i, j)}")
             if i == j:
-                if any(not Scalar.of(c).is_zero() for c in comps.values()):
+                if any(_native(c) for c in comps.values()):
                     raise ValueError(f"[e{i + 1}, e{i + 1}] must vanish")
                 continue
             for k in comps:
                 if not (0 <= k < dim):
                     raise ValueError(f"bracket component out of range: {k}")
             entry = table.setdefault((min(i, j), max(i, j)), {})
-            _sadd(entry, {k: Scalar.of(c) for k, c in comps.items()}, 1 if i < j else -1)
-        self.table = {pair: comps for pair, comps in table.items() if comps}
+            _sadd(entry, _nonzero(comps.items()), 1 if i < j else -1)
+        # a pair given in both orders is summed: store the sums
+        self._table = {pair: _nonzero(comps.items()) for pair, comps in table.items() if comps}
         # _pairs[a][b]: (position in the table, i, j, [e_i, e_j]) for each
-        # table pair {i, j} = {a, b}, with rational constants as native
-        # numbers (scalars._native); the table is fixed from here on
+        # table pair {i, j} = {a, b}; the table is fixed from here on
         self._pairs = [{} for _ in range(dim)]
-        for pos, ((i, j), comps) in enumerate(self.table.items()):
-            native = {k: _native(c) for k, c in comps.items()}
-            self._pairs[i][j] = self._pairs[j][i] = (pos, i, j, native)
+        for pos, ((i, j), comps) in enumerate(self._table.items()):
+            self._pairs[i][j] = self._pairs[j][i] = (pos, i, j, comps)
 
         if validate:
             self._validate()
+
+    @property
+    def table(self) -> dict:
+        return {pair: _view(comps) for pair, comps in self._table.items()}
 
     # -- construction helpers -----------------------------------------
 
@@ -168,7 +173,7 @@ class LieAlgebra:
         repeat it up to sign."""
         n = self.dim
         reached = set()
-        for i, j in sorted(self.table):
+        for i, j in sorted(self._table):
             for k in range(n):
                 triple = tuple(sorted((i, j, k)))
                 if k == i or k == j or triple in reached:
@@ -176,11 +181,10 @@ class LieAlgebra:
                 reached.add(triple)
                 jac = self._jacobiator(i, j, k)
                 if jac:
-                    coords = {t: Scalar.of(v) for t, v in jac.items()}
-                    raise JacobiViolation(*triple, _dense(coords, n), self.labels)
+                    raise JacobiViolation(*triple, _view(jac, n), self.labels)
 
     def _jacobiator(self, i, j, k) -> dict:
-        """Jacobiator of e_i, e_j, e_k, computed on the native ``_pairs``."""
+        """Jacobiator of e_i, e_j, e_k, computed on ``_pairs``."""
         out: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             hit = self._pairs[a].get(b)
@@ -193,8 +197,8 @@ class LieAlgebra:
         if i == j:
             return {}
         if i < j:
-            return self.table.get((i, j), {})
-        comps = self.table.get((j, i))
+            return self._table.get((i, j), {})
+        comps = self._table.get((j, i))
         if not comps:
             return {}
         return {k: -c for k, c in comps.items()}
@@ -246,7 +250,7 @@ class LieAlgebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, {i: _ONE})
+        return Element(self, {i: 1})
 
     def zero_element(self) -> Element:
         return Element(self, {})
@@ -261,24 +265,25 @@ class LieAlgebra:
         """True when the algebra declares a parameter or its table carries a
         variable; the parameter-free checks refuse exactly these algebras."""
         return bool(self.params) or any(
-            not c.is_rational for comps in self.table.values() for c in comps.values()
+            type(c) is Scalar for comps in self._table.values() for c in comps.values()
         )
 
     # -- rebuilding -------------------------------------------------------
 
     def specialize(self, assignments: dict) -> "LieAlgebra":
-        """Assign rational values to every declared parameter."""
+        """Assign a value (an int, a Fraction or a Scalar) to every
+        declared parameter."""
         values = {}
         for name, v in assignments.items():
             if name not in self.params:
                 raise ValueError(f"unknown parameter {name!r}")
-            values[name] = Scalar.of(Fraction(v)) if not isinstance(v, Scalar) else v
+            values[name] = _native(v)
         missing = [p for p in self.params if p not in values]
         if missing:
             raise ValueError(f"unassigned parameters: {missing}")
         brackets = {
-            pair: {k: c.substitute(values) for k, c in comps.items()}
-            for pair, comps in self.table.items()
+            pair: {k: c.substitute(values) if type(c) is Scalar else c for k, c in comps.items()}
+            for pair, comps in self._table.items()
         }
         return LieAlgebra(
             self.dim, brackets, labels=self.labels, params=_table_params(brackets)
@@ -287,8 +292,8 @@ class LieAlgebra:
     def bracket_lines(self):
         """Human-readable nonzero brackets in index order."""
         out = []
-        for (i, j) in sorted(self.table):
-            value = Element(self, self.table[(i, j)])
+        for (i, j) in sorted(self._table):
+            value = Element(self, self._table[(i, j)])
             out.append(f"[{self.labels[i]},{self.labels[j]}] = {value}")
         return out
 
@@ -302,8 +307,9 @@ class LieAlgebra:
 class Subspace(NullspaceResult):
     """Subspace given by an echelonized basis of sparse coordinate vectors.
 
-    ``vectors`` holds each basis vector as ``{index: Scalar}``, nonzeros in
-    index order; ``basis`` is the dense tuple view, built on first use."""
+    ``_vectors`` holds each basis vector sparse, in the stored form, with
+    its nonzeros in index order; ``vectors`` and ``basis`` are its Scalar
+    views (see ``NullspaceResult``)."""
 
     __slots__ = ("algebra",)
 
@@ -313,9 +319,9 @@ class Subspace(NullspaceResult):
 
     @staticmethod
     def span(algebra, vectors, carry=None) -> "Subspace":
-        """Echelonized span of sparse vectors that hold nonzero Scalars
-        only; ``carry`` is added to the exceptional set."""
-        rows = [v for v in vectors if v]
+        """Echelonized span of sparse ``{index: value}`` vectors; ``carry``
+        is added to the exceptional set."""
+        rows = [row for row in (_nonzero(v.items()) for v in vectors) if row]
         if not rows:
             return Subspace(algebra, (), carry)
         ech = _eliminate(rows, algebra.dim, algebra.dim)
@@ -327,12 +333,12 @@ class Subspace(NullspaceResult):
 
     def contains_vector(self, v: dict) -> bool:
         """Generic membership test, via a rank comparison, of a sparse
-        vector that holds nonzero Scalars only."""
-        stacked = Matrix.sparse([*self.vectors, v], self.algebra.dim)
+        ``{index: value}`` vector."""
+        stacked = Matrix.sparse([*self._vectors, v], self.algebra.dim)
         return rank(stacked).value == self.dim
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.vectors)
+        return all(self.contains_vector(v) for v in other._vectors)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -342,14 +348,15 @@ def _normalize_row(row, pc):
     """Sparse echelon row with pivot column ``pc``, keys in index order,
     divided by the signed rational content of its leading entry's
     numerator, for deterministic bases."""
-    c = Scalar.of(_signed_content(Scalar.of(row[pc]).numerator_poly()))
-    return {j: Scalar.of(row[j]) / c for j in sorted(row)}
+    p = row[pc]
+    c = _signed_content(p.numerator_poly()) if type(p) is Scalar else Fraction(p)
+    return {j: _native(row[j] / c) for j in sorted(row)}  # c is a Fraction
 
 
 def _series(g: LieAlgebra, step):
     """The chain from [g, g] on, each term ``step(g, previous term)``, until
     zero or stabilization."""
-    current = Subspace.span(g, g.table.values())
+    current = Subspace.span(g, g._table.values())
     chain = [current]
     while current.dim:
         nxt = step(g, current)
@@ -366,7 +373,7 @@ def lower_central_series(g: LieAlgebra):
     Entry ``i`` (0-based) is the (i+1)-st term of the chain; the full algebra
     itself is not included."""
     return _series(g, lambda g, sub: Subspace.span(
-        g, [g.bracket_sparse({i: _ONE}, b) for i in range(g.dim) for b in sub.vectors],
+        g, [g.bracket_sparse({i: 1}, b) for i in range(g.dim) for b in sub._vectors],
         carry=sub.exceptional))
 
 
@@ -377,7 +384,7 @@ def derived_series(g: LieAlgebra):
 
 def _derived(g: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of the pairwise brackets of a subspace's basis."""
-    v = sub.vectors
+    v = sub._vectors
     pairs = [g.bracket_sparse(v[a], v[b]) for a in range(len(v)) for b in range(a + 1, len(v))]
     return Subspace.span(g, pairs, carry=sub.exceptional)
 
@@ -400,13 +407,13 @@ def center(g: LieAlgebra) -> Subspace:
     for j in range(n):
         # rows k of the map x -> [x, e_j]: coordinate k of [e_i, e_j] at i
         ad_j = Matrix.from_columns([g._c(i, j) for i in range(n)], n)
-        rows += [row for row in ad_j.sparse_rows if row]
+        rows += [row for row in ad_j._rows if row]
     ns = nullspace(Matrix.sparse(rows, n))
-    return Subspace(g, ns.vectors, ns.exceptional)
+    return Subspace(g, ns._vectors, ns.exceptional)
 
 
 def is_abelian(g: LieAlgebra) -> bool:
-    return not g.table
+    return not g._table
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:
@@ -477,18 +484,18 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
         if m.rows != size or m.cols != size:
             raise ValueError("all matrices must be square of equal size")
     k = len(mats)
-    flat = [m.flat() for m in mats]
+    flat = [m._flat() for m in mats]
     if rank(Matrix.sparse(flat, size * size)).value != k:
         raise NotIndependent("the given matrices are linearly dependent")
     basis_cols = Matrix.from_columns(flat, size * size)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    rhs = [mats[i].commutator(mats[j]).vec() for i, j in pairs]
-    sols, _ = solve_columns(basis_cols, rhs)
+    rhs = [mats[i].commutator(mats[j])._flat() for i, j in pairs]
+    sols, _ = _solve_columns(basis_cols, rhs)
     brackets = {}
     for (i, j), sol in zip(pairs, sols):
         if sol is None:
             raise NotClosed(i, j)
-        brackets[(i, j)] = dict(enumerate(sol))  # the constructor drops zeros
+        brackets[(i, j)] = sol
     algebra = LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
     return MatrixRealization(algebra, tuple(mats))
 
@@ -496,23 +503,19 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
 class BilinearAlgebra:
     """Not-necessarily-associative product table on a coordinate space.
 
-    ``table[(i, j)]`` holds the sparse coordinates of e_i * e_j for every
-    ordered pair; missing pairs multiply to zero."""
+    ``table[(i, j)]`` holds the sparse coordinates of e_i * e_j, in the
+    stored form, for every ordered pair; missing pairs multiply to zero."""
 
     __slots__ = ("dim", "labels", "table")
 
     def __init__(self, dim, table, labels=None):
         self.dim = dim
         self.labels = tuple(labels) if labels else tuple(f"b{i+1}" for i in range(dim))
-        clean = {}
-        for (i, j), comps in table.items():
-            entry = {k: Scalar.of(c) for k, c in comps.items() if not Scalar.of(c).is_zero()}
-            if entry:
-                clean[(i, j)] = entry
-        self.table = clean
+        clean = {pair: _nonzero(comps.items()) for pair, comps in table.items()}
+        self.table = {pair: comps for pair, comps in clean.items() if comps}
 
 
-def _leibniz_matrix(n, product, pairs, weight=_ONE) -> Matrix:
+def _leibniz_matrix(n, product, pairs, weight=1) -> Matrix:
     """Sparse Leibniz system weight*D(e_i e_j) = D(e_i) e_j + e_i D(e_j),
     one row per (pair, coordinate a) that is not identically zero.
 
@@ -537,16 +540,15 @@ def _leibniz_matrix(n, product, pairs, weight=_ONE) -> Matrix:
         for a in range(n) if cij else sorted(lj.keys() | ri.keys()):
             row = {}
             for k, coef in cij.items():
-                row[a * n + k] = row.get(a * n + k, _ZERO) + coef * weight
+                row[a * n + k] = row.get(a * n + k, 0) + coef * weight
             for b in sorted(lj.get(a, none) | ri.get(a, none)):
                 c1 = c[b][j].get(a)
                 if c1 is not None:
-                    row[b * n + i] = row.get(b * n + i, _ZERO) - c1
+                    row[b * n + i] = row.get(b * n + i, 0) - c1
                 c2 = c[i][b].get(a)
                 if c2 is not None:
-                    row[b * n + j] = row.get(b * n + j, _ZERO) - c2
-            row = {col: e for col, e in row.items() if not e.is_zero()}
-            if row:
+                    row[b * n + j] = row.get(b * n + j, 0) - c2
+            if any(row.values()):
                 rows.append(row)
     return Matrix.sparse(rows, n * n)
 
@@ -559,16 +561,16 @@ def derivations_of_bilinear(b: BilinearAlgebra):
     n = b.dim
     pairs = [(i, j) for i in range(n) for j in range(n)]
     ns = nullspace(_leibniz_matrix(n, lambda i, j: b.table.get((i, j), {}), pairs))
-    return [Matrix.from_flat(vec.items(), n) for vec in ns.vectors]
+    return [Matrix.from_flat(vec.items(), n) for vec in ns._vectors]
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:
     """Direct sum with fresh labels ``e1..e(n+m)`` and merged parameters."""
     n = g.dim
     brackets = {}
-    for (i, j), comps in g.table.items():
+    for (i, j), comps in g._table.items():
         brackets[(i, j)] = dict(comps)
-    for (i, j), comps in h.table.items():
+    for (i, j), comps in h._table.items():
         brackets[(i + n, j + n)] = {k + n: c for k, c in comps.items()}
     params = list(g.params) + [p for p in h.params if p not in g.params]
     labels = tuple(f"{label_prefix}{t + 1}" for t in range(n + h.dim))
@@ -614,7 +616,7 @@ def parse_element(g: LieAlgebra, text: str, allow_new_names=True) -> Element:
             raise ParseError(f"term without a basis label: {Poly({mono: coef})}")
         idx = g.label_index(hit)
         piece = Scalar.of(Poly({tuple(rest): coef}, num.vars))
-        coords[idx] = coords.get(idx, _ZERO) + piece
+        coords[idx] = coords.get(idx, 0) + piece
     if not den.is_constant() or den.constant_value() != 1:
         dd = Scalar.of(den)
         coords = {i: c / dd for i, c in coords.items()}

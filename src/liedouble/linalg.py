@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the scalar field.
 
 :class:`Matrix` is the one matrix type of the package.  It is stored as
-sparse rows (``{column: Scalar}``, nonzeros only) and serves both as the
+sparse rows (``{column: value}``, nonzeros only) and serves both as the
 coefficient matrix of a linear system and, when square, as a linear map
 (derivations, ``ad`` operators, r-matrices), with composition, commutators
 and sums computed on the sparse rows and columns.
@@ -17,6 +17,11 @@ parameter-free entries; every pivot that does involve parameters is recorded
 bases, solutions) are then valid at every parameter specialization that
 avoids the roots of the recorded polynomials.
 
+Every value a Matrix, a LieAlgebra, an Element or a nullspace result
+stores is in one form, ``scalars._native``: an int, a Fraction, or a Scalar
+that carries a variable.  Their builders convert what they are given and
+drop zeros; their public accessors return Scalar views (``linalg._view``).
+
 Parameter-free systems stay sparse throughout: each row is scaled once to
 ``{column: int}``, eliminated as a dict of rows, and back-substituted over
 its nonzeros in Fraction arithmetic.  Parametric systems are eliminated as
@@ -31,12 +36,16 @@ from math import lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch
-from .scalars import _ONE, _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
+from .scalars import _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
 
 
-def _dense(v: dict, n: int) -> tuple:
-    """Coordinate tuple of length ``n`` of a sparse ``{index: Scalar}``."""
-    return tuple(v.get(j, _ZERO) for j in range(n))
+def _view(v: dict, n=None):
+    """The Scalar view of a stored sparse vector, which public accessors
+    return: ``{index: Scalar}``, or with ``n`` the dense tuple of length
+    ``n``, whose absent coordinates are all the one ``_ZERO``."""
+    if n is None:
+        return {k: Scalar.of(c) for k, c in v.items()}
+    return tuple(Scalar.of(v[j]) if j in v else _ZERO for j in range(n))
 
 
 class ExceptionalSet:
@@ -84,10 +93,12 @@ def _sadd(acc: dict, v: dict, coef=1) -> None:
 
     Values and ``coef`` may be Scalars or native numbers (int, Fraction),
     mixed: a native operand of a Scalar goes to the Scalar's method, so any
-    sum or product with a Scalar in it is a Scalar.  Exactly the int 1 and
-    -1 add or subtract ``v`` with no multiplication; every other ``coef``
-    multiplies, and a zero ``coef`` leaves ``acc`` unchanged.  Zeros are
-    tested by truthiness (``Scalar.__bool__`` is ``not is_zero()``)."""
+    sum or product with a Scalar in it is a Scalar.  A result may be a
+    rational Scalar or an integral Fraction until a builder stores it.
+    Exactly the int 1 and -1 add or subtract ``v`` with no multiplication;
+    every other ``coef`` multiplies, and a zero ``coef`` leaves ``acc``
+    unchanged.  Zeros are tested by truthiness (``Scalar.__bool__`` is
+    ``not is_zero()``)."""
     if not coef:
         return
     if type(coef) is int and (coef == 1 or coef == -1):
@@ -111,65 +122,68 @@ def _sadd(acc: dict, v: dict, coef=1) -> None:
             acc.pop(k, None)
 
 
+def _nonzero(items) -> dict:
+    """``{key: value}`` from (key, value) pairs, each value in the stored
+    form (``scalars._native``) and zeros dropped: what every builder of a
+    Matrix, LieAlgebra, Element or Subspace keeps."""
+    out = {}
+    for k, c in items:
+        c = _native(c)
+        if c:
+            out[k] = c
+    return out
+
+
 class Matrix:
-    """Immutable matrix of Scalars, stored as sparse rows.
+    """Immutable matrix, stored as sparse rows.
 
-    ``sparse_rows[i]`` maps column -> nonzero Scalar; ``entries`` (dense row
-    tuples) is a view built on first use.  A square matrix is also a linear
-    map on coordinate space (``lie_core.LinearMap`` is this class):
-    ``entries[a][b]`` is the coefficient of basis vector ``a`` in the image
-    of basis vector ``b``.  Map operations read one private, cached column
-    view, ``_column_view`` (``{row: value}`` per column, rational entries as
-    int or Fraction), so a map kept in ``g._cache`` is converted once per
-    process; ``from_columns`` turns their results back into Scalars."""
+    ``_rows[i]`` maps column -> nonzero value in the stored form (int,
+    Fraction, or a Scalar that carries a variable); every builder converts
+    what it is given through ``scalars._native``.  ``sparse_rows`` (one
+    ``{column: Scalar}`` dict per row), ``entries`` (dense row tuples),
+    ``vec()`` and ``apply_vec`` are Scalar views built on access.  A square
+    matrix is also a linear map on coordinate space (``lie_core.LinearMap``
+    is this class): ``entries[a][b]`` is the coefficient of basis vector
+    ``a`` in the image of basis vector ``b``.  Map operations read one
+    cached transpose, ``_column_view`` (``{row: value}`` per column)."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_columns")
+    __slots__ = ("rows", "cols", "_rows", "_columns")
 
     def __init__(self, entries):
-        dense = tuple(tuple(Scalar.of(e) for e in row) for row in entries)
-        self.rows = len(dense)
-        self.cols = len(dense[0]) if dense else 0
-        for row in dense:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
-        self._entries = dense
-        self._columns = None
-        self.sparse_rows = tuple(
-            {j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense
-        )
+        dense = [tuple(row) for row in entries]
+        cols = len(dense[0]) if dense else 0
+        if any(len(row) != cols for row in dense):
+            raise ValueError("ragged matrix rows")
+        self.rows, self.cols, self._columns = len(dense), cols, None
+        self._rows = tuple(_nonzero(enumerate(row)) for row in dense)
 
     # -- builders ---------------------------------------------------------
 
     @staticmethod
     def sparse(rows, cols) -> "Matrix":
-        """Matrix from ``{column: Scalar}`` rows that hold nonzeros only."""
+        """Matrix from sparse ``{column: value}`` rows."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols = len(rows), cols
-        m.sparse_rows = tuple(rows)
-        m._entries = None
-        m._columns = None
+        m.rows, m.cols, m._columns = len(rows), cols, None
+        m._rows = tuple(_nonzero(row.items()) for row in rows)
         return m
 
     @staticmethod
     def from_columns(cols, dim) -> "Matrix":
-        """``dim``-row matrix from ``{row: value}`` columns of nonzeros;
-        native values are stored as Scalars."""
+        """``dim``-row matrix from sparse ``{row: value}`` columns."""
         rows = [{} for _ in range(dim)]
         for b, col in enumerate(cols):
             for a, e in col.items():
-                rows[a][b] = Scalar.of(e)
+                rows[a][b] = e
         return Matrix.sparse(rows, len(cols))
 
     @staticmethod
     def from_flat(items, dim) -> "Matrix":
         """Square matrix from ``(a * dim + b, value)`` pairs of its row-major
-        flattening; zero values are skipped."""
+        flattening."""
         rows = [{} for _ in range(dim)]
         for k, e in items:
-            e = Scalar.of(e)
-            if not e.is_zero():
-                a, b = divmod(k, dim)
-                rows[a][b] = e
+            a, b = divmod(k, dim)
+            rows[a][b] = e
         return Matrix.sparse(rows, dim)
 
     @staticmethod
@@ -178,7 +192,7 @@ class Matrix:
 
     @staticmethod
     def identity(dim) -> "Matrix":
-        return Matrix.sparse([{a: _ONE} for a in range(dim)], dim)
+        return Matrix.sparse([{a: 1} for a in range(dim)], dim)
 
     @staticmethod
     def diagonal(values) -> "Matrix":
@@ -189,18 +203,20 @@ class Matrix:
     # -- views --------------------------------------------------------------
 
     @property
-    def entries(self):
-        if self._entries is None:
-            self._entries = tuple(_dense(row, self.cols) for row in self.sparse_rows)
-        return self._entries
+    def sparse_rows(self) -> tuple:
+        return tuple(_view(row) for row in self._rows)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(_view(row, self.cols) for row in self._rows)
 
     @property
     def _column_view(self):
         if self._columns is None:
             cols = [{} for _ in range(self.cols)]
-            for i, row in enumerate(self.sparse_rows):
+            for i, row in enumerate(self._rows):
                 for j, e in row.items():
-                    cols[j][i] = _native(e)
+                    cols[j][i] = e
             self._columns = tuple(cols)
         return self._columns
 
@@ -213,18 +229,16 @@ class Matrix:
 
     def vec(self) -> tuple:
         """Row-major flattening, used to treat maps as vectors."""
-        return tuple(
-            row.get(j, _ZERO) for row in self.sparse_rows for j in range(self.cols)
-        )
+        return tuple(e for row in self._rows for e in _view(row, self.cols))
 
-    def flat(self) -> dict:
+    def _flat(self) -> dict:
         """Sparse row-major flattening ``{a * cols + b: value}``."""
         return {
-            a * self.cols + b: e for a, row in enumerate(self.sparse_rows) for b, e in row.items()
+            a * self.cols + b: e for a, row in enumerate(self._rows) for b, e in row.items()
         }
 
     def is_parametric(self) -> bool:
-        return any(not e.is_rational for row in self.sparse_rows for e in row.values())
+        return any(type(e) is Scalar for row in self._rows for e in row.values())
 
     # -- linear-map operations ------------------------------------------------
 
@@ -238,9 +252,7 @@ class Matrix:
         return out
 
     def apply_vec(self, coords) -> tuple:
-        coords = [Scalar.of(c) for c in coords]
-        out = self.apply_sparse({b: c for b, c in enumerate(coords) if not c.is_zero()})
-        return _dense(out, self.rows)
+        return _view(self.apply_sparse(_nonzero(enumerate(coords))), self.rows)
 
     def apply(self, x):
         """Image of an algebra element."""
@@ -260,8 +272,8 @@ class Matrix:
             acc = {}
             for k, y in col.items():
                 for a, x in mine[k].items():
-                    acc[a] = acc.get(a, _ZERO) + x * y
-            cols.append({a: e for a, e in acc.items() if not e.is_zero()})
+                    acc[a] = acc.get(a, 0) + x * y
+            cols.append(acc)
         return Matrix.from_columns(cols, self.rows)
 
     def commutator(self, other: "Matrix") -> "Matrix":
@@ -270,15 +282,10 @@ class Matrix:
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
-        out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            row = {}
-            for j in sorted(ra.keys() | rb.keys()):
-                e = op(ra.get(j, _ZERO), rb.get(j, _ZERO))
-                if not e.is_zero():
-                    row[j] = e
-            out.append(row)
-        return Matrix.sparse(out, self.cols)
+        return Matrix.sparse([
+            {j: op(ra.get(j, 0), rb.get(j, 0)) for j in sorted(ra.keys() | rb.keys())}
+            for ra, rb in zip(self._rows, other._rows)
+        ], self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, add)
@@ -287,16 +294,11 @@ class Matrix:
         return self._entrywise(other, sub)
 
     def scale(self, c) -> "Matrix":
-        c = Scalar.of(c)
-        out = []
-        for row in self.sparse_rows:
-            new = {}
-            _sadd(new, row, c)
-            out.append(new)
-        return Matrix.sparse(out, self.cols)
+        c = _native(c)
+        return Matrix.sparse([{j: e * c for j, e in row.items()} for row in self._rows], self.cols)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self._rows)
 
     def is_nilpotent(self) -> bool:
         """True when some power (at most the dimension) vanishes."""
@@ -313,9 +315,7 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and (
-            self.sparse_rows == other.sparse_rows
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
     __hash__ = None
 
@@ -507,7 +507,7 @@ def _poly_bareiss(rows, npivot):
 
 
 def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
-    """Eliminate sparse ``{column: Scalar}`` rows of width ``ncols``; only
+    """Eliminate stored sparse ``{column: value}`` rows of width ``ncols``; only
     the first ``npivot`` columns may carry pivots (remaining columns ride
     along as augmented data).
 
@@ -519,12 +519,11 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     ``inner_derivations`` return the pivot rows themselves, so they keep
     the first-row rule.  The polynomial path ignores it: its pivot choice
     decides the exceptional set."""
-    if all(e.is_rational for row in rows for e in row.values()):
+    if not any(type(e) is Scalar for row in rows for e in row.values()):
         work = []
         for row in rows:
-            qs = [e.as_fraction() for e in row.values()]
-            den = lcm(*(q.denominator for q in qs))
-            work.append({j: q.numerator * (den // q.denominator) for j, q in zip(row, qs)})
+            den = lcm(*(e.denominator for e in row.values()))
+            work.append({j: e.numerator * (den // e.denominator) for j, e in row.items()})
         return _Echelon(work, _int_bareiss(work, npivot, sparsest), [], npivot, True)
 
     # clear denominators row by row; each cleared denominator is a
@@ -532,7 +531,7 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     exceptional = []
     work = []
     for sparse in rows:
-        row = [sparse.get(j, _ZERO) for j in range(ncols)]
+        row = _view(sparse, ncols)
         dens = []
         for e in row:
             if e.is_fraction:
@@ -562,12 +561,12 @@ def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
 
     ``rhs_col`` is the index of an augmented column used as right-hand side
     (None for homogeneous).  Returns the nonzero coordinates among the first
-    ``npivot`` columns as ``{column: Scalar}`` in column order.  Integer
+    ``npivot`` columns, in the stored form and in column order.  Integer
     rows are walked over their nonzeros, and a coordinate becomes a
     Fraction only when it is nonzero.  Scalar rows are walked over the
     coordinates solved so far, in the order they were found: that order of
     the Poly sums fixes the variable order in which they print."""
-    x = {} if free_col is None else {free_col: 1 if ech.integral else _ONE}
+    x = {} if free_col is None else {free_col: 1}
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
         if ech.integral:
@@ -577,17 +576,17 @@ def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
                 if v is not None:
                     total -= a * v
             if total:
-                x[pc] = Fraction(total) / row[pc]
+                x[pc] = Fraction(total, row[pc])
         else:
-            total = row.get(rhs_col, _ZERO)
+            total = row.get(rhs_col, 0)
             for j, v in x.items():
                 a = row.get(j)
                 if a is not None:
                     total = total - a * v
-            total = total / row[pc]
-            if not total.is_zero():
+            total = total / row[pc]  # Scalar rows: a Scalar divisor
+            if total:
                 x[pc] = total
-    return {j: Scalar.of(x[j]) for j in sorted(x)}
+    return {j: _native(x[j]) for j in sorted(x)}
 
 
 def _free_columns(ech: _Echelon):
@@ -607,40 +606,42 @@ def _conditions(resid):
 
 
 def _identity_basis(n):
-    return tuple({j: _ONE} for j in range(n))
+    return tuple({j: 1} for j in range(n))
 
 
 class NullspaceResult:
     """Nullspace basis with the exceptional set of the elimination.
 
-    ``vectors`` holds each basis vector sparse (``{column: Scalar}``,
-    nonzeros in column order); ``basis`` is the dense tuple view, built on
-    first use.  ``lie_core.Subspace`` shares this shape and view."""
+    ``_vectors`` holds each basis vector sparse, in the stored form, with
+    its nonzeros in column order.  ``vectors`` (``{column: Scalar}``) and
+    ``basis`` (dense tuples) are Scalar views built on access.
+    ``lie_core.Subspace`` shares this shape and these views."""
 
-    __slots__ = ("vectors", "cols", "exceptional", "_basis")
+    __slots__ = ("_vectors", "cols", "exceptional")
 
     def __init__(self, vectors, cols, exceptional):
-        self.vectors = tuple(vectors)
+        self._vectors = tuple(vectors)
         self.cols = cols
         self.exceptional = exceptional
-        self._basis = None
 
     @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = tuple(_dense(v, self.cols) for v in self.vectors)
-        return self._basis
+    def vectors(self) -> tuple:
+        return tuple(_view(v) for v in self._vectors)
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(_view(v, self.cols) for v in self._vectors)
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self._vectors)
 
 
 def nullspace(m: Matrix) -> NullspaceResult:
     """Basis of the right nullspace, generic in any parameters."""
     if m.rows == 0 or m.cols == 0:
         return NullspaceResult(_identity_basis(m.cols), m.cols, ExceptionalSet())
-    ech = _eliminate(m.sparse_rows, m.cols, m.cols, sparsest=True)
+    ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
     vectors = [_back_substitute(ech, f) for f in _free_columns(ech)]
     return NullspaceResult(vectors, m.cols, ExceptionalSet(ech.exceptional))
 
@@ -657,7 +658,7 @@ def rank(m: Matrix) -> RankResult:
     """Generic rank with the parameter degenerations that could lower it."""
     if m.rows == 0 or m.cols == 0:
         return RankResult(0, ExceptionalSet())
-    ech = _eliminate(m.sparse_rows, m.cols, m.cols, sparsest=True)
+    ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
     return RankResult(len(ech.pivots), ExceptionalSet(ech.exceptional))
 
 
@@ -674,15 +675,12 @@ class SolveResult:
 
 
 def _augment(m: Matrix, rhs_columns):
-    """Sparse rows of ``m`` with the right-hand sides appended as columns."""
-    rows = []
-    for i, row in enumerate(m.sparse_rows):
-        row = dict(row)
-        for t, col in enumerate(rhs_columns):
-            b = Scalar.of(col[i])
-            if not b.is_zero():
-                row[m.cols + t] = b
-        rows.append(row)
+    """Stored rows of ``m`` with the right-hand sides, stored sparse
+    ``{row: value}`` columns, appended as columns."""
+    rows = [dict(row) for row in m._rows]
+    for t, col in enumerate(rhs_columns):
+        for i, b in col.items():
+            rows[i][m.cols + t] = b
     return rows
 
 
@@ -692,17 +690,17 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
         raise ValueError("right-hand side length does not match row count")
     if not m.rows:
         status = "unique" if m.cols == 0 else "affine"
-        basis = tuple(_dense(v, m.cols) for v in _identity_basis(m.cols))
-        return SolveResult(status, _dense({}, m.cols), basis, ExceptionalSet())
-    ech = _eliminate(_augment(m, [rhs]), m.cols + 1, m.cols, sparsest=True)
+        basis = tuple(_view(v, m.cols) for v in _identity_basis(m.cols))
+        return SolveResult(status, _view({}, m.cols), basis, ExceptionalSet())
+    ech = _eliminate(_augment(m, [_nonzero(enumerate(rhs))]), m.cols + 1, m.cols, sparsest=True)
     exceptional = list(ech.exceptional)
     resid = _residuals(ech, m.cols)
     if resid:
         exceptional.extend(_conditions(resid))
         return SolveResult("none", None, (), ExceptionalSet(exceptional))
     free = _free_columns(ech)
-    particular = _dense(_back_substitute(ech, rhs_col=m.cols), m.cols)
-    basis = tuple(_dense(_back_substitute(ech, f), m.cols) for f in free)
+    particular = _view(_back_substitute(ech, rhs_col=m.cols), m.cols)
+    basis = tuple(_view(_back_substitute(ech, f), m.cols) for f in free)
     status = "unique" if not free else "affine"
     return SolveResult(status, particular, basis, ExceptionalSet(exceptional))
 
@@ -713,6 +711,15 @@ def solve_columns(m: Matrix, rhs_columns):
     Returns (solutions, exceptional) where each solution is a coordinate
     tuple or None when that column is inconsistent.  Free coordinates are
     set to zero."""
+    if any(len(col) != m.rows for col in rhs_columns):
+        raise ValueError("right-hand side length does not match row count")
+    sols, exceptional = _solve_columns(m, [_nonzero(enumerate(col)) for col in rhs_columns])
+    return [None if x is None else _view(x, m.cols) for x in sols], exceptional
+
+
+def _solve_columns(m: Matrix, rhs_columns):
+    """``solve_columns`` on stored sparse ``{row: value}`` right-hand
+    sides; each solution is a stored sparse vector."""
     ncols = m.cols
     ech = _eliminate(_augment(m, rhs_columns), ncols + len(rhs_columns), ncols,
                      sparsest=True)
@@ -724,5 +731,5 @@ def solve_columns(m: Matrix, rhs_columns):
             exceptional.extend(_conditions(resid[:1]))
             out.append(None)
         else:
-            out.append(_dense(_back_substitute(ech, rhs_col=ncols + t), ncols))
+            out.append(_back_substitute(ech, rhs_col=ncols + t))
     return out, ExceptionalSet(exceptional)

@@ -15,8 +15,8 @@ from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, _table_params, derived_series
 from .derivations import is_derivation
 from .identities import Report, _prep_elem, _scan_conditions
-from .linalg import ExceptionalSet, Matrix, _check_map, _dense, _sadd, solve_affine
-from .scalars import _ONE, _ZERO, Scalar
+from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
+from .scalars import _ZERO, Scalar
 
 
 def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
@@ -160,7 +160,7 @@ def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
             for k in sorted(set(br) | set(cij)):
                 c = cij.get(k)
                 rows.append({} if c is None else {0: c})
-                rhs.append(-br.get(k, _ZERO))
+                rhs.append(-br.get(k, 0))
     if not rows:
         return MYBESolution("all")
     res = solve_affine(Matrix.sparse(rows, 1), rhs)
@@ -185,7 +185,7 @@ def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlge
         if not ok:
             raise NotADerivation(pair)
         table = {
-            pair: op.apply_sparse(comps) for pair, comps in g.table.items()
+            pair: op.apply_sparse(comps) for pair, comps in g._table.items()
         }
     else:
         table = _r_table(g, op)
@@ -246,13 +246,13 @@ def recognize_r31(g: LieAlgebra) -> bool:
     derived = chain[0]
     if derived.dim != 2:
         return False
-    b1, b2 = derived.vectors
+    b1, b2 = derived._vectors
     if g.bracket_sparse(b1, b2):
         return False
     rows = []
     rhs = []
     for vec in (b1, b2):
-        cols = [g.bracket_sparse({i: _ONE}, vec) for i in range(g.dim)]
-        rows += Matrix.from_columns(cols, g.dim).sparse_rows
-        rhs += _dense(vec, g.dim)
+        cols = [g.bracket_sparse({i: 1}, vec) for i in range(g.dim)]
+        rows += Matrix.from_columns(cols, g.dim)._rows
+        rhs += [vec.get(j, 0) for j in range(g.dim)]
     return solve_affine(Matrix.sparse(rows, g.dim), rhs).status != "none"

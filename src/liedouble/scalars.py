@@ -818,10 +818,13 @@ _ONE = Scalar(Fraction(1))
 
 
 def _native(c):
-    """A rational as the native number the kernels and Poly coefficients
-    compute on: an int, or a Fraction when the value is not an integer.
-    Takes an int, a Fraction or a rational Scalar; any other value (a
-    Scalar that carries a variable) is returned unchanged."""
+    """The stored form of a value, which every container of the package
+    holds: an int, a Fraction when the value is a rational that is not an
+    integer, or a Scalar that carries a variable.  Takes anything
+    Scalar.of takes (an int, a Fraction, a Poly or a Scalar) and raises its
+    TypeError on anything else, a float included."""
+    if type(c) not in (Fraction, int, Scalar):
+        c = Scalar.of(c)
     if type(c) is Scalar and c._den is None and type(c._num) is Fraction:
         c = c._num
     if type(c) is Fraction and c.denominator == 1:

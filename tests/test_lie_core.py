@@ -29,7 +29,7 @@ from liedouble import (
     solvability_class,
 )
 from liedouble.errors import JacobiViolation, LieDoubleError, ParseError, ValueTooLarge
-from liedouble.linalg import _dense
+from liedouble.linalg import _view
 
 
 def _dims(chain):
@@ -185,6 +185,16 @@ def test_parametric_specialize_replaces_scalars():
     assert any("2*" in line for line in h.bracket_lines())
 
 
+def test_specialize_takes_exact_values_only():
+    g = get("r3lambda")
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError, match="cannot build a Scalar from (float|str)"):
+            g.specialize({"lam": bad})
+    for value, text in ((2, "2"), (Fraction(1, 3), "1/3"), (Scalar.of(Fraction(-1, 2)), "-1/2")):
+        assert g.specialize({"lam": value}).bracket_lines() == [
+            "[e1,e2] = e2", f"[e1,e3] = {text}*e3"]
+
+
 def test_bracket_lines_describe_nonzero_products_only():
     g = get("n3")
     assert g.bracket_lines() == ["[e1,e2] = e3"]
@@ -338,7 +348,7 @@ def _validate_every_pair(g):
                 if jac:
                     a, b, c = sorted((i, j, k))
                     coords = {t: Scalar.of(v) for t, v in jac.items()}
-                    raise JacobiViolation(a, b, c, _dense(coords, n), g.labels)
+                    raise JacobiViolation(a, b, c, _view(coords, n), g.labels)
 
 
 def _violation(check, g):

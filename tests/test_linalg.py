@@ -237,6 +237,31 @@ def test_elimination_matches_fraction_gauss_jordan():
         assert exceptional.is_empty()
 
 
+def test_native_values_reach_the_kernels_and_leave_as_scalars():
+    # ints and Fractions given to Matrix.sparse and Subspace.span are
+    # stored as the other builders store them; a zero Scalar is dropped
+    m = Matrix.sparse([{0: 1, 1: 2}], 2)
+    assert nullspace(m).basis == (_col(-2, 1),) and rank(m).value == 1
+    assert not m.is_parametric()
+    assert m.sparse_rows == ({0: Scalar.of(1), 1: Scalar.of(2)},)
+    assert all(type(e) is Scalar for e in m.sparse_rows[0].values())
+    (row,) = Matrix.sparse([{0: Fraction(2)}], 1).entries
+    assert row == (Scalar.of(2),) and type(row[0]) is Scalar
+    assert Matrix.sparse([{0: Scalar.of(0)}], 1).is_zero()
+    span = Subspace.span(get("sl2"), [{0: 1}])
+    assert span.dim == 1 and span.vectors == ({0: Scalar.of(1)},)
+    assert type(span.vectors[0][0]) is Scalar
+
+
+def test_right_hand_sides_of_another_length_are_refused():
+    m = Matrix([[1], [2]])
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="right-hand side length"):
+            solve_affine(m, rhs)
+        with pytest.raises(ValueError, match="right-hand side length"):
+            solve_columns(m, [[1, 2], rhs])
+
+
 def test_sparse_matrix_has_the_dense_view():
     m = Matrix.sparse([{2: Scalar.of(3)}, {}], 3)
     assert (m.rows, m.cols) == (2, 3)

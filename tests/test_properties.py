@@ -17,11 +17,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from liedouble import (  # noqa: E402
     Element,
+    LieAlgebra,
     Matrix,
     NullspaceResult,
     Poly,
     Scalar,
     SolveResult,
+    Subspace,
+    build_double,
+    derivation_space,
     extremal_functional,
     get,
     nullspace,
@@ -31,6 +35,7 @@ from liedouble import (  # noqa: E402
     rank,
     rational_roots,
     solve_affine,
+    solve_columns,
 )
 
 def checks(examples):
@@ -303,6 +308,87 @@ def test_returned_values_hold_no_float(data):
     _assert_no_float(results)
 
 
+# the stored form: an int, a non-integral Fraction, or a Scalar that carries
+# a variable; the cells below also give rational Scalars, integral
+# Fractions, zeros of every kind and parametric cancellations
+_T = Scalar.variable("t")
+_STORED_CELLS = st.one_of(
+    st.integers(-3, 3),
+    RATIONALS,
+    RATIONALS.map(Scalar.of),
+    st.integers(-2, 2).map(lambda k: (_T + k) - _T),
+    st.integers(-2, 2).map(lambda k: k * _T - 1),
+    st.just(_T - _T),
+)
+
+
+def _assert_stored(*vectors):
+    for v in vectors:
+        for c in v.values():
+            assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                          or (type(c) is Scalar and c.variables())), (v, c)
+
+
+def _assert_views(*vectors):
+    for v in vectors:
+        for c in v.values() if isinstance(v, dict) else v:
+            assert type(c) is Scalar, (v, c)
+
+
+def _assert_matrix(m):
+    _assert_stored(*m._rows, *m._column_view)
+    _assert_views(*m.sparse_rows, *m.entries, m.vec(), m.apply_vec([1] * m.cols))
+
+
+def _assert_algebra(g):
+    hits = [hit for row in g._pairs for hit in row.values()]
+    assert all(comps is g._table[i, j] for _, i, j, comps in hits)
+    _assert_stored(*g._table.values())
+    _assert_views(*g.table.values())
+
+
+@checks(60)
+@given(st.data())
+def test_values_are_stored_in_one_form_and_viewed_as_scalars(data):
+    n = data.draw(st.integers(1, 4))
+    grid = [[data.draw(_STORED_CELLS) for _ in range(n)] for _ in range(n)]
+    c = data.draw(_STORED_CELLS)
+    a = Matrix(grid)
+    b = Matrix.sparse([dict(enumerate(row)) for row in reversed(grid)], n)
+    maps = [a, b, Matrix.from_columns([dict(enumerate(row)) for row in grid], n),
+            Matrix.from_flat(enumerate(sum(grid, [])), n), Matrix.diagonal(grid[0]),
+            a + b, a - b, a - a, a.scale(c), a.compose(b), a.commutator(b)]
+    for m in maps:
+        _assert_matrix(m)
+    # one row fewer than columns, so the nullspace is not zero
+    wide = Matrix(grid[1:] or [[0]])
+    rhs = [data.draw(_STORED_CELLS) for _ in range(wide.rows)]
+    ns, solved = nullspace(wide), solve_affine(wide, rhs)
+    _assert_stored(*ns._vectors)
+    _assert_views(*ns.vectors, *ns.basis, *solved.basis, solved.particular or ())
+    for column in solve_columns(wide, [rhs, [1] * wide.rows])[0]:
+        _assert_views(column or ())
+
+    # ad(e1) acts on the abelian ideal spanned by e2 and e3 by any matrix,
+    # so every table below is a Lie algebra; [e2, e1] is given reversed
+    k = [data.draw(_STORED_CELLS) for _ in range(5)]
+    g = LieAlgebra(3, {(0, 1): {1: k[0], 2: k[1]}, (1, 0): {2: k[4]}, (0, 2): {1: k[2], 2: k[3]}},
+                   params=("t",))
+    h = g.specialize({"t": data.draw(RATIONALS)})
+    x, y = g.element(k[:3]), g.element({0: k[3], 2: k[4]})
+    doubles = [build_double(g, g.ad(x)), build_double(g, g.ad(y), kind="rbracket")]
+    for algebra in (g, h, *doubles):
+        _assert_algebra(algebra)
+    for element in (x, y, x + y, x - y, x - x, x.scale(c), g.bracket(x, y)):
+        _assert_stored(element._sparse)
+        _assert_views(element.sparse(), element.coords)
+    for m in (g.ad(x), *derivation_space(g).basis):
+        _assert_matrix(m)
+    span = Subspace.span(g, [x._sparse, dict(enumerate(k[:3])), {1: k[4]}, {}])
+    _assert_stored(*span._vectors)
+    _assert_views(*span.vectors, *span.basis)
+
+
 # -- differential tests against sympy -----------------------------------------
 
 
@@ -335,6 +421,35 @@ def test_rational_roots_match_sympy(p):
             root = -b / a
             expected.add(Fraction(int(root.p), int(root.q)))
     assert set(rational_roots(p).roots) == expected
+
+
+@checks(60)
+@given(st.data())
+def test_rank_and_nullspace_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    cells = st.one_of(st.just(Fraction(0)), RATIONALS)
+    grid = [[data.draw(cells) for _ in range(cols)] for _ in range(rows)]
+    for kind in data.draw(st.lists(st.sampled_from(("zero", "duplicate", "scaled")), max_size=3)):
+        row = data.draw(st.sampled_from(grid))
+        if kind == "zero":
+            row = [Fraction(0)] * cols
+        elif kind == "scaled":
+            row = [data.draw(RATIONALS) * q for q in row]
+        grid.insert(data.draw(st.integers(0, len(grid))), list(row))
+
+    def exact(values):
+        return [sympy.Rational(q.numerator, q.denominator) for q in values]
+
+    ref = sympy.Matrix([exact(row) for row in grid])
+    ns = nullspace(Matrix(grid))
+    assert rank(Matrix(grid)).value == ref.rank()
+    assert ns.dim == len(ref.nullspace()) == cols - ref.rank()
+    kernel = [exact(c.as_fraction() for c in v) for v in ns.basis]
+    for v in kernel:
+        assert ref * sympy.Matrix(v) == sympy.zeros(len(grid), 1)
+    # independent, annihilated and as many as sympy's: the same kernel
+    assert not kernel or sympy.Matrix(kernel).rank() == ns.dim
 
 
 def _grlex(m, order):
