@@ -60,20 +60,23 @@ _FORMATS = ("text", "json", "csv")
 _QUANTIFIER_NAMES = (*_BY_NAME, "fixed")
 
 
-def _add_common(p) -> None:
+def _add_common(p, where: str) -> None:
+    """The options every command takes.  The repeatable ones collect into
+    ``where + "param"`` and ``where + "catalog"``: a subcommand's parser
+    replaces a list of the main parser's under the same name."""
     sup = argparse.SUPPRESS
     p.add_argument("--format", choices=_FORMATS, default=sup,
                    help="output format (default text)")
     p.add_argument("--param", action="append", metavar="NAME=VALUE", default=sup,
-                   help="assign a catalog parameter; repeatable")
+                   dest=where + "param", help="assign a catalog parameter; repeatable")
     p.add_argument("--catalog", action="append", metavar="PATH", default=sup,
-                   help="merge an external catalog file; repeatable")
+                   dest=where + "catalog", help="merge an external catalog file; repeatable")
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="liedouble", description="Exact checks on structure-constant Lie algebras.")
-    p.set_defaults(format="text", param=[], catalog=[])
-    _add_common(p)
+    p.set_defaults(format="text", param=[], catalog=[], sub_param=[], sub_catalog=[])
+    _add_common(p, "")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
     sub.add_parser("catalog-list", help="list catalog entries")
@@ -111,7 +114,7 @@ def build_parser() -> _Parser:
     sub.add_parser("check-paper", help="run the full verification suite")
 
     for q in sub.choices.values():
-        _add_common(q)
+        _add_common(q, "sub_")
     return p
 
 
@@ -124,6 +127,8 @@ def _parse_params(pairs) -> dict:
         name, sep, value = raw.partition("=")
         if not sep or not name or not value:
             raise _Usage(f"--param needs NAME=VALUE, got {raw!r}")
+        if name in out:
+            raise _Usage(f"--param {name} is given more than once")
         out[name] = value
     return out
 
@@ -509,8 +514,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _Usage("a command is required (see --help)")
-        params = _parse_params(args.param)
-        external = _load_external(args.catalog)
+        params = _parse_params(args.param + args.sub_param)
+        external = _load_external(args.catalog + args.sub_catalog)
         body, text, rows = _COMMANDS[args.command](args, params, external)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -55,6 +55,15 @@ class IncompatibleQuantifier(LieDoubleError, ValueError):
     """Quantifier not admitted by the requested identity."""
 
 
+class UnknownIdentity(LieDoubleError, ValueError):
+    """No bracket identity under the requested code."""
+
+
+class UnknownQuantifier(LieDoubleError, ValueError):
+    """No quantifier under the requested name, or ``fixed`` without its
+    payload."""
+
+
 class NotClosed(LieDoubleError):
     """A commutator escapes the span of the given generators."""
 

@@ -13,11 +13,11 @@ x, y, w, z of a fixed algebra:
 
 Each identity is described once, in ``_IDENTITIES``, which evaluation, the
 quantified sweep and the quantifier check all read.  An entry may split its
-evaluator into an inner part, which depends only on the last map (or
-element) and the alternating tuple, and an outer step; a sweep then
-computes each inner value once per (map, tuple) pair instead of once per
-ordering of every tuple of maps.  Identity 1 does: its inner part is
-identity 2's sum, and the outer step applies the other map.
+evaluator into an inner part, which depends on every occurrence but the
+first one and on the alternating tuple, and an outer step; a sweep then
+computes each inner value once per (occurrences, tuple) instead of once per
+ordering of every head.  Identity 1's inner part is identity 2's sum, and
+its outer step applies the other map; 3, 4 and 6 bracket with the first z.
 
 A quantified check sweeps basis tuples only.  Alternating slots are swept
 over strictly increasing index tuples.  A repeated slot (the D in 1, the z
@@ -37,11 +37,12 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from typing import Callable, NamedTuple
 
 from .errors import (
-    AlgebraMismatch,
     ArityMismatch,
     IncompatibleQuantifier,
     LieDoubleError,
     NotNilpotent,
+    UnknownIdentity,
+    UnknownQuantifier,
 )
 from .derivations import derivation_space, inner_derivations
 from .lie_core import (
@@ -98,11 +99,11 @@ _BY_NAME = {
 def quantifier_from_name(name: str, payload=None):
     if name == "fixed":
         if payload is None:
-            raise ValueError("fixed quantifier needs a payload")
+            raise UnknownQuantifier("fixed quantifier needs a payload")
         return Fixed(payload)
     q = _BY_NAME.get(name)
     if q is None:
-        raise ValueError(f"unknown quantifier name {name!r}")
+        raise UnknownQuantifier(f"unknown quantifier name {name!r}")
     return q
 
 
@@ -117,7 +118,7 @@ def canonical_identity(ident) -> str:
     key = str(ident).strip().lower()
     canon = _ALIASES.get(key)
     if canon is None:
-        raise ValueError(f"unknown identity {ident!r}")
+        raise UnknownIdentity(f"unknown identity {ident!r}")
     return canon
 
 
@@ -131,36 +132,98 @@ _ADMITTED = {"map": ("fixed-map", "all-der", "all-inner"), "z": ("fixed-elem", "
 
 # Each term below is a bracket [outer, inner] whose inner operand is itself
 # a bracket.  The inner value is computed first, and a term whose inner
-# value is zero is skipped before its outer operand is built.  _sadd into an
-# empty dict copies the values as they are, so the sums and their print
-# order do not change.
+# value is zero is skipped before its outer operand is built; no bracket is
+# taken with an empty argument.  _sadd into an empty dict copies the values
+# as they are, so the sums and their print order do not change.
+#
+# Every evaluator takes the bracket and a memo after it; the memo lives for
+# one sweep or one evaluation.  Memo keys are built from ids of operands
+# that stay alive that long (maps, basis vectors, the payload, an element's
+# storage), never of a value computed on the way.
 
-def _e2(b, d, x, y, w):
+def _scoped(memo, tag, owner) -> dict:
+    """The part of ``memo`` under ``tag`` that serves ``owner``; the part
+    that served the previous owner is freed.  A sweep meets each owner (a
+    map, or the x0 of s5) in one run of heads."""
+    held = memo.get(tag)
+    if held is None or held[0] is not owner:
+        held = memo[tag] = (owner, {})
+    return held[1]
+
+
+def _apply(memo, d, u) -> dict:
+    """``d.apply_sparse(u)``, computed once per (map, vector)."""
+    images = _scoped(memo, "apply", d)
+    du = images.get(id(u))
+    if du is None:
+        du = images[id(u)] = d.apply_sparse(u)
+    return du
+
+
+def _e2(b, memo, d, x, y, w):
     out: dict = {}
     for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
         inner = b(v1, v2)
         if inner:
-            _sadd(out, b(d.apply_sparse(u), inner))
+            du = _apply(memo, d, u)
+            if du:
+                _sadd(out, b(du, inner))
     return out
 
 
-def _e3(b, z1, z2, x, y, w):
-    out: dict = {}
+def _e3_inner(b, memo, z2, x, y, w):
+    """The nonzero [[z2, u], [v1, v2]] of the three cyclic terms of 3."""
+    terms = []
     for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
         inner = b(v1, v2)
         if inner:
-            _sadd(out, b(z1, b(b(z2, u), inner)))
+            zu = b(z2, u)
+            term = b(zu, inner) if zu else None
+            if term:
+                terms.append(term)
+    return tuple(terms)
+
+
+def _e3(b, memo, z1, z2, terms):
+    out: dict = {}
+    for term in terms:
+        _sadd(out, b(z1, term))
     return out
 
 
-def _e6(b, z, w1, w2, x, y):
+def _e4_inner(b, memo, z2, z3, x, y):
+    """[[z2, x], [z3, y]]."""
+    right = b(z3, y)
+    if not right:
+        return {}
+    left = b(z2, x)
+    return b(left, right) if left else {}
+
+
+def _e6_inner(b, memo, w1, w2, x, y):
+    """The parts of 6 that z does not enter, each None when zero:
+    [[w1, x], [w2, y]] and [x, y].  When the first is zero they are the
+    tuple's own pair, kept in ``memo`` and shared by every (w1, w2)."""
+    key = (id(x), id(y))
+    shared = memo.get(key)
+    if shared is None:
+        xy = b(x, y)
+        shared = memo[key] = (None, xy) if xy else ()
+    right = b(w2, y)
+    left = b(w1, x) if right else None
+    first = b(left, right) if left else None
+    return (first, shared[1] if shared else None) if first else shared
+
+
+def _e6(b, memo, z, w1, w2, parts):
+    first, xy = parts
     out: dict = {}
-    inner = b(w2, y)
-    if inner:
-        _sadd(out, b(z, b(b(w1, x), inner)))
-    inner = b(x, y)
-    if inner:
-        _sadd(out, b(w1, b(b(z, w2), inner)), -1)
+    if first:
+        _sadd(out, b(z, first))
+    zw = b(z, w2) if xy else None
+    nested = b(zw, xy) if zw else None
+    if nested:
+        _sadd(out, b(w1, nested), -1)
     return out
 
 
@@ -171,29 +234,46 @@ _SIGNED_ORDERS = tuple(
 )
 
 
-def _e_s5(b, x0, *xs):
+def _e_s5(b, memo, x0, *xs):
+    """The signed sum of [x_p1, [x_p2, [x_p3, [x_p4, x0]]]].  The nested
+    prefixes [x_p2, [x_p3, [x_p4, x0]]] and their inner parts are kept for
+    one x0, keyed by the ids of their x's."""
     out: dict = {}
+    prefixes = _scoped(memo, "s5", x0)
+    ids = [id(x) for x in xs]
     for order, sign in _SIGNED_ORDERS:
-        v = x0
-        for i in reversed(order):
-            v = b(xs[i], v)
-        _sadd(out, v, sign)
+        v, key = x0, ()
+        for i in reversed(order[1:]):
+            key = (ids[i],) + key
+            nested = prefixes.get(key, _UNSET)
+            if nested is _UNSET:
+                # a zero prefix is kept as None, not as a dict
+                nested = prefixes[key] = b(xs[i], v) or None
+            if nested is None:
+                break
+            v = nested
+        else:
+            _sadd(out, b(xs[order[0]], v), sign)
     return out
 
 
 class _Identity(NamedTuple):
     """Slot groups in witness order, the polarization weight, and the
-    evaluator ``f(bracket, *occurrences)`` on sparse vectors and maps.
+    evaluator ``f(bracket, memo, *occurrences)`` on sparse vectors and maps.
 
     A group ``(kind, d)`` is the quantified argument repeated d times ("map"
     for the D of 1 and 2, "z" for the z of 3 and 4), a basis element
     repeated d times ("elem": z and w in 6, x0 in s5), or d alternating
-    basis slots ("alt").  The last group is always alternating.
+    basis slots ("alt").  The last group is always alternating; the
+    occurrences of the other groups form the head.
 
-    With ``inner`` set, the value at ``(*head, last, *tail)``, where tail
-    fills the last group, is ``f(bracket, *head, inner(bracket, last,
-    *tail))``: the inner value depends only on ``last`` and the tuple, so
-    a sweep computes it once per pair of them (identity 1's ``_e2``)."""
+    With ``inner`` set, the value at ``(first, *rest, *tail)``, where the
+    head is ``(first, *rest)`` and tail fills the last group, is
+    ``f(bracket, memo, first, *rest, inner(bracket, memo, *rest, *tail))``.
+    The inner value does not depend on ``first``, so a sweep computes it
+    once per ``(rest, tail)``: per map and tuple for 1, per z and tuple for
+    3, per pair of z's (or w's) and tuple for 4 and 6.  A zero inner value
+    is falsy, and ``f`` is linear in it, so zero adds nothing."""
 
     groups: tuple
     weight: Fraction
@@ -208,36 +288,25 @@ class _Identity(NamedTuple):
 
 
 _IDENTITIES = {
-    "1": _Identity((("map", 2), ("alt", 3)), 1, lambda b, d1, v: d1.apply_sparse(v), _e2),
+    "1": _Identity((("map", 2), ("alt", 3)), 1,
+                   lambda b, memo, d1, d2, v: d1.apply_sparse(v), _e2),
     "2": _Identity((("map", 1), ("alt", 3)), 1, _e2),
-    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3),
-    "4": _Identity(
-        (("z", 3), ("alt", 2)), Fraction(1, 6),
-        lambda b, z1, z2, z3, x, y: b(z1, b(b(z2, x), b(z3, y))),
-    ),
-    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6),
+    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3, _e3_inner),
+    "4": _Identity((("z", 3), ("alt", 2)), Fraction(1, 6),
+                   lambda b, memo, z1, z2, z3, v: b(z1, v), _e4_inner),
+    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6, _e6_inner),
     "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5),
 }
 
 # [[z,x],[z,y]] polarized in z: it vanishes iff [[g,g],[g,g]] = 0
 _SQUARE_BRACKET = _Identity(
     (("elem", 2), ("alt", 2)), 1,
-    lambda b, z1, z2, x, y: b(b(z1, x), b(z2, y)),
+    lambda b, memo, z1, z2, x, y: b(b(z1, x), b(z2, y)),
 )
 
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
-
-def _prep_elem(g, e, who: str) -> dict:
-    """Sparse coordinates of ``e`` when it is an element of g.  Anything
-    else is ArityMismatch; an element of another algebra is AlgebraMismatch."""
-    if not isinstance(e, Element):
-        raise ArityMismatch(f"{who} expects an element, got {type(e).__name__}")
-    if e.algebra is not g:
-        raise AlgebraMismatch("element belongs to a different algebra")
-    return e._sparse
-
 
 def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     """Plain (unpolarized) evaluation at concrete slots.
@@ -254,16 +323,18 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     occurrences = []
     for kind, d in spec.groups:
         if kind == "alt":
-            occurrences += [_prep_elem(g, next(slot), who) for _ in range(d)]
+            occurrences += [g._sparse_of(next(slot), who) for _ in range(d)]
         elif kind == "map":
             occurrences += [_check_map(next(slot), g.dim, who)] * d
         else:
-            occurrences += [_prep_elem(g, next(slot), who)] * d
-    b = g.bracket_sparse
+            occurrences += [g._sparse_of(next(slot), who)] * d
+    b, memo = g.bracket_sparse, {}
     if spec.inner is not None:
-        k = len(occurrences) - spec.groups[-1][1] - 1
-        occurrences[k:] = [spec.inner(b, *occurrences[k:])]
-    return Element(g, spec.f(b, *occurrences))
+        k = len(occurrences) - spec.groups[-1][1]
+        occurrences[k:] = [spec.inner(b, memo, *occurrences[1:])]
+        if not occurrences[k]:  # f is linear in it: the value is zero
+            return Element(g, {})
+    return Element(g, spec.f(b, memo, *occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +359,17 @@ def _sweep(g, spec: _Identity, payload, maps):
     sparse vector) fills the argument's group and adds nothing to the key;
     otherwise the argument runs over ``maps`` or the basis.  The orderings
     are summed in ``permutations`` order, and the weight is applied last.
-    An entry's inner values are kept for this call only: one list per last
-    head occurrence (a map, the payload or a basis vector, all alive for
-    the whole call, so keyed by ``id``), indexed by the tuple's position.
+
+    Values shared across orderings and tuples are computed when a tuple
+    first needs them, so a failing sweep still stops at its first tuple.
+    An entry's inner values live for the whole call: one list per ``rest``
+    of the head, keyed by the pool indices of its occurrences and indexed
+    by the tuple's position.  The evaluators' memo also lives for the call;
+    in it, 6 keeps [x, y] per tuple, 1 and 2 the images of basis vectors
+    under the current map, and s5 the nested prefixes for the current x0
+    (at most n + n^2 + n^3), freed when the head moves on.  With one basis
+    vector on each side a bracket is a single table lookup
+    (``LieAlgebra.bracket_sparse``).
 
     The sweep computes on stored values (basis vectors ``{i: 1}``, the
     maps' column views, ``g._pairs``, an element payload's own storage) and
@@ -298,42 +377,55 @@ def _sweep(g, spec: _Identity, payload, maps):
     callers wrap what they return in an ``Element``."""
     b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
     cache: dict = {}
+    memo: dict = {}
     basis = [{i: 1} for i in range(g.dim)]
-    # per group: (key part, orderings of its occurrences) for every choice
+    # the head's occurrences are drawn from one pool, by index.  Tuples are
+    # built from lists, not generators: tuple() then allocates them at their
+    # own size, so the freed ones are reused instead of piling up unused
+    if payload is not None:
+        pool = [payload]
+    else:
+        pool = maps if spec.argument == "map" else basis
+    # per head group: (key part, pool indices of its occurrences) per choice
     choices = []
-    for kind, d in spec.groups:
-        if kind == "alt":
-            group = [(t, (tuple(basis[i] for i in t),)) for t in combinations(range(g.dim), d)]
-        elif payload is not None and kind in ("map", "z"):
-            group = [((), ((payload,) * d,))]
+    for kind, d in spec.groups[:-1]:
+        if payload is not None and kind in ("map", "z"):
+            choices.append([((), (0,) * d)])
         else:
-            pool = maps if kind == "map" else basis
-            group = [(t, tuple(permutations([pool[i] for i in t])))
-                     for t in combinations_with_replacement(range(len(pool)), d)]
-        choices.append(group)
+            choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
+    tails = [(t, tuple([basis[i] for i in t]))
+             for t in combinations(range(g.dim), spec.groups[-1][1])]
     weight = None if payload is not None or spec.weight == 1 else spec.weight
-    # the last group is the inner loop; the others are combined once per head
-    *outer, inner = choices
-    for head in product(*outer):
+    # a Fixed payload fills its slots once; the other slots are polarized
+    orderings = permutations if payload is None else lambda t: (t,)
+    for head in product(*choices):
         head_key = sum([key for key, _ in head], ())
-        heads = [sum(parts, ()) for parts in product(*[orders for _, orders in head])]
-        for pos, (t, orders) in enumerate(inner):
+        orders = [sum(parts, ()) for parts in product(*[orderings(t) for _, t in head])]
+        heads = [tuple([pool[i] for i in order]) for order in orders]
+        rows = []
+        if inner_f is not None:
+            for order in orders:
+                row = cache.get(order[1:])
+                if row is None:
+                    row = cache[order[1:]] = [_UNSET] * len(tails)
+                rows.append(row)
+        for pos, (t, tail) in enumerate(tails):
             out: dict = {}
-            for occ in heads:
-                for tail in orders:
-                    if inner_f is None:
-                        _sadd(out, f(b, *occ, *tail))
-                        continue
-                    row = cache.get(id(occ[-1]))
-                    if row is None:
-                        row = cache[id(occ[-1])] = [_UNSET] * len(inner)
+            if inner_f is None:
+                for occ in heads:
+                    _sadd(out, f(b, memo, *occ, *tail))
+            else:
+                for occ, row in zip(heads, rows):
                     v = row[pos]
                     if v is _UNSET:
-                        # a zero inner value is kept as None, not as a dict
-                        v = row[pos] = inner_f(b, occ[-1], *tail) or None
-                    if v is not None:  # f is linear in v: zero adds nothing
-                        _sadd(out, f(b, *occ[:-1], v))
-            if weight is not None:
+                        # a zero inner value is kept as None; with a Fixed
+                        # payload no value is met twice, so none is kept
+                        v = inner_f(b, memo, *occ[1:], *tail) or None
+                        if payload is None:
+                            row[pos] = v
+                    if v is not None:
+                        _sadd(out, f(b, memo, *occ, v))
+            if weight is not None and out:
                 out = {k: c * weight for k, c in out.items()}
             yield head_key + t, out
 
@@ -444,7 +536,7 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     if tag == "fixed-map":
         payload = _check_map(payload, g.dim, f"identity {ident}")
     elif tag == "fixed-elem":
-        payload = _prep_elem(g, payload, f"identity {ident}")
+        payload = g._sparse_of(payload, f"identity {ident}")
     maps, exceptional = None, ExceptionalSet()
     if tag in ("all-der", "all-inner"):
         space = (derivation_space if tag == "all-der" else inner_derivations)(g)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     AlgebraMismatch,
+    ArityMismatch,
     JacobiViolation,
     NotClosed,
     NotIndependent,
@@ -208,9 +209,21 @@ class LieAlgebra:
     def bracket_sparse(self, u: dict, v: dict) -> dict:
         """[u, v] on sparse coordinate dicts.  Only the table pairs with one
         index in each support are visited, in table order, so the sum is
-        accumulated in the same order as a scan of the whole table."""
+        accumulated in the same order as a scan of the whole table.  With
+        one entry on each side (a sweep's basis vectors) at most one pair is
+        visited: it is looked up, and its coefficient is the general path's."""
         if not u or not v:
             return {}
+        if len(u) == 1 and len(v) == 1:
+            (a, ua), = u.items()
+            (c, vc), = v.items()
+            out = {}
+            hit = self._pairs[a].get(c)
+            if hit is not None:
+                coef = ua * vc if a == hit[1] else -ua * vc
+                if coef:
+                    _sadd(out, hit[3], coef)
+            return out
         hits = {}
         for a in u:
             row = self._pairs[a]
@@ -234,16 +247,24 @@ class LieAlgebra:
                 _sadd(out, comps, coef)
         return out
 
+    def _sparse_of(self, e, who: str) -> dict:
+        """Sparse coordinates of ``e`` when it is an element of this algebra.
+        Anything else is ArityMismatch; an element of another algebra is
+        AlgebraMismatch."""
+        if not isinstance(e, Element):
+            raise ArityMismatch(f"{who} expects an element, got {type(e).__name__}")
+        if e.algebra is not self:
+            raise AlgebraMismatch("element belongs to a different algebra")
+        return e._sparse
+
     def bracket(self, x: Element, y: Element) -> Element:
-        if x.algebra is not self or y.algebra is not self:
-            raise AlgebraMismatch("elements do not belong to this algebra")
-        return Element(self, self.bracket_sparse(x._sparse, y._sparse))
+        return Element(self, self.bracket_sparse(self._sparse_of(x, "bracket"),
+                                                 self._sparse_of(y, "bracket")))
 
     def ad(self, z: Element) -> Matrix:
         """Left bracket operator x -> [z, x]."""
-        if z.algebra is not self:
-            raise AlgebraMismatch("element does not belong to this algebra")
-        cols = [self.bracket_sparse(z._sparse, {j: 1}) for j in range(self.dim)]
+        u = self._sparse_of(z, "ad")
+        cols = [self.bracket_sparse(u, {j: 1}) for j in range(self.dim)]
         return Matrix.from_columns(cols, self.dim)
 
     def element(self, coords) -> Element:

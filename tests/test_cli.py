@@ -144,10 +144,34 @@ def test_incompatible_quantifier_is_a_validation_error(capsys):
     assert err.startswith("error:")
 
 
+def test_unknown_identity_and_quantifier_messages(capsys):
+    assert run(capsys, "identity", "sl2", "--id", "7") == (2, "", "error: unknown identity '7'\n")
+    code, out, err = run(capsys, "identity", "sl2", "--id", "3", "--quantifier", "fixed")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_param_must_be_name_value(capsys):
     code, _, err = run(capsys, "--param", "lam", "show", "glambda")
     assert code == 2
     assert "usage error" in err
+
+
+def test_repeated_param_is_a_usage_error(capsys):
+    # the last value used to win silently, and a --param before the command
+    # name was dropped when the command had one of its own
+    for argv in (
+        ("show", "glambda", "--param", "lam=1", "--param", "lam=2"),
+        ("--param", "lam=1", "show", "glambda", "--param", "lam=1"),
+        ("show", "g4ab", "--param", "alpha=2", "--param", "beta=1", "--param", "alpha=3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        name = argv[argv.index("--param") + 1].partition("=")[0]
+        assert err == f"usage error: --param {name} is given more than once\n", argv
+    # before and after the command name, the assignments add up
+    both = run(capsys, "show", "g4ab", "--param", "alpha=2", "--param", "beta=1")
+    assert both[0] == 0
+    assert run(capsys, "--param", "alpha=2", "show", "g4ab", "--param", "beta=1") == both
 
 
 def test_bad_parameter_values_are_validation_errors(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from liedouble import (
     ALL_DERIVATIONS,
     ALL_ELEMENTS,
     ALL_INNER_DERIVATIONS,
+    Element,
     Fixed,
     LieAlgebra,
     LinearMap,
@@ -22,6 +24,7 @@ from liedouble import (
     eval_identity,
     get,
     id6_from_id3_audit,
+    inner_derivations,
     implication_audit,
     metabelian_equivalences,
     nilpotent_witness_derivation,
@@ -32,7 +35,16 @@ from liedouble import (
     recognize_r31,
 )
 from liedouble import identities
-from liedouble.errors import AlgebraMismatch, IncompatibleQuantifier, LieDoubleError, NotNilpotent
+from liedouble.errors import (
+    AlgebraMismatch,
+    ArityMismatch,
+    IncompatibleQuantifier,
+    LieDoubleError,
+    NotNilpotent,
+    UnknownIdentity,
+    UnknownQuantifier,
+)
+from liedouble.linalg import _sadd
 
 
 def _apply(g, m, x):
@@ -64,6 +76,32 @@ def test_quantifier_from_name():
     z = get("sl2").basis_element(0)
     q = quantifier_from_name("fixed", z)
     assert isinstance(q, Fixed)
+
+
+def test_unknown_names_and_non_elements_raise_typed_errors():
+    # LieDoubleErrors that are still ValueErrors (names) or TypeErrors (a
+    # non-element operand), so callers catching those keep working
+    for code in ("7", "id5", "", "s6", None):
+        with pytest.raises(UnknownIdentity, match="unknown identity") as err:
+            canonical_identity(code)
+        assert isinstance(err.value, LieDoubleError) and isinstance(err.value, ValueError)
+    with pytest.raises(UnknownQuantifier, match="unknown quantifier name 'all-maps'") as err:
+        quantifier_from_name("all-maps")
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(UnknownQuantifier, match="needs a payload"):
+        quantifier_from_name("fixed")
+    g = get("sl2")
+    x = g.basis_element(0)
+    for other in (5, None, "e1", {0: 1}, LinearMap.identity(3)):
+        for call in (lambda: g.bracket(x, other), lambda: g.bracket(other, x), lambda: g.ad(other)):
+            with pytest.raises(ArityMismatch, match="expects an element") as err:
+                call()
+            assert isinstance(err.value, LieDoubleError) and isinstance(err.value, TypeError)
+    with pytest.raises(AlgebraMismatch):
+        g.bracket(x, get("sl3").basis_element(0))
+    with pytest.raises(AlgebraMismatch):
+        g.ad(get("sl3").basis_element(0))
+    assert g.bracket(x, g.basis_element(1)) == -g.bracket(g.basis_element(1), x)
 
 
 def test_map_identity_formulas_on_explicit_inputs():
@@ -474,3 +512,101 @@ def test_reported_values_are_weighted_polarization_sums():
             assert value == report.value, (name, code, quant, w)
             checked += 1
     assert checked == 30
+
+
+class _ScanAlgebra(LieAlgebra):
+    """The same table, bracketed by a scan of the whole table: no pair index
+    and no single-entry branch, so it shares no shortcut with the kernel."""
+
+    __slots__ = ()
+
+    def bracket_sparse(self, u, v):
+        out = {}
+        for (i, j), comps in self._table.items():
+            ui, vj, uj, vi = u.get(i), v.get(j), u.get(j), v.get(i)
+            coef = None
+            if ui is not None and vj is not None:
+                coef = ui * vj
+            if uj is not None and vi is not None:
+                coef = -uj * vi if coef is None else coef - uj * vi
+            if coef:
+                _sadd(out, comps, coef)
+        return out
+
+
+def _maps(g, quant):
+    if quant is ALL_DERIVATIONS:
+        return derivation_space(g).basis
+    if quant is ALL_INNER_DERIVATIONS:
+        return inner_derivations(g).basis
+    return None
+
+
+def _reference_stream(g, code, quant):
+    """Every ``(key, printed value)`` a sweep of ``code`` under ``quant``
+    yields, in order, from eval_identity on a scan-bracket twin of g: at a
+    basis key, the weighted polarization sum over the repeated slot, and
+    at a Fixed payload, the plain evaluation."""
+    twin = _ScanAlgebra(g.dim, g.table, labels=g.labels, params=g.params, validate=False)
+    e = twin.basis_element
+    # the key lists the slots before the polarized one, its indices and the
+    # alternating slots, in the order of eval_identity's slots
+    before, degree, weight = _POLARIZATION[code]
+    alt = identities._IDENTITIES[code].groups[-1][1]
+    n = g.dim
+    out = []
+    if isinstance(quant, Fixed):
+        payload = quant.payload
+        if isinstance(payload, Element):
+            payload = twin.element(payload.sparse())
+        for t in combinations(range(n), alt):
+            value = eval_identity(twin, code, payload, *(e(i) for i in t))
+            out.append((t, str(value)))
+        return out
+    maps = _maps(g, quant)
+    pool = e if maps is None else maps.__getitem__
+    count = n if maps is None else len(maps)
+    for head in product(*[range(n)] * before,
+                        combinations_with_replacement(range(count), degree)):
+        for t in combinations(range(n), alt):
+            fixed = [e(i) for i in head[:before]]
+            parts = [pool(i) for i in head[before]]
+            value = _polarized(lambda v: eval_identity(twin, code, *fixed, v, *(e(i) for i in t)),
+                               parts, weight)
+            out.append((head[:before] + head[before] + t, str(value)))
+    return out
+
+
+def _sweep_stream(g, code, quant):
+    payload = quant.payload if isinstance(quant, Fixed) else None
+    if isinstance(payload, Element):
+        payload = payload._sparse
+    values = identities._sweep(g, identities._IDENTITIES[code], payload, _maps(g, quant))
+    return [(key, str(Element(g, value))) for key, value in values]
+
+
+def _fixed_quantifiers(g):
+    """A Fixed map and a Fixed element with mixed rational entries."""
+    n = g.dim
+    m = LinearMap([[Fraction((2 * i + 3 * j) % 5 - 2, 1 + (i + j) % 3) for j in range(n)]
+                   for i in range(n)])
+    z = g.element([Fraction((i % 3) - 1, i + 1) or Fraction(1, 2) for i in range(n)])
+    return Fixed(m), Fixed(z)
+
+
+@pytest.mark.parametrize("name", ["n4", "ex413", "sl3", "filiform6", "glambda"])
+def test_every_swept_value_matches_the_polarized_reference(name):
+    # the whole stream of every sweep, not just its first failing tuple:
+    # every key in order and every value as printed (parametric values
+    # included), under each admitted quantifier
+    g = get("filiform", {"n": 6}) if name == "filiform6" else get(name)
+    fixed_map, fixed_elem = _fixed_quantifiers(g)
+    admitted = {"map": (fixed_map, ALL_DERIVATIONS, ALL_INNER_DERIVATIONS),
+                "z": (fixed_elem, ALL_ELEMENTS), None: (ALL_ELEMENTS,)}
+    nonzero = 0
+    for code, spec in identities._IDENTITIES.items():
+        for quant in admitted[spec.argument]:
+            got = _sweep_stream(g, code, quant)
+            assert got == _reference_stream(g, code, quant), (name, code, quant)
+            nonzero += sum(value != "0" for _, value in got)
+    assert nonzero > 0
