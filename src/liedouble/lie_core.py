@@ -24,8 +24,8 @@ from .errors import (
     NotIndependent,
     ParseError,
 )
-from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _eliminate, _nonzero, _sadd,
-                     _solve_columns, _view, nullspace, rank)
+from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _check_indices, _eliminate,
+                     _nonzero, _sadd, _solve_columns, _view, nullspace, rank)
 from .scalars import Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
 
 
@@ -342,7 +342,12 @@ class Subspace(NullspaceResult):
     def span(algebra, vectors, carry=None) -> "Subspace":
         """Echelonized span of sparse ``{index: value}`` vectors; ``carry``
         is added to the exceptional set."""
-        rows = [row for row in (_nonzero(v.items()) for v in vectors) if row]
+        rows = []
+        for v in vectors:
+            _check_indices(v, algebra.dim, "coordinate")
+            row = _nonzero(v.items())
+            if row:
+                rows.append(row)
         if not rows:
             return Subspace(algebra, (), carry)
         ech = _eliminate(rows, algebra.dim, algebra.dim)

@@ -22,11 +22,11 @@ stores is in one form, ``scalars._native``: an int, a Fraction, or a Scalar
 that carries a variable.  Their builders convert what they are given and
 drop zeros; their public accessors return Scalar views (``linalg._view``).
 
-Parameter-free systems stay sparse throughout: each row is scaled once to
-``{column: int}``, eliminated as a dict of rows, and back-substituted over
-its nonzeros in Fraction arithmetic.  Parametric systems are eliminated as
-dense Poly rows, in the operation order that fixes how their polynomials
-print.
+Systems stay sparse throughout.  A parameter-free row is scaled once to
+``{column: int}`` and back-substituted over its nonzeros in Fraction
+arithmetic.  A parametric row has its denominators cleared to
+``{column: Poly}`` and is eliminated in the operation order of dense
+Bareiss, which fixes how its polynomials print.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ def _nonzero(items) -> dict:
     return out
 
 
+def _check_indices(keys, n: int, what: str) -> None:
+    """ValueError, as for ragged rows, unless every key is in ``range(n)``."""
+    if keys and (min(keys) < 0 or max(keys) >= n):
+        raise ValueError(f"{what} index out of range for size {n}")
+
+
 class Matrix:
     """Immutable matrix, stored as sparse rows.
 
@@ -162,6 +168,8 @@ class Matrix:
     @staticmethod
     def sparse(rows, cols) -> "Matrix":
         """Matrix from sparse ``{column: value}`` rows."""
+        for row in rows:
+            _check_indices(row, cols, "column")
         m = Matrix.__new__(Matrix)
         m.rows, m.cols, m._columns = len(rows), cols, None
         m._rows = tuple(_nonzero(row.items()) for row in rows)
@@ -172,6 +180,7 @@ class Matrix:
         """``dim``-row matrix from sparse ``{row: value}`` columns."""
         rows = [{} for _ in range(dim)]
         for b, col in enumerate(cols):
+            _check_indices(col, dim, "row")
             for a, e in col.items():
                 rows[a][b] = e
         return Matrix.sparse(rows, len(cols))
@@ -182,6 +191,7 @@ class Matrix:
         flattening."""
         rows = [{} for _ in range(dim)]
         for k, e in items:
+            _check_indices((k,), dim * dim, "flat")
             a, b = divmod(k, dim)
             rows[a][b] = e
         return Matrix.sparse(rows, dim)
@@ -439,70 +449,60 @@ def _int_bareiss(rows, npivot, sparsest=False):
     return pivots
 
 
-def _poly_bareiss(rows, npivot):
-    """In-place Bareiss over Poly rows; returns (pivots, exceptional)."""
+def _poly_bareiss(rows, zero, npivot):
+    """In-place Bareiss over sparse ``{column: Poly}`` rows; returns
+    (pivots, exceptional).  A column's pivot is the first row below the
+    pivots with a nonzero constant entry there, else the first nonzero.
+
+    An absent cell of row ``i`` is the zero Poly of variable order
+    ``zero[i]``; a zero's order reaches printed results through the sums
+    and products it enters.  Each step runs dense Bareiss's Poly arithmetic
+    on the stored cells, an absent one read as that zero, and stores a
+    result unless it is the row's new zero.  Cells at or left of the pivot
+    column are never read again and are dropped.
+
+    ``_int_bareiss`` stays apart: one loop for both would branch on the
+    field in the pivot rule, in lazy versus eager rescaling (the eager one
+    fixes the print order), in ``//`` versus ``exact_div`` and in zero
+    orders."""
     m = len(rows)
-    exceptional = []
-    if not m:
-        return [], exceptional
-    n = len(rows[0])
-    pivots = []
+    exceptional, pivots = [], []
     prev = Poly.const(1)
     r = 0
     for c in range(npivot):
-        p = -1
-        for i in range(r, m):  # prefer a parameter-free pivot
-            e = rows[i][c]
-            if not e.is_zero() and e.is_constant():
-                p = i
-                break
-        if p < 0:
-            for i in range(r, m):
-                if not rows[i][c].is_zero():
-                    p = i
-                    break
-        if p < 0:
+        if r == m:
+            break
+        held = [i for i in range(r, m) if c in rows[i] and rows[i][c]._t]
+        if not held:
             continue
-        if p != r:
-            rows[p], rows[r] = rows[r], rows[p]
-        rowr = rows[r]
+        p = next((i for i in held if rows[i][c].is_constant()), held[0])
+        rows[p], rows[r] = rows[r], rows[p]
+        zero[p], zero[r] = zero[r], zero[p]
+        rowr, zr = rows[r], _poly({}, zero[r])
         piv = rowr[c]
         trivial = prev.is_constant() and prev.constant_value() == 1
+        unit = trivial and piv.is_constant() and piv.constant_value() == 1
         for i in range(r + 1, m):
-            rowi = rows[i]
-            f = rowi[c]
-            # a cell whose operands are all zero stays zero, with the
-            # variable order the Poly arithmetic below would give it; it is
-            # rebuilt only when that order differs from its own
-            if not f.is_zero():
-                for j in range(c + 1, n):
-                    a, b = rowi[j], rowr[j]
-                    if not a._t and not b._t:
-                        v = _merged_vars(
-                            _merged_vars(piv.vars, a.vars), _merged_vars(f.vars, b.vars))
-                        if v != a.vars:
-                            rowi[j] = _poly({}, v)
-                        continue
-                    upd = piv * a - f * b
-                    rowi[j] = upd if trivial else upd.exact_div(prev)
-                rowi[c] = Poly.const(0)
-            elif not (trivial and piv.is_constant() and piv.constant_value() == 1):
-                for j in range(c + 1, n):
-                    a = rowi[j]
-                    if not a._t:
-                        v = _merged_vars(piv.vars, a.vars)
-                        if v != a.vars:
-                            rowi[j] = _poly({}, v)
-                        continue
-                    upd = piv * a
-                    rowi[j] = upd if trivial else upd.exact_div(prev)
+            rowi, zi = rows[i], _poly({}, zero[i])
+            f = rowi.get(c)
+            if f is not None and f._t:
+                cells = {j: piv * rowi.get(j, zi) - f * rowr.get(j, zr)
+                         for j in rowi.keys() | rowr.keys() if j > c}
+                z = (piv * zi - f * zr).vars
+            elif not unit:
+                cells = {j: piv * a for j, a in rowi.items() if j > c}
+                z = (piv * zi).vars
+            else:
+                continue
+            if not trivial:
+                cells = {j: v.exact_div(prev) for j, v in cells.items()}
+            rows[i] = {j: v for j, v in cells.items() if v._t or v.vars != z}
+            zero[i] = z
         prev = piv
         pivots.append((r, c))
         if not piv.is_constant():
             exceptional.append(poly_normalize(piv))
         r += 1
-        if r == m:
-            break
     return pivots, exceptional
 
 
@@ -518,7 +518,9 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     ``solve_affine`` and ``solve_columns``.  ``Subspace.span`` and
     ``inner_derivations`` return the pivot rows themselves, so they keep
     the first-row rule.  The polynomial path ignores it: its pivot choice
-    decides the exceptional set."""
+    decides the exceptional set.  It reads each row in column order, which
+    fixes the order of the row's cleared denominators and so how its
+    polynomials print."""
     if not any(type(e) is Scalar for row in rows for e in row.values()):
         work = []
         for row in rows:
@@ -527,31 +529,32 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
         return _Echelon(work, _int_bareiss(work, npivot, sparsest), [], npivot, True)
 
     # clear denominators row by row; each cleared denominator is a
-    # degeneration locus of the input itself, so record it
-    exceptional = []
-    work = []
-    for sparse in rows:
-        row = _view(sparse, ncols)
+    # degeneration locus of the input itself, so record it.  The row's zero
+    # order is what multiplying by them gives a zero cell.
+    exceptional, work, zero = [], [], []
+    for stored in rows:
+        row = [(j, Scalar.of(stored[j])) for j in sorted(stored)]
         dens = []
-        for e in row:
-            if e.is_fraction:
-                d = e.denominator_poly()
-                if d not in dens:
-                    dens.append(d)
-        new_row = []
-        for e in row:
+        for _, e in row:
+            if e.is_fraction and e._den not in dens:
+                dens.append(e._den)
+        cleared = {}
+        for j, e in row:
             p = e.numerator_poly()
             for d in dens:
-                if not (e.is_fraction and e.denominator_poly() == d):
+                if e._den != d:  # None for a cell that is not a fraction
                     p = p * d
-            new_row.append(p)
-        work.append(new_row)
+            cleared[j] = p
+        z = ()
         for d in dens:
+            z = _merged_vars(z, d.vars)
             exceptional.append(poly_normalize(d))
+        work.append(cleared)
+        zero.append(z)
 
-    pivots, piv_exc = _poly_bareiss(work, npivot)
+    pivots, piv_exc = _poly_bareiss(work, zero, npivot)
     exceptional.extend(piv_exc)
-    out = [{j: Scalar.of(p) for j, p in enumerate(row) if not p.is_zero()} for row in work]
+    out = [{j: Scalar.of(row[j]) for j in sorted(row) if row[j]._t} for row in work]
     return _Echelon(out, pivots, exceptional, npivot, False)
 
 
@@ -605,10 +608,6 @@ def _conditions(resid):
     return [poly_normalize(p) for p in polys if not p.is_constant()]
 
 
-def _identity_basis(n):
-    return tuple({j: 1} for j in range(n))
-
-
 class NullspaceResult:
     """Nullspace basis with the exceptional set of the elimination.
 
@@ -639,8 +638,6 @@ class NullspaceResult:
 
 def nullspace(m: Matrix) -> NullspaceResult:
     """Basis of the right nullspace, generic in any parameters."""
-    if m.rows == 0 or m.cols == 0:
-        return NullspaceResult(_identity_basis(m.cols), m.cols, ExceptionalSet())
     ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
     vectors = [_back_substitute(ech, f) for f in _free_columns(ech)]
     return NullspaceResult(vectors, m.cols, ExceptionalSet(ech.exceptional))
@@ -656,8 +653,6 @@ class RankResult:
 
 def rank(m: Matrix) -> RankResult:
     """Generic rank with the parameter degenerations that could lower it."""
-    if m.rows == 0 or m.cols == 0:
-        return RankResult(0, ExceptionalSet())
     ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
     return RankResult(len(ech.pivots), ExceptionalSet(ech.exceptional))
 
@@ -688,10 +683,6 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
     """Solve a linear system exactly, reporting the full solution set."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    if not m.rows:
-        status = "unique" if m.cols == 0 else "affine"
-        basis = tuple(_view(v, m.cols) for v in _identity_basis(m.cols))
-        return SolveResult(status, _view({}, m.cols), basis, ExceptionalSet())
     ech = _eliminate(_augment(m, [_nonzero(enumerate(rhs))]), m.cols + 1, m.cols, sparsest=True)
     exceptional = list(ech.exceptional)
     resid = _residuals(ech, m.cols)

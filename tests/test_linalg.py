@@ -27,7 +27,8 @@ from liedouble import (
 )
 from liedouble import catalog, linalg
 from liedouble.lie_core import Subspace, _leibniz_matrix
-from liedouble.linalg import _int_bareiss, _poly_bareiss, _sadd
+from liedouble.linalg import _eliminate, _int_bareiss, _poly_bareiss, _sadd, _view
+from liedouble.scalars import _native
 
 try:
     from hypothesis import given, settings
@@ -399,6 +400,36 @@ def test_matrix_operations_match_dense_fraction_arithmetic():
             [x + y for x, y in zip(s, t)] for s, t in zip(p, p2)]
 
 
+def test_matrix_builders_refuse_indices_outside_the_shape():
+    # zero values too: an index is checked before the value is
+    builds = (
+        lambda: Matrix.from_columns([{-1: 5}, {}], 2),
+        lambda: Matrix.from_columns([{7: 1}], 2),
+        lambda: Matrix.from_flat([(-1, 5)], 2),
+        lambda: Matrix.from_flat([(4, 5)], 2),
+        lambda: Matrix.from_flat([(0, 5)], 0),
+        lambda: Matrix.sparse([{3: 1}], 2),
+        lambda: Matrix.sparse([{-1: 1}], 2),
+        lambda: Matrix.sparse([{2: 0}], 2),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="index out of range"):
+            build()
+    assert Matrix.from_columns([{1: 5}, {}], 2) == Matrix([[0, 0], [5, 0]])
+    assert Matrix.from_flat([(3, 5)], 2) == Matrix([[0, 0], [0, 5]])
+    assert Matrix.sparse([{1: 1}], 2) == Matrix([[0, 1]])
+    # user vectors: Subspace.span checks them, and contains_vector passes
+    # them through Matrix.sparse
+    g = get("sl2")
+    span = Subspace.span(g, [{0: 1}])
+    assert span.contains_vector({0: 2}) and not span.contains_vector({2: 1})
+    for v in ({3: 1}, {-1: 1}, {5: 0}):
+        with pytest.raises(ValueError, match="index out of range"):
+            span.contains_vector(v)
+        with pytest.raises(ValueError, match="index out of range"):
+            Subspace.span(g, [{0: 1}, v])
+
+
 def test_map_builders_are_sparse():
     assert Matrix.identity(3) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert Matrix.diagonal([2, 0, -1]).sparse_rows == ({0: Scalar.of(2)}, {}, {2: Scalar.of(-1)})
@@ -430,9 +461,11 @@ def test_sadd_multiplies_every_coefficient_but_one_and_minus_one():
                 assert (type(acc[0]) is Scalar) == scalar_in, (coef, base, unit)
 
 
-def _dense_poly_bareiss(rows, npivot):
-    """The parametric Bareiss loop before zero cells were skipped: every
-    cell update runs the Poly arithmetic."""
+def _dense_poly_bareiss(rows, npivot, last=None):
+    """The parametric Bareiss loop on dense Poly rows, before zero cells
+    were skipped: every cell update runs the Poly arithmetic.  A ``last``
+    list, one entry per row and swapped along with the rows, receives the
+    column of the last step that rewrote each row."""
     m, n = len(rows), len(rows[0])
     exceptional, pivots = [], []
     prev = Poly.const(1)
@@ -444,6 +477,8 @@ def _dense_poly_bareiss(rows, npivot):
         if p < 0:
             continue
         rows[p], rows[r] = rows[r], rows[p]
+        if last is not None:
+            last[p], last[r] = last[r], last[p]
         rowr = rows[r]
         piv = rowr[c]
         trivial = prev.is_constant() and prev.constant_value() == 1
@@ -459,6 +494,10 @@ def _dense_poly_bareiss(rows, npivot):
                 for j in range(c + 1, n):
                     upd = piv * rowi[j]
                     rowi[j] = upd if trivial else upd.exact_div(prev)
+            else:
+                continue
+            if last is not None:
+                last[i] = c
         prev = piv
         pivots.append((r, c))
         if not piv.is_constant():
@@ -472,7 +511,9 @@ def _dense_poly_bareiss(rows, npivot):
 def test_poly_bareiss_skips_zero_cells_without_changing_any_cell():
     # mostly zero cells, zeros carrying variable orders of their own, and
     # entries whose variable orders differ: every cell must print and
-    # carry its variables as the dense loop leaves them
+    # carry its variables as the dense loop leaves them.  A sparse row
+    # stands for a dense one exactly: its absent cells are zeros of the
+    # row's zero order, and every other zero is stored.
     entries = [parse_scalar(text).numerator_poly() for text in (
         "t + 1", "s - 2*t", "3", "-1", "t*s", "2*s^2 - t", "t/2 + s", "s + t", "-4", "t^2 - 1")]
     zeros = [Poly({}, v) for v in ((), ("t",), ("s", "t"), ("t", "s"))]
@@ -482,14 +523,95 @@ def test_poly_bareiss_skips_zero_cells_without_changing_any_cell():
         density = rng.choice((0.1, 0.2, 0.35))
         rows = [[rng.choice(entries) if rng.random() < density else rng.choice(zeros)
                  for _ in range(n)] for _ in range(m)]
+        zero = [rng.choice(zeros).vars for _ in range(m)]
         npivot = rng.randint(1, n)
-        got, want = [list(row) for row in rows], [list(row) for row in rows]
-        pivots, exceptional = _poly_bareiss(got, npivot)
-        ref_pivots, ref_exceptional = _dense_poly_bareiss(want, npivot)
+        got = [{j: p for j, p in enumerate(row) if p._t or p.vars != z}
+               for row, z in zip(rows, zero)]
+        want, last = [list(row) for row in rows], [-1] * m
+        pivots, exceptional = _poly_bareiss(got, zero, npivot)
+        ref_pivots, ref_exceptional = _dense_poly_bareiss(want, npivot, last)
         assert pivots == ref_pivots
-        assert [str(p) for p in exceptional] == [str(p) for p in ref_exceptional]
-        assert [[(str(p), p.vars) for p in row] for row in got] == [
-            [(str(p), p.vars) for p in row] for row in want]
+        assert [(str(p), p.vars) for p in exceptional] == [
+            (str(p), p.vars) for p in ref_exceptional]
+        for row, z, ref, dead in zip(got, zero, want, last):
+            for j, q in enumerate(ref):
+                p = row.get(j, Poly({}, z))
+                if j <= dead:  # no later step reads it, and it is zero
+                    assert p == q and not q._t
+                else:
+                    assert (str(p), p.vars) == (str(q), q.vars)
+
+
+def _dense_eliminate(rows, ncols, npivot):
+    """The parametric branch of ``_eliminate`` on dense Poly rows, before
+    rows were eliminated sparse: (rows, pivots, exceptional)."""
+    exceptional, work = [], []
+    for sparse in rows:
+        row = _view(sparse, ncols)
+        dens = []
+        for e in row:
+            if e.is_fraction:
+                d = e.denominator_poly()
+                if d not in dens:
+                    dens.append(d)
+        new_row = []
+        for e in row:
+            p = e.numerator_poly()
+            for d in dens:
+                if not (e.is_fraction and e.denominator_poly() == d):
+                    p = p * d
+            new_row.append(p)
+        work.append(new_row)
+        for d in dens:
+            exceptional.append(poly_normalize(d))
+    pivots, piv_exc = _dense_poly_bareiss(work, npivot)
+    exceptional.extend(piv_exc)
+    out = [{j: Scalar.of(p) for j, p in enumerate(row) if not p.is_zero()} for row in work]
+    return out, pivots, exceptional
+
+
+def _printed(rows, pivots, exceptional):
+    """Text and variable orders of every echelon entry, in row order."""
+    def cell(e):
+        return str(e), e.numerator_poly().vars, e.denominator_poly().vars
+    return ([[(j, *cell(e)) for j, e in row.items()] for row in rows], pivots,
+            [(str(p), p.vars) for p in exceptional])
+
+
+def _same_as_dense(rows, ncols, npivot):
+    want = _printed(*_dense_eliminate(rows, ncols, npivot))
+    ech = _eliminate([dict(row) for row in rows], ncols, npivot, sparsest=True)
+    assert not ech.integral
+    assert _printed(ech.rows, ech.pivots, ech.exceptional) == want
+
+
+def test_sparse_parametric_elimination_matches_the_dense_rows():
+    # keys out of column order and several denominators per row: the order
+    # in which a row's denominators are cleared fixes how it prints
+    values = [_native(parse_scalar(text)) for text in (
+        "s", "t + 1", "1/(s - t)", "t^2/(s + 1)", "3/(t + 2)", "(s + t)/(s - t)", "2",
+        "-1/2", "s*t/(t - 2)", "1/(s + 1)", "t - s", "5/(s*t + 1)")]
+    rng = random.Random(20141022)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.7))
+        rows = []
+        for _ in range(m):
+            items = [(j, rng.choice(values)) for j in range(n) if rng.random() < density]
+            rng.shuffle(items)
+            rows.append(dict(items))
+        rows[rng.randrange(m)][rng.randrange(n)] = values[1]  # parametric
+        _same_as_dense(rows, n, rng.randint(1, n))
+
+
+@pytest.mark.parametrize("name", ["glambda", "g4ab", "g5alpha", "r3lambda", "g2alpha"])
+def test_sparse_parametric_leibniz_elimination_matches_the_dense_rows(name):
+    g = get(name)
+    n = g.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for weight in (1, -1, Scalar.variable("t")):
+        rows = _leibniz_matrix(n, g._c, pairs, _native(weight))._rows
+        _same_as_dense(rows, n * n, n * n)
 
 
 # -- pivot rules of the integer Bareiss -------------------------------------
