@@ -31,16 +31,13 @@ class JacobiViolation(LieDoubleError):
     """A bracket table fails the Jacobi identity.
 
     Carries the offending 0-based basis triple and the nonzero Jacobiator
-    coordinates."""
+    coordinates; the message names the triple by its basis labels."""
 
-    def __init__(self, i, j, k, coords, labels=None):
+    def __init__(self, i, j, k, coords, labels):
         self.triple = (i, j, k)
         self.coords = coords
-        if labels is None:
-            shown = f"indices {(i + 1, j + 1, k + 1)}"
-        else:
-            shown = f"({labels[i]}, {labels[j]}, {labels[k]})"
-        super().__init__(f"Jacobi identity fails on basis triple {shown}")
+        super().__init__(
+            f"Jacobi identity fails on basis triple ({labels[i]}, {labels[j]}, {labels[k]})")
 
 
 class AlgebraMismatch(LieDoubleError, ValueError):

@@ -76,24 +76,21 @@ class Fixed:
 
 
 class _Sweep:
-    __slots__ = ("name",)
+    __slots__ = ("name", "tag")
 
-    def __init__(self, name):
+    def __init__(self, name, tag):
         self.name = name
+        self.tag = tag  # the CLI name, which _classify reports
 
     def __repr__(self):
         return self.name
 
 
-ALL_DERIVATIONS = _Sweep("AllDerivations")
-ALL_INNER_DERIVATIONS = _Sweep("AllInnerDerivations")
-ALL_ELEMENTS = _Sweep("AllElements")
+ALL_DERIVATIONS = _Sweep("AllDerivations", "all-der")
+ALL_INNER_DERIVATIONS = _Sweep("AllInnerDerivations", "all-inner")
+ALL_ELEMENTS = _Sweep("AllElements", "all-elem")
 
-_BY_NAME = {
-    "all-der": ALL_DERIVATIONS,
-    "all-inner": ALL_INNER_DERIVATIONS,
-    "all-elem": ALL_ELEMENTS,
-}
+_BY_NAME = {q.tag: q for q in (ALL_DERIVATIONS, ALL_INNER_DERIVATIONS, ALL_ELEMENTS)}
 
 
 def quantifier_from_name(name: str, payload=None):
@@ -347,9 +344,8 @@ def _classify(q):
         if isinstance(q.payload, Element):
             return "fixed-elem", q.payload
         raise ArityMismatch("fixed quantifier payload must be a map or an element")
-    for tag, sweep in _BY_NAME.items():
-        if q is sweep:
-            return tag, None
+    if isinstance(q, _Sweep):
+        return q.tag, None
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
@@ -438,29 +434,21 @@ def _scan_conditions(values):
     the first such pair is returned as ``(key, value, (), ())``.  Otherwise
     the result is ``(None, None, conditions, roots)``: the distinct
     normalized numerators in ExceptionalSet order (degree, then text), and
-    their rational root sets (None for a multivariate condition).  The
-    numerators stream into the ExceptionalSet, which keeps only distinct
-    ones."""
-    failure = []
-
-    def numerators():
-        # a raw numerator equal to one already seen normalizes to an equal
-        # poly, which the ExceptionalSet would drop: normalize it only once
-        seen = set()
-        for key, sparse in values:
-            for coord in sorted(sparse):
-                c = sparse[coord]
-                num = c.numerator_poly() if isinstance(c, Scalar) else None
-                if num is None or num.is_constant():
-                    failure.append((key, sparse, (), ()))
-                    return
-                if num not in seen:
-                    seen.add(num)
-                    yield poly_normalize(num)
-
-    conditions = ExceptionalSet(numerators()).polys
-    if failure:
-        return failure[0]
+    their rational root sets (None for a multivariate condition).  A raw
+    numerator equal to one already seen normalizes to an equal poly, which
+    the ExceptionalSet would drop: each is normalized only once."""
+    seen = set()
+    normalized = []
+    for key, sparse in values:
+        for coord in sorted(sparse):
+            c = sparse[coord]
+            num = c.numerator_poly() if isinstance(c, Scalar) else None
+            if num is None or num.is_constant():
+                return key, sparse, (), ()
+            if num not in seen:
+                seen.add(num)
+                normalized.append(poly_normalize(num))
+    conditions = ExceptionalSet(normalized).polys
     roots = [
         rational_roots(p).roots if len(p.variables()) == 1 else None
         for p in conditions

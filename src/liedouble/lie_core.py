@@ -211,12 +211,17 @@ class LieAlgebra:
         index in each support are visited, in table order, so the sum is
         accumulated in the same order as a scan of the whole table.  With
         one entry on each side (a sweep's basis vectors) at most one pair is
-        visited: it is looked up, and its coefficient is the general path's."""
+        visited: it is looked up, and its coefficient is the general path's.
+        An index outside ``range(dim)`` is a ValueError."""
         if not u or not v:
             return {}
+        n = self.dim
         if len(u) == 1 and len(v) == 1:
             (a, ua), = u.items()
             (c, vc), = v.items()
+            # compared inline: a call to _check_indices costs more here
+            if not (0 <= a < n and 0 <= c < n):
+                raise ValueError(f"coordinate index out of range for size {n}")
             out = {}
             hit = self._pairs[a].get(c)
             if hit is not None:
@@ -224,6 +229,8 @@ class LieAlgebra:
                 if coef:
                     _sadd(out, hit[3], coef)
             return out
+        _check_indices(u, n, "coordinate")
+        _check_indices(v, n, "coordinate")
         hits = {}
         for a in u:
             row = self._pairs[a]
@@ -348,8 +355,6 @@ class Subspace(NullspaceResult):
             row = _nonzero(v.items())
             if row:
                 rows.append(row)
-        if not rows:
-            return Subspace(algebra, (), carry)
         ech = _eliminate(rows, algebra.dim, algebra.dim)
         basis = [_normalize_row(ech.rows[r], pc) for r, pc in ech.pivots]
         exc = ExceptionalSet(ech.exceptional)
@@ -458,11 +463,9 @@ def is_metabelian(g: LieAlgebra) -> bool:
 
 def second_derived(g: LieAlgebra) -> Subspace:
     chain = derived_series(g)
-    if chain[0].dim == 0:
-        return chain[0]
     if len(chain) >= 2:
         return chain[1]
-    # derived series stabilized at the first term (perfect derived ideal)
+    # the series stopped at its first term, which is zero or perfect
     return _derived(g, chain[0])
 
 

@@ -64,10 +64,6 @@ class ExceptionalSet:
         return not self.polys
 
     def union(self, other: "ExceptionalSet") -> "ExceptionalSet":
-        if not other.polys:
-            return self
-        if not self.polys:
-            return other
         return ExceptionalSet(self.polys + other.polys)
 
     def vanishes_at(self, values: dict) -> bool:
@@ -135,9 +131,11 @@ def _nonzero(items) -> dict:
 
 
 def _check_indices(keys, n: int, what: str) -> None:
-    """ValueError, as for ragged rows, unless every key is in ``range(n)``."""
-    if keys and (min(keys) < 0 or max(keys) >= n):
-        raise ValueError(f"{what} index out of range for size {n}")
+    """ValueError, as for ragged rows, unless every key is in ``range(n)``.
+    A loop, which on the few keys of a sparse row beats ``min`` and ``max``."""
+    for k in keys:
+        if not 0 <= k < n:
+            raise ValueError(f"{what} index out of range for size {n}")
 
 
 class Matrix:
@@ -255,6 +253,7 @@ class Matrix:
     def apply_sparse(self, v: dict) -> dict:
         """Image of a sparse vector, computed on the column view: a value is
         a Scalar when the input or a column entry it meets is one."""
+        _check_indices(v, self.cols, "vector")
         cols = self._column_view
         out: dict = {}
         for b, vb in v.items():
@@ -262,6 +261,8 @@ class Matrix:
         return out
 
     def apply_vec(self, coords) -> tuple:
+        if len(coords) != self.cols:
+            raise ValueError("vector length does not match column count")
         return _view(self.apply_sparse(_nonzero(enumerate(coords))), self.rows)
 
     def apply(self, x):
@@ -269,13 +270,9 @@ class Matrix:
         return x.algebra.element(self.apply_sparse(x._sparse))
 
     def compose(self, other: "Matrix") -> "Matrix":
-        """Matrix product self @ other (apply other first)."""
-        return Matrix.from_columns([self.apply_sparse(c) for c in other._column_view], self.rows)
-
-    def _product(self, other: "Matrix") -> "Matrix":
-        """self @ other with each entry summed from zero over ascending
-        inner indices, the order of the dense product (it fixes how
-        rational-function entries print)."""
+        """Matrix product self @ other (apply other first), each entry
+        summed from zero over ascending inner indices, the order of the
+        dense product (it fixes how rational-function entries print)."""
         mine = self._column_view
         cols = []
         for col in other._column_view:
@@ -287,7 +284,7 @@ class Matrix:
         return Matrix.from_columns(cols, self.rows)
 
     def commutator(self, other: "Matrix") -> "Matrix":
-        return self._product(other) - other._product(self)
+        return self.compose(other) - other.compose(self)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -576,8 +576,7 @@ def rational_roots(p: Poly) -> RootReport:
 
 
 def _divisors(n: int) -> list:
-    if n == 0:
-        return [1]
+    """The positive divisors of a positive integer."""
     out = []
     d = 1
     while d * d <= n:

@@ -131,6 +131,14 @@ def test_derivation_lie_structure_closes_under_commutator():
     assert rebuilt == direct
 
 
+def test_derivation_lie_structure_of_the_zero_space():
+    # sl2 has no nonzero derivation of weight 3
+    space = generalized_derivation_space(get("sl2"), 3)
+    assert space.dim == 0
+    h = derivation_lie_structure(space)
+    assert (h.dim, h.labels, h.params, h.table) == (0, (), (), {})
+
+
 def test_characteristically_nilpotent_detection():
     assert is_characteristically_nilpotent(get("ex413"))
     assert not is_characteristically_nilpotent(get("n3"))

@@ -66,6 +66,15 @@ def test_parse_element_symbolic_coefficients():
     assert z.coords[2] == Scalar.variable("z3")
 
 
+def test_parse_element_divides_by_a_denominator():
+    g = get("sl2")
+    assert str(parse_element(g, "e1/2")) == "1/2*e1"
+    x = parse_element(g, "(e1 + e2)/lam")
+    assert str(x) == "((1)/(lam))*e1 + ((1)/(lam))*e2"
+    lam = Scalar.variable("lam")
+    assert x.coords == (1 / lam, 1 / lam, Scalar.of(0))
+
+
 def test_parse_element_unknown_label_without_new_names():
     g = get("n3")
     with pytest.raises(ParseError):
@@ -294,6 +303,17 @@ def test_bracket_of_symbolic_elements_matches_a_full_table_scan():
             assert shown(g.bracket_sparse(v, z)) == shown(_full_scan_bracket(g, v, z)), name
         zz = g.bracket_sparse(z, y)
         assert shown(g.bracket_sparse(zz, z)) == shown(_full_scan_bracket(g, zz, z))
+
+
+def test_bracket_refuses_indices_outside_the_basis():
+    g = get("sl2")
+    for u, v in (({-1: 1}, {0: 1}), ({0: 1}, {-1: 1}), ({0: 1}, {5: 1}), ({5: 1}, {0: 1}),
+                 ({0: 1, 3: 1}, {1: 1}), ({0: 1}, {1: 1, -1: 1}), ({0: 1, 1: 1}, {7: 0})):
+        with pytest.raises(ValueError, match="index out of range for size 3"):
+            g.bracket_sparse(u, v)
+    assert g.bracket_sparse({0: 1}, {2: 1}) == {0: -2}
+    assert g.bracket_sparse({2: 1}, {0: 1}) == {0: 2}
+    assert g.bracket_sparse({0: 1, 1: 1}, {2: 1}) == {0: -2, 1: 2}
 
 
 def test_element_from_a_dict_matches_the_dense_tuple():

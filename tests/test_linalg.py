@@ -430,6 +430,23 @@ def test_matrix_builders_refuse_indices_outside_the_shape():
             Subspace.span(g, [{0: 1}, v])
 
 
+def test_map_application_refuses_vectors_outside_the_shape():
+    m = Matrix.identity(3)
+    for coords in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError, match="vector length"):
+            m.apply_vec(coords)
+    for v in ({5: 1}, {-1: 1}, {3: 0}):
+        with pytest.raises(ValueError, match="index out of range"):
+            m.apply_sparse(v)
+    assert m.apply_vec([1, 2, 3]) == tuple(map(Scalar.of, (1, 2, 3)))
+    assert m.apply_sparse({2: 1}) == {2: 1}
+    # a non-square map reads vectors of its column count
+    wide = Matrix([[1, 2, 3]])
+    assert wide.apply_vec([1, 1, 1]) == (Scalar.of(6),)
+    with pytest.raises(ValueError, match="vector length"):
+        wide.apply_vec([1])
+
+
 def test_map_builders_are_sparse():
     assert Matrix.identity(3) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert Matrix.diagonal([2, 0, -1]).sparse_rows == ({0: Scalar.of(2)}, {}, {2: Scalar.of(-1)})

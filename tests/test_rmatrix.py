@@ -153,6 +153,12 @@ def test_recognize_r31_on_catalog_entries():
         recognize_r31(get("r3lambda"))
 
 
+def test_recognize_r31_needs_dimension_three():
+    for name in ("r2", "n3+C", "r2+C2", "sl3"):
+        assert not recognize_r31(get(name))
+    assert not recognize_r31(abelian_algebra(2))
+
+
 def test_build_double_rejects_non_derivation():
     g = get("n3")
     swap = LinearMap([[0, 0, 1], [0, 1, 0], [1, 0, 0]])

@@ -80,6 +80,14 @@ def test_substitute_into_a_vanishing_denominator_raises():
         parse_scalar("1/(a - 1)").substitute({"a": 1})
 
 
+def test_substitute_into_a_genuine_fraction():
+    s = parse_scalar("(lam + 1)/(lam - 2)")
+    assert s.substitute({"lam": 3}) == Scalar.of(4)
+    assert s.substitute({"lam": 3}).is_rational
+    with pytest.raises(DenominatorVanishes, match="denominator lam - 2 vanishes"):
+        s.substitute({"lam": 2})
+
+
 def test_rational_function_simplifies_common_factor():
     t = Scalar.variable("t")
     s = (t * t - 1) / (t - 1)
