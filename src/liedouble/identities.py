@@ -12,12 +12,16 @@ x, y, w, z of a fixed algebra:
       sign(p) * [x_p1,[x_p2,[x_p3,[x_p4, x0]]]] = 0
 
 Each identity is described once, in ``_IDENTITIES``, which evaluation, the
-quantified sweep and the quantifier check all read.  An entry may split its
-evaluator into an inner part, which depends on every occurrence but the
-first one and on the alternating tuple, and an outer step; a sweep then
-computes each inner value once per (occurrences, tuple) instead of once per
-ordering of every head.  Identity 1's inner part is identity 2's sum, and
-its outer step applies the other map; 3, 4 and 6 bracket with the first z.
+quantified sweep and the quantifier check all read.  An entry may give a
+tail part, which depends on the alternating tuple alone: for 1, 2 and 3 the
+cyclic pairs (u, [v1, v2]) whose bracket is nonzero, for 6 its [x, y].  A
+sweep computes it once per tuple and shares it with every head, and a tuple
+whose tail part is empty is zero for every head.  An entry may also split
+its evaluator into an inner part, which depends on every occurrence but the
+first one and on the tuple, and an outer step; a sweep then computes each
+inner value once per (occurrences, tuple) instead of once per ordering of
+every head.  Identity 1's inner part is identity 2's sum, and its outer
+step applies the other map; 3, 4 and 6 bracket with the first z.
 
 A quantified check sweeps basis tuples only.  Alternating slots are swept
 over strictly increasing index tuples.  A repeated slot (the D in 1, the z
@@ -157,27 +161,34 @@ def _apply(memo, d, u) -> dict:
     return du
 
 
-def _e2(b, memo, d, x, y, w):
-    out: dict = {}
+def _cyclic_pairs(b, x, y, w):
+    """Tail part of 1, 2 and 3: the nonzero (u, [v1, v2]) of the cyclic
+    terms (x, [y, w]), (y, [w, x]), (w, [x, y]), in that order."""
+    pairs = []
     for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
         inner = b(v1, v2)
         if inner:
-            du = _apply(memo, d, u)
-            if du:
-                _sadd(out, b(du, inner))
+            pairs.append((u, inner))
+    return tuple(pairs)
+
+
+def _e2(b, memo, d, *pairs):
+    out: dict = {}
+    for u, inner in pairs:
+        du = _apply(memo, d, u)
+        if du:
+            _sadd(out, b(du, inner))
     return out
 
 
-def _e3_inner(b, memo, z2, x, y, w):
-    """The nonzero [[z2, u], [v1, v2]] of the three cyclic terms of 3."""
+def _e3_inner(b, memo, z2, *pairs):
+    """The nonzero [[z2, u], [v1, v2]] of the cyclic terms of 3."""
     terms = []
-    for u, v1, v2 in ((x, y, w), (y, w, x), (w, x, y)):
-        inner = b(v1, v2)
-        if inner:
-            zu = b(z2, u)
-            term = b(zu, inner) if zu else None
-            if term:
-                terms.append(term)
+    for u, inner in pairs:
+        zu = b(z2, u)
+        term = b(zu, inner) if zu else None
+        if term:
+            terms.append(term)
     return tuple(terms)
 
 
@@ -197,19 +208,22 @@ def _e4_inner(b, memo, z2, z3, x, y):
     return b(left, right) if left else {}
 
 
-def _e6_inner(b, memo, w1, w2, x, y):
+def _xy_pair(b, x, y):
+    """Tail part of 6: x, y and the pair (None, [x, y]), or () when [x, y]
+    is zero; it is never falsy, since [[w, x], [w, y]] does not vanish with
+    [x, y]."""
+    xy = b(x, y)
+    return x, y, (None, xy) if xy else ()
+
+
+def _e6_inner(b, memo, w1, w2, x, y, pair):
     """The parts of 6 that z does not enter, each None when zero:
     [[w1, x], [w2, y]] and [x, y].  When the first is zero they are the
-    tuple's own pair, kept in ``memo`` and shared by every (w1, w2)."""
-    key = (id(x), id(y))
-    shared = memo.get(key)
-    if shared is None:
-        xy = b(x, y)
-        shared = memo[key] = (None, xy) if xy else ()
+    tuple's own ``pair``, shared by every (w1, w2)."""
     right = b(w2, y)
     left = b(w1, x) if right else None
     first = b(left, right) if left else None
-    return (first, shared[1] if shared else None) if first else shared
+    return (first, pair[1] if pair else None) if first else pair
 
 
 def _e6(b, memo, z, w1, w2, parts):
@@ -264,11 +278,18 @@ class _Identity(NamedTuple):
     basis slots ("alt").  The last group is always alternating; the
     occurrences of the other groups form the head.
 
+    With ``tail`` set, the alternating tuple enters only through its tail
+    part ``tail(bracket, *tuple)``, a tuple that stands in for the tuple's
+    slots: the cyclic pairs (u, [v1, v2]) of 1, 2 and 3 that are nonzero,
+    and x, y and [x, y] for 6.  It does not depend on the head, so a sweep
+    computes it once per tuple; a falsy tail part makes the value zero for
+    every head.
+
     With ``inner`` set, the value at ``(first, *rest, *tail)``, where the
-    head is ``(first, *rest)`` and tail fills the last group, is
+    head is ``(first, *rest)`` and tail is the tuple or its tail part, is
     ``f(bracket, memo, first, *rest, inner(bracket, memo, *rest, *tail))``.
     The inner value does not depend on ``first``, so a sweep computes it
-    once per ``(rest, tail)``: per map and tuple for 1, per z and tuple for
+    once per ``(rest, tuple)``: per map and tuple for 1, per z and tuple for
     3, per pair of z's (or w's) and tuple for 4 and 6.  A zero inner value
     is falsy, and ``f`` is linear in it, so zero adds nothing."""
 
@@ -276,6 +297,7 @@ class _Identity(NamedTuple):
     weight: Fraction
     f: Callable
     inner: Callable = None
+    tail: Callable = None
 
     @property
     def argument(self):
@@ -286,12 +308,13 @@ class _Identity(NamedTuple):
 
 _IDENTITIES = {
     "1": _Identity((("map", 2), ("alt", 3)), 1,
-                   lambda b, memo, d1, d2, v: d1.apply_sparse(v), _e2),
-    "2": _Identity((("map", 1), ("alt", 3)), 1, _e2),
-    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3, _e3_inner),
+                   lambda b, memo, d1, d2, v: d1.apply_sparse(v), _e2, _cyclic_pairs),
+    "2": _Identity((("map", 1), ("alt", 3)), 1, _e2, tail=_cyclic_pairs),
+    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3, _e3_inner, _cyclic_pairs),
     "4": _Identity((("z", 3), ("alt", 2)), Fraction(1, 6),
                    lambda b, memo, z1, z2, z3, v: b(z1, v), _e4_inner),
-    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6, _e6_inner),
+    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6, _e6_inner,
+                   _xy_pair),
     "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5),
 }
 
@@ -326,8 +349,13 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
         else:
             occurrences += [g._sparse_of(next(slot), who)] * d
     b, memo = g.bracket_sparse, {}
+    k = len(occurrences) - spec.groups[-1][1]
+    if spec.tail is not None:
+        part = spec.tail(b, *occurrences[k:])
+        if not part:  # the value is zero
+            return Element(g, {})
+        occurrences[k:] = part
     if spec.inner is not None:
-        k = len(occurrences) - spec.groups[-1][1]
         occurrences[k:] = [spec.inner(b, memo, *occurrences[1:])]
         if not occurrences[k]:  # f is linear in it: the value is zero
             return Element(g, {})
@@ -358,20 +386,22 @@ def _sweep(g, spec: _Identity, payload, maps):
 
     Values shared across orderings and tuples are computed when a tuple
     first needs them, so a failing sweep still stops at its first tuple.
-    An entry's inner values live for the whole call: one list per ``rest``
-    of the head, keyed by the pool indices of its occurrences and indexed
-    by the tuple's position.  The evaluators' memo also lives for the call;
-    in it, 6 keeps [x, y] per tuple, 1 and 2 the images of basis vectors
-    under the current map, and s5 the nested prefixes for the current x0
-    (at most n + n^2 + n^3), freed when the head moves on.  With one basis
-    vector on each side a bracket is a single table lookup
-    (``LieAlgebra.bracket_sparse``).
+    Tail parts and inner values live for the whole call, unless a Fixed
+    payload makes the head unique.  Tail parts are one list indexed by the
+    tuple's position; a tuple whose tail part is falsy yields zero without
+    an evaluation.  Inner values are one list per ``rest`` of the head,
+    keyed by the pool indices of its occurrences and indexed the same way.
+    The evaluators' memo also lives for the call; in it, 1 and 2 keep the
+    images of basis vectors under the current map, and s5 the nested
+    prefixes for the current x0 (at most n + n^2 + n^3), freed when the
+    head moves on.  With one basis vector on each side a bracket is a single
+    table lookup (``LieAlgebra.bracket_sparse``).
 
     The sweep computes on stored values (basis vectors ``{i: 1}``, the
     maps' column views, ``g._pairs``, an element payload's own storage) and
     a Fraction weight, so yielded vectors mix ints, Fractions and Scalars;
     callers wrap what they return in an ``Element``."""
-    b, f, inner_f = g.bracket_sparse, spec.f, spec.inner
+    b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
     cache: dict = {}
     memo: dict = {}
     basis = [{i: 1} for i in range(g.dim)]
@@ -389,8 +419,13 @@ def _sweep(g, spec: _Identity, payload, maps):
             choices.append([((), (0,) * d)])
         else:
             choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
-    tails = [(t, tuple([basis[i] for i in t]))
-             for t in combinations(range(g.dim), spec.groups[-1][1])]
+    tails = list(combinations(range(g.dim), spec.groups[-1][1]))
+    # what stands in for each tuple's slots: its basis vectors, or its tail
+    # part once a head needs it
+    if tail_f is None:
+        parts = [tuple([basis[i] for i in t]) for t in tails]
+    else:
+        parts = [_UNSET] * len(tails)
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     # a Fixed payload fills its slots once; the other slots are polarized
     orderings = permutations if payload is None else lambda t: (t,)
@@ -405,18 +440,26 @@ def _sweep(g, spec: _Identity, payload, maps):
                 if row is None:
                     row = cache[order[1:]] = [_UNSET] * len(tails)
                 rows.append(row)
-        for pos, (t, tail) in enumerate(tails):
+        for pos, t in enumerate(tails):
+            part = parts[pos]
+            if part is _UNSET:
+                part = tail_f(b, *[basis[i] for i in t])
+                if payload is None:  # with a Fixed payload no tuple is met twice
+                    parts[pos] = part
+            if not part:  # the value is zero for every head
+                yield head_key + t, {}
+                continue
             out: dict = {}
             if inner_f is None:
                 for occ in heads:
-                    _sadd(out, f(b, memo, *occ, *tail))
+                    _sadd(out, f(b, memo, *occ, *part))
             else:
                 for occ, row in zip(heads, rows):
                     v = row[pos]
                     if v is _UNSET:
                         # a zero inner value is kept as None; with a Fixed
                         # payload no value is met twice, so none is kept
-                        v = inner_f(b, memo, *occ[1:], *tail) or None
+                        v = inner_f(b, memo, *occ[1:], *part) or None
                         if payload is None:
                             row[pos] = v
                     if v is not None:
@@ -440,6 +483,8 @@ def _scan_conditions(values):
     seen = set()
     normalized = []
     for key, sparse in values:
+        if not sparse:
+            continue
         for coord in sorted(sparse):
             c = sparse[coord]
             num = c.numerator_poly() if isinstance(c, Scalar) else None

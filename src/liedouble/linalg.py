@@ -273,6 +273,8 @@ class Matrix:
         """Matrix product self @ other (apply other first), each entry
         summed from zero over ascending inner indices, the order of the
         dense product (it fixes how rational-function entries print)."""
+        if self.cols != other.rows:
+            raise ValueError("matrix shapes do not chain")
         mine = self._column_view
         cols = []
         for col in other._column_view:

@@ -447,6 +447,18 @@ def test_map_application_refuses_vectors_outside_the_shape():
         wide.apply_vec([1])
 
 
+def test_compose_refuses_shapes_that_do_not_chain():
+    wide, tall = Matrix([[1, 2, 3]]), Matrix([[1], [1]])
+    for left, right in ((wide, tall), (tall, tall), (wide, wide), (Matrix.identity(3), tall)):
+        with pytest.raises(ValueError, match="shapes do not chain"):
+            left.compose(right)
+    # shapes that chain: 1x3 times 3x1, and 2x1 times 1x3
+    assert wide.compose(Matrix([[1], [1], [1]])) == Matrix([[6]])
+    assert tall.compose(wide) == Matrix([[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(ValueError, match="shapes do not chain"):
+        wide.commutator(tall)
+
+
 def test_map_builders_are_sparse():
     assert Matrix.identity(3) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert Matrix.diagonal([2, 0, -1]).sparse_rows == ({0: Scalar.of(2)}, {}, {2: Scalar.of(-1)})

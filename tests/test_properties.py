@@ -16,6 +16,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from liedouble import (  # noqa: E402
+    ALL_DERIVATIONS,
+    ALL_ELEMENTS,
+    ALL_INNER_DERIVATIONS,
     Element,
     LieAlgebra,
     Matrix,
@@ -27,6 +30,7 @@ from liedouble import (  # noqa: E402
     build_double,
     derivation_space,
     extremal_functional,
+    from_matrices,
     get,
     nullspace,
     parse_scalar,
@@ -37,6 +41,8 @@ from liedouble import (  # noqa: E402
     solve_affine,
     solve_columns,
 )
+from liedouble import identities  # noqa: E402
+from test_identities import _fixed_quantifiers, _reference_stream, _sweep_stream  # noqa: E402
 
 def checks(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -623,3 +629,66 @@ def test_product_with_a_rational_side_matches_the_constant_poly_route(p, q, left
     if not s.is_rational:
         new = s.numerator_poly()
         assert list(new.terms.items()) == list(old.terms.items()) and new.vars == old.vars
+
+
+# -- the sweep against the polarized reference, on random nilpotent algebras
+
+def _transitive(pattern):
+    """``pattern`` closed under (i, j), (j, k) -> (i, k)."""
+    pattern = set(pattern)
+    while True:
+        extra = {(i, l) for i, j in pattern for k, l in pattern if j == k} - pattern
+        if not extra:
+            return pattern
+        pattern |= extra
+
+
+# a sparse change of basis keeps tuples with a single nonzero cyclic bracket
+_BASIS_CHANGE_CELLS = st.sampled_from((0,) * 12 + (1, -1, 2, Fraction(1, 2)))
+_NONZERO_CELLS = st.sampled_from((1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def nilpotent_algebras(draw, max_dim=6):
+    """A nilpotent Lie algebra of dimension at most ``max_dim``, built by
+    ``from_matrices`` from the span of elementary matrices E_ij (i < j) over
+    a pattern closed under (i, j), (j, k) -> (i, k), in a random basis of
+    that span: the rows of L * U, with L unit lower triangular and U upper
+    triangular with a nonzero diagonal.  The pattern grows from the pairs of
+    a chain of three or four indices: three give a Heisenberg algebra, four
+    the class-3 algebra of all strictly upper triangular 4x4 matrices."""
+    size = draw(st.integers(4, 5))
+    chain = sorted(draw(st.lists(st.integers(0, size - 1), min_size=3, max_size=4, unique=True)))
+    pattern = _transitive(zip(chain, chain[1:]))
+    limit = draw(st.integers(len(pattern), max_dim))
+    for pair in draw(st.permutations([(i, j) for i in range(size) for j in range(i + 1, size)])):
+        grown = _transitive(pattern | {pair})
+        if len(grown) <= limit:
+            pattern = grown
+    pairs = sorted(pattern)
+    k = len(pairs)
+    lower = [[1 if a == b else draw(_BASIS_CHANGE_CELLS) if b < a else 0 for b in range(k)]
+             for a in range(k)]
+    upper = [[draw(_NONZERO_CELLS) if a == b else draw(_BASIS_CHANGE_CELLS) if b > a else 0
+              for b in range(k)] for a in range(k)]
+    change = Matrix(lower).compose(Matrix(upper)).entries
+    mats = []
+    for row in change:
+        m = [[0] * size for _ in range(size)]
+        for (i, j), c in zip(pairs, row):
+            m[i][j] = c
+        mats.append(m)
+    return from_matrices(mats).algebra
+
+
+@checks(10)
+@given(nilpotent_algebras())
+def test_every_swept_value_matches_the_polarized_reference_on_random_algebras(g):
+    # the whole stream of every sweep of every identity, under each admitted
+    # quantifier, against eval_identity on a scan-bracket twin of g
+    fixed_map, fixed_elem = _fixed_quantifiers(g)
+    admitted = {"map": (fixed_map, ALL_DERIVATIONS, ALL_INNER_DERIVATIONS),
+                "z": (fixed_elem, ALL_ELEMENTS), None: (ALL_ELEMENTS,)}
+    for code, spec in identities._IDENTITIES.items():
+        for quant in admitted[spec.argument]:
+            assert _sweep_stream(g, code, quant) == _reference_stream(g, code, quant), (code, quant)

@@ -16,6 +16,7 @@ import sys
 
 from liedouble import (
     ALL_DERIVATIONS,
+    ALL_ELEMENTS,
     ALL_INNER_DERIVATIONS,
     LieAlgebra,
     check_quantified,
@@ -35,6 +36,12 @@ _SWEEPS = (
 # including its first failing tuple, as counted before the sweep reused
 # identity 1's inner value; the sweep must never make more.
 G2_ID1_BRACKET_CALLS = 36
+
+# bracket_sparse calls of two sweeps of filiform(10) that run to completion.
+# Before each alternating tuple's cyclic brackets were shared by every head,
+# identity 2 over all derivations made 7,205 calls and identity 3 over all
+# elements 4,296.
+FILIFORM10_BRACKET_CALLS = (("2", ALL_DERIVATIONS, 800), ("3", ALL_ELEMENTS, 1100))
 
 
 def verdicts() -> dict:
@@ -73,12 +80,15 @@ class _Counting(LieAlgebra):
         return super().bracket_sparse(u, v)
 
 
-def _g2_id1_calls():
-    g = get("g2")
+def _counted(g, code, quant):
     h = _Counting(g.dim, g.table, labels=g.labels, params=g.params)
     h.calls = 0
-    rep = check_quantified(h, "1", ALL_DERIVATIONS)
+    rep = check_quantified(h, code, quant)
     return rep, h.calls
+
+
+def _g2_id1_calls():
+    return _counted(get("g2"), "1", ALL_DERIVATIONS)
 
 
 def test_failing_sweep_stops_at_its_first_tuple():
@@ -88,6 +98,14 @@ def test_failing_sweep_stops_at_its_first_tuple():
     assert rep.witness == ref.witness
     assert str(rep.value) == str(ref.value)
     assert calls <= G2_ID1_BRACKET_CALLS
+
+
+def test_complete_sweeps_share_each_tuples_brackets():
+    g = get("filiform", {"n": 10})
+    for code, quant, bound in FILIFORM10_BRACKET_CALLS:
+        rep, calls = _counted(g, code, quant)
+        assert rep.status == check_quantified(g, code, quant).status == "holds", code
+        assert calls <= bound, (code, calls)
 
 
 if __name__ == "__main__":
