@@ -11,6 +11,7 @@ identity on the stored data.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -378,6 +379,10 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
+    except ValueError:  # json's int() refused a literal past the int-string limit
+        raise ParseError(
+            f"invalid JSON: integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, list):
         raise ParseError("catalog file must be a JSON list of entries")
     out = {}
@@ -430,9 +435,7 @@ def _entry_from_json(raw, pos):
         if not isinstance(braw, dict):
             raise ParseError(f"{ctx}: each bracket must be an object")
         i, j = braw.get("i"), braw.get("j")
-        if not (isinstance(i, int) and isinstance(j, int)) or not (
-            1 <= i < j <= dim
-        ):
+        if not (type(i) is int and type(j) is int) or not (1 <= i < j <= dim):
             raise ParseError(f"{ctx}: bracket needs 1 <= i < j <= dim, got ({i},{j})")
         if (i - 1, j - 1) in table:
             raise ParseError(f"{ctx}: duplicate bracket ({i},{j})")
@@ -447,17 +450,12 @@ def _entry_from_json(raw, pos):
                 k = 0
             if not (1 <= k <= dim):
                 raise ParseError(f"{ctx}: bad coordinate index {kraw!r} in ({i},{j})")
-            if isinstance(lit, bool) or isinstance(lit, float):
+            if type(lit) not in (int, str):
                 raise ParseError(f"{ctx}: coefficient for {kraw} must be exact")
-            if isinstance(lit, int):
-                comps[k - 1] = lit
-            elif isinstance(lit, str):
-                try:
-                    comps[k - 1] = parse_scalar(lit, allowed=frozenset(params))
-                except ParseError as e:
-                    raise ParseError(f"{ctx}: ({i},{j}) -> {kraw}: {e}")
-            else:
-                raise ParseError(f"{ctx}: coefficient for {kraw} must be exact")
+            try:
+                comps[k - 1] = parse_scalar(str(lit), allowed=frozenset(params))
+            except ParseError as e:
+                raise ParseError(f"{ctx}: ({i},{j}) -> {kraw}: {e}")
         table[(i - 1, j - 1)] = comps
     return name, LieAlgebra(dim, table, labels=labels, params=tuple(params))
 

@@ -123,7 +123,4 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> bool:
     rejected rather than answered generically."""
     if g.is_parametric():
         raise ValueError("requires a parameter-free algebra")
-    space = derivation_space(g)
-    if space.dim == 0:
-        return True
-    return is_nilpotent(derivation_lie_structure(space))
+    return is_nilpotent(derivation_lie_structure(derivation_space(g)))

@@ -246,9 +246,8 @@ def recognize_r31(g: LieAlgebra) -> bool:
     derived = chain[0]
     if derived.dim != 2:
         return False
+    # g is solvable, so its 2-dim derived algebra is nilpotent, hence abelian
     b1, b2 = derived._vectors
-    if g.bracket_sparse(b1, b2):
-        return False
     rows = []
     rhs = []
     for vec in (b1, b2):

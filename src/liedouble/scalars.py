@@ -423,42 +423,13 @@ def _univar(p: Poly):
     return next(iter(used)) if used else None
 
 
-def _coeff_list(p: Poly, name: str) -> list:
-    """Dense coefficient list of Fractions, index = exponent."""
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    s = _shift(name)
-    for m, c in p._t.items():
-        out[(m >> s) & _MASK] = Fraction(c)
-    return out
-
-
-def _from_coeff_list(coeffs: list, name: str) -> Poly:
-    s = _shift(name)
-    return _poly({exp << s: _native(c) for exp, c in enumerate(coeffs) if c}, (name,))
-
-
-def _list_divmod(num: list, den: list):
-    """Long division of dense coefficient lists, highest degree last."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        q[k - dd] = c
-        if c:
-            for i in range(dd + 1):
-                num[k - dd + i] -= c * den[i]
-    return q, _list_trim(num)
-
-
-def _list_trim(c: list) -> list:
-    c = list(c)
-    while len(c) > 1 and not c[-1]:
-        c.pop()
-    return c
+def _rem(a: Poly, b: Poly) -> Poly:
+    """The remainder of ``a`` by a nonzero ``b``, both in one variable, whose
+    packed monomials sort by degree: ``max`` is the leading monomial."""
+    bm = max(b._t)
+    while a._t and (am := max(a._t)) >= bm:
+        a = a - b * _poly({am - bm: _cdiv(a._t[am], b._t[bm])}, ())
+    return a
 
 
 def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
@@ -471,15 +442,9 @@ def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
         return poly_normalize(b)
     if b.is_zero():
         return poly_normalize(a)
-    name = next(iter(names)) if names else None
-    if name is None:
-        return Poly.const(1)
-    ca = _list_trim(_coeff_list(a, name))
-    cb = _list_trim(_coeff_list(b, name))
-    while len(cb) > 1 or cb[0]:
-        ca, cb = cb, _list_divmod(ca, cb)[1]
-    g = _from_coeff_list(ca, name)
-    return g.scale(1 / _signed_content(g))
+    while b._t:
+        a, b = b, _rem(a, b)
+    return _poly(a.scale(1 / _signed_content(a))._t, tuple(names))
 
 
 def _signed_content(p: Poly) -> Fraction:
@@ -536,43 +501,32 @@ def rational_roots(p: Poly) -> RootReport:
     """All rational roots of a nonzero univariate polynomial.
 
     Candidates come from the usual integer divisor bounds on the primitive
-    integer form; every reported root is verified by exact division.  The
-    residual is the primitive root-free cofactor."""
+    integer form; every reported root is verified by exact evaluation and
+    divided out.  The residual is the primitive root-free cofactor."""
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     name = _univar(p)
     if name is None:
         return RootReport(frozenset(), Poly.const(1))
-    content = _signed_content(p)
-    ints = [int(c / content) for c in _list_trim(_coeff_list(p, name))]
-
-    roots = set()
+    s = _FIELDS[name]
     # strip powers of the variable: x = 0
-    shift = 0
-    while not ints[shift]:
-        shift += 1
-    if shift:
-        roots.add(Fraction(0))
-        ints = ints[shift:]
-
-    work = [Fraction(v) for v in ints]
-    if len(work) > 1:
-        lead = abs(int(work[-1]))
-        tail = abs(int(work[0]))
-        candidates = set()
-        for pnum in _divisors(tail):
-            for qden in _divisors(lead):
-                candidates.add(Fraction(pnum, qden))
-                candidates.add(Fraction(-pnum, qden))
-        for r in sorted(candidates):
-            while len(work) > 1:
-                quotient, rem = _list_divmod(work, [-r, 1])
-                if rem[0]:
-                    break
-                roots.add(r)
-                work = quotient
-    residual = _from_coeff_list(work, name)
-    return RootReport(frozenset(roots), residual.scale(1 / _signed_content(residual)))
+    low = min(p._t)
+    roots = {Fraction(0)} if low else set()
+    work = _poly({m - low: c for m, c in p._t.items()}, (name,))
+    work = work.scale(1 / _signed_content(work))
+    lead = abs(work._t[max(work._t)])
+    tail = abs(work._t[0])
+    candidates = set()
+    for pnum in _divisors(tail):
+        for qden in _divisors(lead):
+            candidates.add(Fraction(pnum, qden))
+            candidates.add(Fraction(-pnum, qden))
+    t = Poly.variable(name)
+    for r in sorted(candidates):
+        while max(work._t) and not sum(c * r ** (m >> s) for m, c in work._t.items()):
+            roots.add(r)
+            work = work.exact_div(t - Poly.const(r))
+    return RootReport(frozenset(roots), work.scale(1 / _signed_content(work)))
 
 
 def _divisors(n: int) -> list:

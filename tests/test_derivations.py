@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liedouble import (
+    LieAlgebra,
     LinearMap,
     Matrix,
     abelian_algebra,
@@ -143,6 +144,11 @@ def test_characteristically_nilpotent_detection():
     assert is_characteristically_nilpotent(get("ex413"))
     assert not is_characteristically_nilpotent(get("n3"))
     assert not is_characteristically_nilpotent(get("filiform", {"n": 6}))
+
+
+def test_zero_algebra_is_characteristically_nilpotent():
+    # its derivation algebra is the zero algebra, which is nilpotent
+    assert is_characteristically_nilpotent(LieAlgebra(0, {}, labels=()))
 
 
 def test_derivation_space_of_parametric_family_has_exceptional_locus():

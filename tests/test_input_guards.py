@@ -1,0 +1,216 @@
+"""Every input guard, pinned by exception type and message.
+
+A guard that the command line can reach is also run through ``main``: it
+must exit 2, print nothing on stdout, and print ``error: <message>`` on
+stderr.
+"""
+
+import json
+import sys
+
+import pytest
+
+from liedouble import (
+    LieAlgebra,
+    Matrix,
+    build_double,
+    check_quantified,
+    from_matrices,
+    get,
+    loads,
+    parse_element,
+)
+from liedouble.cli import _materialize, main
+from liedouble.errors import (
+    ArityMismatch,
+    DuplicateName,
+    ExcludedParameterValue,
+    NotClosed,
+    NotIndependent,
+    ParseError,
+)
+from liedouble.identities import Fixed, eval_identity
+
+
+def _entry(**fields):
+    doc = {"name": "x", "dim": 3, "brackets": [{"i": 1, "j": 2, "value": {"3": 1}}]}
+    doc.update(fields)
+    return doc
+
+
+def _bracket(**fields):
+    bracket = {"i": 1, "j": 2, "value": {"3": 1}}
+    bracket.update(fields)
+    return [_entry(brackets=[bracket])]
+
+
+def _text(doc):
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+# (id, file contents, exception type, message)
+CATALOG_FILES = [
+    ("invalid-json", "[", ParseError, "line 1: invalid JSON: Expecting value"),
+    # json's int() refuses an integer past the int-string limit, when one is set
+    *[("huge-integer", '[{"name": "x", "dim": ' + "9" * (_LIMIT + 1) + "}]", ParseError,
+       f"invalid JSON: integer of more than {_LIMIT} digits")] * bool(_LIMIT),
+    ("not-a-list", {"name": "x"}, ParseError, "catalog file must be a JSON list of entries"),
+    ("entry-not-an-object", [3], ParseError, "entry 1: expected an object"),
+    ("entry-without-name", [{"dim": 1}], ParseError, "entry 1: missing or empty name"),
+    ("dim-bool", [_entry(dim=True)], ParseError, "entry 'x': dim must be a nonnegative integer"),
+    ("dim-negative", [_entry(dim=-1)], ParseError,
+     "entry 'x': dim must be a nonnegative integer"),
+    ("params-not-identifiers", [_entry(params=["a b"])], ParseError,
+     "entry 'x': params must be a list of identifiers"),
+    ("params-duplicate", [_entry(params=["a", "a"])], ParseError,
+     "entry 'x': duplicate parameter names"),
+    ("labels-too-few", [_entry(labels=["a", "b"])], ParseError,
+     "entry 'x': labels must be 3 distinct nonempty strings"),
+    ("params-collide-with-labels", [_entry(params=["e1"])], ValueError,
+     "parameter names collide with basis labels"),
+    ("brackets-not-a-list", [_entry(brackets={})], ParseError,
+     "entry 'x': brackets must be a list"),
+    ("bracket-not-an-object", [_entry(brackets=[1])], ParseError,
+     "entry 'x': each bracket must be an object"),
+    ("bracket-i-bool", _bracket(i=True), ParseError,
+     "entry 'x': bracket needs 1 <= i < j <= dim, got (True,2)"),
+    ("bracket-j-bool", _bracket(i=0, j=True), ParseError,
+     "entry 'x': bracket needs 1 <= i < j <= dim, got (0,True)"),
+    ("bracket-j-out-of-range", _bracket(j=4), ParseError,
+     "entry 'x': bracket needs 1 <= i < j <= dim, got (1,4)"),
+    ("bracket-duplicate", [_entry(brackets=[{"i": 1, "j": 2, "value": {"3": 1}}] * 2)],
+     ParseError, "entry 'x': duplicate bracket (1,2)"),
+    ("value-empty", _bracket(value={}), ParseError,
+     "entry 'x': bracket (1,2) needs a nonempty value map"),
+    ("value-bad-index", _bracket(value={"x": 1}), ParseError,
+     "entry 'x': bad coordinate index 'x' in (1,2)"),
+    ("value-float", _bracket(value={"3": 1.5}), ParseError,
+     "entry 'x': coefficient for 3 must be exact"),
+    ("value-bool", _bracket(value={"3": True}), ParseError,
+     "entry 'x': coefficient for 3 must be exact"),
+    ("value-null", _bracket(value={"3": None}), ParseError,
+     "entry 'x': coefficient for 3 must be exact"),
+    ("value-int-over-digit-limit", _bracket(value={"3": 10 ** 700}), ParseError,
+     "entry 'x': (1,2) -> 3: integer of more than 600 digits in literal"),
+    ("value-string-over-digit-limit", _bracket(value={"3": str(10 ** 700)}), ParseError,
+     "entry 'x': (1,2) -> 3: integer of more than 600 digits in literal"),
+    ("value-unknown-name", _bracket(value={"3": "q"}), ParseError,
+     "entry 'x': (1,2) -> 3: unknown name 'q'"),
+    ("entry-duplicate", [_entry(), _entry()], DuplicateName, "x"),
+]
+
+
+@pytest.mark.parametrize("doc, exc, message", [c[1:] for c in CATALOG_FILES],
+                         ids=[c[0] for c in CATALOG_FILES])
+def test_catalog_file_guards(doc, exc, message, tmp_path, capsys):
+    text = _text(doc)
+    with pytest.raises(exc) as info:
+        loads(text)
+    assert type(info.value) is exc and info.value.args[0] == message
+    path = tmp_path / "cat.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--catalog", str(path), "catalog-list"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_integer_cells_load_as_their_string_cells():
+    ints = loads(json.dumps(_bracket(value={"3": -12})))["x"]
+    strings = loads(json.dumps(_bracket(value={"3": "-12"})))["x"]
+    assert ints._table == strings._table == {(0, 1): {2: -12}}
+    assert type(ints._table[(0, 1)][2]) is int
+
+
+E12, E21, E13 = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+                 [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+
+# (id, call, exception type, message)
+LIBRARY = [
+    ("labels-too-few", lambda: LieAlgebra(2, {}, labels=("a",)), ValueError,
+     "need one distinct label per basis vector"),
+    ("labels-repeated", lambda: LieAlgebra(2, {}, labels=("a", "a")), ValueError,
+     "need one distinct label per basis vector"),
+    ("params-collide-with-labels", lambda: LieAlgebra(2, {}, params=("e2",)), ValueError,
+     "parameter names collide with basis labels"),
+    ("bracket-index-out-of-range", lambda: LieAlgebra(2, {(0, 2): {0: 1}}), ValueError,
+     "bracket index out of range: (0, 2)"),
+    ("bracket-of-a-vector-with-itself", lambda: LieAlgebra(2, {(1, 1): {0: 1}}), ValueError,
+     "[e2, e2] must vanish"),
+    ("bracket-component-out-of-range", lambda: LieAlgebra(2, {(0, 1): {2: 1}}), ValueError,
+     "bracket component out of range: 2"),
+    ("specialize-unknown-parameter", lambda: get("glambda").specialize({"mu": 1}), ValueError,
+     "unknown parameter 'mu'"),
+    ("specialize-unassigned-parameter", lambda: get("g4ab").specialize({"alpha": 1}),
+     ValueError, "unassigned parameters: ['beta']"),
+    ("label-index-unknown", lambda: get("n3").label_index("x"), KeyError,
+     "no basis vector labeled 'x'"),
+    ("from-matrices-none", lambda: from_matrices([]), ValueError, "need at least one matrix"),
+    ("from-matrices-unequal-sizes", lambda: from_matrices([[[0, 1], [0, 0]], E12]), ValueError,
+     "all matrices must be square of equal size"),
+    ("from-matrices-dependent", lambda: from_matrices([E12, E13, [[0, 2, 2]] + E12[1:]]),
+     NotIndependent, "the given matrices are linearly dependent"),
+    ("from-matrices-not-closed", lambda: from_matrices([E12, E21]), NotClosed,
+     "commutator of generators 1 and 2 lies outside the span"),
+    ("element-label-in-denominator", lambda: parse_element(get("n3"), "1/e1"), ParseError,
+     "basis labels cannot appear in a denominator"),
+    ("element-product-of-labels", lambda: parse_element(get("n3"), "e1*e2"), ParseError,
+     "expression must be linear in the basis labels"),
+    ("element-power-of-a-label", lambda: parse_element(get("n3"), "e1^2"), ParseError,
+     "expression must be linear in the basis labels"),
+    ("eval-identity-arity", lambda: eval_identity(get("n3"), 4, {0: 1}), ArityMismatch,
+     "identity 4 takes 3 slots, got 1"),
+    ("fixed-payload-neither-map-nor-element",
+     lambda: check_quantified(get("n3"), 3, Fixed("e1")), ArityMismatch,
+     "fixed quantifier payload must be a map or an element"),
+    ("not-a-quantifier", lambda: check_quantified(get("n3"), 3, "all-elem"), ArityMismatch,
+     "not a quantifier: 'all-elem'"),
+    ("matrix-ragged", lambda: Matrix([[1, 2], [3]]), ValueError, "ragged matrix rows"),
+    ("matrix-not-square", lambda: Matrix([[1, 2, 3]]).dim, ValueError,
+     "a 1x3 matrix is not square"),
+    ("matrix-shapes-differ", lambda: Matrix([[1]]) + Matrix([[1, 2]]), ValueError,
+     "matrix shapes differ"),
+    ("filiform-too-small", lambda: get("filiform", {"n": "2"}), ExcludedParameterValue,
+     "filiform needs n >= 3"),
+    ("external-entry-unknown-parameter",
+     lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
+     "x has no parameter q"),
+    ("double-unknown-kind", lambda: build_double(get("n3"), Matrix(E12), kind="twisted"),
+     ValueError, "unknown double kind 'twisted'"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", [c[1:] for c in LIBRARY],
+                         ids=[c[0] for c in LIBRARY])
+def test_library_guards(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and info.value.args[0] == message
+
+
+# (id, argv, external catalog or None, message); LIBRARY pins the type of
+# each raise
+CLI = [
+    ("filiform-too-small", ["show", "filiform", "--param", "n=2"], None,
+     "filiform needs n >= 3"),
+    ("external-entry-unknown-parameter", ["--param", "q=1", "show", "x"], [_entry()],
+     "x has no parameter q"),
+    ("element-label-in-denominator", ["identity", "n3", "--id", "3", "--z", "1/e1"], None,
+     "basis labels cannot appear in a denominator"),
+    ("element-product-of-labels", ["rmatrix", "n3", "--z", "e1*e2"], None,
+     "expression must be linear in the basis labels"),
+]
+
+
+@pytest.mark.parametrize("argv, catalog, message", [c[1:] for c in CLI],
+                         ids=[c[0] for c in CLI])
+def test_cli_guards(argv, catalog, message, tmp_path, capsys):
+    if catalog is not None:
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        argv = ["--catalog", str(path), *argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
