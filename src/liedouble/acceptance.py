@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .catalog import get, loads, dumps, table1
+from .catalog import dumps, get, loads, names, table1
 from .derivations import (
     derivation_space,
     generalized_derivation_space,
@@ -281,18 +281,13 @@ def _nilpotent_search(g) -> Element | None:
 
 def criterion_10() -> CriterionResult:
     r = CriterionResult(10, "higher-rank simple algebras reject ad(z) as an R-matrix")
-    sl3 = get("sl3")
-    rep = is_classical_rmatrix(sl3, sl3.ad(sl3.basis_element(sl3.label_index("E13"))))
-    r.check(
-        rep.status == "fails" and rep.witness == (0, 3, 4),
-        f"sl3 at E13: {rep.status}, witness {rep.witness}",
-    )
-    sp4 = get("sp4")
-    rep = is_classical_rmatrix(sp4, sp4.ad(sp4.basis_element(sp4.label_index("B11"))))
-    r.check(
-        rep.status == "fails" and rep.witness == (0, 2, 7),
-        f"sp4 at B11: {rep.status}, witness {rep.witness}",
-    )
+    for name, label, witness in (("sl3", "E13", (0, 3, 4)), ("sp4", "B11", (0, 2, 7))):
+        g = get(name)
+        rep = is_classical_rmatrix(g, g.ad(g.basis_element(g.label_index(label))))
+        r.check(
+            rep.status == "fails" and rep.witness == witness,
+            f"{name} at {label}: {rep.status}, witness {rep.witness}",
+        )
     g2 = get("g2")
     z = _nilpotent_search(g2)
     found = r.check(z is not None and not z.is_zero(), "g2: nilpotent element found by basis search")
@@ -308,38 +303,25 @@ def criterion_10() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # 11. randomized property suites (fixed seed, exact arithmetic)
 
+# Criterion 11's values for the parametric entries; an entry may appear
+# more than once in the pool.  Every other entry joins the pool as it is.
+_POOL_VALUES = {
+    "r3lambda": ({"lam": 2},),
+    "g2alpha": ({"alpha": 1},),
+    "g4ab": ({"alpha": 2, "beta": 3},),
+    "g5alpha": ({"alpha": 3}, {"alpha": 0}),
+    "filiform": ({"n": 5},),
+    "glambda": ({"lam": 1}, {"lam": 3}),
+}
+
+
 def _plain_pool() -> list:
-    """Parameter-free materializations covering every shipped family, each
-    labeled with the values it assigns, as in ``g4ab(2,3)``."""
-    pool = [
-        ("r2", None),
-        ("n3", None),
-        ("r3lambda", {"lam": 2}),
-        ("sl2", None),
-        ("n3+C", None),
-        ("n4", None),
-        ("r2+C2", None),
-        ("r2+r2", None),
-        ("sl2+C", None),
-        ("g1", None),
-        ("g2alpha", {"alpha": 1}),
-        ("g3", None),
-        ("g4ab", {"alpha": 2, "beta": 3}),
-        ("g5alpha", {"alpha": 3}),
-        ("g5alpha", {"alpha": 0}),
-        ("gl2", None),
-        ("filiform", {"n": 5}),
-        ("ex44", None),
-        ("ex413", None),
-        ("glambda", {"lam": 1}),
-        ("glambda", {"lam": 3}),
-        ("sl3", None),
-        ("sp4", None),
-        ("g2", None),
-    ]
+    """Parameter-free materializations of every catalog entry, in catalog
+    order, each labeled with the values it assigns, as in ``g4ab(2,3)``."""
     return [
         (name + (f"({','.join(map(str, values.values()))})" if values else ""), get(name, values))
-        for name, values in pool
+        for name in names()
+        for values in _POOL_VALUES.get(name, (None,))
     ]
 
 
@@ -511,20 +493,7 @@ def criterion_12() -> CriterionResult:
 
 # ---------------------------------------------------------------------------
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-)
+CRITERIA = tuple(globals()[f"criterion_{n}"] for n in range(1, 13))
 
 
 def run_all() -> list:

@@ -33,6 +33,11 @@ from .lie_core import (
 )
 from .scalars import Scalar, parse_rational, parse_scalar
 
+# The largest dimension a catalog file's ``dim`` or filiform's ``n`` may ask
+# for: validating a table visits each bracket pair once per basis vector,
+# so building filiform(n) costs time quadratic in n.
+MAX_DIM = 1000
+
 _ALPHA = Scalar.variable("alpha")
 _BETA = Scalar.variable("beta")
 _LAM = Scalar.variable("lam")
@@ -193,6 +198,8 @@ def _build_g2() -> LieAlgebra:
 def _build_filiform(n: int) -> LieAlgebra:
     if n < 3:
         raise ExcludedParameterValue("filiform needs n >= 3")
+    if n > MAX_DIM:
+        raise ExcludedParameterValue(f"filiform needs n <= {MAX_DIM}")
     return LieAlgebra(n, {(0, j): {j + 1: 1} for j in range(1, n - 1)})
 
 
@@ -410,6 +417,8 @@ def _entry_from_json(raw, pos):
     dim = raw.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError(f"{ctx}: dim must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise ParseError(f"{ctx}: dim must be at most {MAX_DIM}")
     params = raw.get("params", [])
     if not isinstance(params, list) or any(
         not isinstance(p, str) or not p.isidentifier() for p in params

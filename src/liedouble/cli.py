@@ -79,20 +79,25 @@ def build_parser() -> _Parser:
     _add_common(p, "")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    sub.add_parser("catalog-list", help="list catalog entries")
+    def command(name, run, help):
+        q = sub.add_parser(name, help=help)
+        q.set_defaults(run=run)
+        return q
 
-    q = sub.add_parser("show", help="print an algebra's brackets")
+    command("catalog-list", _cmd_catalog_list, "list catalog entries")
+
+    q = command("show", _cmd_show, "print an algebra's brackets")
     q.add_argument("name")
 
-    q = sub.add_parser("invariants", help="series, classes, center, derivation dimension")
+    q = command("invariants", _cmd_invariants, "series, classes, center, derivation dimension")
     q.add_argument("name")
 
-    q = sub.add_parser("derivations", help="basis of the (weighted) derivation algebra")
+    q = command("derivations", _cmd_derivations, "basis of the (weighted) derivation algebra")
     q.add_argument("name")
     q.add_argument("--general", metavar="T", default=None,
                    help="weight t of the rule t*D[x,y] = [Dx,y] + [x,Dy]")
 
-    q = sub.add_parser("identity", help="check one of the bracket identities")
+    q = command("identity", _cmd_identity, "check one of the bracket identities")
     q.add_argument("name")
     q.add_argument("--id", dest="ident", required=True, metavar="CODE",
                    help="1, 2, 3, 4, 6 or s5")
@@ -102,16 +107,16 @@ def build_parser() -> _Parser:
     q.add_argument("--map", dest="map_file", default=None, metavar="FILE",
                    help="JSON matrix for a fixed-map check (identities 1, 2)")
 
-    q = sub.add_parser("rmatrix", help="R-matrix verdict, modified equation, double")
+    q = command("rmatrix", _cmd_rmatrix, "R-matrix verdict, modified equation, double")
     q.add_argument("name")
     q.add_argument("--z", default=None, metavar="EXPR", help="use R = ad(z)")
     q.add_argument("--matrix", default=None, metavar="FILE", help="use an explicit matrix R")
     q.add_argument("--build-double", dest="build_double", action="store_true",
                    help="also print the doubled bracket table")
 
-    sub.add_parser("table1", help="regenerate the verdict table for dim <= 4")
+    command("table1", _cmd_table1, "regenerate the verdict table for dim <= 4")
 
-    sub.add_parser("check-paper", help="run the full verification suite")
+    command("check-paper", _cmd_check_paper, "run the full verification suite")
 
     for q in sub.choices.values():
         _add_common(q, "sub_")
@@ -305,45 +310,37 @@ def _cmd_show(args, params, external):
 def _cmd_invariants(args, params, external):
     g = _materialize(args.name, params, external)
     space = derivation_space(g)
-    doc = {
-        "name": args.name,
-        "dim": g.dim,
-        "params": list(g.params),
-        "lower_central_dims": [s.dim for s in lower_central_series(g)],
-        "derived_dims": [s.dim for s in derived_series(g)],
-        "nilpotency_class": nilpotency_class(g),
-        "solvability_class": solvability_class(g),
-        "center_dim": center(g).dim,
-        "abelian": is_abelian(g),
-        "nilpotent": is_nilpotent(g),
-        "solvable": is_solvable(g),
-        "metabelian": is_metabelian(g),
-        "center_by_metabelian": is_center_by_metabelian(g),
-        "characteristically_nilpotent": None if g.is_parametric() else is_characteristically_nilpotent(g),
-        "derivation_dim": space.dim,
-        "derivation_exceptional": _strs(space.exceptional),
-    }
 
-    def dash(value, show=str):
-        return "-" if value is None else show(value)
+    def dash(show):
+        return lambda value: "-" if value is None else show(value)
 
-    pairs = (
-        ("dim", str(doc["dim"])),
-        ("params", ", ".join(doc["params"]) or "-"),
-        ("lower central dims", " ".join(map(str, doc["lower_central_dims"]))),
-        ("derived dims", " ".join(map(str, doc["derived_dims"]))),
-        ("nilpotency class", dash(doc["nilpotency_class"])),
-        ("solvability class", dash(doc["solvability_class"])),
-        ("center dim", str(doc["center_dim"])),
-        ("abelian", _yesno(doc["abelian"])),
-        ("nilpotent", _yesno(doc["nilpotent"])),
-        ("solvable", _yesno(doc["solvable"])),
-        ("metabelian", _yesno(doc["metabelian"])),
-        ("center-by-metabelian", _yesno(doc["center_by_metabelian"])),
-        ("characteristically nilpotent", dash(doc["characteristically_nilpotent"], _yesno)),
-        ("dim Der", str(doc["derivation_dim"])),
-        ("Der exceptional", "; ".join(doc["derivation_exceptional"]) or "-"),
+    def spaced(values):
+        return " ".join(map(str, values))
+
+    def joined(sep):
+        return lambda values: sep.join(values) or "-"
+
+    # (JSON key, text label, value, text form), values in computing order
+    rows = (
+        ("dim", "dim", g.dim, str),
+        ("params", "params", list(g.params), joined(", ")),
+        ("lower_central_dims", "lower central dims", [s.dim for s in lower_central_series(g)], spaced),
+        ("derived_dims", "derived dims", [s.dim for s in derived_series(g)], spaced),
+        ("nilpotency_class", "nilpotency class", nilpotency_class(g), dash(str)),
+        ("solvability_class", "solvability class", solvability_class(g), dash(str)),
+        ("center_dim", "center dim", center(g).dim, str),
+        ("abelian", "abelian", is_abelian(g), _yesno),
+        ("nilpotent", "nilpotent", is_nilpotent(g), _yesno),
+        ("solvable", "solvable", is_solvable(g), _yesno),
+        ("metabelian", "metabelian", is_metabelian(g), _yesno),
+        ("center_by_metabelian", "center-by-metabelian", is_center_by_metabelian(g), _yesno),
+        ("characteristically_nilpotent", "characteristically nilpotent",
+         None if g.is_parametric() else is_characteristically_nilpotent(g), dash(_yesno)),
+        ("derivation_dim", "dim Der", space.dim, str),
+        ("derivation_exceptional", "Der exceptional", _strs(space.exceptional), joined("; ")),
     )
+    doc = {"name": args.name, **{key: value for key, _, value, _ in rows}}
+    pairs = [(label, show(value)) for _, label, value, show in rows]
     text = [f"{args.name}: invariants"] + [f"  {k}: {v}" for k, v in pairs]
     return doc, text, [("key", "value"), *pairs]
 
@@ -496,18 +493,6 @@ def _cmd_check_paper(args, params, external):
     return doc, text, rows
 
 
-_COMMANDS = {
-    "catalog-list": _cmd_catalog_list,
-    "show": _cmd_show,
-    "invariants": _cmd_invariants,
-    "derivations": _cmd_derivations,
-    "identity": _cmd_identity,
-    "rmatrix": _cmd_rmatrix,
-    "table1": _cmd_table1,
-    "check-paper": _cmd_check_paper,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -516,7 +501,7 @@ def main(argv=None) -> int:
             raise _Usage("a command is required (see --help)")
         params = _parse_params(args.param + args.sub_param)
         external = _load_external(args.catalog + args.sub_catalog)
-        body, text, rows = _COMMANDS[args.command](args, params, external)
+        body, text, rows = args.run(args, params, external)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

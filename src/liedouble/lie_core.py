@@ -593,7 +593,7 @@ def derivations_of_bilinear(b: BilinearAlgebra):
     return [Matrix.from_flat(vec.items(), n) for vec in ns._vectors]
 
 
-def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:
+def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
     """Direct sum with fresh labels ``e1..e(n+m)`` and merged parameters."""
     n = g.dim
     brackets = {}
@@ -602,12 +602,11 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra, label_prefix="e") -> LieAlgebra:
     for (i, j), comps in h._table.items():
         brackets[(i + n, j + n)] = {k + n: c for k, c in comps.items()}
     params = list(g.params) + [p for p in h.params if p not in g.params]
-    labels = tuple(f"{label_prefix}{t + 1}" for t in range(n + h.dim))
-    return LieAlgebra(n + h.dim, brackets, labels=labels, params=tuple(params))
+    return LieAlgebra(n + h.dim, brackets, params=tuple(params))
 
 
-def abelian_algebra(dim: int, labels=None) -> LieAlgebra:
-    return LieAlgebra(dim, {}, labels=labels)
+def abelian_algebra(dim: int) -> LieAlgebra:
+    return LieAlgebra(dim, {})
 
 
 # -- parsing elements --------------------------------------------------------

@@ -13,20 +13,29 @@ import pytest
 from liedouble import (
     LieAlgebra,
     Matrix,
+    Poly,
+    Scalar,
     build_double,
     check_quantified,
     from_matrices,
     get,
+    is_characteristically_nilpotent,
     loads,
     parse_element,
+    poly_gcd_univariate,
+    rational_roots,
 )
+from liedouble.catalog import MAX_DIM
 from liedouble.cli import _materialize, main
 from liedouble.errors import (
+    AlgebraMismatch,
     ArityMismatch,
+    DivisionByZero,
     DuplicateName,
     ExcludedParameterValue,
     NotClosed,
     NotIndependent,
+    NotUnivariate,
     ParseError,
 )
 from liedouble.identities import Fixed, eval_identity
@@ -62,6 +71,8 @@ CATALOG_FILES = [
     ("dim-bool", [_entry(dim=True)], ParseError, "entry 'x': dim must be a nonnegative integer"),
     ("dim-negative", [_entry(dim=-1)], ParseError,
      "entry 'x': dim must be a nonnegative integer"),
+    ("dim-over-the-cap", [_entry(dim=MAX_DIM + 1)], ParseError,
+     f"entry 'x': dim must be at most {MAX_DIM}"),
     ("params-not-identifiers", [_entry(params=["a b"])], ParseError,
      "entry 'x': params must be a list of identifiers"),
     ("params-duplicate", [_entry(params=["a", "a"])], ParseError,
@@ -123,6 +134,8 @@ def test_integer_cells_load_as_their_string_cells():
     assert type(ints._table[(0, 1)][2]) is int
 
 
+X, Y = Poly.variable("x"), Poly.variable("y")
+
 E12, E21, E13 = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
@@ -173,11 +186,34 @@ LIBRARY = [
      "matrix shapes differ"),
     ("filiform-too-small", lambda: get("filiform", {"n": "2"}), ExcludedParameterValue,
      "filiform needs n >= 3"),
+    ("filiform-over-the-cap", lambda: get("filiform", {"n": MAX_DIM + 1}),
+     ExcludedParameterValue, f"filiform needs n <= {MAX_DIM}"),
     ("external-entry-unknown-parameter",
      lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
      "x has no parameter q"),
     ("double-unknown-kind", lambda: build_double(get("n3"), Matrix(E12), kind="twisted"),
      ValueError, "unknown double kind 'twisted'"),
+    ("element-sum-across-algebras", lambda: get("n3").basis_element(0) + get("sl2").basis_element(0),
+     AlgebraMismatch, "elements live in different algebras"),
+    ("element-difference-across-algebras",
+     lambda: get("n3").basis_element(0) - get("sl2").basis_element(0), AlgebraMismatch,
+     "elements live in different algebras"),
+    ("poly-negative-power", lambda: X ** -1, ValueError, "negative polynomial power"),
+    ("poly-zero-leading-term", lambda: Poly.const(0).leading(), ValueError,
+     "zero polynomial has no leading term"),
+    ("poly-division-by-zero", lambda: X.exact_div(Poly.const(0)), DivisionByZero,
+     "polynomial division by zero"),
+    ("poly-inexact-division", lambda: (X + Poly.const(1)).exact_div(X), ArithmeticError,
+     "inexact polynomial division"),
+    ("gcd-of-two-variables", lambda: poly_gcd_univariate(X, Y), NotUnivariate,
+     "gcd requires a common single variable"),
+    ("roots-of-zero", lambda: rational_roots(Poly.const(0)), ValueError,
+     "zero polynomial has every root"),
+    ("scalar-variable-as-fraction", lambda: Scalar.variable("t").as_fraction(), ValueError,
+     "t is not a rational constant"),
+    ("characteristically-nilpotent-family",
+     lambda: is_characteristically_nilpotent(get("glambda")), ValueError,
+     "requires a parameter-free algebra"),
 ]
 
 
@@ -194,6 +230,8 @@ def test_library_guards(call, exc, message):
 CLI = [
     ("filiform-too-small", ["show", "filiform", "--param", "n=2"], None,
      "filiform needs n >= 3"),
+    ("filiform-over-the-cap", ["show", "filiform", "--param", f"n={MAX_DIM + 1}"], None,
+     f"filiform needs n <= {MAX_DIM}"),
     ("external-entry-unknown-parameter", ["--param", "q=1", "show", "x"], [_entry()],
      "x has no parameter q"),
     ("element-label-in-denominator", ["identity", "n3", "--id", "3", "--z", "1/e1"], None,
