@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .catalog import dumps, get, loads, names, table1
+from .catalog import get, loads, dumps, names, table1
 from .derivations import (
     derivation_space,
     generalized_derivation_space,
