@@ -161,6 +161,27 @@ def _apply(memo, d, u) -> dict:
     return du
 
 
+def _with_images(b, z, basis):
+    """``b`` with each [z, e_u] of a Fixed z computed once: identities 3 and
+    4 take it with the same basis vector in many tuples.  A sweep over all
+    elements keeps plain ``b``, whose brackets of two basis vectors are one
+    table lookup each."""
+    index = {id(v): i for i, v in enumerate(basis)}
+    images = [None] * len(basis)
+
+    def bracket(x, y):
+        if x is z:
+            i = index.get(id(y))
+            if i is not None:
+                zy = images[i]
+                if zy is None:
+                    zy = images[i] = b(x, y)
+                return zy
+        return b(x, y)
+
+    return bracket
+
+
 def _cyclic_pairs(b, x, y, w):
     """Tail part of 1, 2 and 3: the nonzero (u, [v1, v2]) of the cyclic
     terms (x, [y, w]), (y, [w, x]), (w, [x, y]), in that order."""
@@ -394,8 +415,9 @@ def _sweep(g, spec: _Identity, payload, maps):
     The evaluators' memo also lives for the call; in it, 1 and 2 keep the
     images of basis vectors under the current map, and s5 the nested
     prefixes for the current x0 (at most n + n^2 + n^3), freed when the
-    head moves on.  With one basis vector on each side a bracket is a single
-    table lookup (``LieAlgebra.bracket_sparse``).
+    head moves on.  A Fixed z of 3 and 4 is bracketed with each basis vector
+    once (``_with_images``).  With one basis vector on each side a bracket
+    is a single table lookup (``LieAlgebra.bracket_sparse``).
 
     The sweep computes on stored values (basis vectors ``{i: 1}``, the
     maps' column views, ``g._pairs``, an element payload's own storage) and
@@ -410,6 +432,8 @@ def _sweep(g, spec: _Identity, payload, maps):
     # own size, so the freed ones are reused instead of piling up unused
     if payload is not None:
         pool = [payload]
+        if spec.argument == "z":
+            b = _with_images(b, payload, basis)
     else:
         pool = maps if spec.argument == "map" else basis
     # per head group: (key part, pool indices of its occurrences) per choice

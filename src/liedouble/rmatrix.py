@@ -19,29 +19,36 @@ from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
 from .scalars import _ZERO, Scalar
 
 
-def _r_bracket_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
-    out = g.bracket_sparse(r.apply_sparse(u), v)
-    _sadd(out, g.bracket_sparse(u, r.apply_sparse(v)))
+def _r_pair(g: LieAlgebra, u: dict, ru: dict, v: dict, rv: dict) -> dict:
+    """[u, v]_R from the images ``ru`` = R u and ``rv`` = R v, which callers
+    that meet a vector more than once compute once and never mutate."""
+    out = g.bracket_sparse(ru, v)
+    _sadd(out, g.bracket_sparse(u, rv))
     return out
+
+
+def _neg(v: dict) -> dict:
+    return {a: -c for a, c in v.items()}
 
 
 def r_bracket(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """[x,y]_R = [Rx,y] + [x,Ry]."""
     _check_map(r, g.dim, "r_bracket")
-    out = _r_bracket_sparse(g, r, g._sparse_of(x, "r_bracket"), g._sparse_of(y, "r_bracket"))
-    return Element(g, out)
+    u, v = g._sparse_of(x, "r_bracket"), g._sparse_of(y, "r_bracket")
+    return Element(g, _r_pair(g, u, r.apply_sparse(u), v, r.apply_sparse(v)))
 
 
 def b_r(g: LieAlgebra, r: Matrix, x: Element, y: Element) -> Element:
     """B_R(x,y) = [Rx,Ry] - R([Rx,y] + [x,Ry])."""
     _check_map(r, g.dim, "b_r")
-    out = _b_r_sparse(g, r, g._sparse_of(x, "b_r"), g._sparse_of(y, "b_r"))
-    return Element(g, out)
+    u, v = g._sparse_of(x, "b_r"), g._sparse_of(y, "b_r")
+    return Element(g, _b_r_sparse(g, r, u, r.apply_sparse(u), v, r.apply_sparse(v)))
 
 
-def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, v: dict) -> dict:
-    out = g.bracket_sparse(r.apply_sparse(u), r.apply_sparse(v))
-    _sadd(out, r.apply_sparse(_r_bracket_sparse(g, r, u, v)), -1)
+def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, ru: dict, v: dict, rv: dict) -> dict:
+    """B_R(u, v) from the images ``ru`` = R u and ``rv`` = R v."""
+    out = g.bracket_sparse(ru, rv)
+    _sadd(out, r.apply_sparse(_r_pair(g, u, ru, v, rv)), -1)
     return out
 
 
@@ -74,28 +81,44 @@ class RBracketObstruction:
         return f"RBracketObstruction(nonzero on {len(self.entries)} triples)"
 
 
-def _r_table(g: LieAlgebra, r: Matrix) -> dict:
-    """``{(i, j): [e_i, e_j]_R}`` for i < j, sparse, on native basis
-    vectors: rational values are native numbers."""
+def _basis_images(g: LieAlgebra, r: Matrix):
+    """The native basis vectors e_k and their images R e_k."""
+    basis = [{i: 1} for i in range(g.dim)]
+    return basis, [r.apply_sparse(e) for e in basis]
+
+
+def _r_table(g: LieAlgebra, basis: list, images: list) -> dict:
+    """``{(i, j): [e_i, e_j]_R}`` for i < j, sparse, from ``_basis_images``:
+    rational values are native numbers."""
     n = g.dim
-    return {(i, j): _r_bracket_sparse(g, r, {i: 1}, {j: 1})
+    return {(i, j): _r_pair(g, basis[i], images[i], basis[j], images[j])
             for i in range(n) for j in range(i + 1, n)}
 
 
 def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     """Yield (triple, sparse Jacobiator of [,]_R) in lexicographic order;
-    zero values are skipped."""
+    zero values are skipped.  R is applied once to each e_k and, when a
+    triple first needs it, once to each [e_i, e_j]_R; the (i, k) term takes
+    the negated image."""
     _check_map(r, g.dim, "the R-bracket")
     n = g.dim
-    basis = [{i: 1} for i in range(n)]
-    rb = _r_table(g, r)
+    basis, images = _basis_images(g, r)
+    rb = _r_table(g, basis, images)
+    rimages: dict = {}
+
+    def image(pair):
+        out = rimages.get(pair)
+        if out is None:
+            out = rimages[pair] = r.apply_sparse(rb[pair])
+        return out
+
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 jac: dict = {}
-                _sadd(jac, _r_bracket_sparse(g, r, rb[i, j], basis[k]))
-                _sadd(jac, _r_bracket_sparse(g, r, rb[j, k], basis[i]))
-                _sadd(jac, _r_bracket_sparse(g, r, {a: -c for a, c in rb[i, k].items()}, basis[j]))
+                _sadd(jac, _r_pair(g, rb[i, j], image((i, j)), basis[k], images[k]))
+                _sadd(jac, _r_pair(g, rb[j, k], image((j, k)), basis[i], images[i]))
+                _sadd(jac, _r_pair(g, _neg(rb[i, k]), _neg(image((i, k))), basis[j], images[j]))
                 if jac:
                     yield (i, j, k), jac
 
@@ -150,12 +173,12 @@ class MYBESolution:
 def mybe_solve(g: LieAlgebra, r: Matrix) -> MYBESolution:
     _check_map(r, g.dim, "mybe_solve")
     n = g.dim
-    basis = [{i: 1} for i in range(n)]
+    basis, images = _basis_images(g, r)
     rows = []
     rhs = []
     for i in range(n):
         for j in range(i + 1, n):
-            br = _b_r_sparse(g, r, basis[i], basis[j])
+            br = _b_r_sparse(g, r, basis[i], images[i], basis[j], images[j])
             cij = g._c(i, j)
             for k in sorted(set(br) | set(cij)):
                 c = cij.get(k)
@@ -188,7 +211,7 @@ def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlge
             pair: op.apply_sparse(comps) for pair, comps in g._table.items()
         }
     else:
-        table = _r_table(g, op)
+        table = _r_table(g, *_basis_images(g, op))
     return LieAlgebra(
         g.dim, table, labels=g.labels, params=_table_params(table, g.params)
     )

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, or_, sub
 
 from .errors import DenominatorVanishes, DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
@@ -213,6 +213,8 @@ class Poly:
     # through _native, which turns an integral Fraction back into an int.
 
     def __add__(self, other: "Poly") -> "Poly":
+        if type(other) is not Poly:
+            return NotImplemented
         terms = dict(self._t)
         for m, c in other._t.items():
             s = terms.get(m)
@@ -227,12 +229,28 @@ class Poly:
         return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + -other
+        # self + -other in one pass: the same terms, in the same order
+        if type(other) is not Poly:
+            return NotImplemented
+        terms = dict(self._t)
+        for m, c in other._t.items():
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -c
+            else:
+                s = s - c
+                if s:
+                    terms[m] = s if type(s) is int else _native(s)
+                else:
+                    del terms[m]
+        return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __neg__(self) -> "Poly":
         return _poly({m: -c for m, c in self._t.items()}, self.vars)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if type(other) is not Poly:
+            return NotImplemented
         merged = _merged_vars(self.vars, other.vars)
         terms: dict = {}
         for m1, c1 in self._t.items():
@@ -303,6 +321,8 @@ class Poly:
         grlex key, each key built once, so the leading term is a pop
         rather than a scan; a term that cancels stays in the heap and is
         skipped when it comes up (Johnson 1974; Monagan and Pearce 2007)."""
+        if type(divisor) is not Poly:
+            raise TypeError(f"cannot divide a Poly by {type(divisor).__name__}")
         if not divisor._t:
             raise DivisionByZero("polynomial division by zero")
         if divisor.is_constant():
@@ -675,14 +695,22 @@ class Scalar:
                 r = a.scale(c) if op is mul else op(a, Poly.const(c))
             else:
                 r = op(a, c)
-            return Scalar(r.constant_value()) if r.is_constant() else Scalar(r)
+            return _lift(r)
         a, b = self.numerator_poly(), self.denominator_poly()
         c, d = other.numerator_poly(), other.denominator_poly()
         if op is mul:
             return Scalar._make(a * c, b * d)
         return Scalar._make(op(a * d, c * b), b * d)
 
+    # Two polynomials without a denominator, and a polynomial times a native
+    # int, skip _combine's dispatch: the same Poly operation on the same
+    # operands, so the result and its variable order are _combine's.
+
     def __add__(self, other):
+        if type(other) is Scalar and self._den is None and other._den is None:
+            a, c = self._num, other._num
+            if type(a) is Poly and type(c) is Poly:
+                return _lift(a + c)
         return self._combine(other, add)
 
     def __radd__(self, other):
@@ -691,12 +719,22 @@ class Scalar:
         return Scalar.of(other) + self
 
     def __sub__(self, other):
+        if type(other) is Scalar and self._den is None and other._den is None:
+            a, c = self._num, other._num
+            if type(a) is Poly and type(c) is Poly:
+                return _lift(a - c)
         return self._combine(other, sub)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __mul__(self, other):
+        a = self._num
+        if type(a) is Poly and self._den is None:
+            if type(other) is int:  # not bool
+                return Scalar(a.scale(other)) if other else _ZERO
+            if type(other) is Scalar and other._den is None and type(other._num) is Poly:
+                return _lift(a * other._num)
         return self._combine(other, mul)
 
     __rmul__ = __mul__
@@ -770,6 +808,11 @@ _ZERO = Scalar(Fraction(0))
 _ONE = Scalar(Fraction(1))
 
 
+def _lift(r: Poly) -> Scalar:
+    """The Scalar of a polynomial result: a rational when it is constant."""
+    return Scalar(r.constant_value()) if r.is_constant() else Scalar(r)
+
+
 def _native(c):
     """The stored form of a value, which every container of the package
     holds: an int, a Fraction when the value is a rational that is not an
@@ -796,10 +839,36 @@ def _native(c):
 # Parentheses nest at most MAX_DEPTH deep, '^' takes at most MAX_EXPONENT,
 # and an integer has at most MAX_DIGITS decimal digits: fewer than 640, the
 # smallest int-string limit Python can be set to, so int() never refuses one.
+#
+# Nested products and powers multiply sizes, so before each '*' and '^' the
+# parser bounds the result from its operands' sizes (_size): t_a*t_b terms
+# and b_a + b_b bits for a product, comb(t + e - 1, e) terms and e*b bits
+# for a power.  A result of more than MAX_TERMS terms, or of more than
+# MAX_BITS bits in all (terms times coefficient bits), is a parse error.
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 64
 MAX_DIGITS = 600
+MAX_TERMS = 10_000
+MAX_BITS = 1 << 18
+
+
+def _size(value: Scalar) -> tuple:
+    """Terms of a literal's value (numerator and denominator) and the bit
+    length of its largest coefficient, numerator plus denominator."""
+    coeffs = list(value.numerator_poly()._t.values())
+    if value._den is not None:
+        coeffs += value._den._t.values()
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs),
+               default=0)
+    return len(coeffs), bits
+
+
+def _bound(terms: int, bits: int) -> None:
+    if terms > MAX_TERMS or terms * bits > MAX_BITS:
+        raise ParseError(
+            f"literal too large: over {MAX_TERMS} terms or {MAX_BITS} coefficient bits"
+        )
 
 
 class _Tokens:
@@ -874,6 +943,8 @@ class _Parser:
             op = self.toks.take()[0]
             rhs = self._factor()
             if op == "*":
+                (ta, ba), (tb, bb) = _size(value), _size(rhs)
+                _bound(ta * tb, ba + bb)
                 value = value * rhs
             else:
                 if rhs.is_zero():
@@ -888,7 +959,10 @@ class _Parser:
             digits = self.toks.take("int")[1].lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent above {MAX_EXPONENT} in literal")
-            value = value ** int(digits or 0)
+            e = int(digits or 0)
+            terms, bits = _size(value)
+            _bound(comb(max(terms, 1) + e - 1, e), e * bits)
+            value = value ** e
         return value
 
     def _primary(self) -> Scalar:

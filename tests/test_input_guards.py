@@ -22,6 +22,7 @@ from liedouble import (
     is_characteristically_nilpotent,
     loads,
     parse_element,
+    parse_scalar,
     poly_gcd_univariate,
     rational_roots,
 )
@@ -39,6 +40,7 @@ from liedouble.errors import (
     ParseError,
 )
 from liedouble.identities import Fixed, eval_identity
+from liedouble.scalars import MAX_BITS, MAX_TERMS
 
 
 def _entry(**fields):
@@ -135,6 +137,7 @@ def test_integer_cells_load_as_their_string_cells():
 
 
 X, Y = Poly.variable("x"), Poly.variable("y")
+_TOO_LARGE = f"literal too large: over {MAX_TERMS} terms or {MAX_BITS} coefficient bits"
 
 E12, E21, E13 = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -205,6 +208,24 @@ LIBRARY = [
      "polynomial division by zero"),
     ("poly-inexact-division", lambda: (X + Poly.const(1)).exact_div(X), ArithmeticError,
      "inexact polynomial division"),
+    # Poly arithmetic takes Polys only: a plain number is a TypeError
+    ("poly-plus-int", lambda: X + 1, TypeError,
+     "unsupported operand type(s) for +: 'Poly' and 'int'"),
+    ("poly-minus-int", lambda: X - 1, TypeError,
+     "unsupported operand type(s) for -: 'Poly' and 'int'"),
+    ("poly-times-int", lambda: X * 2, TypeError,
+     "unsupported operand type(s) for *: 'Poly' and 'int'"),
+    ("poly-exact-div-by-int", lambda: X.exact_div(2), TypeError,
+     "cannot divide a Poly by int"),
+    # each '*' and '^' of a literal is bounded from its operands' sizes
+    ("literal-power-of-a-power", lambda: parse_scalar("((x+1)^64)^32"), ParseError,
+     _TOO_LARGE),
+    ("literal-power-in-three-variables", lambda: parse_scalar("((x+y+1)^16)^8"), ParseError,
+     _TOO_LARGE),
+    ("literal-nested-integer-powers", lambda: parse_scalar("(((2^64)^64)^64)^64"),
+     ParseError, _TOO_LARGE),
+    ("literal-product-of-powers", lambda: parse_scalar("(a+b+c+d)^14*(a+b+c+d)^14"),
+     ParseError, _TOO_LARGE),
     ("gcd-of-two-variables", lambda: poly_gcd_univariate(X, Y), NotUnivariate,
      "gcd requires a common single variable"),
     ("roots-of-zero", lambda: rational_roots(Poly.const(0)), ValueError,
@@ -238,6 +259,10 @@ CLI = [
      "basis labels cannot appear in a denominator"),
     ("element-product-of-labels", ["rmatrix", "n3", "--z", "e1*e2"], None,
      "expression must be linear in the basis labels"),
+    ("literal-power-of-a-power", ["identity", "sl2", "--id", "4", "--z", "((x+1)^64)^32*e1"],
+     None, _TOO_LARGE),
+    ("literal-nested-integer-powers",
+     ["show", "glambda", "--param", "lam=(((2^64)^64)^64)^64"], None, _TOO_LARGE),
 ]
 
 

@@ -1,0 +1,59 @@
+"""The images that the Fixed-element sweep and the R-matrix Jacobiator reuse
+are computed once.
+
+Counting subclasses, in the style of ``tests/test_quantified_large.py``,
+bound the calls; each verdict must be the one of the uncounted run.
+"""
+
+import pytest
+
+from liedouble import Fixed, LieAlgebra, Matrix, check_quantified, get
+from liedouble import is_classical_rmatrix, parse_element
+
+
+class _Counting(LieAlgebra):
+    """A Lie algebra that counts the brackets of ``z`` with a basis vector."""
+
+    z = None
+    calls = 0
+
+    def bracket_sparse(self, u, v):
+        if u is self.z and len(v) == 1 and 1 in v.values():
+            self.calls += 1
+        return super().bracket_sparse(u, v)
+
+
+def _symbolic(g):
+    return " + ".join(f"z{k + 1}*{label}" for k, label in enumerate(g.labels))
+
+
+@pytest.mark.parametrize("code", ["3", "4"])
+def test_fixed_z_is_bracketed_with_each_basis_vector_once(code):
+    g = get("sl3")
+    h = _Counting(g.dim, g.table, labels=g.labels, params=g.params)
+    z = parse_element(h, _symbolic(h))
+    h.z = z._sparse
+    rep = check_quantified(h, code, Fixed(z))
+    ref = check_quantified(g, code, Fixed(parse_element(g, _symbolic(g))))
+    assert rep.status == ref.status
+    assert [str(p) for p in rep.conditions] == [str(p) for p in ref.conditions]
+    assert 0 < h.calls <= g.dim
+
+
+def test_jacobiator_applies_r_once_per_basis_vector_and_pair(monkeypatch):
+    g = get("sl3")
+    r = g.ad(parse_element(g, _symbolic(g)))
+    ref = is_classical_rmatrix(g, r)
+    calls = []
+    apply_sparse = Matrix.apply_sparse
+
+    def counted(self, v):
+        calls.append(v)
+        return apply_sparse(self, v)
+
+    monkeypatch.setattr(Matrix, "apply_sparse", counted)
+    rep = is_classical_rmatrix(g, r)
+    n = g.dim
+    assert rep.status == ref.status == "conditional"
+    assert [str(p) for p in rep.conditions] == [str(p) for p in ref.conditions]
+    assert len(calls) <= n + n * (n - 1) // 2
