@@ -112,9 +112,10 @@ def _mono_min(a: int, b: int) -> int:
 def _merged_vars(a: tuple, b: tuple) -> tuple:
     """Left-first union of two variable orders: the order a sum, difference
     or product of polynomials with these orders prints in."""
-    if a == b:
+    if a == b or not b:
         return a
-    return a + tuple(v for v in b if v not in a)
+    extra = [v for v in b if v not in a]
+    return a + tuple(extra) if extra else a
 
 
 def _cdiv(a, b):
