@@ -97,28 +97,20 @@ def _r_table(g: LieAlgebra, basis: list, images: list) -> dict:
 
 def _jacobiator_triples(g: LieAlgebra, r: Matrix):
     """Yield (triple, sparse Jacobiator of [,]_R) in lexicographic order;
-    zero values are skipped.  R is applied once to each e_k and, when a
-    triple first needs it, once to each [e_i, e_j]_R; the (i, k) term takes
-    the negated image."""
+    zero values are skipped.  R is applied once to each e_k and once to
+    each [e_i, e_j]_R; the (i, k) term takes the negated image."""
     _check_map(r, g.dim, "the R-bracket")
     n = g.dim
     basis, images = _basis_images(g, r)
     rb = _r_table(g, basis, images)
-    rimages: dict = {}
-
-    def image(pair):
-        out = rimages.get(pair)
-        if out is None:
-            out = rimages[pair] = r.apply_sparse(rb[pair])
-        return out
-
+    rrb = {pair: r.apply_sparse(v) for pair, v in rb.items()}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 jac: dict = {}
-                _sadd(jac, _r_pair(g, rb[i, j], image((i, j)), basis[k], images[k]))
-                _sadd(jac, _r_pair(g, rb[j, k], image((j, k)), basis[i], images[i]))
-                _sadd(jac, _r_pair(g, _neg(rb[i, k]), _neg(image((i, k))), basis[j], images[j]))
+                _sadd(jac, _r_pair(g, rb[i, j], rrb[i, j], basis[k], images[k]))
+                _sadd(jac, _r_pair(g, rb[j, k], rrb[j, k], basis[i], images[i]))
+                _sadd(jac, _r_pair(g, _neg(rb[i, k]), _neg(rrb[i, k]), basis[j], images[j]))
                 if jac:
                     yield (i, j, k), jac
 
