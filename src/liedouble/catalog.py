@@ -357,7 +357,7 @@ def get(name: str, assignments=None) -> LieAlgebra:
     key = (
         ent.name,
         tuple(sorted(sizes.items())),
-        tuple(sorted((k, str(v)) for k, v in scalars.items())),
+        tuple(sorted(scalars.items())),
     )
     hit = _MATERIALIZED.get(key)
     if hit is not None:

@@ -400,18 +400,19 @@ def _classify(q):
 
 def _sweep(g, spec: _Identity, payload, maps):
     """Lazily yield ``(key, sparse value)`` for the basis tuples of ``spec``
-    in lexicographic key order.  A Fixed ``payload`` (a map, or an element's
-    sparse vector) fills the argument's group and adds nothing to the key;
-    otherwise the argument runs over ``maps`` or the basis.  The orderings
-    are summed in ``permutations`` order, and the weight is applied last.
+    whose value is nonzero, in lexicographic key order.  A Fixed ``payload``
+    (a map, or an element's sparse vector) fills the argument's group and
+    adds nothing to the key; otherwise the argument runs over ``maps`` or
+    the basis.  The orderings are summed in ``permutations`` order, and the
+    weight is applied last.
 
     Values shared across orderings and tuples are computed when a tuple
     first needs them, so a failing sweep still stops at its first tuple.
-    Tail parts and inner values live for the whole call, unless a Fixed
-    payload makes the head unique.  Tail parts are one list indexed by the
-    tuple's position; a tuple whose tail part is falsy yields zero without
-    an evaluation.  Inner values are one list per ``rest`` of the head,
-    keyed by the pool indices of its occurrences and indexed the same way.
+    Tail parts and inner values live for the whole call.  Tail parts are
+    one list indexed by the tuple's position; a tuple whose tail part is
+    falsy is skipped without an evaluation.  Inner values are one list per
+    ``rest`` of the head, keyed by the pool indices of its occurrences and
+    indexed the same way.
     The evaluators' memo also lives for the call; in it, 1 and 2 keep the
     images of basis vectors under the current map, and s5 the nested
     prefixes for the current x0 (at most n + n^2 + n^3), freed when the
@@ -467,11 +468,8 @@ def _sweep(g, spec: _Identity, payload, maps):
         for pos, t in enumerate(tails):
             part = parts[pos]
             if part is _UNSET:
-                part = tail_f(b, *[basis[i] for i in t])
-                if payload is None:  # with a Fixed payload no tuple is met twice
-                    parts[pos] = part
+                part = parts[pos] = tail_f(b, *[basis[i] for i in t])
             if not part:  # the value is zero for every head
-                yield head_key + t, {}
                 continue
             out: dict = {}
             if inner_f is None:
@@ -480,21 +478,18 @@ def _sweep(g, spec: _Identity, payload, maps):
             else:
                 for occ, row in zip(heads, rows):
                     v = row[pos]
-                    if v is _UNSET:
-                        # a zero inner value is kept as None; with a Fixed
-                        # payload no value is met twice, so none is kept
-                        v = inner_f(b, memo, *occ[1:], *part) or None
-                        if payload is None:
-                            row[pos] = v
+                    if v is _UNSET:  # a zero inner value is kept as None
+                        v = row[pos] = inner_f(b, memo, *occ[1:], *part) or None
                     if v is not None:
                         _sadd(out, f(b, memo, *occ, v))
-            if weight is not None and out:
-                out = {k: c * weight for k, c in out.items()}
-            yield head_key + t, out
+            if out:
+                if weight is not None:
+                    out = {k: c * weight for k, c in out.items()}
+                yield head_key + t, out
 
 
 def _scan_conditions(values):
-    """Verdict data of a sweep over ``(key, sparse value)`` pairs.
+    """Verdict data of a sweep over ``(key, nonzero sparse value)`` pairs.
 
     A coordinate whose numerator is a nonzero constant, or that is a
     native (int or Fraction) nonzero, is nonzero for every parameter value:
@@ -507,8 +502,6 @@ def _scan_conditions(values):
     seen = set()
     normalized = []
     for key, sparse in values:
-        if not sparse:
-            continue
         for coord in sorted(sparse):
             c = sparse[coord]
             num = c.numerator_poly() if isinstance(c, Scalar) else None
@@ -677,7 +670,7 @@ def metabelian_equivalences(g: LieAlgebra) -> AuditReport:
     [[z,x],[z,y]] and to identity 2 over all inner derivations."""
     _require_plain(g)
     meta = is_metabelian(g)
-    square_zero = not any(value for _, value in _sweep(g, _SQUARE_BRACKET, None, None))
+    square_zero = next(_sweep(g, _SQUARE_BRACKET, None, None), None) is None
     inner2 = check_quantified(g, "2", ALL_INNER_DERIVATIONS).holds
     facts = {
         "metabelian": meta,

@@ -463,8 +463,9 @@ def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
         return poly_normalize(b)
     if b.is_zero():
         return poly_normalize(a)
-    while b._t:
-        a, b = b, _rem(a, b)
+    while b._t:  # primitive remainders keep the coefficients small
+        r = _rem(a, b)
+        a, b = b, r.scale(1 / _signed_content(r)) if r._t else r
     return _poly(a.scale(1 / _signed_content(a))._t, tuple(names))
 
 
@@ -844,8 +845,10 @@ def _native(c):
 # Nested products and powers multiply sizes, so before each '*' and '^' the
 # parser bounds the result from its operands' sizes (_size): t_a*t_b terms
 # and b_a + b_b bits for a product, comb(t + e - 1, e) terms and e*b bits
-# for a power.  A result of more than MAX_TERMS terms, or of more than
-# MAX_BITS bits in all (terms times coefficient bits), is a parse error.
+# for a power.  A sum or difference with a denominator on either side
+# cross-multiplies, so it gets the product's bound; sizes of polynomial sums
+# only add.  A result of more than MAX_TERMS terms, or of more than MAX_BITS
+# bits in all (terms times coefficient bits), is a parse error.
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 64
@@ -935,6 +938,9 @@ class _Parser:
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.take()[0]
             rhs = self._term()
+            if value._den is not None or rhs._den is not None:
+                (ta, ba), (tb, bb) = _size(value), _size(rhs)
+                _bound(ta * tb, ba + bb)
             value = value + rhs if op == "+" else value - rhs
         return value
 

@@ -562,7 +562,7 @@ def _reference_stream(g, code, quant):
         for t in combinations(range(n), alt):
             value = eval_identity(twin, code, payload, *(e(i) for i in t))
             out.append((t, str(value)))
-        return out
+        return [(key, value) for key, value in out if value != "0"]
     maps = _maps(g, quant)
     pool = e if maps is None else maps.__getitem__
     count = n if maps is None else len(maps)
@@ -574,7 +574,7 @@ def _reference_stream(g, code, quant):
             value = _polarized(lambda v: eval_identity(twin, code, *fixed, v, *(e(i) for i in t)),
                                parts, weight)
             out.append((head[:before] + head[before] + t, str(value)))
-    return out
+    return [(key, value) for key, value in out if value != "0"]
 
 
 def _sweep_stream(g, code, quant):

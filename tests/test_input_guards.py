@@ -40,7 +40,7 @@ from liedouble.errors import (
     ParseError,
 )
 from liedouble.identities import Fixed, eval_identity
-from liedouble.scalars import MAX_BITS, MAX_TERMS
+from liedouble.scalars import MAX_BITS, MAX_DIGITS, MAX_TERMS
 
 
 def _entry(**fields):
@@ -226,6 +226,12 @@ LIBRARY = [
      ParseError, _TOO_LARGE),
     ("literal-product-of-powers", lambda: parse_scalar("(a+b+c+d)^14*(a+b+c+d)^14"),
      ParseError, _TOO_LARGE),
+    # a sum or difference with a denominator gets the bound of a product
+    ("literal-sum-of-fractions", lambda: parse_scalar("1/(x+1)^32 + 1/(y+1)^32 + 1/(w+1)^32"),
+     ParseError, _TOO_LARGE),
+    ("literal-difference-of-fractions",
+     lambda: parse_scalar("1/(x+1)^16 - 1/(y+1)^16 - 1/(w+1)^16 - 1/(v+1)^16"),
+     ParseError, _TOO_LARGE),
     ("gcd-of-two-variables", lambda: poly_gcd_univariate(X, Y), NotUnivariate,
      "gcd requires a common single variable"),
     ("roots-of-zero", lambda: rational_roots(Poly.const(0)), ValueError,
@@ -246,6 +252,9 @@ def test_library_guards(call, exc, message):
     assert type(info.value) is exc and info.value.args[0] == message
 
 
+# within the literal limits, and more digits than int-to-string allows
+_HUGE_LAMBDA = f"lam={'9' * MAX_DIGITS}^{_LIMIT // MAX_DIGITS + 1}"
+
 # (id, argv, external catalog or None, message); LIBRARY pins the type of
 # each raise
 CLI = [
@@ -263,6 +272,13 @@ CLI = [
      None, _TOO_LARGE),
     ("literal-nested-integer-powers",
      ["show", "glambda", "--param", "lam=(((2^64)^64)^64)^64"], None, _TOO_LARGE),
+    ("literal-sum-of-fractions",
+     ["identity", "sl2", "--id", "4", "--z", "e1/(x+1)^32 + e1/(y+1)^32 + e1/(w+1)^32"],
+     None, _TOO_LARGE),
+    # a catalog parameter within the literal limits that is too large to print
+    *[(f"catalog-parameter-too-large-to-print-{cmd[0]}",
+       [*cmd, "--param", _HUGE_LAMBDA], None, f"value too large to print: over {_LIMIT} digits")
+      for cmd in (["show", "glambda"], ["identity", "glambda", "--id", "2"])] * bool(_LIMIT),
 ]
 
 
@@ -277,3 +293,9 @@ def test_cli_guards(argv, catalog, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
 
+
+def test_an_unprinted_catalog_parameter_may_be_too_large_to_print(capsys):
+    # invariants prints nothing of the parameter, so it needs no string of it
+    assert main(["invariants", "glambda", "--param", _HUGE_LAMBDA]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""

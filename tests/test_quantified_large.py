@@ -20,7 +20,9 @@ from liedouble import (
     ALL_INNER_DERIVATIONS,
     LieAlgebra,
     check_quantified,
+    derivation_space,
     get,
+    identities,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "quantified_golden_large.json")
@@ -42,6 +44,11 @@ G2_ID1_BRACKET_CALLS = 36
 # identity 2 over all derivations made 7,205 calls and identity 3 over all
 # elements 4,296.
 FILIFORM10_BRACKET_CALLS = (("2", ALL_DERIVATIONS, 800), ("3", ALL_ELEMENTS, 1100))
+
+# two sweeps of filiform(10) that hold.  Before the sweep yielded nonzero
+# values only, identity 1 over all derivations yielded 22,800 zero pairs and
+# identity 3 over all elements 6,600.
+FILIFORM10_HOLDING = (("1", ALL_DERIVATIONS), ("3", ALL_ELEMENTS))
 
 
 def verdicts() -> dict:
@@ -106,6 +113,21 @@ def test_complete_sweeps_share_each_tuples_brackets():
         rep, calls = _counted(g, code, quant)
         assert rep.status == check_quantified(g, code, quant).status == "holds", code
         assert calls <= bound, (code, calls)
+
+
+def _stream(g, code, quant):
+    maps = derivation_space(g).basis if quant is ALL_DERIVATIONS else None
+    return list(identities._sweep(g, identities._IDENTITIES[code], None, maps))
+
+
+def test_a_sweep_yields_only_nonzero_values():
+    g = get("filiform", {"n": 10})
+    for code, quant in FILIFORM10_HOLDING:
+        assert _stream(g, code, quant) == [], code
+    # identity 1 fails over all derivations of sl3: 602 of its 2,016 tuples
+    # are nonzero
+    values = _stream(get("sl3"), "1", ALL_DERIVATIONS)
+    assert values and all(value for _, value in values)
 
 
 if __name__ == "__main__":

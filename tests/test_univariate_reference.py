@@ -11,6 +11,8 @@ text and root set.
 import random
 from fractions import Fraction
 
+import pytest
+
 from liedouble import Poly, poly_gcd_univariate, poly_normalize, rational_roots
 from liedouble.errors import NotUnivariate
 from liedouble.scalars import (
@@ -197,3 +199,24 @@ def test_univariate_gcd_normalize_and_roots_match_the_dense_list_reference():
             assert _form(got.residual) == _form(want.residual), p
     assert shared > 300  # the inputs do share nontrivial factors
 
+
+def test_degree_64_gcds_match_sympy():
+    # Euclid over the rationals lets these remainders' coefficients grow;
+    # the gcd is taken on primitive remainders, which must not change it
+    sympy = pytest.importorskip("sympy")
+    t, c = Poly.variable("t"), Poly.const
+    a, b, common = (t + c(1)) ** 64 + c(3), (t + c(2)) ** 64 + c(5), t ** 2 - c(2)
+    ts = sympy.Symbol("t")
+
+    def to_sympy(p):
+        coeffs = [sympy.Rational(q.numerator, q.denominator) for q in _coeff_list(p, "t")]
+        return sympy.Poly(list(reversed(coeffs)), ts, domain="QQ")
+
+    for x, y in ((a, b), (a * common, b * common), (b * common, a * c(3) * common)):
+        got = poly_gcd_univariate(x, y)
+        assert got.content() == 1 and got.leading()[1] > 0
+        coeffs = _coeff_list(got, "t")
+        ref = to_sympy(x).gcd(to_sympy(y)).monic()
+        assert [q / coeffs[-1] for q in coeffs] == [
+            Fraction(int(q.p), int(q.q)) for q in reversed(ref.all_coeffs())
+        ]
