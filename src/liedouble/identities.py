@@ -408,11 +408,12 @@ def _sweep(g, spec: _Identity, payload, maps):
 
     Values shared across orderings and tuples are computed when a tuple
     first needs them, so a failing sweep still stops at its first tuple.
-    Tail parts and inner values live for the whole call.  Tail parts are
-    one list indexed by the tuple's position; a tuple whose tail part is
-    falsy is skipped without an evaluation.  Inner values are one list per
-    ``rest`` of the head, keyed by the pool indices of its occurrences and
-    indexed the same way.
+    Without a payload, tail parts and inner values live for the whole
+    call.  Tail parts are one list indexed by the tuple's position; a tuple
+    whose tail part is falsy is skipped without an evaluation.  Inner
+    values are one list per ``rest`` of the head, keyed by the pool indices
+    of its occurrences and indexed the same way.  A Fixed payload makes the
+    head unique, so nothing would be read twice and neither is kept.
     The evaluators' memo also lives for the call; in it, 1 and 2 keep the
     images of basis vectors under the current map, and s5 the nested
     prefixes for the current x0 (at most n + n^2 + n^3), freed when the
@@ -425,6 +426,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     a Fraction weight, so yielded vectors mix ints, Fractions and Scalars;
     callers wrap what they return in an ``Element``."""
     b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
+    keep = payload is None
     cache: dict = {}
     memo: dict = {}
     basis = [{i: 1} for i in range(g.dim)]
@@ -463,12 +465,16 @@ def _sweep(g, spec: _Identity, payload, maps):
             for order in orders:
                 row = cache.get(order[1:])
                 if row is None:
-                    row = cache[order[1:]] = [_UNSET] * len(tails)
+                    row = [_UNSET] * len(tails)
+                    if keep:
+                        cache[order[1:]] = row
                 rows.append(row)
         for pos, t in enumerate(tails):
             part = parts[pos]
             if part is _UNSET:
-                part = parts[pos] = tail_f(b, *[basis[i] for i in t])
+                part = tail_f(b, *[basis[i] for i in t])
+                if keep:
+                    parts[pos] = part
             if not part:  # the value is zero for every head
                 continue
             out: dict = {}
@@ -479,7 +485,9 @@ def _sweep(g, spec: _Identity, payload, maps):
                 for occ, row in zip(heads, rows):
                     v = row[pos]
                     if v is _UNSET:  # a zero inner value is kept as None
-                        v = row[pos] = inner_f(b, memo, *occ[1:], *part) or None
+                        v = inner_f(b, memo, *occ[1:], *part) or None
+                        if keep:
+                            row[pos] = v
                     if v is not None:
                         _sadd(out, f(b, memo, *occ, v))
             if out:

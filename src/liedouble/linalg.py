@@ -25,8 +25,12 @@ drop zeros; their public accessors return Scalar views (``linalg._view``).
 Systems stay sparse throughout.  A parameter-free row is scaled once to
 ``{column: int}`` and back-substituted over its nonzeros in Fraction
 arithmetic.  A parametric row has its denominators cleared to
-``{column: Poly}`` and is eliminated in the operation order of dense
-Bareiss, which fixes how its polynomials print.
+``{column: Poly}``.  A step that eliminates from it runs the operation
+order of dense Bareiss, which fixes how its polynomials print; a step
+that leaves it untouched is not applied, and the row is lifted to the
+current pivot, in one exact division per cell, when it is next read.
+Each lifted cell is the polynomial of the dense chain, with the variable
+order of that chain: the newest skipped pivot's order, then its own.
 """
 
 from __future__ import annotations
@@ -448,6 +452,10 @@ def _int_bareiss(rows, npivot, sparsest=False):
     return pivots
 
 
+def _is_one(p: Poly) -> bool:
+    return p.is_constant() and p.constant_value() == 1
+
+
 def _poly_bareiss(rows, zero, npivot):
     """In-place Bareiss over sparse ``{column: Poly}`` rows; returns
     (pivots, exceptional).  A column's pivot is the first row below the
@@ -455,53 +463,89 @@ def _poly_bareiss(rows, zero, npivot):
 
     An absent cell of row ``i`` is the zero Poly of variable order
     ``zero[i]``; a zero's order reaches printed results through the sums
-    and products it enters.  Each step runs dense Bareiss's Poly arithmetic
-    on the stored cells, an absent one read as that zero, and stores a
-    result unless it is the row's new zero.  Cells at or left of the pivot
-    column are never read again and are dropped.
+    and products it enters.  A step runs dense Bareiss's Poly arithmetic on
+    the stored cells of each row that holds the pivot column, an absent
+    cell read as that zero, and stores a result unless it is the row's new
+    zero.  Cells at or left of the pivot column are never read again and
+    are dropped.
+
+    Dense Bareiss also rescales, by pivot / previous pivot, every row that
+    a step leaves untouched; a unit step (pivot and previous pivot both 1)
+    rescales nothing.  Here such a row keeps its stored cells and the
+    number of non-unit steps it was last brought through (``level``), and
+    is brought up to date (``lift``) only when next read: before a pivot
+    is chosen for a column it holds, and, for the rows below the pivots,
+    when the loop ends.  The exact divisions telescope, so each lifted
+    cell is ``(pivot * a).exact_div(base)``, ``base`` the pivot it was last
+    brought to: the polynomial the chain of dense steps gives.  Its
+    variable order is the chain's too.  In that chain a non-unit step
+    leaves every cell and zero of the rows below the pivots with an order
+    that begins with its pivot's, and the next non-unit pivot is such a
+    cell, so the left-first union of the skipped pivots' orders, newest
+    first, is the newest one's: the product puts it first, and a zero
+    merges it in.
 
     ``_int_bareiss`` stays apart: one loop for both would branch on the
-    field in the pivot rule, in lazy versus eager rescaling (the eager one
-    fixes the print order), in ``//`` versus ``exact_div`` and in zero
-    orders."""
+    field in the pivot rule, in ``//`` versus ``exact_div`` and in the
+    variable orders of cells and zeros."""
     m = len(rows)
     exceptional, pivots = [], []
-    prev = Poly.const(1)
+    bases = [Poly.const(1)]  # 1, then the pivot of each non-unit step
+    level = [0] * m          # level[i]: the base row i was last brought to
     r = 0
+
+    def lift(i):
+        if level[i] == len(bases) - 1:
+            return
+        base, top = bases[level[i]], bases[-1]
+        z = _merged_vars(top.vars, zero[i])
+        cells = {}
+        for j, a in rows[i].items():
+            if a._t:
+                a = top * a
+                cells[j] = a if _is_one(base) else a.exact_div(base)
+            else:
+                v = _merged_vars(top.vars, a.vars)
+                if v != z:
+                    cells[j] = _poly({}, v)
+        rows[i], zero[i], level[i] = cells, z, len(bases) - 1
+
     for c in range(npivot):
         if r == m:
             break
         held = [i for i in range(r, m) if c in rows[i] and rows[i][c]._t]
         if not held:
             continue
+        for i in held:
+            lift(i)
         p = next((i for i in held if rows[i][c].is_constant()), held[0])
         rows[p], rows[r] = rows[r], rows[p]
         zero[p], zero[r] = zero[r], zero[p]
+        level[p], level[r] = level[r], level[p]
         rowr, zr = rows[r], _poly({}, zero[r])
-        piv = rowr[c]
-        trivial = prev.is_constant() and prev.constant_value() == 1
-        unit = trivial and piv.is_constant() and piv.constant_value() == 1
-        for i in range(r + 1, m):
-            rowi, zi = rows[i], _poly({}, zero[i])
-            f = rowi.get(c)
-            if f is not None and f._t:
-                cells = {j: piv * rowi.get(j, zi) - f * rowr.get(j, zr)
-                         for j in rowi.keys() | rowr.keys() if j > c}
-                z = (piv * zi - f * zr).vars
-            elif not unit:
-                cells = {j: piv * a for j, a in rowi.items() if j > c}
-                z = (piv * zi).vars
-            else:
+        piv, prev = rowr[c], bases[-1]
+        trivial = _is_one(prev)
+        if not (trivial and _is_one(piv)):
+            bases.append(piv)
+        for i in held:
+            if i == p:
                 continue
+            i = p if i == r else i  # the row that was at r is now at p
+            rowi, zi = rows[i], _poly({}, zero[i])
+            f = rowi[c]
+            cells = {j: piv * rowi.get(j, zi) - f * rowr.get(j, zr)
+                     for j in rowi.keys() | rowr.keys() if j > c}
+            z = (piv * zi - f * zr).vars
             if not trivial:
                 cells = {j: v.exact_div(prev) for j, v in cells.items()}
             rows[i] = {j: v for j, v in cells.items() if v._t or v.vars != z}
-            zero[i] = z
-        prev = piv
+            zero[i], level[i] = z, len(bases) - 1
         pivots.append((r, c))
         if not piv.is_constant():
             exceptional.append(poly_normalize(piv))
         r += 1
+    for i in range(r, m):
+        lift(i)
     return pivots, exceptional
 
 

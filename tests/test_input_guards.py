@@ -38,9 +38,17 @@ from liedouble.errors import (
     NotIndependent,
     NotUnivariate,
     ParseError,
+    ValueTooLarge,
 )
 from liedouble.identities import Fixed, eval_identity
-from liedouble.scalars import MAX_BITS, MAX_DIGITS, MAX_TERMS
+from liedouble.scalars import (
+    MAX_BITS,
+    MAX_DEPTH,
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    MAX_POLY_EXPONENT,
+    MAX_TERMS,
+)
 
 
 def _entry(**fields):
@@ -137,6 +145,7 @@ def test_integer_cells_load_as_their_string_cells():
 
 
 X, Y = Poly.variable("x"), Poly.variable("y")
+_TOO_DEEP = "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)
 _TOO_LARGE = f"literal too large: over {MAX_TERMS} terms or {MAX_BITS} coefficient bits"
 
 E12, E21, E13 = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
@@ -217,6 +226,15 @@ LIBRARY = [
      "unsupported operand type(s) for *: 'Poly' and 'int'"),
     ("poly-exact-div-by-int", lambda: X.exact_div(2), TypeError,
      "cannot divide a Poly by int"),
+    # one row per limit of a literal, each one past its bound
+    ("literal-nested-too-deep", lambda: parse_scalar(_TOO_DEEP), ParseError,
+     f"parentheses nested more than {MAX_DEPTH} deep in literal"),
+    ("literal-exponent-over-the-cap", lambda: parse_scalar(f"(x+1)^{MAX_EXPONENT + 1}"),
+     ParseError, f"exponent above {MAX_EXPONENT} in literal"),
+    ("literal-integer-over-digit-limit", lambda: parse_scalar("9" * (MAX_DIGITS + 1)),
+     ParseError, f"integer of more than {MAX_DIGITS} digits in literal"),
+    ("poly-exponent-over-the-cap", lambda: parse_scalar("((x^64)^64)^64"), ValueTooLarge,
+     f"exponent above {MAX_POLY_EXPONENT} in a polynomial"),
     # each '*' and '^' of a literal is bounded from its operands' sizes
     ("literal-power-of-a-power", lambda: parse_scalar("((x+1)^64)^32"), ParseError,
      _TOO_LARGE),
@@ -268,6 +286,16 @@ CLI = [
      "basis labels cannot appear in a denominator"),
     ("element-product-of-labels", ["rmatrix", "n3", "--z", "e1*e2"], None,
      "expression must be linear in the basis labels"),
+    ("literal-nested-too-deep", ["show", "glambda", "--param", f"lam={_TOO_DEEP}"], None,
+     f"parentheses nested more than {MAX_DEPTH} deep in literal"),
+    ("literal-exponent-over-the-cap",
+     ["identity", "sl2", "--id", "4", "--z", f"(x+1)^{MAX_EXPONENT + 1}*e1"], None,
+     f"exponent above {MAX_EXPONENT} in literal"),
+    ("literal-integer-over-digit-limit",
+     ["show", "glambda", "--param", "lam=" + "9" * (MAX_DIGITS + 1)], None,
+     f"integer of more than {MAX_DIGITS} digits in literal"),
+    ("poly-exponent-over-the-cap", ["identity", "sl2", "--id", "4", "--z", "((x^64)^64)^64*e1"],
+     None, f"exponent above {MAX_POLY_EXPONENT} in a polynomial"),
     ("literal-power-of-a-power", ["identity", "sl2", "--id", "4", "--z", "((x+1)^64)^32*e1"],
      None, _TOO_LARGE),
     ("literal-nested-integer-powers",

@@ -9,12 +9,14 @@ import pytest
 
 from liedouble import (
     ExceptionalSet,
+    LieAlgebra,
     LinearMap,
     Matrix,
     Poly,
     Scalar,
-    generalized_derivation_space,
+    derivation_space,
     derived_series,
+    generalized_derivation_space,
     get,
     inner_derivations,
     lower_central_series,
@@ -569,6 +571,61 @@ def test_poly_bareiss_skips_zero_cells_without_changing_any_cell():
                     assert p == q and not q._t
                 else:
                     assert (str(p), p.vars) == (str(q), q.vars)
+
+
+def test_lazy_poly_bareiss_matches_the_dense_loop_on_tall_systems():
+    # up to 12 rows, so that a row skips many steps before it is read
+    # again; entries of 1 make unit steps, and three variables with zeros
+    # of differing orders check the variable order each lifted cell and
+    # each row's zero rebuild from the skipped pivots
+    entries = [parse_scalar(text).numerator_poly() for text in (
+        "1", "1", "-1", "2", "t", "u - 1", "s + t", "t*u + 1", "2*s - u", "u + s + t")]
+    zeros = [Poly({}, v) for v in ((), ("u",), ("s", "t"), ("u", "t", "s"), ("t", "u"))]
+    rng = random.Random(20141024)
+    unit_steps = 0
+    for _ in range(120):
+        m, n = rng.randint(6, 12), rng.randint(3, 9)
+        density = rng.choice((0.1, 0.2, 0.3))
+        rows = [[rng.choice(entries) if rng.random() < density else rng.choice(zeros)
+                 for _ in range(n)] for _ in range(m)]
+        zero = [rng.choice(zeros).vars for _ in range(m)]
+        npivot = rng.randint(1, n)
+        got = [{j: p for j, p in enumerate(row) if p._t or p.vars != z}
+               for row, z in zip(rows, zero)]
+        want, last = [list(row) for row in rows], [-1] * m
+        pivots, exceptional = _poly_bareiss(got, zero, npivot)
+        ref_pivots, ref_exceptional = _dense_poly_bareiss(want, npivot, last)
+        assert pivots == ref_pivots
+        assert [(str(p), p.vars) for p in exceptional] == [
+            (str(p), p.vars) for p in ref_exceptional]
+        for row, z, ref, dead in zip(got, zero, want, last):
+            for j, q in enumerate(ref):
+                if j > dead:
+                    p = row.get(j, Poly({}, z))
+                    assert (str(p), p.vars) == (str(q), q.vars)
+        if pivots and all(str(want[r][c]) == "1" for r, c in pivots[:2]):
+            unit_steps += 1
+    assert unit_steps > 10
+
+
+def test_parametric_derivation_spaces_divide_once_per_lifted_cell(monkeypatch):
+    # the dense chain rescaled every untouched row at every pivot: 1,746
+    # and 1,833 exact divisions
+    calls = []
+    exact_div = Poly.exact_div
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Poly, "exact_div", counted)
+    g = get("glambda")
+    g = LieAlgebra(g.dim, g.table, labels=g.labels, params=g.params)  # no cached spaces
+    for space in (lambda: generalized_derivation_space(g, Scalar.variable("t")),
+                  lambda: derivation_space(g)):
+        calls.clear()
+        space()
+        assert len(calls) <= 400
 
 
 def _dense_eliminate(rows, ncols, npivot):

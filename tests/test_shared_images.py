@@ -5,6 +5,8 @@ Counting subclasses, in the style of ``tests/test_quantified_large.py``,
 bound the calls; each verdict must be the one of the uncounted run.
 """
 
+import tracemalloc
+
 import pytest
 
 from liedouble import Fixed, LieAlgebra, Matrix, check_quantified, get
@@ -38,6 +40,23 @@ def test_fixed_z_is_bracketed_with_each_basis_vector_once(code):
     assert rep.status == ref.status
     assert [str(p) for p in rep.conditions] == [str(p) for p in ref.conditions]
     assert 0 < h.calls <= g.dim
+
+
+def test_a_fixed_z_sweep_keeps_no_tail_parts_or_inner_values():
+    # the head is unique, so nothing is read twice.  Keeping every tail part
+    # and inner value for the whole call peaked at 793 KiB; without them it
+    # is about 430 KiB, and the bound leaves room between Python versions
+    g = get("sp4")
+    z = Fixed(parse_element(g, _symbolic(g)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = check_quantified(g, "3", z)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "conditional"
+    assert peak <= 600 * 1024, peak
 
 
 def test_jacobiator_applies_r_once_per_basis_vector_and_pair(monkeypatch):
