@@ -603,9 +603,9 @@ def test_lazy_poly_bareiss_matches_the_dense_loop_on_tall_systems():
                 if j > dead:
                     p = row.get(j, Poly({}, z))
                     assert (str(p), p.vars) == (str(q), q.vars)
-        if pivots and all(str(want[r][c]) == "1" for r, c in pivots[:2]):
-            unit_steps += 1
-    assert unit_steps > 10
+        values = ["1"] + [str(want[r][c]) for r, c in pivots]
+        unit_steps += sum(a == b == "1" for a, b in zip(values, values[1:]))
+    assert unit_steps > 30
 
 
 def test_parametric_derivation_spaces_divide_once_per_lifted_cell(monkeypatch):
