@@ -81,7 +81,6 @@ from .derivations import (
 )
 from .rmatrix import (
     MYBESolution,
-    RBracketObstruction,
     RMatrixReport,
     ad_cube_is_derivation,
     b_r,

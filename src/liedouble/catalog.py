@@ -324,7 +324,8 @@ def entry(name: str) -> CatalogEntry:
 
 def get(name: str, assignments=None) -> LieAlgebra:
     """Materialize a catalog entry; assignments map parameter names to
-    values (rationals for scalar parameters, an integer for a size).
+    exact values or their literals (rationals for scalar parameters, an
+    integral value for a size).
 
     Scalar assignments must cover all declared parameters or be absent;
     absent means the symbolic family."""
@@ -333,18 +334,18 @@ def get(name: str, assignments=None) -> LieAlgebra:
     sizes = {}
     scalars = {}
     for spec in ent.params:
-        if spec.kind == "size":
-            if spec.name not in given:
+        if spec.name not in given:
+            if spec.kind == "size":
                 raise ValueError(f"catalog entry {ent.name} needs integer {spec.name}")
-            raw = given.pop(spec.name)
-            val = int(raw)
-            if val != Fraction(str(raw)):
-                raise ValueError(f"{spec.name} must be an integer")
-            sizes[spec.name] = val
-        elif spec.name in given:
-            val = parse_rational(str(given.pop(spec.name)))
-            if val in spec.excluded:
-                raise ExcludedParameterValue(f"{ent.name}: {spec.name} = {val}")
+            continue
+        val = parse_rational(str(given.pop(spec.name)))
+        if spec.kind == "size":
+            if val.denominator != 1:
+                raise ExcludedParameterValue(f"{spec.name} must be an integer")
+            sizes[spec.name] = val.numerator
+        elif val in spec.excluded:
+            raise ExcludedParameterValue(f"{ent.name}: {spec.name} = {val}")
+        else:
             scalars[spec.name] = val
     if given:
         extra = ", ".join(sorted(given))

@@ -32,6 +32,10 @@ times the sum over all orderings of those symbols.  The weight is 1/d! for
 1 has weight 1, so at a diagonal pair of maps its value is twice the plain
 one.  A Fixed argument is not polarized.  Witnesses are the
 lexicographically first failing tuple.
+
+One function, ``_verdict``, turns a stream of nonzero values into a
+``Report``'s fields, for a sweep here and for the R-bracket's Jacobiator in
+``rmatrix.is_classical_rmatrix``.
 """
 
 from __future__ import annotations
@@ -80,18 +84,19 @@ class Fixed:
 
 
 class _Sweep:
-    __slots__ = ("name", "tag")
+    __slots__ = ("name", "tag", "space")
 
-    def __init__(self, name, tag):
+    def __init__(self, name, tag, space=None):
         self.name = name
         self.tag = tag  # the CLI name, which _classify reports
+        self.space = space  # builds the swept maps of an algebra, if any
 
     def __repr__(self):
         return self.name
 
 
-ALL_DERIVATIONS = _Sweep("AllDerivations", "all-der")
-ALL_INNER_DERIVATIONS = _Sweep("AllInnerDerivations", "all-inner")
+ALL_DERIVATIONS = _Sweep("AllDerivations", "all-der", derivation_space)
+ALL_INNER_DERIVATIONS = _Sweep("AllInnerDerivations", "all-inner", inner_derivations)
 ALL_ELEMENTS = _Sweep("AllElements", "all-elem")
 
 _BY_NAME = {q.tag: q for q in (ALL_DERIVATIONS, ALL_INNER_DERIVATIONS, ALL_ELEMENTS)}
@@ -424,7 +429,8 @@ def _sweep(g, spec: _Identity, payload, maps):
     The sweep computes on stored values (basis vectors ``{i: 1}``, the
     maps' column views, ``g._pairs``, an element payload's own storage) and
     a Fraction weight, so yielded vectors mix ints, Fractions and Scalars;
-    callers wrap what they return in an ``Element``."""
+    ``_verdict`` wraps the one it returns, a failure's value, in an
+    ``Element``."""
     b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
     keep = payload is None
     cache: dict = {}
@@ -496,17 +502,19 @@ def _sweep(g, spec: _Identity, payload, maps):
                 yield head_key + t, out
 
 
-def _scan_conditions(values):
-    """Verdict data of a sweep over ``(key, nonzero sparse value)`` pairs.
+def _verdict(g, values) -> dict:
+    """The report fields of a stream of ``(key, nonzero sparse value)``
+    pairs: the one place a check's verdict is decided.
 
     A coordinate whose numerator is a nonzero constant, or that is a
     native (int or Fraction) nonzero, is nonzero for every parameter value:
-    the first such pair is returned as ``(key, value, (), ())``.  Otherwise
-    the result is ``(None, None, conditions, roots)``: the distinct
-    normalized numerators in ExceptionalSet order (degree, then text), and
-    their rational root sets (None for a multivariate condition).  A raw
-    numerator equal to one already seen normalizes to an equal poly, which
-    the ExceptionalSet would drop: each is normalized only once."""
+    the first such pair fails, with its key as the witness and its value as
+    an ``Element``.  Otherwise the check holds when no value was seen, and
+    is conditional on the distinct normalized numerators, in ExceptionalSet
+    order (degree, then text), with their rational root sets (None for a
+    multivariate condition).  A raw numerator equal to one already seen
+    normalizes to an equal poly, which the ExceptionalSet would drop: each
+    is normalized only once."""
     seen = set()
     normalized = []
     for key, sparse in values:
@@ -514,16 +522,16 @@ def _scan_conditions(values):
             c = sparse[coord]
             num = c.numerator_poly() if isinstance(c, Scalar) else None
             if num is None or num.is_constant():
-                return key, sparse, (), ()
+                return {"status": "fails", "witness": key, "value": Element(g, sparse)}
             if num not in seen:
                 seen.add(num)
                 normalized.append(poly_normalize(num))
     conditions = ExceptionalSet(normalized).polys
-    roots = [
-        rational_roots(p).roots if len(p.variables()) == 1 else None
-        for p in conditions
-    ]
-    return None, None, conditions, tuple(roots)
+    if not conditions:
+        return {"status": "holds"}
+    roots = tuple(rational_roots(p).roots if len(p.variables()) == 1 else None
+                  for p in conditions)
+    return {"status": "conditional", "conditions": conditions, "roots": roots}
 
 
 class Report:
@@ -554,6 +562,17 @@ class Report:
     def holds(self) -> bool:
         return self.status == "holds"
 
+    def __repr__(self):
+        identity = getattr(self, "identity", None)
+        subject = "" if identity is None else f"{identity}: "
+        if self.status == "fails":
+            verdict = f"fails at {self.witness}, value {self.value}"
+        elif self.status == "conditional":
+            verdict = f"conditional on {[str(p) for p in self.conditions]}"
+        else:
+            verdict = "holds"
+        return f"{type(self).__name__}({subject}{verdict})"
+
 
 class IdentityReport(Report):
     """Outcome of a quantified identity check.
@@ -563,24 +582,10 @@ class IdentityReport(Report):
 
     __slots__ = ("identity", "quantifier")
 
-    def __init__(self, identity, quantifier, status, witness=None, value=None,
-                 conditions=(), roots=(), common_roots=None, exceptional=None):
-        super().__init__(status, witness, value, conditions, roots, common_roots, exceptional)
+    def __init__(self, identity, quantifier, status, **fields):
+        super().__init__(status, **fields)
         self.identity = identity
         self.quantifier = quantifier
-
-    def __repr__(self):
-        if self.status == "fails":
-            return (
-                f"IdentityReport({self.identity}: fails at {self.witness},"
-                f" value {self.value})"
-            )
-        if self.status == "conditional":
-            return (
-                f"IdentityReport({self.identity}: conditional on "
-                f"{[str(p) for p in self.conditions]})"
-            )
-        return f"IdentityReport({self.identity}: holds)"
 
 
 def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
@@ -596,28 +601,14 @@ def check_quantified(g: LieAlgebra, ident, quantifier) -> IdentityReport:
     elif tag == "fixed-elem":
         payload = g._sparse_of(payload, f"identity {ident}")
     maps, exceptional = None, ExceptionalSet()
-    if tag in ("all-der", "all-inner"):
-        space = (derivation_space if tag == "all-der" else inner_derivations)(g)
+    if payload is None and quantifier.space is not None:
+        space = quantifier.space(g)
         maps, exceptional = space.basis, space.exceptional
-    witness, value, conditions, roots = _scan_conditions(
-        _sweep(g, spec, payload, maps)
-    )
-    if witness is not None:
-        return IdentityReport(
-            ident, quantifier, "fails",
-            witness=witness, value=Element(g, value), exceptional=exceptional,
-        )
-    if not conditions:
-        return IdentityReport(ident, quantifier, "holds", exceptional=exceptional)
-    common = None
-    varsets = {p.variables() for p in conditions}
-    if len(varsets) == 1 and len(next(iter(varsets))) == 1:
-        common = frozenset.intersection(*roots)
-    return IdentityReport(
-        ident, quantifier, "conditional",
-        conditions=conditions, roots=roots, common_roots=common,
-        exceptional=exceptional,
-    )
+    fields = _verdict(g, _sweep(g, spec, payload, maps))
+    # conditions univariate in one variable share their roots
+    if len(set().union(*[p.variables() for p in fields.get("conditions", ())])) == 1:
+        fields["common_roots"] = frozenset.intersection(*fields["roots"])
+    return IdentityReport(ident, quantifier, exceptional=exceptional, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import NotADerivation
 from .lie_core import Element, LieAlgebra, _table_params, derived_series
 from .derivations import is_derivation
-from .identities import Report, _scan_conditions
+from .identities import Report, _verdict
 from .linalg import ExceptionalSet, Matrix, _check_map, _sadd, solve_affine
 from .scalars import _ZERO, Scalar
 
@@ -52,35 +52,6 @@ def _b_r_sparse(g: LieAlgebra, r: Matrix, u: dict, ru: dict, v: dict, rv: dict) 
     return out
 
 
-class RBracketObstruction:
-    """Jacobiator of [ , ]_R on strictly increasing basis triples.
-
-    Only nonzero values are stored; the deformed product is a Lie bracket
-    exactly when the map is empty."""
-
-    __slots__ = ("algebra", "operator", "entries")
-
-    def __init__(self, algebra, operator, entries):
-        self.algebra = algebra
-        self.operator = operator
-        self.entries = entries
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def value(self, i, j, k) -> Element:
-        g = self.algebra
-        hit = self.entries.get((i, j, k))
-        return hit if hit is not None else g.zero_element()
-
-    def witness(self):
-        """Lexicographically least nonzero triple, or None."""
-        return min(self.entries) if self.entries else None
-
-    def __repr__(self):
-        return f"RBracketObstruction(nonzero on {len(self.entries)} triples)"
-
-
 def _basis_images(g: LieAlgebra, r: Matrix):
     """The native basis vectors e_k and their images R e_k."""
     basis = [{i: 1} for i in range(g.dim)]
@@ -115,9 +86,11 @@ def _jacobiator_triples(g: LieAlgebra, r: Matrix):
                     yield (i, j, k), jac
 
 
-def rmatrix_obstruction(g: LieAlgebra, r: Matrix) -> RBracketObstruction:
-    entries = {t: Element(g, jac) for t, jac in _jacobiator_triples(g, r)}
-    return RBracketObstruction(g, r, entries)
+def rmatrix_obstruction(g: LieAlgebra, r: Matrix) -> dict:
+    """``{triple: Jacobiator of [,]_R}`` on the strictly increasing basis
+    triples where it is nonzero; the deformed product is a Lie bracket
+    exactly when the dict is empty."""
+    return {t: Element(g, jac) for t, jac in _jacobiator_triples(g, r)}
 
 
 class RMatrixReport(Report):
@@ -125,25 +98,13 @@ class RMatrixReport(Report):
 
     __slots__ = ()
 
-    def __repr__(self):
-        if self.status == "fails":
-            return f"RMatrixReport(fails at {self.witness}: {self.value})"
-        if self.status == "conditional":
-            return f"RMatrixReport(conditional on {[str(p) for p in self.conditions]})"
-        return "RMatrixReport(holds)"
-
 
 def is_classical_rmatrix(g: LieAlgebra, r: Matrix) -> RMatrixReport:
     """Decide whether [ , ]_R satisfies the Jacobi identity.
 
     Fails carries the first (lexicographic) basis triple with a nonzero
     constant evaluation; parametric-only failures become conditions."""
-    key, value, conditions, roots = _scan_conditions(_jacobiator_triples(g, r))
-    if key is not None:
-        return RMatrixReport("fails", key, Element(g, value))
-    if not conditions:
-        return RMatrixReport("holds")
-    return RMatrixReport("conditional", conditions=conditions, roots=roots)
+    return RMatrixReport(**_verdict(g, _jacobiator_triples(g, r)))
 
 
 class MYBESolution:

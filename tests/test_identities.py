@@ -367,13 +367,17 @@ def test_scan_conditions_normalizes_each_distinct_numerator_once(monkeypatch):
                            for _, sparse in values for k in sorted(sparse))
     calls = []
     monkeypatch.setattr(identities, "poly_normalize", lambda p: calls.append(p) or real(p))
-    key, value, conditions, roots = identities._scan_conditions(values)
-    assert (key, value) == (None, None)
-    assert [(str(p), p.vars) for p in conditions] == [(str(p), p.vars) for p in every.polys]
+    g = get("sl2")
+    fields = identities._verdict(g, values)
+    assert (fields["status"], fields.get("witness"), fields.get("value")) == (
+        "conditional", None, None)
+    assert [(str(p), p.vars) for p in fields["conditions"]] == [
+        (str(p), p.vars) for p in every.polys]
     assert len(calls) == 3
     # a constant numerator still stops the scan at its own pair
     failing = values + [((3,), {0: parse_scalar("5")}), ((4,), {0: parse_scalar("1")})]
-    assert identities._scan_conditions(failing)[:2] == ((3,), failing[3][1])
+    fields = identities._verdict(g, failing)
+    assert (fields["witness"], fields["value"]) == ((3,), Element(g, failing[3][1]))
 
 
 def test_parameter_free_checks_refuse_an_undeclared_variable():
@@ -408,6 +412,41 @@ def test_cbm_audit_on_center_by_metabelian_algebra():
     assert facts["center_by_metabelian"]
     assert facts["id3_all_elem"] == "holds"
     assert facts["id4_all_elem"] == "holds"
+
+
+def test_metabelian_equivalences_raise_when_the_verdicts_disagree(monkeypatch):
+    # r2+r2 is metabelian; a wrong metabelian flag breaks the equivalence
+    monkeypatch.setattr(identities, "is_metabelian", lambda g: False)
+    with pytest.raises(LieDoubleError) as err:
+        metabelian_equivalences(get("r2+r2"))
+    assert str(err.value) == (
+        "metabelian equivalence violated: {'metabelian': False, "
+        "'square_bracket_zero': True, 'id2_all_inner': True}")
+
+
+class _Status:
+    """A report with only the fields the audits read."""
+
+    def __init__(self, status):
+        self.status = status
+        self.holds = status == "holds"
+
+
+def test_premise_audits_raise_when_a_forced_identity_fails(monkeypatch):
+    # n4 satisfies both premises, so the identity that "fails" must raise
+    monkeypatch.setattr(identities, "check_quantified",
+                        lambda g, code, quant: _Status("fails" if code == "6" else "holds"))
+    with pytest.raises(LieDoubleError) as err:
+        id6_from_id3_audit(get("n4"))
+    assert str(err.value) == (
+        "identity 6 audit violated: {'id3_all_elem': 'holds', 'id6_all_elem': 'fails'}")
+    monkeypatch.setattr(identities, "check_quantified",
+                        lambda g, code, quant: _Status("fails" if code == "4" else "holds"))
+    with pytest.raises(LieDoubleError) as err:
+        cbm_implies_id34_audit(get("n4"))
+    assert str(err.value) == (
+        "center-by-metabelian audit violated: {'center_by_metabelian': True, "
+        "'id3_all_elem': 'holds', 'id4_all_elem': 'fails'}")
 
 
 def test_nilpotent_witness_derivation_properties():

@@ -151,6 +151,16 @@ _TOO_LARGE = f"literal too large: over {MAX_TERMS} terms or {MAX_BITS} coefficie
 E12, E21, E13 = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
+# (id, size value, exception type, message): filiform's n takes the literal
+# syntax of a scalar value, and must be integral
+_SIZES = [
+    ("not-integral", "7/2", ExcludedParameterValue, "n must be an integer"),
+    ("with-a-decimal-point", "3.5", ParseError, "unexpected character '.' in '3.5'"),
+    ("with-a-digit-separator", "5_0", ParseError, "expected end but found '_0' in '5_0'"),
+    ("over-digit-limit", "9" * 700, ParseError,
+     f"integer of more than {MAX_DIGITS} digits in literal"),
+]
+
 # (id, call, exception type, message)
 LIBRARY = [
     ("labels-too-few", lambda: LieAlgebra(2, {}, labels=("a",)), ValueError,
@@ -200,6 +210,8 @@ LIBRARY = [
      "filiform needs n >= 3"),
     ("filiform-over-the-cap", lambda: get("filiform", {"n": MAX_DIM + 1}),
      ExcludedParameterValue, f"filiform needs n <= {MAX_DIM}"),
+    *[(f"size-{what}", lambda raw=raw: get("filiform", {"n": raw}), exc, message)
+      for what, raw, exc, message in _SIZES],
     ("external-entry-unknown-parameter",
      lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
      "x has no parameter q"),
@@ -280,6 +292,8 @@ CLI = [
      "filiform needs n >= 3"),
     ("filiform-over-the-cap", ["show", "filiform", "--param", f"n={MAX_DIM + 1}"], None,
      f"filiform needs n <= {MAX_DIM}"),
+    *[(f"size-{what}", ["show", "filiform", "--param", f"n={raw}"], None, message)
+      for what, raw, _, message in _SIZES],
     ("external-entry-unknown-parameter", ["--param", "q=1", "show", "x"], [_entry()],
      "x has no parameter q"),
     ("element-label-in-denominator", ["identity", "n3", "--id", "3", "--z", "1/e1"], None,
@@ -327,3 +341,12 @@ def test_an_unprinted_catalog_parameter_may_be_too_large_to_print(capsys):
     assert main(["invariants", "glambda", "--param", _HUGE_LAMBDA]) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+def test_a_size_takes_the_literal_syntax_of_a_scalar_value(capsys):
+    assert get("filiform", {"n": "10/2"}) is get("filiform", {"n": 5})
+    assert main(["show", "filiform", "--param", "n=10/2"]) == 0
+    halved = capsys.readouterr()
+    assert main(["show", "filiform", "--param", "n=5"]) == 0
+    assert capsys.readouterr() == halved
+    assert halved.out.startswith("filiform: dimension 5\n") and halved.err == ""

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every module uses what it imports."""
+"""Source checks that need no linter: every module uses what it imports, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -39,6 +40,40 @@ def unused_imports(source: str) -> list:
     return sorted(set(imported) - used)
 
 
+def _targets(node):
+    """The plain names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    yield n.id
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module:name`` for each module-level private name (``_x``, not a
+    dunder) that no module in ``sources`` reads: as a loaded name, an
+    attribute or an imported name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _targets(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
 def test_the_check_sees_unused_and_used_names():
     source = (
         "from __future__ import annotations\n"
@@ -54,3 +89,17 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used(name):
     assert unused_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_the_private_check_sees_unread_and_read_names():
+    sources = {
+        "a.py": "_kept = 1\n_left, _spare = 2, 3\ndef _helper(): return _kept\n"
+                "class _Box: pass\n__all__ = []\n",
+        "b.py": "from .a import _helper\nimport a\nvalue = a._Box\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_left", "a.py:_spare"]
+
+
+def test_every_private_module_level_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
