@@ -16,6 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import (
+    BadAssignment,
     DuplicateName,
     ExcludedParameterValue,
     LieDoubleError,
@@ -31,7 +32,7 @@ from .lie_core import (
     direct_sum,
     from_matrices,
 )
-from .scalars import Scalar, parse_rational, parse_scalar
+from .scalars import MAX_DIGITS, Scalar, parse_rational, parse_scalar
 
 # The largest dimension a catalog file's ``dim`` or filiform's ``n`` may ask
 # for: validating a table visits each bracket pair once per basis vector,
@@ -336,9 +337,16 @@ def get(name: str, assignments=None) -> LieAlgebra:
     for spec in ent.params:
         if spec.name not in given:
             if spec.kind == "size":
-                raise ValueError(f"catalog entry {ent.name} needs integer {spec.name}")
+                raise BadAssignment(f"catalog entry {ent.name} needs integer {spec.name}")
             continue
-        val = parse_rational(str(given.pop(spec.name)))
+        # an int or Fraction is taken as it is, held to a literal's digit limit
+        val = given.pop(spec.name)
+        if type(val) not in (int, Fraction):
+            val = parse_rational(str(val))
+        elif max(abs(val.numerator), val.denominator) < 10 ** MAX_DIGITS:
+            val = Fraction(val)
+        else:
+            raise ParseError(f"integer of more than {MAX_DIGITS} digits in literal")
         if spec.kind == "size":
             if val.denominator != 1:
                 raise ExcludedParameterValue(f"{spec.name} must be an integer")
@@ -349,10 +357,10 @@ def get(name: str, assignments=None) -> LieAlgebra:
             scalars[spec.name] = val
     if given:
         extra = ", ".join(sorted(given))
-        raise ValueError(f"catalog entry {ent.name} has no parameter {extra}")
+        raise BadAssignment(f"catalog entry {ent.name} has no parameter {extra}")
     declared = [s.name for s in ent.params if s.kind == "scalar"]
     if scalars and sorted(scalars) != sorted(declared):
-        raise ValueError(
+        raise BadAssignment(
             f"catalog entry {ent.name} needs all of: {', '.join(declared)}"
         )
     key = (

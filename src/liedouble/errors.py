@@ -110,5 +110,10 @@ class ExcludedParameterValue(LieDoubleError, ValueError):
     """Assignment hits a parameter value excluded by the entry."""
 
 
+class BadAssignment(LieDoubleError, ValueError):
+    """Catalog assignments that miss a size, name a parameter the entry
+    lacks, or cover only some of its scalar parameters."""
+
+
 class DuplicateName(LieDoubleError, ValueError):
     """Two catalog entries share a name."""

@@ -21,7 +21,9 @@ its evaluator into an inner part, which depends on every occurrence but the
 first one and on the tuple, and an outer step; a sweep then computes each
 inner value once per (occurrences, tuple) instead of once per ordering of
 every head.  Identity 1's inner part is identity 2's sum, and its outer
-step applies the other map; 3, 4 and 6 bracket with the first z.
+step applies the other map; 3, 4 and 6 bracket with the first z.  After
+its first head, a sweep visits only the tuples whose tail part, inner
+values or (for s5) nested brackets out from x0 can be nonzero.
 
 A quantified check sweeps basis tuples only.  Alternating slots are swept
 over strictly increasing index tuples.  A repeated slot (the D in 1, the z
@@ -41,7 +43,8 @@ One function, ``_verdict``, turns a stream of nonzero values into a
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, compress, permutations, product, repeat
+from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -294,6 +297,34 @@ def _e_s5(b, memo, x0, *xs):
     return out
 
 
+def _s5_support(b, memo, basis, x0):
+    """The tuples, with their basis vectors and in lexicographic order,
+    that have a nonzero nested prefix [x_p2, [x_p3, [x_p4, x0]]] in some
+    ordering; s5 is zero at x0 on every other tuple.  The walk goes out
+    from x0 one bracket at a time, through ``_e_s5``'s prefix memo and under
+    its keys, so each prefix is bracketed once.  Each prefix triple is
+    extended by every fourth index."""
+    prefixes = _scoped(memo, "s5", x0)
+    chains = [((), (), x0)]  # (indices, memo key, nonzero prefix), outermost first
+    for _ in range(3):
+        longer = []
+        for idx, key, v in chains:
+            for i, x in enumerate(basis):
+                if i in idx:
+                    continue
+                ikey = (id(x),) + key
+                nested = prefixes.get(ikey, _UNSET)
+                if nested is _UNSET:
+                    nested = prefixes[ikey] = b(x, v) or None
+                if nested is not None:
+                    longer.append(((i,) + idx, ikey, nested))
+        chains = longer
+    triples = {tuple(sorted(idx)) for idx, _, _ in chains}
+    live = sorted({tuple(sorted(t + (i,))) for t in triples
+                   for i in range(len(basis)) if i not in t})
+    return [(t, tuple([basis[i] for i in t])) for t in live]
+
+
 class _Identity(NamedTuple):
     """Slot groups in witness order, the polarization weight, and the
     evaluator ``f(bracket, memo, *occurrences)`` on sparse vectors and maps.
@@ -317,13 +348,18 @@ class _Identity(NamedTuple):
     The inner value does not depend on ``first``, so a sweep computes it
     once per ``(rest, tuple)``: per map and tuple for 1, per z and tuple for
     3, per pair of z's (or w's) and tuple for 4 and 6.  A zero inner value
-    is falsy, and ``f`` is linear in it, so zero adds nothing."""
+    is falsy, and ``f`` is linear in it, so zero adds nothing.
+
+    With ``support`` set, ``support(bracket, memo, basis, *head)`` lists,
+    in lexicographic order, the tuples that can be nonzero at a head, each
+    with its basis vectors: the nested-prefix walk of s5."""
 
     groups: tuple
     weight: Fraction
     f: Callable
     inner: Callable = None
     tail: Callable = None
+    support: Callable = None
 
     @property
     def argument(self):
@@ -341,7 +377,7 @@ _IDENTITIES = {
                    lambda b, memo, z1, z2, z3, v: b(z1, v), _e4_inner),
     "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6, _e6_inner,
                    _xy_pair),
-    "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5),
+    "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5, support=_s5_support),
 }
 
 # [[z,x],[z,y]] polarized in z: it vanishes iff [[g,g],[g,g]] = 0
@@ -403,28 +439,55 @@ def _classify(q):
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
+def _unrank(pos, n, k) -> tuple:
+    """The k-subset of range(n) at ``pos`` in lexicographic order."""
+    t = []
+    for i in range(n):
+        if not k:
+            break
+        below = comb(n - i - 1, k - 1)  # the subsets that start at i
+        if pos < below:
+            t.append(i)
+            k -= 1
+        else:
+            pos -= below
+    return tuple(t)
+
+
 def _sweep(g, spec: _Identity, payload, maps):
     """Lazily yield ``(key, sparse value)`` for the basis tuples of ``spec``
-    whose value is nonzero, in lexicographic key order.  A Fixed ``payload``
-    (a map, or an element's sparse vector) fills the argument's group and
-    adds nothing to the key; otherwise the argument runs over ``maps`` or
-    the basis.  The orderings are summed in ``permutations`` order, and the
-    weight is applied last.
+    whose value is nonzero, in lexicographic key order, and return the
+    number of (head, tuple) pairs visited.  A Fixed ``payload`` (a map, or
+    an element's sparse vector) fills the argument's group and adds nothing
+    to the key; otherwise the argument runs over ``maps`` or the basis.  The
+    orderings are summed in ``permutations`` order, and the weight is
+    applied last.
 
-    Values shared across orderings and tuples are computed when a tuple
-    first needs them, so a failing sweep still stops at its first tuple.
-    Without a payload, tail parts and inner values live for the whole
-    call.  Tail parts are one list indexed by the tuple's position; a tuple
-    whose tail part is falsy is skipped without an evaluation.  Inner
-    values are one list per ``rest`` of the head, keyed by the pool indices
-    of its occurrences and indexed the same way.  A Fixed payload makes the
-    head unique, so nothing would be read twice and neither is kept.
-    The evaluators' memo also lives for the call; in it, 1 and 2 keep the
-    images of basis vectors under the current map, and s5 the nested
-    prefixes for the current x0 (at most n + n^2 + n^3), freed when the
-    head moves on.  A Fixed z of 3 and 4 is bracketed with each basis vector
-    once (``_with_images``).  With one basis vector on each side a bracket
-    is a single table lookup (``LieAlgebra.bracket_sparse``).
+    The first head visits every tuple, lazily, so a failing sweep still
+    stops at its first tuple; values shared across orderings and tuples are
+    computed when a tuple first needs them.  Without a payload they are kept
+    for the call, by the tuple's position in ``combinations`` order: the
+    tail parts, which the first head records, and one row of inner values
+    per ``rest`` of the head (keyed by the pool indices of its occurrences),
+    filled by the first head that needs it, with a zero kept as False.  A
+    row is complete when that head is done, and then records its live
+    positions, those with a nonzero inner value.  A later head visits, in
+    ascending position, only the tuples that can be nonzero for it:
+
+    - when all its rows are complete, the sorted union of their live
+      positions;
+    - otherwise, with a tail part, the positions whose tail part is truthy;
+    - otherwise, with a ``support``, the tuples it lists;
+    - otherwise every tuple.
+
+    A walk over positions rebuilds a tuple (``_unrank``) only for a key.  A
+    Fixed payload makes the head unique, so nothing would be read twice and
+    nothing is kept.  The evaluators' memo also lives for the call; in it,
+    1 and 2 keep the images of basis vectors under the current map, and s5
+    the nested prefixes for the current x0 (at most n + n^2 + n^3), freed
+    when the head moves on.  A Fixed z of 3 and 4 is bracketed with each
+    basis vector once (``_with_images``).  With one basis vector on each
+    side a bracket is a single table lookup (``LieAlgebra.bracket_sparse``).
 
     The sweep computes on stored values (basis vectors ``{i: 1}``, the
     maps' column views, ``g._pairs``, an element payload's own storage) and
@@ -433,9 +496,12 @@ def _sweep(g, spec: _Identity, payload, maps):
     ``Element``."""
     b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
     keep = payload is None
-    cache: dict = {}
+    n, alt = g.dim, spec.groups[-1][1]
+    size = comb(n, alt)
+    rows: dict = {}  # rest -> its row of inner values
+    index: dict = {}  # rest -> the live positions of its complete row
     memo: dict = {}
-    basis = [{i: 1} for i in range(g.dim)]
+    basis = [{i: 1} for i in range(n)]
     # the head's occurrences are drawn from one pool, by index.  Tuples are
     # built from lists, not generators: tuple() then allocates them at their
     # own size, so the freed ones are reused instead of piling up unused
@@ -452,54 +518,67 @@ def _sweep(g, spec: _Identity, payload, maps):
             choices.append([((), (0,) * d)])
         else:
             choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
-    tails = list(combinations(range(g.dim), spec.groups[-1][1]))
-    # what stands in for each tuple's slots: its basis vectors, or its tail
-    # part once a head needs it
-    if tail_f is None:
-        parts = [tuple([basis[i] for i in t]) for t in tails]
-    else:
-        parts = [_UNSET] * len(tails)
+    parts = [] if keep and tail_f is not None else None  # tail parts, by position
+    live = None  # the positions whose tail part is truthy, after the first head
+    visits = 0
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     # a Fixed payload fills its slots once; the other slots are polarized
     orderings = permutations if payload is None else lambda t: (t,)
     for head in product(*choices):
         head_key = sum([key for key, _ in head], ())
-        orders = [sum(parts, ()) for parts in product(*[orderings(t) for _, t in head])]
+        orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for _, t in head])]
         heads = [tuple([pool[i] for i in order]) for order in orders]
-        rows = []
-        if inner_f is not None:
-            for order in orders:
-                row = cache.get(order[1:])
-                if row is None:
-                    row = [_UNSET] * len(tails)
-                    if keep:
-                        cache[order[1:]] = row
-                rows.append(row)
-        for pos, t in enumerate(tails):
-            part = parts[pos]
-            if part is _UNSET:
-                part = tail_f(b, *[basis[i] for i in t])
-                if keep:
-                    parts[pos] = part
-            if not part:  # the value is zero for every head
-                continue
+        rests = [order[1:] for order in orders] if inner_f is not None else []
+        fresh = [rest for rest in dict.fromkeys(rests) if rest not in rows]
+        for rest in fresh:
+            rows[rest] = [None] * size
+        head_rows = [rows[rest] for rest in rests]
+        # (position, (tuple, its basis vectors)); a walk over positions
+        # leaves both None.  The first head has only fresh rows and no live
+        # list yet
+        if rests and not fresh:
+            walk = zip(sorted(set().union(*[index[rest] for rest in rests])), repeat((None, None)))
+        elif live is not None:
+            walk = zip(live, repeat((None, None)))
+        elif visits and spec.support is not None:
+            walk = zip(repeat(None), spec.support(b, memo, basis, *heads[0]))
+        else:
+            walk = enumerate(zip(combinations(range(n), alt), combinations(basis, alt)))
+        for pos, (t, vecs) in walk:
+            visits += 1
+            if t is None:
+                part = parts[pos] if parts is not None else None
+            elif tail_f is None:
+                part = vecs
+            else:
+                part = tail_f(b, *vecs)
+                if parts is not None:
+                    parts.append(part)
+                if not part:  # the value is zero for every head
+                    continue
             out: dict = {}
             if inner_f is None:
                 for occ in heads:
                     _sadd(out, f(b, memo, *occ, *part))
             else:
-                for occ, row in zip(heads, rows):
+                for occ, row in zip(heads, head_rows):
                     v = row[pos]
-                    if v is _UNSET:  # a zero inner value is kept as None
-                        v = inner_f(b, memo, *occ[1:], *part) or None
+                    if v is None:
+                        v = inner_f(b, memo, *occ[1:], *part) or False
                         if keep:
                             row[pos] = v
-                    if v is not None:
+                    if v:
                         _sadd(out, f(b, memo, *occ, v))
             if out:
                 if weight is not None:
                     out = {k: c * weight for k, c in out.items()}
-                yield head_key + t, out
+                yield head_key + (t or _unrank(pos, n, alt)), out
+        if keep:
+            if live is None and parts is not None:
+                live = list(compress(range(size), parts))
+            for rest in fresh:
+                index[rest] = list(compress(range(size), rows[rest]))
+    return visits
 
 
 def _verdict(g, values) -> dict:

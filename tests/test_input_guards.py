@@ -7,6 +7,7 @@ stderr.
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from liedouble.cli import _materialize, main
 from liedouble.errors import (
     AlgebraMismatch,
     ArityMismatch,
+    BadAssignment,
     DivisionByZero,
     DuplicateName,
     ExcludedParameterValue,
@@ -212,6 +214,23 @@ LIBRARY = [
      ExcludedParameterValue, f"filiform needs n <= {MAX_DIM}"),
     *[(f"size-{what}", lambda raw=raw: get("filiform", {"n": raw}), exc, message)
       for what, raw, exc, message in _SIZES],
+    ("get-size-missing", lambda: get("filiform"), BadAssignment,
+     "catalog entry filiform needs integer n"),
+    ("get-unknown-parameter", lambda: get("filiform", {"n": 5, "m": 1}), BadAssignment,
+     "catalog entry filiform has no parameter m"),
+    ("get-partial-assignment", lambda: get("g4ab", {"alpha": 1}), BadAssignment,
+     "catalog entry g4ab needs all of: alpha, beta"),
+    # an int or Fraction value is held to the digit limit of its literal,
+    # also past the int-string limit, where it has no string to parse
+    ("get-int-over-digit-limit", lambda: get("glambda", {"lam": 10 ** MAX_DIGITS}), ParseError,
+     f"integer of more than {MAX_DIGITS} digits in literal"),
+    ("get-fraction-over-digit-limit",
+     lambda: get("glambda", {"lam": Fraction(1, 10 ** MAX_DIGITS)}), ParseError,
+     f"integer of more than {MAX_DIGITS} digits in literal"),
+    ("get-int-past-the-int-string-limit", lambda: get("glambda", {"lam": 10 ** 5000}),
+     ParseError, f"integer of more than {MAX_DIGITS} digits in literal"),
+    ("get-size-past-the-int-string-limit", lambda: get("filiform", {"n": 10 ** 5000}),
+     ParseError, f"integer of more than {MAX_DIGITS} digits in literal"),
     ("external-entry-unknown-parameter",
      lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
      "x has no parameter q"),
@@ -334,6 +353,13 @@ def test_cli_guards(argv, catalog, message, tmp_path, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_an_exact_assignment_within_the_digit_limit_is_taken_as_it_is():
+    big = 10 ** MAX_DIGITS - 1
+    assert get("glambda", {"lam": big}) is get("glambda", {"lam": str(big)})
+    with pytest.raises(ExcludedParameterValue, match=f"filiform needs n <= {MAX_DIM}"):
+        get("filiform", {"n": big})
 
 
 def test_an_unprinted_catalog_parameter_may_be_too_large_to_print(capsys):

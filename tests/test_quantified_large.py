@@ -13,6 +13,8 @@ verdicts:
 import json
 import os
 import sys
+from itertools import combinations, permutations
+from math import comb, prod
 
 from liedouble import (
     ALL_DERIVATIONS,
@@ -21,6 +23,7 @@ from liedouble import (
     LieAlgebra,
     check_quantified,
     derivation_space,
+    eval_identity,
     get,
     identities,
 )
@@ -44,6 +47,12 @@ G2_ID1_BRACKET_CALLS = 36
 # identity 2 over all derivations made 7,205 calls and identity 3 over all
 # elements 4,296.
 FILIFORM10_BRACKET_CALLS = (("2", ALL_DERIVATIONS, 800), ("3", ALL_ELEMENTS, 1100))
+
+# bracket_sparse calls of failing checks over all elements, up to and
+# including the first failing tuple, which lies in the first head; no walk of
+# the later heads' live tuples may run before the first head is done.
+FIRST_HEAD_BRACKET_CALLS = (("g2", "s5", 58), ("g2", "6", 82), ("sl3", "s5", 75),
+                            ("sl3", "6", 246))
 
 # two sweeps of filiform(10) that hold.  Before the sweep yielded nonzero
 # values only, identity 1 over all derivations yielded 22,800 zero pairs and
@@ -113,6 +122,71 @@ def test_complete_sweeps_share_each_tuples_brackets():
         rep, calls = _counted(g, code, quant)
         assert rep.status == check_quantified(g, code, quant).status == "holds", code
         assert calls <= bound, (code, calls)
+
+
+def test_failing_checks_stop_in_their_first_head():
+    for name, code, bound in FIRST_HEAD_BRACKET_CALLS:
+        rep, calls = _counted(get(name), code, ALL_ELEMENTS)
+        ref = check_quantified(get(name), code, ALL_ELEMENTS)
+        assert rep.status == ref.status == "fails", (name, code)
+        assert rep.witness == ref.witness and rep.witness[0] == 0, (name, code)
+        assert calls <= bound, (name, code, calls)
+
+
+def _live(g, code, maps):
+    """The tuples that can be nonzero at some head, from the brackets
+    alone: for 1 a nonzero value of identity 2 at some map, for 2 a nonzero
+    cyclic bracket, for 3, 4 and 6 a nonzero inner part at some z's or w's,
+    and for s5 a nonzero [x_p2, [x_p3, [x_p4, x0]]] at some x0."""
+    b, n = g.bracket_sparse, g.dim
+    e = [{i: 1} for i in range(n)]
+
+    def cyclic(t):
+        x, y, w = (e[i] for i in t)
+        return ((x, y, w), (y, w, x), (w, x, y))
+
+    def live(t):
+        if code == "1":
+            return any(eval_identity(g, "2", d, *[g.basis_element(i) for i in t]).sparse()
+                       for d in maps)
+        if code == "2":
+            return any(b(v1, v2) for _, v1, v2 in cyclic(t))
+        if code == "3":
+            return any(b(b(z, u), b(v1, v2)) for z in e for u, v1, v2 in cyclic(t))
+        x, y = (e[i] for i in t[:2])
+        if code == "4":
+            return any(b(b(z2, x), b(z3, y)) for z2 in e for z3 in e)
+        if code == "6":
+            return b(x, y) or any(b(b(w1, x), b(w2, y)) for w1 in e for w2 in e)
+        return any(b(e[p2], b(e[p3], b(e[p4], x0)))
+                   for x0 in e for p2, p3, p4 in permutations(t, 3))
+
+    alt = identities._IDENTITIES[code].groups[-1][1]
+    return [t for t in combinations(range(n), alt) if live(t)]
+
+
+def test_later_heads_visit_only_live_tuples():
+    # the first head visits every tuple; after it, a head visits only live
+    # tuples, except that the head that fills an inner row visits each tuple
+    # with a truthy tail part once for that row
+    g = get("filiform", {"n": 10})
+    maps = derivation_space(g).basis
+    for code, spec in identities._IDENTITIES.items():
+        pool = len(maps) if spec.argument == "map" else g.dim
+        degree = sum(d for _, d in spec.groups[:-1])
+        heads = prod(comb(pool + d - 1, d) for _, d in spec.groups[:-1])
+        rows = pool ** (degree - 1) if spec.inner else 0
+        tuples = list(combinations(range(g.dim), spec.groups[-1][1]))
+        truthy = sum(1 for t in tuples
+                     if spec.tail is None or spec.tail(g.bracket_sparse, *[{i: 1} for i in t]))
+        values = identities._sweep(g, spec, None, maps if spec.argument == "map" else None)
+        try:
+            while True:
+                next(values)
+        except StopIteration as stop:  # the sweep returns its visit count
+            later = stop.value - len(tuples)
+        assert later <= (heads - 1) * len(_live(g, code, maps)) + rows * truthy, (code, later)
+        assert later < (heads - 1) * len(tuples), code
 
 
 def _stream(g, code, quant):
