@@ -115,9 +115,8 @@ def _sp4_block(a=None, b=None, c=None):
 
 
 def _build_sp4() -> LieAlgebra:
-    e = lambda i, j: [[1 if (a, b) == (i, j) else 0 for b in range(2)] for a in range(2)]
-    sym = [e(0, 0), [[0, 1], [1, 0]], e(1, 1)]
-    mats = [_sp4_block(a=e(i, j)) for i in range(2) for j in range(2)]
+    sym = [_elementary(2, 0, 0), [[0, 1], [1, 0]], _elementary(2, 1, 1)]
+    mats = [_sp4_block(a=_elementary(2, i, j)) for i in range(2) for j in range(2)]
     mats += [_sp4_block(b=s) for s in sym]
     mats += [_sp4_block(c=s) for s in sym]
     labels = ("A11", "A12", "A21", "A22", "B11", "B12", "B22", "C11", "C12", "C22")

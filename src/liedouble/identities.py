@@ -21,9 +21,10 @@ its evaluator into an inner part, which depends on every occurrence but the
 first one and on the tuple, and an outer step; a sweep then computes each
 inner value once per (occurrences, tuple) instead of once per ordering of
 every head.  Identity 1's inner part is identity 2's sum, and its outer
-step applies the other map; 3, 4 and 6 bracket with the first z.  After
-its first head, a sweep visits only the tuples whose tail part, inner
-values or (for s5) nested brackets out from x0 can be nonzero.
+step applies the other map; 3, 4 and 6 bracket with the first z.  A sweep
+keeps both kinds of value keyed by the basis tuple itself.  After its first
+head it visits only the tuples whose tail part, inner values or (for s5)
+nested brackets out from x0 can be nonzero.
 
 A quantified check sweeps basis tuples only.  Alternating slots are swept
 over strictly increasing index tuples.  A repeated slot (the D in 1, the z
@@ -43,8 +44,7 @@ One function, ``_verdict``, turns a stream of nonzero values into a
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, permutations, product, repeat
-from math import comb
+from itertools import combinations, combinations_with_replacement, permutations, product, repeat
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -298,12 +298,11 @@ def _e_s5(b, memo, x0, *xs):
 
 
 def _s5_support(b, memo, basis, x0):
-    """The tuples, with their basis vectors and in lexicographic order,
-    that have a nonzero nested prefix [x_p2, [x_p3, [x_p4, x0]]] in some
-    ordering; s5 is zero at x0 on every other tuple.  The walk goes out
-    from x0 one bracket at a time, through ``_e_s5``'s prefix memo and under
-    its keys, so each prefix is bracketed once.  Each prefix triple is
-    extended by every fourth index."""
+    """The index tuples, in lexicographic order, that have a nonzero nested
+    prefix [x_p2, [x_p3, [x_p4, x0]]] in some ordering; s5 is zero at x0 on
+    every other tuple.  The walk goes out from x0 one bracket at a time,
+    through ``_e_s5``'s prefix memo and under its keys, so each prefix is
+    bracketed once.  Each prefix triple is extended by every fourth index."""
     prefixes = _scoped(memo, "s5", x0)
     chains = [((), (), x0)]  # (indices, memo key, nonzero prefix), outermost first
     for _ in range(3):
@@ -320,9 +319,8 @@ def _s5_support(b, memo, basis, x0):
                     longer.append(((i,) + idx, ikey, nested))
         chains = longer
     triples = {tuple(sorted(idx)) for idx, _, _ in chains}
-    live = sorted({tuple(sorted(t + (i,))) for t in triples
+    return sorted({tuple(sorted(t + (i,))) for t in triples
                    for i in range(len(basis)) if i not in t})
-    return [(t, tuple([basis[i] for i in t])) for t in live]
 
 
 class _Identity(NamedTuple):
@@ -351,8 +349,8 @@ class _Identity(NamedTuple):
     is falsy, and ``f`` is linear in it, so zero adds nothing.
 
     With ``support`` set, ``support(bracket, memo, basis, *head)`` lists,
-    in lexicographic order, the tuples that can be nonzero at a head, each
-    with its basis vectors: the nested-prefix walk of s5."""
+    in lexicographic order, the index tuples that can be nonzero at a head:
+    the nested-prefix walk of s5."""
 
     groups: tuple
     weight: Fraction
@@ -439,21 +437,6 @@ def _classify(q):
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
-def _unrank(pos, n, k) -> tuple:
-    """The k-subset of range(n) at ``pos`` in lexicographic order."""
-    t = []
-    for i in range(n):
-        if not k:
-            break
-        below = comb(n - i - 1, k - 1)  # the subsets that start at i
-        if pos < below:
-            t.append(i)
-            k -= 1
-        else:
-            pos -= below
-    return tuple(t)
-
-
 def _sweep(g, spec: _Identity, payload, maps):
     """Lazily yield ``(key, sparse value)`` for the basis tuples of ``spec``
     whose value is nonzero, in lexicographic key order, and return the
@@ -466,25 +449,24 @@ def _sweep(g, spec: _Identity, payload, maps):
     The first head visits every tuple, lazily, so a failing sweep still
     stops at its first tuple; values shared across orderings and tuples are
     computed when a tuple first needs them.  Without a payload they are kept
-    for the call, by the tuple's position in ``combinations`` order: the
-    tail parts, which the first head records, and one row of inner values
-    per ``rest`` of the head (keyed by the pool indices of its occurrences),
-    filled by the first head that needs it, with a zero kept as False.  A
-    row is complete when that head is done, and then records its live
-    positions, those with a nonzero inner value.  A later head visits, in
-    ascending position, only the tuples that can be nonzero for it:
+    for the call, keyed by the tuple itself: the truthy tail parts, which
+    the first head records, and one row of inner values per ``rest`` of the
+    head (keyed by the pool indices of its occurrences), filled by the first
+    head that needs it, with a zero kept as False.  When that head is done
+    the row is complete and keeps only its nonzero values, so its keys are
+    its live tuples.  A row being filled reads an absent tuple as not yet
+    computed, a complete one as zero.  A later head visits, in lexicographic
+    order, only the tuples that can be nonzero for it:
 
-    - when all its rows are complete, the sorted union of their live
-      positions;
-    - otherwise, with a tail part, the positions whose tail part is truthy;
+    - when all its rows are complete, the sorted union of their keys;
+    - otherwise, with a tail part, the recorded tail parts;
     - otherwise, with a ``support``, the tuples it lists;
     - otherwise every tuple.
 
-    A walk over positions rebuilds a tuple (``_unrank``) only for a key.  A
-    Fixed payload makes the head unique, so nothing would be read twice and
-    nothing is kept.  The evaluators' memo also lives for the call; in it,
-    1 and 2 keep the images of basis vectors under the current map, and s5
-    the nested prefixes for the current x0 (at most n + n^2 + n^3), freed
+    A Fixed payload makes the head unique, so nothing would be read twice
+    and nothing is kept.  The evaluators' memo also lives for the call; in
+    it, 1 and 2 keep the images of basis vectors under the current map, and
+    s5 the nested prefixes for the current x0 (at most n + n^2 + n^3), freed
     when the head moves on.  A Fixed z of 3 and 4 is bracketed with each
     basis vector once (``_with_images``).  With one basis vector on each
     side a bracket is a single table lookup (``LieAlgebra.bracket_sparse``).
@@ -497,10 +479,10 @@ def _sweep(g, spec: _Identity, payload, maps):
     b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
     keep = payload is None
     n, alt = g.dim, spec.groups[-1][1]
-    size = comb(n, alt)
-    rows: dict = {}  # rest -> its row of inner values
-    index: dict = {}  # rest -> the live positions of its complete row
+    rows: dict = {}  # rest -> its row of inner values, by tuple
+    tails = None  # tuple -> its truthy tail part, once the first head is done
     memo: dict = {}
+    # basis vectors stay these dicts throughout: memo keys are their ids
     basis = [{i: 1} for i in range(n)]
     # the head's occurrences are drawn from one pool, by index.  Tuples are
     # built from lists, not generators: tuple() then allocates them at their
@@ -518,8 +500,6 @@ def _sweep(g, spec: _Identity, payload, maps):
             choices.append([((), (0,) * d)])
         else:
             choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
-    parts = [] if keep and tail_f is not None else None  # tail parts, by position
-    live = None  # the positions whose tail part is truthy, after the first head
     visits = 0
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     # a Fixed payload fills its slots once; the other slots are polarized
@@ -531,53 +511,52 @@ def _sweep(g, spec: _Identity, payload, maps):
         rests = [order[1:] for order in orders] if inner_f is not None else []
         fresh = [rest for rest in dict.fromkeys(rests) if rest not in rows]
         for rest in fresh:
-            rows[rest] = [None] * size
-        head_rows = [rows[rest] for rest in rests]
-        # (position, (tuple, its basis vectors)); a walk over positions
-        # leaves both None.  The first head has only fresh rows and no live
-        # list yet
+            rows[rest] = {}
+        # each ordering with its row and what the row reads for an absent tuple
+        head_rows = [(occ, rows[rest], None if rest in fresh else False)
+                     for occ, rest in zip(heads, rests)]
+        # (tuple, its tail part or basis vectors); a walk over complete rows
+        # reads no part.  The first head has only fresh rows and no tails yet
         if rests and not fresh:
-            walk = zip(sorted(set().union(*[index[rest] for rest in rests])), repeat((None, None)))
-        elif live is not None:
-            walk = zip(live, repeat((None, None)))
+            walk = zip(sorted(set().union(*[row for _, row, _ in head_rows])), repeat(None))
+        elif tails is not None:
+            walk = tails.items()
         elif visits and spec.support is not None:
-            walk = zip(repeat(None), spec.support(b, memo, basis, *heads[0]))
+            walk = [(t, tuple([basis[i] for i in t])) for t in spec.support(b, memo, basis, *heads[0])]
         else:
-            walk = enumerate(zip(combinations(range(n), alt), combinations(basis, alt)))
-        for pos, (t, vecs) in walk:
+            walk = zip(combinations(range(n), alt), combinations(basis, alt))
+        # the tail parts this head computes: only the first head does
+        parts = {} if tail_f is not None and tails is None else None
+        for t, part in walk:
             visits += 1
-            if t is None:
-                part = parts[pos] if parts is not None else None
-            elif tail_f is None:
-                part = vecs
-            else:
-                part = tail_f(b, *vecs)
-                if parts is not None:
-                    parts.append(part)
+            if parts is not None:
+                part = tail_f(b, *part)
                 if not part:  # the value is zero for every head
                     continue
+                if keep:
+                    parts[t] = part
             out: dict = {}
             if inner_f is None:
                 for occ in heads:
                     _sadd(out, f(b, memo, *occ, *part))
             else:
-                for occ, row in zip(heads, head_rows):
-                    v = row[pos]
+                for occ, row, absent in head_rows:
+                    v = row.get(t, absent)
                     if v is None:
                         v = inner_f(b, memo, *occ[1:], *part) or False
                         if keep:
-                            row[pos] = v
+                            row[t] = v
                     if v:
                         _sadd(out, f(b, memo, *occ, v))
             if out:
                 if weight is not None:
                     out = {k: c * weight for k, c in out.items()}
-                yield head_key + (t or _unrank(pos, n, alt)), out
+                yield head_key + t, out
         if keep:
-            if live is None and parts is not None:
-                live = list(compress(range(size), parts))
+            if parts is not None:
+                tails = parts
             for rest in fresh:
-                index[rest] = list(compress(range(size), rows[rest]))
+                rows[rest] = {t: v for t, v in rows[rest].items() if v}
     return visits
 
 

@@ -189,6 +189,29 @@ def test_later_heads_visit_only_live_tuples():
         assert later < (heads - 1) * len(tuples), code
 
 
+# the (head, tuple) pairs each sweep visits over all derivations or all
+# elements of filiform(n), in _IDENTITIES order
+SWEEP_VISITS = {
+    10: {"1": 768, "2": 768, "3": 444, "4": 2475, "6": 6435, "s5": 210},
+    16: {"1": 3710, "2": 3710, "3": 2135, "4": 16320, "6": 44880, "s5": 1820},
+}
+
+
+def test_each_sweep_visits_exactly_its_pinned_pairs():
+    for n, pinned in SWEEP_VISITS.items():
+        g = get("filiform", {"n": n})
+        maps = derivation_space(g).basis
+        visits = {}
+        for code, spec in identities._IDENTITIES.items():
+            values = identities._sweep(g, spec, None, maps if spec.argument == "map" else None)
+            try:
+                while True:
+                    next(values)
+            except StopIteration as stop:
+                visits[code] = stop.value
+        assert visits == pinned, n
+
+
 def _stream(g, code, quant):
     maps = derivation_space(g).basis if quant is ALL_DERIVATIONS else None
     return list(identities._sweep(g, identities._IDENTITIES[code], None, maps))

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from liedouble import Fixed, LieAlgebra, Matrix, check_quantified, get
+from liedouble import ALL_DERIVATIONS, ALL_ELEMENTS, Fixed, LieAlgebra, Matrix, check_quantified, get
 from liedouble import is_classical_rmatrix, parse_element
 
 
@@ -57,6 +57,25 @@ def test_a_fixed_z_sweep_keeps_no_tail_parts_or_inner_values():
         tracemalloc.stop()
     assert rep.status == "conditional"
     assert peak <= 600 * 1024, peak
+
+
+@pytest.mark.parametrize("code, quantifier, bound", [("4", ALL_ELEMENTS, 410), ("1", ALL_DERIVATIONS, 252)],
+                         ids=["4-all-elem", "1-all-der"])
+def test_a_sweep_keeps_only_truthy_tail_parts_and_nonzero_inner_values(code, quantifier, bound):
+    # keyed by position, over all C(n, k) tuples, the kept rows peaked at 821
+    # and 504 KiB on filiform(20); the bound is half of that.  A first,
+    # untraced check builds the algebra's caches and the derivation space
+    g = get("filiform", {"n": 20})
+    check_quantified(g, code, quantifier)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = check_quantified(g, code, quantifier)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "holds"
+    assert peak <= bound * 1024, peak
 
 
 def test_jacobiator_applies_r_once_per_basis_vector_and_pair(monkeypatch):
