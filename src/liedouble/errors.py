@@ -71,6 +71,12 @@ class NotClosed(LieDoubleError):
         )
 
 
+class ShapeMismatch(LieDoubleError, ValueError):
+    """Matrices or vectors whose number or sizes do not fit the operation:
+    no matrix at all, matrices of unequal sizes, or a right-hand side whose
+    length is not the row count."""
+
+
 class NotIndependent(LieDoubleError):
     """Given generators are linearly dependent."""
 

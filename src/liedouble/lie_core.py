@@ -23,9 +23,10 @@ from .errors import (
     NotClosed,
     NotIndependent,
     ParseError,
+    ShapeMismatch,
 )
 from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _check_indices, _eliminate,
-                     _nonzero, _sadd, _solve_columns, _view, nullspace, rank)
+                     _nonzero, _sadd, _view, nullspace, rank)
 from .scalars import Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
 
 
@@ -500,31 +501,77 @@ class MatrixRealization:
         self.matrices = matrices
 
 
+def _unit_columns(flat):
+    """Gauss-Jordan elimination of sparse rows: (units, transform).  Row
+    ``i`` of ``transform``, a sparse ``{row: value}`` combination of the
+    input rows, is one at column ``units[i]`` and zero at every other unit
+    column.  Each row, reduced by the rows before it, takes its last
+    nonzero column as its unit.  A nullspace basis vector is one at its
+    free column, its last nonzero, where the others are zero, so such a
+    basis is its own reduced form and ``transform`` is the identity.
+    NotIndependent when some row reduces to zero."""
+    reduced, transform, units = [], [], []
+    for i, row in enumerate(flat):
+        row, comb = dict(row), {i: 1}
+        for u, prev, t in zip(units, reduced, transform):
+            c = row.get(u)
+            if c:
+                _sadd(row, prev, -c)
+                _sadd(comb, t, -c)
+        if not row:
+            raise NotIndependent("the given matrices are linearly dependent")
+        u = max(row)
+        p = row[u]
+        if p != 1:
+            p = Fraction(p) if type(p) is int else p  # no float quotient
+            row = {j: v / p for j, v in row.items()}
+            comb = {j: v / p for j, v in comb.items()}
+        for prev, t in zip(reduced, transform):
+            c = prev.get(u)
+            if c:
+                _sadd(prev, row, -c)
+                _sadd(t, comb, -c)
+        reduced.append(row)
+        transform.append(comb)
+        units.append(u)
+    return units, transform
+
+
 def from_matrices(mats, labels=None) -> MatrixRealization:
     """Lie algebra spanned by given square matrices under the commutator.
 
-    The matrices must be linearly independent and their span closed under
-    commutators; otherwise NotIndependent / NotClosed is raised."""
+    The flattened matrices are eliminated once (``_unit_columns``).  The
+    coordinates of a commutator are then read off the unit columns, through
+    the transform, and the commutator is compared entry by entry with that
+    combination of the matrices.  The matrices must be linearly independent
+    and their span closed under commutators; otherwise NotIndependent /
+    NotClosed is raised."""
     mats = [m if isinstance(m, Matrix) else Matrix(m) for m in mats]
     if not mats:
-        raise ValueError("need at least one matrix")
+        raise ShapeMismatch("need at least one matrix")
     size = mats[0].rows
     for m in mats:
         if m.rows != size or m.cols != size:
-            raise ValueError("all matrices must be square of equal size")
+            raise ShapeMismatch("all matrices must be square of equal size")
     k = len(mats)
     flat = [m._flat() for m in mats]
-    if rank(Matrix.sparse(flat, size * size)).value != k:
-        raise NotIndependent("the given matrices are linearly dependent")
-    basis_cols = Matrix.from_columns(flat, size * size)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    rhs = [mats[i].commutator(mats[j])._flat() for i, j in pairs]
-    sols, _ = _solve_columns(basis_cols, rhs)
+    units, transform = _unit_columns(flat)
     brackets = {}
-    for (i, j), sol in zip(pairs, sols):
-        if sol is None:
-            raise NotClosed(i, j)
-        brackets[(i, j)] = sol
+    for i in range(k):
+        for j in range(i + 1, k):
+            c = mats[i]._flat_commutator(mats[j])
+            coords = {}
+            for u, comb in zip(units, transform):
+                cu = c.get(u)
+                if cu:
+                    _sadd(coords, comb, cu)
+            rest = {}
+            for t, x in coords.items():
+                _sadd(rest, flat[t], x)
+            _sadd(rest, c, -1)
+            if rest:
+                raise NotClosed(i, j)
+            brackets[(i, j)] = _nonzero((t, coords[t]) for t in sorted(coords))
     algebra = LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
     return MatrixRealization(algebra, tuple(mats))
 

@@ -23,8 +23,9 @@ that carries a variable.  Their builders convert what they are given and
 drop zeros; their public accessors return Scalar views (``linalg._view``).
 
 Systems stay sparse throughout.  A parameter-free row is scaled once to
-``{column: int}`` and back-substituted over its nonzeros in Fraction
-arithmetic.  A parametric row has its denominators cleared to
+``{column: int}``, and one reverse pass over the pivot rows solves for
+every free column and right-hand side at once, in Fraction arithmetic.  A
+parametric row has its denominators cleared to
 ``{column: Poly}``.  A step that eliminates from it runs the operation
 order of dense Bareiss, which fixes how its polynomials print; a step
 that leaves it untouched is not applied, and the row is lifted to the
@@ -39,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
-from .errors import AlgebraMismatch, ArityMismatch
+from .errors import AlgebraMismatch, ArityMismatch, ShapeMismatch
 from .scalars import _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
 
 
@@ -291,6 +292,23 @@ class Matrix:
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self.compose(other) - other.compose(self)
+
+    def _flat_commutator(self, other: "Matrix") -> dict:
+        """``self.commutator(other)._flat()`` of square matrices of one
+        size, summed in one flat dict: each entry takes ``compose``'s
+        products in its order, ascending inner index, those of
+        ``self @ other`` added from zero, then those of ``other @ self``
+        subtracted."""
+        n = self.cols
+        acc: dict = {}
+        for left, right, op in ((self, other, add), (other, self, sub)):
+            mine = left._column_view
+            for b, col in enumerate(right._column_view):
+                for k, y in col.items():
+                    for a, x in mine[k].items():
+                        key = a * n + b
+                        acc[key] = op(acc.get(key, 0), x * y)
+        return _nonzero(acc.items())
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -601,38 +619,56 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     return _Echelon(out, pivots, exceptional, npivot, False)
 
 
-def _back_substitute(ech: _Echelon, free_col=None, rhs_col=None):
-    """Solve the echelon system with every free column zero except
-    ``free_col`` (None: all zero), which is one.
+def _back_substitute(ech: _Echelon, sources):
+    """Solve the echelon system once per source column: a free column,
+    set to one with every other free column zero, or an augmented column,
+    taken as right-hand side with every free column zero.
 
-    ``rhs_col`` is the index of an augmented column used as right-hand side
-    (None for homogeneous).  Returns the nonzero coordinates among the first
-    ``npivot`` columns, in the stored form and in column order.  Integer
-    rows are walked over their nonzeros, and a coordinate becomes a
-    Fraction only when it is nonzero.  Scalar rows are walked over the
-    coordinates solved so far, in the order they were found: that order of
-    the Poly sums fixes the variable order in which they print."""
-    x = {} if free_col is None else {free_col: 1}
+    Returns one solution per source: its nonzero coordinates among the
+    first ``npivot`` columns, in the stored form and in column order.
+    Integer rows are solved for every source in one reverse pass over the
+    pivot rows.  Each solved pivot column keeps its sparse values over the
+    sources; a pivot row reads its nonzeros, each a source or a solved
+    column, and divides once per source it reaches.  Scalar rows are
+    solved one source at a time, each row walked over the coordinates
+    solved so far, in the order they were found: that order of the Poly
+    sums fixes the variable order in which they print."""
+    npivot = ech.npivot
+    if not ech.integral:
+        out = []
+        for s in sources:
+            x = {s: 1} if s < npivot else {}
+            for r, pc in reversed(ech.pivots):
+                row = ech.rows[r]
+                total = 0 if s < npivot else row.get(s, 0)
+                for j, v in x.items():
+                    a = row.get(j)
+                    if a is not None:
+                        total = total - a * v
+                total = total / row[pc]  # Scalar rows: a Scalar divisor
+                if total:
+                    x[pc] = total
+            out.append({j: _native(x[j]) for j in sorted(x)})
+        return out
+    where = {s: t for t, s in enumerate(sources)}
+    solved = {}  # pivot column -> {source position: value}
+    out = [{s: 1} if s < npivot else {} for s in sources]
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
-        if ech.integral:
-            total = row.get(rhs_col, 0)
-            for j, a in row.items():
-                v = x.get(j)
-                if v is not None:
-                    total -= a * v
-            if total:
-                x[pc] = Fraction(total, row[pc])
-        else:
-            total = row.get(rhs_col, 0)
-            for j, v in x.items():
-                a = row.get(j)
-                if a is not None:
-                    total = total - a * v
-            total = total / row[pc]  # Scalar rows: a Scalar divisor
-            if total:
-                x[pc] = total
-    return {j: _native(x[j]) for j in sorted(x)}
+        acc = {}
+        for j, a in row.items():
+            t = where.get(j)
+            if t is not None:
+                # a free source stands at one on the left, a right-hand side on the right
+                acc[t] = acc.get(t, 0) + (a if j >= npivot else -a)
+            elif j in solved:
+                for t, v in solved[j].items():
+                    acc[t] = acc.get(t, 0) - a * v
+        piv = row[pc]
+        solved[pc] = values = {t: _native(Fraction(c, piv)) for t, c in acc.items() if c}
+        for t, v in values.items():
+            out[t][pc] = v
+    return [{j: x[j] for j in sorted(x)} for x in out]
 
 
 def _free_columns(ech: _Echelon):
@@ -680,9 +716,12 @@ class NullspaceResult:
 
 
 def nullspace(m: Matrix) -> NullspaceResult:
-    """Basis of the right nullspace, generic in any parameters."""
+    """Basis of the right nullspace, generic in any parameters: one vector
+    per free column, one there and zero at every other free column.  That
+    column is the vector's last nonzero, since a pivot row holds no column
+    left of its pivot."""
     ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
-    vectors = [_back_substitute(ech, f) for f in _free_columns(ech)]
+    vectors = _back_substitute(ech, _free_columns(ech))
     return NullspaceResult(vectors, m.cols, ExceptionalSet(ech.exceptional))
 
 
@@ -725,7 +764,7 @@ def _augment(m: Matrix, rhs_columns):
 def solve_affine(m: Matrix, rhs) -> SolveResult:
     """Solve a linear system exactly, reporting the full solution set."""
     if len(rhs) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
+        raise ShapeMismatch("right-hand side length does not match row count")
     ech = _eliminate(_augment(m, [_nonzero(enumerate(rhs))]), m.cols + 1, m.cols, sparsest=True)
     exceptional = list(ech.exceptional)
     resid = _residuals(ech, m.cols)
@@ -733,10 +772,9 @@ def solve_affine(m: Matrix, rhs) -> SolveResult:
         exceptional.extend(_conditions(resid))
         return SolveResult("none", None, (), ExceptionalSet(exceptional))
     free = _free_columns(ech)
-    particular = _view(_back_substitute(ech, rhs_col=m.cols), m.cols)
-    basis = tuple(_view(_back_substitute(ech, f), m.cols) for f in free)
+    particular, *basis = (_view(x, m.cols) for x in _back_substitute(ech, [m.cols, *free]))
     status = "unique" if not free else "affine"
-    return SolveResult(status, particular, basis, ExceptionalSet(exceptional))
+    return SolveResult(status, particular, tuple(basis), ExceptionalSet(exceptional))
 
 
 def solve_columns(m: Matrix, rhs_columns):
@@ -746,24 +784,17 @@ def solve_columns(m: Matrix, rhs_columns):
     tuple or None when that column is inconsistent.  Free coordinates are
     set to zero."""
     if any(len(col) != m.rows for col in rhs_columns):
-        raise ValueError("right-hand side length does not match row count")
-    sols, exceptional = _solve_columns(m, [_nonzero(enumerate(col)) for col in rhs_columns])
-    return [None if x is None else _view(x, m.cols) for x in sols], exceptional
-
-
-def _solve_columns(m: Matrix, rhs_columns):
-    """``solve_columns`` on stored sparse ``{row: value}`` right-hand
-    sides; each solution is a stored sparse vector."""
-    ncols = m.cols
-    ech = _eliminate(_augment(m, rhs_columns), ncols + len(rhs_columns), ncols,
-                     sparsest=True)
-    exceptional = list(ech.exceptional)
-    out = []
-    for t in range(len(rhs_columns)):
-        resid = _residuals(ech, ncols + t)
+        raise ShapeMismatch("right-hand side length does not match row count")
+    ncols, k = m.cols, len(rhs_columns)
+    rows = _augment(m, [_nonzero(enumerate(col)) for col in rhs_columns])
+    ech = _eliminate(rows, ncols + k, ncols, sparsest=True)
+    exceptional, consistent = list(ech.exceptional), []
+    for c in range(ncols, ncols + k):
+        resid = _residuals(ech, c)
         if resid:
             exceptional.extend(_conditions(resid[:1]))
-            out.append(None)
         else:
-            out.append(_back_substitute(ech, rhs_col=ncols + t))
+            consistent.append(c)
+    sols = dict(zip(consistent, _back_substitute(ech, consistent)))
+    out = [_view(sols[c], ncols) if c in sols else None for c in range(ncols, ncols + k)]
     return out, ExceptionalSet(exceptional)

@@ -26,6 +26,8 @@ from liedouble import (
     parse_scalar,
     poly_gcd_univariate,
     rational_roots,
+    solve_affine,
+    solve_columns,
 )
 from liedouble.catalog import MAX_DIM
 from liedouble.cli import _materialize, main
@@ -40,6 +42,7 @@ from liedouble.errors import (
     NotIndependent,
     NotUnivariate,
     ParseError,
+    ShapeMismatch,
     ValueTooLarge,
 )
 from liedouble.identities import Fixed, eval_identity
@@ -183,13 +186,17 @@ LIBRARY = [
      ValueError, "unassigned parameters: ['beta']"),
     ("label-index-unknown", lambda: get("n3").label_index("x"), KeyError,
      "no basis vector labeled 'x'"),
-    ("from-matrices-none", lambda: from_matrices([]), ValueError, "need at least one matrix"),
-    ("from-matrices-unequal-sizes", lambda: from_matrices([[[0, 1], [0, 0]], E12]), ValueError,
-     "all matrices must be square of equal size"),
+    ("from-matrices-none", lambda: from_matrices([]), ShapeMismatch, "need at least one matrix"),
+    ("from-matrices-unequal-sizes", lambda: from_matrices([[[0, 1], [0, 0]], E12]),
+     ShapeMismatch, "all matrices must be square of equal size"),
     ("from-matrices-dependent", lambda: from_matrices([E12, E13, [[0, 2, 2]] + E12[1:]]),
      NotIndependent, "the given matrices are linearly dependent"),
     ("from-matrices-not-closed", lambda: from_matrices([E12, E21]), NotClosed,
      "commutator of generators 1 and 2 lies outside the span"),
+    ("solve-affine-rhs-length", lambda: solve_affine(Matrix(E12), (1, 2)), ShapeMismatch,
+     "right-hand side length does not match row count"),
+    ("solve-columns-rhs-length", lambda: solve_columns(Matrix(E12), [(1, 2, 3), (1, 2)]),
+     ShapeMismatch, "right-hand side length does not match row count"),
     ("element-label-in-denominator", lambda: parse_element(get("n3"), "1/e1"), ParseError,
      "basis labels cannot appear in a denominator"),
     ("element-product-of-labels", lambda: parse_element(get("n3"), "e1*e2"), ParseError,

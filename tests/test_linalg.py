@@ -29,7 +29,8 @@ from liedouble import (
 )
 from liedouble import catalog, linalg
 from liedouble.lie_core import Subspace, _leibniz_matrix
-from liedouble.linalg import _eliminate, _int_bareiss, _poly_bareiss, _sadd, _view
+from liedouble.linalg import (_eliminate, _int_bareiss, _nonzero, _poly_bareiss, _sadd,
+                              _view)
 from liedouble.scalars import _native
 
 try:
@@ -802,6 +803,132 @@ def test_sparsest_row_pivots_match_the_first_row_rule_on_leibniz_systems():
         checked += 1
         inconsistent += answers[1][1][0] == "none"
     assert checked == 19 and inconsistent > 0
+
+
+# -- the one-pass integral back-substitution ------------------------------
+
+
+def _per_column_back_substitute(ech, source):
+    """The integral back-substitution before the one reverse pass: one walk
+    over the pivot rows per free column (set to one) or right-hand side."""
+    free_col, rhs_col = (source, None) if source < ech.npivot else (None, source)
+    x = {} if free_col is None else {free_col: 1}
+    for r, pc in reversed(ech.pivots):
+        row = ech.rows[r]
+        total = row.get(rhs_col, 0)
+        for j, a in row.items():
+            v = x.get(j)
+            if v is not None:
+                total -= a * v
+        if total:
+            x[pc] = Fraction(total, row[pc])
+    return {j: _native(x[j]) for j in sorted(x)}
+
+
+def _stored(vectors):
+    """Coordinates, stored types and values of sparse vectors, in order."""
+    return [[(j, type(v).__name__, v) for j, v in x.items()] for x in vectors]
+
+
+def _per_column_answers(m, rhs_columns):
+    """nullspace vectors, solve_affine results and solve_columns solutions,
+    each right-hand side and free column back-substituted on its own."""
+    ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
+    free = [c for c in range(m.cols) if c not in {pc for _, pc in ech.pivots}]
+    vectors = [_per_column_back_substitute(ech, f) for f in free]
+    affine = []
+    for col in rhs_columns:
+        rows = linalg._augment(m, [_nonzero(enumerate(col))])
+        ech = _eliminate(rows, m.cols + 1, m.cols, sparsest=True)
+        if linalg._residuals(ech, m.cols):
+            affine.append(("none", None, ()))
+            continue
+        free = linalg._free_columns(ech)
+        basis = tuple(_view(_per_column_back_substitute(ech, f), m.cols) for f in free)
+        particular = _view(_per_column_back_substitute(ech, m.cols), m.cols)
+        affine.append(("affine" if free else "unique", particular, basis))
+    return _stored(vectors), affine, [a[1] for a in affine]
+
+
+def _one_pass_answers(m, rhs_columns):
+    solved = [solve_affine(m, col) for col in rhs_columns]
+    return (_stored(nullspace(m)._vectors),
+            [(s.status, s.particular, s.basis) for s in solved],
+            solve_columns(m, rhs_columns)[0])
+
+
+def _sparse_system(rng):
+    """Sparse integer or rational rows with zero, duplicate and combined
+    rows mixed in; right-hand sides: the image of an integer vector, a
+    random column and, when some row depends on others, the image moved
+    off the column space at that row."""
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    values = ((1, -1, 2, -3, 5, 6) if rng.random() < 0.5
+              else (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)))
+    density = rng.choice((0.15, 0.3, 0.6))
+    rows, dependent = [], []
+    for i in range(m):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            u, v = rng.choice(rows), rng.choice(rows)
+            c, d = (1, 0) if kind < 0.1 else (rng.choice(values), rng.choice(values))
+            rows.append({j: c * u.get(j, 0) + d * v.get(j, 0) for j in u.keys() | v.keys()})
+            dependent.append(i)
+        elif kind < 0.4:
+            rows.append({})
+            dependent.append(i)
+        else:
+            rows.append({j: rng.choice(values) for j in range(n) if rng.random() < density})
+    x = [rng.randint(-2, 2) for _ in range(n)]
+    image = [sum((a * x[j] for j, a in row.items()), 0) for row in rows]
+    rhs = [image, [rng.choice((0, 0) + values) for _ in rows]]
+    if dependent:
+        i = rng.choice(dependent)
+        rhs.append([b + (k == i) for k, b in enumerate(image)])
+    m = Matrix.sparse(rows, n)
+    return m, [[Scalar.of(b) for b in col] for col in rhs]
+
+
+def test_one_pass_back_substitution_matches_the_per_column_loop():
+    rng = random.Random(28)
+    inconsistent = 0
+    for _ in range(250):
+        m, rhs = _sparse_system(rng)
+        want = _per_column_answers(m, rhs)
+        assert _one_pass_answers(m, rhs) == want
+        inconsistent += sum(a[0] == "none" for a in want[1])
+        # every source of one echelon at once, right-hand sides and free
+        # columns interleaved
+        aug = linalg._augment(m, [_nonzero(enumerate(col)) for col in rhs])
+        ech = _eliminate(aug, m.cols + len(rhs), m.cols, sparsest=True)
+        sources = linalg._free_columns(ech) + [
+            c for c in range(m.cols, m.cols + len(rhs)) if not linalg._residuals(ech, c)]
+        rng.shuffle(sources)
+        assert _stored(linalg._back_substitute(ech, sources)) == _stored(
+            [_per_column_back_substitute(ech, s) for s in sources])
+    assert inconsistent > 50
+
+
+def test_one_pass_back_substitution_matches_the_per_column_loop_on_leibniz_systems():
+    algebras = [get(name) for name in catalog.names() if name != "filiform"]
+    algebras += [get("filiform", {"n": n}) for n in (5, 8, 12)]
+    rng = random.Random(2828)
+    checked = vectors = 0
+    for g in algebras:
+        if g.is_parametric():
+            continue
+        n = g.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for weight in (1, Fraction(1, 2)):
+            m = _leibniz_matrix(n, g._c, pairs, weight)
+            image = m.apply_vec([Fraction(rng.randint(-2, 2)) for _ in range(m.cols)])
+            noise = [Scalar.of(rng.randint(-1, 1)) for _ in range(m.rows)]
+            want = _per_column_answers(m, [image, noise])
+            assert _one_pass_answers(m, [image, noise]) == want
+            assert want[1][0][0] != "none"
+            checked += 1
+            vectors += len(want[0])
+    assert checked == 38 and vectors == 266
 
 
 def _echelon_text(vectors):
