@@ -23,8 +23,14 @@ that carries a variable.  Their builders convert what they are given and
 drop zeros; their public accessors return Scalar views (``linalg._view``).
 
 Systems stay sparse throughout.  A parameter-free row is scaled once to
-``{column: int}``, and one reverse pass over the pivot rows solves for
-every free column and right-hand side at once, in Fraction arithmetic.  A
+``{column: int}``.  Callers that read only the row space (``nullspace``,
+``rank``, ``solve_affine``, ``solve_columns``) first drop the columns that
+singleton rows force to zero, then take the sparsest pivot row and divide
+each updated row by its content in place of the Bareiss divisor, so no
+entry grows with the pivots before it.  ``Subspace.span`` and
+``inner_derivations`` read the echelon rows and keep those of dense
+Bareiss.  One reverse pass over the pivot rows solves for every free
+column and right-hand side at once, in Fraction arithmetic.  A
 parametric row has its denominators cleared to
 ``{column: Poly}``.  A step that eliminates from it runs the operation
 order of dense Bareiss, which fixes how its polynomials print; a step
@@ -37,7 +43,7 @@ order of that chain: the newest skipped pivot's order, then its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from .errors import AlgebraMismatch, ArityMismatch, ShapeMismatch
@@ -386,6 +392,31 @@ class _Echelon:
         self.integral = integral
 
 
+def _drop_forced_zeros(rows, npivot, holds):
+    """The singleton-row presolve of LP solvers (Andersen & Andersen,
+    Math. Programming 71, 1995), in place on ``{column: int}`` rows.
+
+    A row whose only entry is a column c < npivot forces x_c = 0: c is
+    deleted from every other row, found through the column index ``holds``
+    (left as just the singleton), and rows that become such singletons
+    cascade.  A duplicate singleton is left empty, and a row left with
+    only augmented entries is a ``0 = b`` residual.  Each deletion
+    subtracts a multiple of the singleton, so the row space is unchanged."""
+    stack = [i for i, row in enumerate(rows) if len(row) == 1 and min(row) < npivot]
+    while stack:
+        i = stack.pop()
+        if len(rows[i]) != 1:  # emptied since: a duplicate singleton
+            continue
+        (c,) = rows[i]
+        for k in holds[c]:
+            if k != i:
+                row = rows[k]
+                del row[c]
+                if len(row) == 1 and min(row) < npivot:
+                    stack.append(k)
+        holds[c] = [i]
+
+
 def _int_bareiss(rows, npivot, sparsest=False):
     """In-place Bareiss over ``{column: int}`` rows; returns pivot positions.
 
@@ -400,16 +431,21 @@ def _int_bareiss(rows, npivot, sparsest=False):
     row that a step leaves untouched; here such a row keeps the pivot it
     was last brought to (``level``) and is brought up to date only when
     next touched, which the exact divisions make equal to the chain of
-    dense steps.
+    dense steps.  ``Subspace.span`` and ``inner_derivations`` hand these
+    pivot rows to users.
 
-    Any other row choice is dense Bareiss on permuted input rows.  It gives
-    the same pivot columns, which the row space fixes, the same solution
-    for each setting of the free columns and the same augmented columns
-    with nonzero residuals, but other pivot rows.  So only the callers
-    that read nothing else (``nullspace``, ``rank``, ``solve_affine`` and
-    ``solve_columns``) take the sparsest row, which on the sparse Leibniz
-    systems cuts fill-in; ``Subspace.span`` and ``inner_derivations`` hand
-    the pivot rows to users and keep the first."""
+    ``sparsest`` is for the callers that read only the row space
+    (``nullspace``, ``rank``, ``solve_affine`` and ``solve_columns``): the
+    pivot columns, the solution for each setting of the free columns and
+    which augmented columns keep nonzero residuals.  It first drops forced
+    zeros (``_drop_forced_zeros``), so a forced column's pivot is its
+    singleton row with nothing left to eliminate.  It then takes the
+    sparsest row, which on the sparse Leibniz systems cuts fill-in, and
+    divides each update ``piv * row_i - f * row_r`` by its content, not by
+    the Bareiss chain: rows stay primitive, and ``level`` and ``prev`` at
+    1.  A row's zero pattern does not depend on its scale, so the content
+    changes no pivot choice; the pivot rows differ from dense Bareiss's,
+    but not their row space."""
     m = len(rows)
     level = [1] * m
     at = list(range(m))   # at[k]: the input row now at position k
@@ -421,6 +457,8 @@ def _int_bareiss(rows, npivot, sparsest=False):
         for j in row:
             if j < npivot:
                 holds[j].append(i)
+    if sparsest:
+        _drop_forced_zeros(rows, npivot, holds)
     key = (lambda i: (len(rows[i]), pos[i])) if sparsest else pos.__getitem__
     pivots = []
     prev = 1
@@ -455,13 +493,19 @@ def _int_bareiss(rows, npivot, sparsest=False):
             new = {j: piv * v for j, v in rowi.items()}
             for j, v in rowr.items():
                 new[j] = new.get(j, 0) - f * v
-            # Bareiss divides piv * lifted - lifted[c] * rowr by prev, with
-            # lifted = rowi * prev / level[i]; piv * rowi - f * rowr over
-            # level[i] is the same exact quotient.  Column c cancels.
-            d = level[i]
+            if sparsest:
+                # divided by its content the row stays primitive, and
+                # level and prev stay at 1
+                d = gcd(*new.values()) or 1
+            else:
+                # Bareiss divides piv * lifted - lifted[c] * rowr by prev,
+                # with lifted = rowi * prev / level[i]; piv * rowi - f * rowr
+                # over level[i] is the same exact quotient.
+                d, level[i] = level[i], piv
+            # column c cancels
             rows[i] = {j: v // d for j, v in new.items() if v}
-            level[i] = piv
-        prev = piv
+        if not sparsest:
+            prev = piv
         pivots.append((r, c))
         r += 1
     for k in range(r, m):
@@ -572,16 +616,17 @@ def _eliminate(rows, ncols, npivot, sparsest=False) -> _Echelon:
     the first ``npivot`` columns may carry pivots (remaining columns ride
     along as augmented data).
 
-    ``sparsest`` lets parameter-free input take the sparsest candidate
-    row as pivot (see ``_int_bareiss``).  It is for callers that read only
-    the pivot columns, back-substituted values and whether residuals are
-    present, all fixed by the row space: ``nullspace``, ``rank``,
-    ``solve_affine`` and ``solve_columns``.  ``Subspace.span`` and
-    ``inner_derivations`` return the pivot rows themselves, so they keep
-    the first-row rule.  The polynomial path ignores it: its pivot choice
-    decides the exceptional set.  It reads each row in column order, which
-    fixes the order of the row's cleared denominators and so how its
-    polynomials print."""
+    ``sparsest`` gives parameter-free input the row-space elimination of
+    ``_int_bareiss``: forced zeros dropped, the sparsest candidate row as
+    pivot and primitive rows.  It is for callers that read only the pivot
+    columns, back-substituted values and whether residuals are present,
+    all fixed by the row space: ``nullspace``, ``rank``, ``solve_affine``
+    and ``solve_columns``.  ``Subspace.span`` and ``inner_derivations``
+    return the pivot rows themselves, so they keep the first-row rule and
+    the rows of dense Bareiss.  The polynomial path ignores ``sparsest``:
+    its pivot choice decides the exceptional set.  It reads each row in
+    column order, which fixes the order of the row's cleared denominators
+    and so how its polynomials print."""
     if not any(type(e) is Scalar for row in rows for e in row.values()):
         work = []
         for row in rows:

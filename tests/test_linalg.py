@@ -14,6 +14,7 @@ from liedouble import (
     Matrix,
     Poly,
     Scalar,
+    build_double,
     derivation_space,
     derived_series,
     generalized_derivation_space,
@@ -805,6 +806,43 @@ def test_sparsest_row_pivots_match_the_first_row_rule_on_leibniz_systems():
     assert checked == 19 and inconsistent > 0
 
 
+def _derivation_double(n):
+    """The D-double of filiform(n): the bracket D[x, y], with D the
+    combination of Der(g)'s basis whose k-th coefficient is
+    ((k mod 5) - 2) / (3 + k mod 4)."""
+    g = get("filiform", {"n": n})
+    d = LinearMap.zero(n)
+    for k, m in enumerate(derivation_space(g).basis):
+        d = d + m.scale(Fraction(k % 5 - 2, 3 + k % 4))
+    return build_double(g, d)
+
+
+def _leibniz_system(g):
+    n = g.dim
+    return _leibniz_matrix(n, g._c, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_sparsest_row_pivots_match_the_first_row_rule_on_derivation_doubles():
+    rng = random.Random(29)
+    for n in range(7, 13):
+        m = _leibniz_system(_derivation_double(n))
+        image = m.apply_vec([Fraction(rng.randint(-2, 2)) for _ in range(m.cols)])
+        noise = [Scalar.of(rng.randint(-1, 1)) for _ in range(m.rows)]
+        answers = _answers(m, [image, noise])
+        assert answers == _first_row_rule(_answers, m, [image, noise])
+        assert answers[1][0][0] != "none"
+
+
+@pytest.mark.parametrize("n, bits, dim", [(12, 64, 25), (16, 128, 31)])
+def test_row_space_elimination_keeps_entries_small_on_derivation_doubles(n, bits, dim):
+    # the Bareiss chain reached 694 bits at n = 12 and 1,388 at n = 16
+    h = _derivation_double(n)
+    m = _leibniz_system(h)
+    ech = _eliminate(m._rows, m.cols, m.cols, sparsest=True)
+    assert max(abs(v).bit_length() for row in ech.rows for v in row.values()) <= bits
+    assert derivation_space(h).dim == dim
+
+
 # -- the one-pass integral back-substitution ------------------------------
 
 
@@ -1005,3 +1043,59 @@ else:
         assert answers == _first_row_rule(_answers, m, rhs)
         if len(rhs) == 3:
             assert answers[1][2][0] == "none" and answers[3][2] is None
+
+
+
+if given is None:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_forced_zero_rows_keep_the_answers_of_the_first_row_rule():
+        pass
+else:
+    @st.composite
+    def _forced_zero_systems(draw):
+        """Rows that force columns to zero, shuffled among fresh rows: a
+        chain whose first row is a singleton and whose every other row
+        holds the column forced before it (a cascade), duplicate and
+        scaled copies of chain rows, and a row that holds only forced
+        columns.  Right-hand sides: the image of an integer vector, a random
+        column, and the image of a vector zero on the forced columns made
+        nonzero on that last row, which the forced zeros leave as
+        ``0 = b``."""
+        ncols = draw(st.integers(1, 7))
+        cell = (st.integers(-3, 3) if draw(st.booleans())
+                else st.fractions(-3, 3, max_denominator=4))
+        nonzero = cell.filter(bool)
+        chain = draw(st.permutations(range(ncols)))[:draw(st.integers(1, ncols))]
+        rows = []
+        for k, c in enumerate(chain):
+            row = [0] * ncols
+            row[c] = draw(nonzero)
+            if k and draw(st.booleans()):
+                row[chain[k - 1]] = draw(nonzero)
+            rows.append(row)
+        for _ in range(draw(st.integers(0, 3))):
+            scale = draw(st.sampled_from((1, 1, 2, -1, Fraction(1, 2))))
+            rows.append([scale * a for a in draw(st.sampled_from(rows))])
+        trapped = len(rows)
+        rows.append([draw(nonzero) if c == chain[-1] or (c in chain and draw(st.booleans()))
+                     else 0 for c in range(ncols)])
+        for _ in range(draw(st.integers(0, 5))):
+            rows.append([draw(cell) if draw(st.booleans()) else 0 for _ in range(ncols)])
+        order = draw(st.permutations(range(len(rows))))
+        rows = [rows[i] for i in order]
+        x = [draw(st.integers(-2, 2)) for _ in range(ncols)]
+        image = [sum((a * b for a, b in zip(row, x)), 0) for row in rows]
+        x = [0 if c in chain else b for c, b in enumerate(x)]
+        off = [sum((a * b for a, b in zip(row, x)), 0) for row in rows]
+        off[order.index(trapped)] += draw(nonzero)
+        return rows, [image, [draw(cell) for _ in rows], off]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_forced_zero_systems())
+    def test_forced_zero_rows_keep_the_answers_of_the_first_row_rule(system):
+        rows, rhs = system
+        m = Matrix(rows)
+        rhs = [[Scalar.of(b) for b in col] for col in rhs]
+        answers = _answers(m, rhs)
+        assert answers == _first_row_rule(_answers, m, rhs)
+        assert answers[1][2][0] == "none" and answers[3][2] is None
