@@ -117,8 +117,8 @@ class ExcludedParameterValue(LieDoubleError, ValueError):
 
 
 class BadAssignment(LieDoubleError, ValueError):
-    """Catalog assignments that miss a size, name a parameter the entry
-    lacks, or cover only some of its scalar parameters."""
+    """Assignments to a catalog entry or ``LieAlgebra.specialize`` that miss
+    a size, name a parameter it lacks, or cover only some of its scalars."""
 
 
 class DuplicateName(LieDoubleError, ValueError):

@@ -379,10 +379,7 @@ _IDENTITIES = {
 }
 
 # [[z,x],[z,y]] polarized in z: it vanishes iff [[g,g],[g,g]] = 0
-_SQUARE_BRACKET = _Identity(
-    (("elem", 2), ("alt", 2)), 1,
-    lambda b, memo, z1, z2, x, y: b(b(z1, x), b(z2, y)),
-)
+_SQUARE_BRACKET = _Identity((("elem", 2), ("alt", 2)), 1, _e4_inner)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
+    BadAssignment,
     JacobiViolation,
     NotClosed,
     NotIndependent,
@@ -305,11 +306,11 @@ class LieAlgebra:
         values = {}
         for name, v in assignments.items():
             if name not in self.params:
-                raise ValueError(f"unknown parameter {name!r}")
+                raise BadAssignment(f"unknown parameter {name!r}")
             values[name] = _native(v)
         missing = [p for p in self.params if p not in values]
         if missing:
-            raise ValueError(f"unassigned parameters: {missing}")
+            raise BadAssignment(f"unassigned parameters: {missing}")
         brackets = {
             pair: {k: c.substitute(values) if type(c) is Scalar else c for k, c in comps.items()}
             for pair, comps in self._table.items()

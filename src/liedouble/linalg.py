@@ -30,8 +30,8 @@ each updated row by its content in place of the Bareiss divisor, so no
 entry grows with the pivots before it.  ``Subspace.span`` and
 ``inner_derivations`` read the echelon rows and keep those of dense
 Bareiss.  One reverse pass over the pivot rows solves for every free
-column and right-hand side at once, in Fraction arithmetic.  A
-parametric row has its denominators cleared to
+column and right-hand side; polynomial rows sum in solve order, which
+fixes how they print.  A parametric row has its denominators cleared to
 ``{column: Poly}``.  A step that eliminates from it runs the operation
 order of dense Bareiss, which fixes how its polynomials print; a step
 that leaves it untouched is not applied, and the row is lifted to the
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, sub, truediv
 
 from .errors import AlgebraMismatch, ArityMismatch, ShapeMismatch
 from .scalars import _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
@@ -671,37 +671,24 @@ def _back_substitute(ech: _Echelon, sources):
 
     Returns one solution per source: its nonzero coordinates among the
     first ``npivot`` columns, in the stored form and in column order.
-    Integer rows are solved for every source in one reverse pass over the
-    pivot rows.  Each solved pivot column keeps its sparse values over the
-    sources; a pivot row reads its nonzeros, each a source or a solved
-    column, and divides once per source it reaches.  Scalar rows are
-    solved one source at a time, each row walked over the coordinates
-    solved so far, in the order they were found: that order of the Poly
-    sums fixes the variable order in which they print."""
+    One reverse pass over the pivot rows solves every source: each solved
+    pivot column keeps its sparse values over the sources.  The order of a
+    Poly sum fixes the variable order it prints in, so Scalar rows are read
+    as a walk for one source reads them: its own column, then the solved
+    columns in solve order (descending).  Their cells have no denominator,
+    so 0 + a and -a are the walk's a and 0 - a."""
     npivot = ech.npivot
-    if not ech.integral:
-        out = []
-        for s in sources:
-            x = {s: 1} if s < npivot else {}
-            for r, pc in reversed(ech.pivots):
-                row = ech.rows[r]
-                total = 0 if s < npivot else row.get(s, 0)
-                for j, v in x.items():
-                    a = row.get(j)
-                    if a is not None:
-                        total = total - a * v
-                total = total / row[pc]  # Scalar rows: a Scalar divisor
-                if total:
-                    x[pc] = total
-            out.append({j: _native(x[j]) for j in sorted(x)})
-        return out
     where = {s: t for t, s in enumerate(sources)}
+    if ech.integral:
+        div, walk = Fraction, None
+    else:
+        div, walk = truediv, lambda ja: (ja[0] not in where, -ja[0])
     solved = {}  # pivot column -> {source position: value}
     out = [{s: 1} if s < npivot else {} for s in sources]
     for r, pc in reversed(ech.pivots):
         row = ech.rows[r]
         acc = {}
-        for j, a in row.items():
+        for j, a in row.items() if walk is None else sorted(row.items(), key=walk):
             t = where.get(j)
             if t is not None:
                 # a free source stands at one on the left, a right-hand side on the right
@@ -710,7 +697,7 @@ def _back_substitute(ech: _Echelon, sources):
                 for t, v in solved[j].items():
                     acc[t] = acc.get(t, 0) - a * v
         piv = row[pc]
-        solved[pc] = values = {t: _native(Fraction(c, piv)) for t, c in acc.items() if c}
+        solved[pc] = values = {t: _native(div(c, piv)) for t, c in acc.items() if c}
         for t, v in values.items():
             out[t][pc] = v
     return [{j: x[j] for j in sorted(x)} for x in out]

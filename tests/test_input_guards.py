@@ -180,10 +180,10 @@ LIBRARY = [
      "[e2, e2] must vanish"),
     ("bracket-component-out-of-range", lambda: LieAlgebra(2, {(0, 1): {2: 1}}), ValueError,
      "bracket component out of range: 2"),
-    ("specialize-unknown-parameter", lambda: get("glambda").specialize({"mu": 1}), ValueError,
-     "unknown parameter 'mu'"),
+    ("specialize-unknown-parameter", lambda: get("glambda").specialize({"mu": 1}),
+     BadAssignment, "unknown parameter 'mu'"),
     ("specialize-unassigned-parameter", lambda: get("g4ab").specialize({"alpha": 1}),
-     ValueError, "unassigned parameters: ['beta']"),
+     BadAssignment, "unassigned parameters: ['beta']"),
     ("label-index-unknown", lambda: get("n3").label_index("x"), KeyError,
      "no basis vector labeled 'x'"),
     ("from-matrices-none", lambda: from_matrices([]), ShapeMismatch, "need at least one matrix"),

@@ -969,6 +969,101 @@ def test_one_pass_back_substitution_matches_the_per_column_loop_on_leibniz_syste
     assert checked == 38 and vectors == 266
 
 
+# -- the one pass on Scalar rows keeps the sums of a walk per source -------
+
+
+def _per_source_scalar_back_substitute(ech, source):
+    """The Scalar back-substitution before the one reverse pass: one walk
+    over the pivot rows per free column (set to one) or right-hand side,
+    each row summed over the coordinates solved so far, in the order they
+    were found."""
+    npivot = ech.npivot
+    x = {source: 1} if source < npivot else {}
+    for r, pc in reversed(ech.pivots):
+        row = ech.rows[r]
+        total = 0 if source < npivot else row.get(source, 0)
+        for j, v in x.items():
+            a = row.get(j)
+            if a is not None:
+                total = total - a * v
+        total = total / row[pc]
+        if total:
+            x[pc] = total
+    return {j: _native(x[j]) for j in sorted(x)}
+
+
+def _printed_values(vectors):
+    """Each coordinate's stored type, text and, for a Scalar, the variable
+    orders of its numerator and denominator, which decide how it prints
+    inside larger sums."""
+    def cell(v):
+        if type(v) is not Scalar:
+            return type(v).__name__, str(v)
+        return "Scalar", str(v), v.numerator_poly().vars, v.denominator_poly().vars
+    return [[(j, *cell(v)) for j, v in x.items()] for x in vectors]
+
+
+def _check_one_pass_against_walks(m, rhs_columns, rng):
+    """Eliminate ``m`` with the right-hand sides appended, and compare the
+    one pass with a walk per source over the free columns and consistent
+    right-hand sides, shuffled into one list; returns the number of values
+    compared."""
+    aug = linalg._augment(m, [_nonzero(enumerate(col)) for col in rhs_columns])
+    ech = _eliminate(aug, m.cols + len(rhs_columns), m.cols, sparsest=True)
+    assert not ech.integral
+    sources = linalg._free_columns(ech) + [
+        c for c in range(m.cols, m.cols + len(rhs_columns)) if not linalg._residuals(ech, c)]
+    rng.shuffle(sources)
+    got = _printed_values(linalg._back_substitute(ech, sources))
+    assert got == _printed_values([_per_source_scalar_back_substitute(ech, s) for s in sources])
+    return sum(map(len, got))
+
+
+_CELLS = ("t", "u", "-u", "2*t", "1/(t + 2)", "t*u - 3", "(t - 1)/(u + 1)", "u/(t*u + 1)",
+          "t^2 - u", "3", "-1/2")
+
+
+def _two_variable_system(rng):
+    """Sparse rows of cells in t and u, fractions among them, with a
+    combined row mixed in; right-hand sides: the image of an integer
+    vector and a random column."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    rows = [{}]
+    while not any(v.variables() for row in rows for v in row.values()):
+        rows = [{j: parse_scalar(rng.choice(_CELLS)) for j in range(n) if rng.random() < 0.5}
+                for _ in range(m)]
+    if rng.random() < 0.3:
+        u, v = rng.choice(rows), rng.choice(rows)
+        rows.append({j: u.get(j, 0) - parse_scalar("t") * v.get(j, 0) for j in u.keys() | v.keys()})
+    m = Matrix.sparse(rows, n)
+    x = [rng.randint(-2, 2) for _ in range(n)]
+    image = m.apply_vec([Fraction(b) for b in x])
+    noise = [parse_scalar(rng.choice(("0",) + _CELLS)) for _ in range(m.rows)]
+    return m, [image, noise]
+
+
+def test_one_pass_keeps_the_printed_sums_of_a_walk_per_source():
+    rng = random.Random(30)
+    compared = 0
+    weights = [("glambda", "t"), ("glambda", "t^2 + 1"),
+               ("g4ab", "1"), ("g4ab", "1/2"), ("g4ab", "t")]
+    for name, weight in weights:
+        g = get(name)
+        n = g.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = _leibniz_matrix(n, g._c, pairs, _native(parse_scalar(weight)))
+        # the image of a vector with three nonzeros: a consistent right-hand
+        # side whose elimination stays small
+        x = [0] * m.cols
+        for j in rng.sample(range(m.cols), 3):
+            x[j] = Fraction(rng.choice((-2, -1, 1, 2)))
+        compared += _check_one_pass_against_walks(m, [m.apply_vec(x)], rng)
+    for _ in range(200):
+        m, rhs = _two_variable_system(rng)
+        compared += _check_one_pass_against_walks(m, rhs, rng)
+    assert compared > 900
+
+
 def _echelon_text(vectors):
     return "\n".join(" ".join(f"{j}:{e}" for j, e in v.items()) for v in vectors)
 
