@@ -1024,9 +1024,9 @@ _CELLS = ("t", "u", "-u", "2*t", "1/(t + 2)", "t*u - 3", "(t - 1)/(u + 1)", "u/(
 
 
 def _two_variable_system(rng):
-    """Sparse rows of cells in t and u, fractions among them, with a
-    combined row mixed in; right-hand sides: the image of an integer
-    vector and a random column."""
+    """Sparse rows of cells in t and u, fractions among them, and at times
+    a combination of two of them; right-hand sides: the image of an
+    integer vector and a random column."""
     m, n = rng.randint(1, 4), rng.randint(1, 5)
     rows = [{}]
     while not any(v.variables() for row in rows for v in row.values()):
