@@ -1,4 +1,5 @@
-"""Derivation spaces, computed exactly from the Leibniz constraints.
+"""Derivation spaces, computed exactly from the Leibniz constraints or, for
+a semisimple algebra, from ad(g).
 
 A linear map D is a derivation when D[x,y] = [Dx,y] + [x,Dy] on all basis
 pairs.  More generally, for a rational weight t, the weighted variant asks
@@ -6,14 +7,24 @@ t*D[x,y] = [Dx,y] + [x,Dy]; weight 1 recovers the ordinary notion.  The
 constraint system is linear in the n^2 matrix entries and is solved by exact
 elimination, so parametric structure constants yield parametric derivation
 matrices together with the exceptional parameter values of the elimination.
+
+At weight 1, a parameter-free algebra whose Killing form has full rank is
+semisimple (Cartan's criterion), and every derivation of a semisimple
+algebra in characteristic 0 is inner (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 1972, Thm 5.1 and Thm 5.3).  Its
+space is read off the ad(e_i), certified by that rank over the rationals,
+in the Leibniz path's basis: one at each free column and zero at the
+others, where the free columns, the last nonzero columns of the space's
+vectors, depend on the space alone.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .lie_core import LieAlgebra, _leibniz_matrix, from_matrices, is_nilpotent
-from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace
+from .errors import NotParameterFree
+from .lie_core import LieAlgebra, _leibniz_matrix, _unit_columns, from_matrices, is_nilpotent
+from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace, rank
 from .scalars import Scalar, _native
 
 
@@ -52,20 +63,58 @@ class DerivationSpace:
 def derivation_space(g: LieAlgebra, weight=1) -> DerivationSpace:
     """All weighted derivations; weight 1 gives the usual derivation algebra.
 
-    Results are cached on the algebra object."""
+    The basis is the nullspace basis of the Leibniz system or, for a
+    parameter-free semisimple algebra at weight 1, the same basis read off
+    the inner derivations (see the module docstring).  Results are cached
+    on the algebra object."""
     weight = Scalar.of(weight)
     key = ("derivations", str(weight))
     hit = g._cache.get(key)
     if hit is not None:
         return hit
     kind = "ordinary" if weight == 1 else "generalized"
-    n = g.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ns = nullspace(_leibniz_matrix(n, g._c, pairs, _native(weight)))
-    maps = [Matrix.from_flat(vec.items(), n) for vec in ns._vectors]
-    out = DerivationSpace(g, maps, ns.exceptional, weight, kind)
+    maps = _semisimple_derivations(g) if kind == "ordinary" else None
+    exceptional = None
+    if maps is None:
+        n = g.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ns = nullspace(_leibniz_matrix(n, g._c, pairs, _native(weight)))
+        maps = [Matrix.from_flat(vec.items(), n) for vec in ns._vectors]
+        exceptional = ns.exceptional
+    out = DerivationSpace(g, maps, exceptional, weight, kind)
     g._cache[key] = out
     return out
+
+
+def _semisimple_derivations(g: LieAlgebra):
+    """The ad(e_i) reduced to the Leibniz path's basis when a parameter-free
+    g has a Killing form of full rank, else None.  A basis vector that no
+    bracket reaches shows [g, g] != g in one scan of the table.  The units
+    of ``_unit_columns`` are the last nonzero columns of the span: the free
+    columns of that basis."""
+    n = g.dim
+    if len(set().union(*g._table.values())) < n or g.is_parametric():
+        return None
+    # c_ib^a at a of [e_i, e_b]; hits[(b, a)] lists the (i, c_ib^a)
+    brackets = [(i, b, g._c(i, b)) for i in range(n) for b in g._pairs[i]]
+    ad = [{} for _ in range(n)]
+    hits = {}
+    for i, b, comps in brackets:
+        for a, x in comps.items():
+            ad[i][a * n + b] = x
+            hits.setdefault((b, a), []).append((i, x))
+    # Killing form tr(ad e_i ad e_j) = sum over a, b of c_ib^a c_ja^b
+    killing = [{} for _ in range(n)]
+    for i, b, comps in brackets:
+        row = killing[i]
+        for a, x in comps.items():
+            for j, y in hits.get((a, b), ()):
+                row[j] = row.get(j, 0) + x * y
+    if rank(Matrix.sparse(killing, n)).value < n:
+        return None
+    units, reduced, _ = _unit_columns(ad)
+    return [Matrix.from_flat(sorted(reduced[r].items()), n)
+            for r in sorted(range(n), key=units.__getitem__)]
 
 
 def generalized_derivation_space(g: LieAlgebra, t) -> DerivationSpace:
@@ -120,7 +169,7 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> bool:
     """True when the derivation algebra is nilpotent as a Lie algebra.
 
     Only meaningful for parameter-free algebras; parametric input is
-    rejected rather than answered generically."""
+    rejected (NotParameterFree) rather than answered generically."""
     if g.is_parametric():
-        raise ValueError("requires a parameter-free algebra")
+        raise NotParameterFree("requires a parameter-free algebra")
     return is_nilpotent(derivation_lie_structure(derivation_space(g)))

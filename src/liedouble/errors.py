@@ -101,6 +101,11 @@ class NotNilpotent(LieDoubleError):
     """Operation requires a nilpotent algebra."""
 
 
+class NotParameterFree(LieDoubleError, ValueError):
+    """Operation requires a parameter-free algebra; a parametric one is
+    refused rather than answered generically."""
+
+
 class UnknownName(LieDoubleError, KeyError):
     """No catalog entry under the requested name."""
 

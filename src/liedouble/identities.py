@@ -52,6 +52,7 @@ from .errors import (
     IncompatibleQuantifier,
     LieDoubleError,
     NotNilpotent,
+    NotParameterFree,
     UnknownIdentity,
     UnknownQuantifier,
 )
@@ -686,7 +687,7 @@ class AuditReport:
 
 def _require_plain(g):
     if g.is_parametric():
-        raise ValueError("audit requires a parameter-free algebra")
+        raise NotParameterFree("audit requires a parameter-free algebra")
 
 
 def _imply(facts, a, b):

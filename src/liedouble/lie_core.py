@@ -503,14 +503,15 @@ class MatrixRealization:
 
 
 def _unit_columns(flat):
-    """Gauss-Jordan elimination of sparse rows: (units, transform).  Row
-    ``i`` of ``transform``, a sparse ``{row: value}`` combination of the
-    input rows, is one at column ``units[i]`` and zero at every other unit
-    column.  Each row, reduced by the rows before it, takes its last
-    nonzero column as its unit.  A nullspace basis vector is one at its
-    free column, its last nonzero, where the others are zero, so such a
-    basis is its own reduced form and ``transform`` is the identity.
-    NotIndependent when some row reduces to zero."""
+    """Gauss-Jordan elimination of sparse rows: (units, reduced, transform).
+    Row ``i`` of ``reduced``, the combination ``transform[i]`` (sparse
+    ``{row: value}``) of the input rows, is one at column ``units[i]``, its
+    last nonzero, and zero at every other unit column.  Each row, reduced
+    by the rows before it, takes its last nonzero column as its unit.  So
+    ``reduced`` is the one basis of the span with these properties, which
+    ``nullspace`` returns too, with free columns for units; a nullspace
+    basis is its own reduced form.  NotIndependent when some row reduces
+    to zero."""
     reduced, transform, units = [], [], []
     for i, row in enumerate(flat):
         row, comb = dict(row), {i: 1}
@@ -535,7 +536,7 @@ def _unit_columns(flat):
         reduced.append(row)
         transform.append(comb)
         units.append(u)
-    return units, transform
+    return units, reduced, transform
 
 
 def from_matrices(mats, labels=None) -> MatrixRealization:
@@ -556,7 +557,7 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
             raise ShapeMismatch("all matrices must be square of equal size")
     k = len(mats)
     flat = [m._flat() for m in mats]
-    units, transform = _unit_columns(flat)
+    units, _, transform = _unit_columns(flat)
     brackets = {}
     for i in range(k):
         for j in range(i + 1, k):

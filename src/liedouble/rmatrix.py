@@ -11,7 +11,7 @@ built directly.
 
 from __future__ import annotations
 
-from .errors import NotADerivation
+from .errors import NotADerivation, NotParameterFree
 from .lie_core import Element, LieAlgebra, _table_params, derived_series
 from .derivations import is_derivation
 from .identities import Report, _verdict
@@ -215,7 +215,7 @@ def recognize_r31(g: LieAlgebra) -> bool:
     the derived algebra and extend by the solution x; then [x,b1]=b1,
     [x,b2]=b2 and [b1,b2]=0 is the full table."""
     if g.is_parametric():
-        raise ValueError("requires a parameter-free algebra")
+        raise NotParameterFree("requires a parameter-free algebra")
     if g.dim != 3:
         return False
     chain = derived_series(g)

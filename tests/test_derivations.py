@@ -13,6 +13,8 @@ from liedouble import (
     abelian_algebra,
     derivation_lie_structure,
     derivation_space,
+    direct_sum,
+    from_matrices,
     generalized_derivation_space,
     get,
     inner_derivations,
@@ -23,7 +25,10 @@ from liedouble import (
     rational_roots,
     Scalar,
 )
+from liedouble import derivations
 from liedouble.errors import AlgebraMismatch, ArityMismatch
+from liedouble.lie_core import _leibniz_matrix
+from liedouble.linalg import nullspace
 
 
 def test_derivations_of_abelian_algebra_fill_all_maps():
@@ -244,3 +249,90 @@ def test_algebra_with_cached_spaces_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+def _unit(n, i, j):
+    return [[int((a, b) == (i, j)) for b in range(n)] for a in range(n)]
+
+
+def _h(n, i):
+    """The diagonal matrix E_ii - E_(i+1)(i+1)."""
+    return [[int(a == b == i) - int(a == b == i + 1) for b in range(n)] for a in range(n)]
+
+
+def _sl(n):
+    return from_matrices([_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+                         + [_h(n, i) for i in range(n - 1)]).algebra
+
+
+def _sl2_on_the_plane():
+    """sl2 acting on Q^2: the 3x3 matrices [[A, v], [0, 0]], A traceless.
+    Every basis vector is a bracket, but the Killing form is degenerate and
+    Der has dimension 6: the inner maps and the scaling of the plane."""
+    return from_matrices([_unit(3, 0, 1), _unit(3, 1, 0), _h(3, 0), _unit(3, 0, 2),
+                          _unit(3, 1, 2)]).algebra
+
+
+def _fresh(g):
+    """The same table in a new algebra, with nothing cached."""
+    return LieAlgebra(g.dim, g._table, labels=g.labels)
+
+
+# semisimple algebras, whose derivations are read off ad(g), and algebras
+# that the Leibniz system must answer
+SEMISIMPLE = {
+    **{name: lambda name=name: get(name) for name in ("sl2", "sl3", "sp4", "g2")},
+    **{f"sl{n}-from-matrices": lambda n=n: _sl(n) for n in range(2, 7)},
+    "sl2-rational-basis": lambda: from_matrices([
+        [[1, Fraction(1, 2)], [3, -1]], [[0, Fraction(2, 3)], [1, 0]],
+        [[Fraction(1, 2), 0], [-1, Fraction(-1, 2)]]]).algebra,
+    "sl2+sl3": lambda: direct_sum(get("sl2"), get("sl3")),
+}
+NOT_SEMISIMPLE = {
+    **{name: lambda name=name: get(name) for name in names()
+       if name not in SEMISIMPLE and name != "filiform" and not get(name).is_parametric()},
+    "filiform10": lambda: get("filiform", {"n": 10}),
+    "sl2-on-the-plane": _sl2_on_the_plane,
+}
+
+
+def _leibniz_basis(g):
+    """The basis of the Leibniz path, rebuilt here as the reference."""
+    n = g.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [Matrix.from_flat(v.items(), n)
+            for v in nullspace(_leibniz_matrix(n, g._c, pairs))._vectors]
+
+
+def _stored(maps):
+    """Every stored row of every map: keys in order, values and their types."""
+    return [[[(k, type(v), v) for k, v in row.items()] for row in m._rows] for m in maps]
+
+
+@pytest.mark.parametrize("name, build", [*SEMISIMPLE.items(), *NOT_SEMISIMPLE.items()],
+                         ids=[*SEMISIMPLE, *NOT_SEMISIMPLE])
+def test_derivations_match_the_leibniz_nullspace(name, build, monkeypatch):
+    # the semisimple path must return the Leibniz path's basis exactly, and
+    # only a full-rank Killing form may take it
+    g = _fresh(build())
+    expected = _stored(_leibniz_basis(g))
+    reached = []
+
+    def leibniz(*args, **kwargs):
+        if name in SEMISIMPLE:
+            raise AssertionError("a semisimple algebra reached the Leibniz system")
+        reached.append(args)
+        return _leibniz_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(derivations, "_leibniz_matrix", leibniz)
+    space = derivation_space(g)
+    assert _stored(space.basis) == expected
+    assert space.exceptional.is_empty() and space.kind == "ordinary"
+    assert len(reached) == (name not in SEMISIMPLE)
+    if name in SEMISIMPLE:
+        assert space.dim == g.dim
+
+
+def test_a_degenerate_killing_form_keeps_the_outer_derivation():
+    g = _sl2_on_the_plane()
+    assert derivation_space(g).dim == 6 and inner_derivations(g).dim == 5

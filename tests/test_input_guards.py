@@ -20,12 +20,14 @@ from liedouble import (
     check_quantified,
     from_matrices,
     get,
+    id6_from_id3_audit,
     is_characteristically_nilpotent,
     loads,
     parse_element,
     parse_scalar,
     poly_gcd_univariate,
     rational_roots,
+    recognize_r31,
     solve_affine,
     solve_columns,
 )
@@ -40,6 +42,7 @@ from liedouble.errors import (
     ExcludedParameterValue,
     NotClosed,
     NotIndependent,
+    NotParameterFree,
     NotUnivariate,
     ParseError,
     ShapeMismatch,
@@ -295,7 +298,11 @@ LIBRARY = [
     ("scalar-variable-as-fraction", lambda: Scalar.variable("t").as_fraction(), ValueError,
      "t is not a rational constant"),
     ("characteristically-nilpotent-family",
-     lambda: is_characteristically_nilpotent(get("glambda")), ValueError,
+     lambda: is_characteristically_nilpotent(get("glambda")), NotParameterFree,
+     "requires a parameter-free algebra"),
+    ("audit-of-a-family", lambda: id6_from_id3_audit(get("glambda")), NotParameterFree,
+     "audit requires a parameter-free algebra"),
+    ("r31-recognition-of-a-family", lambda: recognize_r31(get("r3lambda")), NotParameterFree,
      "requires a parameter-free algebra"),
 ]
 
