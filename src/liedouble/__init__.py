@@ -51,7 +51,6 @@ from .lie_core import (
     Element,
     LieAlgebra,
     LinearMap,
-    MatrixRealization,
     Subspace,
     abelian_algebra,
     center,
@@ -72,7 +71,6 @@ from .lie_core import (
 )
 from .derivations import (
     DerivationSpace,
-    derivation_lie_structure,
     derivation_space,
     generalized_derivation_space,
     inner_derivations,

@@ -85,7 +85,7 @@ def _elementary(n, i, j):
 
 def _build_gl2() -> LieAlgebra:
     mats = [_elementary(2, a, b) for a in range(2) for b in range(2)]
-    return from_matrices(mats, labels=("E11", "E12", "E21", "E22")).algebra
+    return from_matrices(mats, labels=("E11", "E12", "E21", "E22"))
 
 
 def _build_sl3() -> LieAlgebra:
@@ -93,7 +93,7 @@ def _build_sl3() -> LieAlgebra:
     mats = [_elementary(3, a, b) for a, b in pos]
     mats += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
     labels = ("E12", "E13", "E23", "E21", "E31", "E32", "H1", "H2")
-    return from_matrices(mats, labels=labels).algebra
+    return from_matrices(mats, labels=labels)
 
 
 def _sp4_block(a=None, b=None, c=None):
@@ -120,7 +120,7 @@ def _build_sp4() -> LieAlgebra:
     mats += [_sp4_block(b=s) for s in sym]
     mats += [_sp4_block(c=s) for s in sym]
     labels = ("A11", "A12", "A21", "A22", "B11", "B12", "B22", "C11", "C12", "C22")
-    return from_matrices(mats, labels=labels).algebra
+    return from_matrices(mats, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def octonion_algebra() -> BilinearAlgebra:
 def _build_g2() -> LieAlgebra:
     maps = derivations_of_bilinear(octonion_algebra())
     labels = tuple(f"D{i + 1}" for i in range(len(maps)))
-    return from_matrices(maps, labels=labels).algebra
+    return from_matrices(maps, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Derivation spaces, computed exactly from the Leibniz constraints or, for
-a semisimple algebra, from ad(g).
+a semisimple algebra, from ad(g); characteristic nilpotency from Der(g)
+acting on g.
 
 A linear map D is a derivation when D[x,y] = [Dx,y] + [x,Dy] on all basis
 pairs.  More generally, for a rational weight t, the weighted variant asks
@@ -23,7 +24,7 @@ from __future__ import annotations
 import weakref
 
 from .errors import NotParameterFree
-from .lie_core import LieAlgebra, _leibniz_matrix, _unit_columns, from_matrices, is_nilpotent
+from .lie_core import LieAlgebra, Subspace, _leibniz_matrix, _unit_columns
 from .linalg import ExceptionalSet, Matrix, _check_map, _eliminate, _sadd, nullspace, rank
 from .scalars import Scalar, _native
 
@@ -156,20 +157,26 @@ def is_derivation(g: LieAlgebra, m: Matrix, weight=1):
     return True, None
 
 
-def derivation_lie_structure(space: DerivationSpace, labels=None) -> LieAlgebra:
-    """Lie algebra the derivation basis spans under the commutator."""
-    if space.dim == 0:
-        return LieAlgebra(0, {}, labels=())
-    if labels is None:
-        labels = tuple(f"D{t + 1}" for t in range(space.dim))
-    return from_matrices(space.basis, labels=labels).algebra
-
-
 def is_characteristically_nilpotent(g: LieAlgebra) -> bool:
-    """True when the derivation algebra is nilpotent as a Lie algebra.
+    """True when the derivation algebra Der(g) is nilpotent.
 
-    Only meaningful for parameter-free algebras; parametric input is
-    rejected (NotParameterFree) rather than answered generically."""
+    Computes the series g, Der(g)g, Der(g)(Der(g)g), ... of Dixmier and
+    Lister (Proc. AMS 8, 1957), each term the span of the images of the one
+    before under the derivation basis, until it is 0 or stops falling (it
+    only falls: D'(Dx) = [D', D]x + D(D'x) lies in Der(g)g).  At 0, every
+    product of that many derivations vanishes, so Der(g) is nilpotent
+    (Engel); if dim g >= 2 and Der(g) is nilpotent, the series reaches 0
+    (Leger and Togo, Duke Math. J. 26, 1959).  For dim g = 1, Der(g) = gl1
+    is abelian, so the answer is True although the series stalls at g;
+    dimension 0 gives True.  A parametric algebra raises NotParameterFree."""
     if g.is_parametric():
         raise NotParameterFree("requires a parameter-free algebra")
-    return is_nilpotent(derivation_lie_structure(derivation_space(g)))
+    if g.dim == 1:
+        return True
+    maps, vectors = derivation_space(g).basis, [{i: 1} for i in range(g.dim)]
+    while vectors:
+        term = Subspace.span(g, [m.apply_sparse(v) for m in maps for v in vectors])._vectors
+        if len(term) == len(vectors):
+            return False
+        vectors = term
+    return True

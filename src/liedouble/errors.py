@@ -107,11 +107,11 @@ class NotParameterFree(LieDoubleError, ValueError):
 
 
 class UnknownName(LieDoubleError, KeyError):
-    """No catalog entry under the requested name."""
+    """No catalog entry, or no basis vector, under the requested name."""
 
-    def __init__(self, name):
+    def __init__(self, name, what="catalog entry named"):
         self.name = name
-        super().__init__(f"no catalog entry named {name!r}")
+        super().__init__(f"no {what} {name!r}")
 
     def __str__(self):
         return self.args[0]

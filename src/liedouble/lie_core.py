@@ -25,6 +25,7 @@ from .errors import (
     NotIndependent,
     ParseError,
     ShapeMismatch,
+    UnknownName,
 )
 from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _check_indices, _eliminate,
                      _nonzero, _sadd, _view, nullspace, rank)
@@ -289,7 +290,7 @@ class LieAlgebra:
         try:
             return self.labels.index(name)
         except ValueError:
-            raise KeyError(f"no basis vector labeled {name!r}") from None
+            raise UnknownName(name, "basis vector labeled") from None
 
     def is_parametric(self) -> bool:
         """True when the algebra declares a parameter or its table carries a
@@ -386,18 +387,22 @@ def _normalize_row(row, pc):
     return {j: _native(row[j] / c) for j in sorted(row)}  # c is a Fraction
 
 
-def _series(g: LieAlgebra, step):
+def _series(g: LieAlgebra, key, step):
     """The chain from [g, g] on, each term ``step(g, previous term)``, until
-    zero or stabilization."""
-    current = Subspace.span(g, g._table.values())
-    chain = [current]
-    while current.dim:
-        nxt = step(g, current)
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-        chain.append(current)
-    return chain
+    zero or stabilization.  Built once: its vectors are cached on g under
+    ``key``, and callers get fresh Subspaces, which refer back to g."""
+    terms = g._cache.get(key)
+    if terms is None:
+        current = Subspace.span(g, g._table.values())
+        chain = [current]
+        while current.dim:
+            nxt = step(g, current)
+            if nxt.dim == current.dim:
+                break
+            current = nxt
+            chain.append(current)
+        terms = g._cache[key] = tuple((s._vectors, s.exceptional) for s in chain)
+    return [Subspace(g, vectors, exc) for vectors, exc in terms]
 
 
 def lower_central_series(g: LieAlgebra):
@@ -405,14 +410,14 @@ def lower_central_series(g: LieAlgebra):
 
     Entry ``i`` (0-based) is the (i+1)-st term of the chain; the full algebra
     itself is not included."""
-    return _series(g, lambda g, sub: Subspace.span(
+    return _series(g, ("lower central",), lambda g, sub: Subspace.span(
         g, [g.bracket_sparse({i: 1}, b) for i in range(g.dim) for b in sub._vectors],
         carry=sub.exceptional))
 
 
 def derived_series(g: LieAlgebra):
     """Descending chain of derived ideals until zero or stabilization."""
-    return _series(g, _derived)
+    return _series(g, ("derived",), _derived)
 
 
 def _derived(g: LieAlgebra, sub: Subspace) -> Subspace:
@@ -492,16 +497,6 @@ def _table_params(table: dict, names=()) -> tuple:
     return tuple(sorted(found))
 
 
-class MatrixRealization:
-    """Abstract algebra plus the matrices its basis came from."""
-
-    __slots__ = ("algebra", "matrices")
-
-    def __init__(self, algebra, matrices):
-        self.algebra = algebra
-        self.matrices = matrices
-
-
 def _unit_columns(flat):
     """Gauss-Jordan elimination of sparse rows: (units, reduced, transform).
     Row ``i`` of ``reduced``, the combination ``transform[i]`` (sparse
@@ -539,7 +534,7 @@ def _unit_columns(flat):
     return units, reduced, transform
 
 
-def from_matrices(mats, labels=None) -> MatrixRealization:
+def from_matrices(mats, labels=None) -> LieAlgebra:
     """Lie algebra spanned by given square matrices under the commutator.
 
     The flattened matrices are eliminated once (``_unit_columns``).  The
@@ -574,8 +569,7 @@ def from_matrices(mats, labels=None) -> MatrixRealization:
             if rest:
                 raise NotClosed(i, j)
             brackets[(i, j)] = _nonzero((t, coords[t]) for t in sorted(coords))
-    algebra = LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
-    return MatrixRealization(algebra, tuple(mats))
+    return LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
 
 
 class BilinearAlgebra:

@@ -209,7 +209,7 @@ def test_package_exports_every_public_name_once():
     import liedouble
 
     exported = liedouble.__all__
-    assert len(exported) == len(set(exported)) == 105
+    assert len(exported) == len(set(exported)) == 103
     for name in exported:
         assert not isinstance(getattr(liedouble, name), types.ModuleType), name
     assert {"get", "check_quantified", "IdentityReport", "RMatrixReport", "LieDoubleError",

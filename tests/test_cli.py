@@ -7,7 +7,15 @@ import sys
 
 import pytest
 
-from liedouble import dumps, get
+from liedouble import (
+    Subspace,
+    catalog,
+    derived_series,
+    dumps,
+    get,
+    is_characteristically_nilpotent,
+    lower_central_series,
+)
 from liedouble.cli import main
 
 
@@ -218,6 +226,33 @@ def test_external_catalog_rejects_builtin_collision(tmp_path, capsys):
     code, _, err = run(capsys, "--catalog", str(path), "catalog-list")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_invariants_builds_each_series_once(capsys, monkeypatch):
+    # ex413 has nilpotency class 7 and solvability class 3, so its lower
+    # central and derived series take 7 and 3 spans; the command spans
+    # each once, plus the series of characteristic nilpotency
+    calls = []
+    span = Subspace.span
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return span(*args, **kwargs)
+
+    def spans(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    monkeypatch.setattr(Subspace, "span", staticmethod(counted))
+    monkeypatch.setattr(catalog, "_MATERIALIZED", {})
+    build = catalog.entry("ex413").build
+    lower = spans(lambda: lower_central_series(build()))
+    derived = spans(lambda: derived_series(build()))
+    characteristic = spans(lambda: is_characteristically_nilpotent(build()))
+    assert (lower, derived) == (7, 3)
+    total = spans(lambda: run(capsys, "invariants", "ex413", "--format", "csv"))
+    assert total == lower + derived + characteristic
 
 
 def test_invariants_text_format(capsys):

@@ -11,7 +11,6 @@ from liedouble import (
     LinearMap,
     Matrix,
     abelian_algebra,
-    derivation_lie_structure,
     derivation_space,
     direct_sum,
     from_matrices,
@@ -20,6 +19,7 @@ from liedouble import (
     inner_derivations,
     is_characteristically_nilpotent,
     is_derivation,
+    is_nilpotent,
     names,
     quaternion_algebra,
     rational_roots,
@@ -114,7 +114,7 @@ def test_generalized_derivation_defining_equation():
 def test_derivation_lie_structure_closes_under_commutator():
     g = get("n3")
     space = derivation_space(g)
-    der = derivation_lie_structure(space)
+    der = from_matrices(space.basis)
     assert der.dim == space.dim
     # spot-check: the structure constants reproduce an actual commutator
     d0, d1 = space.basis[0], space.basis[1]
@@ -135,14 +135,6 @@ def test_derivation_lie_structure_closes_under_commutator():
                 for row_a, row_b in zip(rebuilt, term)
             ]
     assert rebuilt == direct
-
-
-def test_derivation_lie_structure_of_the_zero_space():
-    # sl2 has no nonzero derivation of weight 3
-    space = generalized_derivation_space(get("sl2"), 3)
-    assert space.dim == 0
-    h = derivation_lie_structure(space)
-    assert (h.dim, h.labels, h.params, h.table) == (0, (), (), {})
 
 
 def test_characteristically_nilpotent_detection():
@@ -262,7 +254,7 @@ def _h(n, i):
 
 def _sl(n):
     return from_matrices([_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-                         + [_h(n, i) for i in range(n - 1)]).algebra
+                         + [_h(n, i) for i in range(n - 1)])
 
 
 def _sl2_on_the_plane():
@@ -270,7 +262,7 @@ def _sl2_on_the_plane():
     Every basis vector is a bracket, but the Killing form is degenerate and
     Der has dimension 6: the inner maps and the scaling of the plane."""
     return from_matrices([_unit(3, 0, 1), _unit(3, 1, 0), _h(3, 0), _unit(3, 0, 2),
-                          _unit(3, 1, 2)]).algebra
+                          _unit(3, 1, 2)])
 
 
 def _fresh(g):
@@ -285,7 +277,7 @@ SEMISIMPLE = {
     **{f"sl{n}-from-matrices": lambda n=n: _sl(n) for n in range(2, 7)},
     "sl2-rational-basis": lambda: from_matrices([
         [[1, Fraction(1, 2)], [3, -1]], [[0, Fraction(2, 3)], [1, 0]],
-        [[Fraction(1, 2), 0], [-1, Fraction(-1, 2)]]]).algebra,
+        [[Fraction(1, 2), 0], [-1, Fraction(-1, 2)]]]),
     "sl2+sl3": lambda: direct_sum(get("sl2"), get("sl3")),
 }
 NOT_SEMISIMPLE = {
@@ -336,3 +328,57 @@ def test_derivations_match_the_leibniz_nullspace(name, build, monkeypatch):
 def test_a_degenerate_killing_form_keeps_the_outer_derivation():
     g = _sl2_on_the_plane()
     assert derivation_space(g).dim == 6 and inner_derivations(g).dim == 5
+
+
+def _der_is_nilpotent(g):
+    """The reference: Der(g) built as a structure-constant Lie algebra from
+    the commutators of its basis, and its lower central series; the zero
+    space is the zero algebra, which is nilpotent."""
+    space = derivation_space(g)
+    return space.dim == 0 or is_nilpotent(from_matrices(space.basis))
+
+
+# every parameter-free catalog entry, the smallest dimensions, filiform and
+# glambda at several values
+CHARACTERISTIC = {
+    **{name: lambda name=name: get(name) for name in names()
+       if name != "filiform" and not get(name).is_parametric()},
+    "dim0": lambda: LieAlgebra(0, {}, labels=()),
+    "dim1": lambda: abelian_algebra(1),
+    "abelian2": lambda: abelian_algebra(2),
+    **{f"filiform{n}": lambda n=n: get("filiform", {"n": n}) for n in range(3, 13)},
+    **{f"glambda{lam}": lambda lam=lam: get("glambda", {"lam": Fraction(lam)})
+       for lam in (0, 1, 2, -1, 3)},
+}
+
+
+@pytest.mark.parametrize("build", CHARACTERISTIC.values(), ids=CHARACTERISTIC)
+def test_characteristic_nilpotency_matches_the_derivation_algebra(build):
+    g = build()
+    assert is_characteristically_nilpotent(g) == _der_is_nilpotent(g)
+
+
+def test_characteristic_nilpotency_builds_no_lie_algebra(monkeypatch):
+    # Der(g) acts on g: no structure constants of Der(g), no Jacobi check
+    algebras = [get("ex413"), get("filiform", {"n": 8})]
+    for g in algebras:
+        derivation_space(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Lie algebra was built")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", refuse)
+    assert [is_characteristically_nilpotent(g) for g in algebras] == [True, False]
+
+
+def test_characteristic_nilpotency_matches_on_random_nilpotent_algebras():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given
+    from test_properties import checks, nilpotent_algebras
+
+    @checks(20)
+    @given(nilpotent_algebras())
+    def check(g):
+        assert is_characteristically_nilpotent(g) == _der_is_nilpotent(g)
+
+    check()

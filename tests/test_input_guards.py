@@ -46,6 +46,7 @@ from liedouble.errors import (
     NotUnivariate,
     ParseError,
     ShapeMismatch,
+    UnknownName,
     ValueTooLarge,
 )
 from liedouble.identities import Fixed, eval_identity
@@ -187,7 +188,7 @@ LIBRARY = [
      BadAssignment, "unknown parameter 'mu'"),
     ("specialize-unassigned-parameter", lambda: get("g4ab").specialize({"alpha": 1}),
      BadAssignment, "unassigned parameters: ['beta']"),
-    ("label-index-unknown", lambda: get("n3").label_index("x"), KeyError,
+    ("label-index-unknown", lambda: get("n3").label_index("x"), UnknownName,
      "no basis vector labeled 'x'"),
     ("from-matrices-none", lambda: from_matrices([]), ShapeMismatch, "need at least one matrix"),
     ("from-matrices-unequal-sizes", lambda: from_matrices([[[0, 1], [0, 0]], E12]),

@@ -1,7 +1,9 @@
 """Structure constants, elements, linear maps, and classical invariants."""
 
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,26 @@ def test_metabelian_and_center_by_metabelian_flags():
     assert not is_center_by_metabelian(get("ex413"))
 
 
+def test_each_series_is_cached_and_handed_out_fresh():
+    # the cache keeps vectors, not Subspaces, so the algebra is still freed
+    # by reference counting; a caller may change its list freely
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+        first, derived = lower_central_series(g), derived_series(g)
+        first.clear()
+        second = lower_central_series(g)
+        assert _dims(second) == [2, 1, 0] and _dims(derived_series(g)) == _dims(derived) == [2, 0]
+        assert second[0] is not lower_central_series(g)[0]
+        ref = weakref.ref(g)
+        del g, derived, second
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_second_derived_matches_derived_series():
     g = get("ex413")
     chain = derived_series(g)
@@ -175,8 +197,7 @@ def test_from_matrices_reconstructs_commutator_algebra():
     e = [[0, 1], [0, 0]]
     f = [[0, 0], [1, 0]]
     h = [[1, 0], [0, -1]]
-    real = from_matrices([e, h, f], labels=["e", "h", "f"])
-    g = real.algebra
+    g = from_matrices([e, h, f], labels=["e", "h", "f"])
     assert g.dim == 3
     # matches the standard table: [e,h] = -2e, [e,f] = h, [h,f] = -2f
     assert g.bracket_lines() == ["[e,h] = -2*e", "[e,f] = h", "[h,f] = -2*f"]

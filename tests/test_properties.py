@@ -678,7 +678,7 @@ def nilpotent_algebras(draw, max_dim=6):
         for (i, j), c in zip(pairs, row):
             m[i][j] = c
         mats.append(m)
-    return from_matrices(mats).algebra
+    return from_matrices(mats)
 
 
 @checks(10)
