@@ -73,8 +73,15 @@ class NotClosed(LieDoubleError):
 
 class ShapeMismatch(LieDoubleError, ValueError):
     """Matrices or vectors whose number or sizes do not fit the operation:
-    no matrix at all, matrices of unequal sizes, or a right-hand side whose
-    length is not the row count."""
+    no matrix at all, matrices of unequal sizes, a right-hand side whose
+    length is not the row count, a coordinate count that is not the
+    dimension, or an index out of range."""
+
+
+class BadTable(LieDoubleError, ValueError):
+    """A bracket table and labels that do not describe an algebra: labels
+    that are not one distinct name per basis vector, parameter names that
+    are labels too, an index out of range, or a nonzero [e_i, e_i]."""
 
 
 class NotIndependent(LieDoubleError):

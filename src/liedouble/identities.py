@@ -12,19 +12,20 @@ x, y, w, z of a fixed algebra:
       sign(p) * [x_p1,[x_p2,[x_p3,[x_p4, x0]]]] = 0
 
 Each identity is described once, in ``_IDENTITIES``, which evaluation, the
-quantified sweep and the quantifier check all read.  An entry may give a
-tail part, which depends on the alternating tuple alone: for 1, 2 and 3 the
-cyclic pairs (u, [v1, v2]) whose bracket is nonzero, for 6 its [x, y].  A
-sweep computes it once per tuple and shares it with every head, and a tuple
-whose tail part is empty is zero for every head.  An entry may also split
-its evaluator into an inner part, which depends on every occurrence but the
-first one and on the tuple, and an outer step; a sweep then computes each
-inner value once per (occurrences, tuple) instead of once per ordering of
-every head.  Identity 1's inner part is identity 2's sum, and its outer
-step applies the other map; 3, 4 and 6 bracket with the first z.  A sweep
-keeps both kinds of value keyed by the basis tuple itself.  After its first
-head it visits only the tuples whose tail part, inner values or (for s5)
-nested brackets out from x0 can be nonzero.
+quantified sweep and the quantifier check all read.  An entry lists the
+bracket terms of the value, whose index supports a sweep reads before it
+computes anything: it visits only the heads and tuples where some term can
+be nonzero.  An entry may give a tail part, which depends on the
+alternating tuple alone: for 1, 2 and 3 the cyclic pairs (u, [v1, v2])
+whose bracket is nonzero, for 6 its [x, y].  A sweep computes it once per
+tuple and shares it with every head, and a tuple whose tail part is empty
+is zero for every head.  An entry may also split its evaluator into an
+inner part, which depends on every occurrence but the first one and on the
+tuple, and an outer step; a sweep then computes each inner value once per
+(occurrences, tuple) instead of once per ordering of every head.  Identity
+1's inner part is identity 2's sum, and its outer step applies the other
+map; 3, 4 and 6 bracket with the first z.  A sweep keeps both kinds of
+value keyed by the basis tuple itself.
 
 A quantified check sweeps basis tuples only.  Alternating slots are swept
 over strictly increasing index tuples.  A repeated slot (the D in 1, the z
@@ -44,7 +45,9 @@ One function, ``_verdict``, turns a stream of nonzero values into a
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product, repeat
+from functools import partial
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -222,15 +225,16 @@ def _e3_inner(b, memo, z2, *pairs):
     return tuple(terms)
 
 
-def _e3(b, memo, z1, z2, terms):
+def _e3(b, memo, z1, z2, terms, part):
     out: dict = {}
     for term in terms:
         _sadd(out, b(z1, term))
     return out
 
 
-def _e4_inner(b, memo, z2, z3, x, y):
-    """[[z2, x], [z3, y]]."""
+def _e4_inner(b, memo, z2, z3, x, y, xy=None):
+    """[[z2, x], [z3, y]]; as the inner part of 6 it is also handed [x, y],
+    which it does not read."""
     right = b(z3, y)
     if not right:
         return {}
@@ -238,26 +242,16 @@ def _e4_inner(b, memo, z2, z3, x, y):
     return b(left, right) if left else {}
 
 
-def _xy_pair(b, x, y):
-    """Tail part of 6: x, y and the pair (None, [x, y]), or () when [x, y]
-    is zero; it is never falsy, since [[w, x], [w, y]] does not vanish with
-    [x, y]."""
-    xy = b(x, y)
-    return x, y, (None, xy) if xy else ()
+def _xy(b, x, y):
+    """Tail part of 6: x, y and [x, y].  It is never falsy, since [[w, x],
+    [w, y]] does not vanish with [x, y]."""
+    return x, y, b(x, y)
 
 
-def _e6_inner(b, memo, w1, w2, x, y, pair):
-    """The parts of 6 that z does not enter, each None when zero:
-    [[w1, x], [w2, y]] and [x, y].  When the first is zero they are the
-    tuple's own ``pair``, shared by every (w1, w2)."""
-    right = b(w2, y)
-    left = b(w1, x) if right else None
-    first = b(left, right) if left else None
-    return (first, pair[1] if pair else None) if first else pair
-
-
-def _e6(b, memo, z, w1, w2, parts):
-    first, xy = parts
+def _e6(b, memo, z, w1, w2, first, part):
+    """[z, first] - [w1, [[z, w2], [x, y]]], where ``first`` is the inner
+    part [[w1, x], [w2, y]], falsy when zero, and ``part`` the tail part."""
+    xy = part[2]
     out: dict = {}
     if first:
         _sadd(out, b(z, first))
@@ -298,41 +292,48 @@ def _e_s5(b, memo, x0, *xs):
     return out
 
 
-def _s5_support(b, memo, basis, x0):
-    """The index tuples, in lexicographic order, that have a nonzero nested
-    prefix [x_p2, [x_p3, [x_p4, x0]]] in some ordering; s5 is zero at x0 on
-    every other tuple.  The walk goes out from x0 one bracket at a time,
-    through ``_e_s5``'s prefix memo and under its keys, so each prefix is
-    bracketed once.  Each prefix triple is extended by every fourth index."""
-    prefixes = _scoped(memo, "s5", x0)
-    chains = [((), (), x0)]  # (indices, memo key, nonzero prefix), outermost first
-    for _ in range(3):
-        longer = []
-        for idx, key, v in chains:
-            for i, x in enumerate(basis):
-                if i in idx:
-                    continue
-                ikey = (id(x),) + key
-                nested = prefixes.get(ikey, _UNSET)
-                if nested is _UNSET:
-                    nested = prefixes[ikey] = b(x, v) or None
-                if nested is not None:
-                    longer.append(((i,) + idx, ikey, nested))
-        chains = longer
-    triples = {tuple(sorted(idx)) for idx, _, _ in chains}
-    return sorted({tuple(sorted(t + (i,))) for t in triples
-                   for i in range(len(basis)) if i not in t})
+class _Node:
+    """One node of a bracket term: a head occurrence ("occ", by its position
+    ``h`` in the ordering), an alternating slot ("alt", only ``_X``), the map
+    of occurrence ``h`` applied to its kid ("map"), or the bracket of its two
+    kids ("bracket").  ``deps`` are the occurrences the node reads, and
+    ``pick`` picks them from an ordering."""
+
+    __slots__ = ("kind", "h", "kids", "deps", "pick")
+
+    def __init__(self, kind, h=None, *kids):
+        self.kind, self.h = kind, h
+        self.kids = tuple(_Node("occ", k) if type(k) is int else k for k in kids)
+        deps = set() if h is None else {h}
+        for kid in self.kids:
+            deps.update(kid.deps)
+        self.deps = tuple(sorted(deps))
+        self.pick = itemgetter(*self.deps) if deps else lambda occ: ()
+
+
+# an alternating slot; [u, v], where an int stands for that occurrence; and
+# the map of occurrence h applied to u
+_X = _Node("alt")
+_br = partial(_Node, "bracket", None)
+_D = partial(_Node, "map")
 
 
 class _Identity(NamedTuple):
-    """Slot groups in witness order, the polarization weight, and the
-    evaluator ``f(bracket, memo, *occurrences)`` on sparse vectors and maps.
+    """Slot groups in witness order, the polarization weight, the evaluator
+    ``f(bracket, memo, *occurrences)`` on sparse vectors and maps, and the
+    bracket terms of the value.
 
     A group ``(kind, d)`` is the quantified argument repeated d times ("map"
     for the D of 1 and 2, "z" for the z of 3 and 4), a basis element
     repeated d times ("elem": z and w in 6, x0 in s5), or d alternating
     basis slots ("alt").  The last group is always alternating; the
     occurrences of the other groups form the head.
+
+    ``terms`` are bracket terms (``_Node`` trees), written with head
+    occurrences by their position in an ordering.  The value is a linear
+    combination of the terms, each taken at orderings of the head and
+    permutations of the tuple, so it can be nonzero only where some term's
+    index support is nonempty.
 
     With ``tail`` set, the alternating tuple enters only through its tail
     part ``tail(bracket, *tuple)``, a tuple that stands in for the tuple's
@@ -341,24 +342,23 @@ class _Identity(NamedTuple):
     computes it once per tuple; a falsy tail part makes the value zero for
     every head.
 
-    With ``inner`` set, the value at ``(first, *rest, *tail)``, where the
-    head is ``(first, *rest)`` and tail is the tuple or its tail part, is
-    ``f(bracket, memo, first, *rest, inner(bracket, memo, *rest, *tail))``.
-    The inner value does not depend on ``first``, so a sweep computes it
+    With ``inner`` set, the value at the head ``(first, *rest)`` and the
+    tail part (or tuple) ``part`` is ``f(bracket, memo, first, *rest, v,
+    part)``, where ``v = inner(bracket, memo, *rest, *part)`` is falsy
+    when zero.  ``v`` does not depend on ``first``, so a sweep computes it
     once per ``(rest, tuple)``: per map and tuple for 1, per z and tuple for
-    3, per pair of z's (or w's) and tuple for 4 and 6.  A zero inner value
-    is falsy, and ``f`` is linear in it, so zero adds nothing.
-
-    With ``support`` set, ``support(bracket, memo, basis, *head)`` lists,
-    in lexicographic order, the index tuples that can be nonzero at a head:
-    the nested-prefix walk of s5."""
+    3, per pair of z's (or w's) and tuple for 4 and 6.  It is the value of
+    the last operand of the first term.  That term is linear in it, and the
+    only term of 1, 3 and 4, so there a zero ``v`` adds nothing.  6 has a
+    second term, [w1, [[z, w2], [x, y]]], which ``v`` does not enter; it
+    vanishes with [x, y], the last entry of 6's tail part."""
 
     groups: tuple
     weight: Fraction
     f: Callable
+    terms: tuple
     inner: Callable = None
     tail: Callable = None
-    support: Callable = None
 
     @property
     def argument(self):
@@ -367,20 +367,29 @@ class _Identity(NamedTuple):
         return kind if kind in ("map", "z") else None
 
 
+# [[z2, x], [z3, y]]: the inner part of 4, and of 6 for (w1, w2)
+_I4 = _br(_br(1, _X), _br(2, _X))
+
 _IDENTITIES = {
     "1": _Identity((("map", 2), ("alt", 3)), 1,
-                   lambda b, memo, d1, d2, v: d1.apply_sparse(v), _e2, _cyclic_pairs),
-    "2": _Identity((("map", 1), ("alt", 3)), 1, _e2, tail=_cyclic_pairs),
-    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3, _e3_inner, _cyclic_pairs),
+                   lambda b, memo, d1, d2, v, part: d1.apply_sparse(v),
+                   (_D(0, _br(_D(1, _X), _br(_X, _X))),), _e2, _cyclic_pairs),
+    "2": _Identity((("map", 1), ("alt", 3)), 1, _e2, (_br(_D(0, _X), _br(_X, _X)),),
+                   tail=_cyclic_pairs),
+    "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3,
+                   (_br(0, _br(_br(1, _X), _br(_X, _X))),), _e3_inner, _cyclic_pairs),
     "4": _Identity((("z", 3), ("alt", 2)), Fraction(1, 6),
-                   lambda b, memo, z1, z2, z3, v: b(z1, v), _e4_inner),
-    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6, _e6_inner,
-                   _xy_pair),
-    "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5, support=_s5_support),
+                   lambda b, memo, z1, z2, z3, v, part: b(z1, v), (_br(0, _I4),), _e4_inner),
+    "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6,
+                   (_br(0, _I4), _br(1, _br(_br(0, 2), _br(_X, _X)))),
+                   _e4_inner, _xy),
+    "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5,
+                    (_br(_X, _br(_X, _br(_X, _br(_X, 0)))),)),
 }
 
 # [[z,x],[z,y]] polarized in z: it vanishes iff [[g,g],[g,g]] = 0
-_SQUARE_BRACKET = _Identity((("elem", 2), ("alt", 2)), 1, _e4_inner)
+_SQUARE_BRACKET = _Identity((("elem", 2), ("alt", 2)), 1, _e4_inner,
+                            (_br(_br(0, _X), _br(1, _X)),))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +417,17 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
             occurrences += [g._sparse_of(next(slot), who)] * d
     b, memo = g.bracket_sparse, {}
     k = len(occurrences) - spec.groups[-1][1]
+    head, part = occurrences[:k], occurrences[k:]
     if spec.tail is not None:
-        part = spec.tail(b, *occurrences[k:])
+        part = spec.tail(b, *part)
         if not part:  # the value is zero
             return Element(g, {})
-        occurrences[k:] = part
-    if spec.inner is not None:
-        occurrences[k:] = [spec.inner(b, memo, *occurrences[1:])]
-        if not occurrences[k]:  # f is linear in it: the value is zero
-            return Element(g, {})
-    return Element(g, spec.f(b, memo, *occurrences))
+    if spec.inner is None:
+        return Element(g, spec.f(b, memo, *head, *part))
+    v = spec.inner(b, memo, *head[1:], *part)
+    if not v and len(spec.terms) == 1:  # f is linear in it: the value is zero
+        return Element(g, {})
+    return Element(g, spec.f(b, memo, *head, v, part))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +445,104 @@ def _classify(q):
     raise ArityMismatch(f"not a quantifier: {q!r}")
 
 
+class _Support(dict):
+    """Index sets (frozensets) -> coordinate supports, with the index by
+    coordinate that a bracket with it reads, built once."""
+
+    __slots__ = ("_by_coord",)
+
+    def by_coord(self) -> dict:
+        try:
+            return self._by_coord
+        except AttributeError:
+            index: dict = {}
+            for key, s in self.items():
+                for q in s:
+                    index.setdefault(q, []).append(key)
+            self._by_coord = index
+            return index
+
+
+class _Supports:
+    """The symbolic phase of a sweep: index supports, read off ``g._pairs``.
+
+    ``of(node, occ)`` maps each set of basis indices that can fill the
+    alternating slots of ``node`` (a frozenset) to the coordinates where the
+    node's value can be nonzero, at the head occurrences ``occ`` (pool
+    indices).  A set whose value is zero for certain is absent.  The support
+    of [S, T] is the union of the table pairs' components over a in S and b
+    in T: it holds every nonzero coordinate, needs no arithmetic and sees no
+    cancellation.  A head occurrence has its vector's keys, a map applied to
+    an index set the union of those columns' keys.  A bracket walks the
+    smaller side's supports through ``g._pairs`` into the other side's index
+    by coordinate, so its cost follows the structurally nonzero partial
+    brackets, not the number of tuples.  Nodes below a term are kept for the
+    sweep, keyed by the occurrences they read; a whole term is computed once
+    per ordering of each head (``term``)."""
+
+    def __init__(self, g, pool):
+        self.pairs, self.pool, self.memo = g._pairs, pool, {}
+        self.alt = _Support((frozenset((i,)), (i,)) for i in range(g.dim))
+
+    def of(self, node, occ) -> _Support:
+        if node is _X:
+            return self.alt
+        key = (node, node.pick(occ))
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self.term(node, occ)
+        return got
+
+    def term(self, node, occ) -> _Support:
+        if node.kind == "occ":
+            return _Support({frozenset(): self.pool[occ[node.h]].keys()})
+        out = _Support()
+        if node.kind == "map":
+            key = ("columns", occ[node.h])
+            cols = self.memo.get(key)
+            if cols is None:
+                cols = self.memo[key] = [c.keys() for c in self.pool[occ[node.h]]._column_view]
+            for indices, s in self.of(node.kids[0], occ).items():
+                image = set().union(*[cols[i] for i in s])
+                if image:
+                    out[indices] = image
+            return out
+        right = self.of(node.kids[1], occ)
+        left = self.of(node.kids[0], occ) if right else None
+        if not left:
+            return out
+        if len(left) > len(right):
+            left, right = right, left
+        index, pairs = right.by_coord(), self.pairs
+        for key, s in left.items():
+            for p in s:
+                for q, hit in pairs[p].items():
+                    for other in index.get(q, ()):
+                        if key.isdisjoint(other):
+                            both = key | other
+                            got = out.get(both)
+                            if got is None:
+                                out[both] = set(hit[3])
+                            else:
+                                got.update(hit[3])
+        return out
+
+    def tuples(self, nodes, orders, keep=False) -> set:
+        """The index tuples (sorted) where some of ``nodes`` can be nonzero
+        at some of the orderings ``orders``.  With ``keep`` the nodes are
+        kept for the sweep too, as inner nodes, which later heads share."""
+        get = self.of if keep else self.term
+        return {tuple(sorted(key)) for occ in orders for node in nodes for key in get(node, occ)}
+
+
+def _symbolic(g) -> bool:
+    """Whether sweeps of ``g`` run the symbolic phase: only when at most half
+    of its basis pairs have a nonzero bracket.  A fuller table has nearly
+    full supports, so the phase would skip almost nothing, and a failing
+    sweep would pay for a whole head's supports before its first tuple."""
+    return 4 * len(g._table) <= g.dim * (g.dim - 1)
+
+
 def _sweep(g, spec: _Identity, payload, maps):
     """Lazily yield ``(key, sparse value)`` for the basis tuples of ``spec``
     whose value is nonzero, in lexicographic key order, and return the
@@ -444,22 +552,30 @@ def _sweep(g, spec: _Identity, payload, maps):
     orderings are summed in ``permutations`` order, and the weight is
     applied last.
 
-    The first head visits every tuple, lazily, so a failing sweep still
-    stops at its first tuple; values shared across orderings and tuples are
-    computed when a tuple first needs them.  Without a payload they are kept
-    for the call, keyed by the tuple itself: the truthy tail parts, which
-    the first head records, and one row of inner values per ``rest`` of the
-    head (keyed by the pool indices of its occurrences), filled by the first
-    head that needs it, with a zero kept as False.  When that head is done
-    the row is complete and keeps only its nonzero values, so its keys are
-    its live tuples.  A row being filled reads an absent tuple as not yet
-    computed, a complete one as zero.  A later head visits, in lexicographic
-    order, only the tuples that can be nonzero for it:
+    Each head has a symbolic phase, run as the walk reaches the head, then
+    a numeric walk.  The symbolic phase (``_Supports``) lists the tuples
+    where some term of ``spec`` can be nonzero at some ordering of the
+    head, from index supports alone; the numeric walk visits them in
+    lexicographic order and skips every other tuple, which is zero for
+    certain.  So a failing sweep meets its first nonzero tuple as before,
+    with no more bracket calls.  A table that is more than half full
+    (``_symbolic``) skips the symbolic phase: its first head visits every
+    tuple, and a later head without complete rows visits every tuple with a
+    truthy tail part (1, 2, 3 and 6), which the first head kept, or every
+    tuple.
 
-    - when all its rows are complete, the sorted union of their keys;
-    - otherwise, with a tail part, the recorded tail parts;
-    - otherwise, with a ``support``, the tuples it lists;
-    - otherwise every tuple.
+    Values shared across orderings and tuples are computed when a tuple
+    first needs them.  Without a payload they are kept for the call, keyed by
+    the tuple itself: the truthy tail parts, and one row of inner values per
+    ``rest`` of the head (keyed by the pool indices of its occurrences).  A
+    row is filled by the first head that needs it, at every tuple where the
+    inner value itself can be nonzero, whether or not this head's outer step
+    can be; another head, with another ``first``, may need it there.  A zero
+    is kept as False while the row fills.  When that head is done the row is
+    complete and keeps only its nonzero values, so its keys are its live
+    tuples, which see cancellation too: a head whose rows are all complete
+    visits only those of its tuples that some row holds, and the tuples of
+    6's second term, which the rows do not enter.
 
     A Fixed payload makes the head unique, so nothing would be read twice
     and nothing is kept.  The evaluators' memo also lives for the call; in
@@ -478,7 +594,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     keep = payload is None
     n, alt = g.dim, spec.groups[-1][1]
     rows: dict = {}  # rest -> its row of inner values, by tuple
-    tails = None  # tuple -> its truthy tail part, once the first head is done
+    tails: dict = {}  # tuple -> its truthy tail part
     memo: dict = {}
     # basis vectors stay these dicts throughout: memo keys are their ids
     basis = [{i: 1} for i in range(n)]
@@ -491,6 +607,9 @@ def _sweep(g, spec: _Identity, payload, maps):
             b = _with_images(b, payload, basis)
     else:
         pool = maps if spec.argument == "map" else basis
+    sup = _Supports(g, pool) if _symbolic(g) else None
+    inner = spec.terms[0].kids[-1]  # the node of the inner value
+    linear = len(spec.terms) == 1
     # per head group: (key part, pool indices of its occurrences) per choice
     choices = []
     for kind, d in spec.groups[:-1]:
@@ -505,34 +624,49 @@ def _sweep(g, spec: _Identity, payload, maps):
     for head in product(*choices):
         head_key = sum([key for key, _ in head], ())
         orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for _, t in head])]
-        heads = [tuple([pool[i] for i in order]) for order in orders]
-        rests = [order[1:] for order in orders] if inner_f is not None else []
+        rests = [order[1:] for order in orders] if inner_f is not None else ()
         fresh = [rest for rest in dict.fromkeys(rests) if rest not in rows]
         for rest in fresh:
             rows[rest] = {}
-        # each ordering with its row and what the row reads for an absent tuple
+        # the tuples this head visits, each with its basis vectors or its
+        # kept tail part
+        if sup is None:
+            if rests and not fresh and linear:  # a complete row's keys are its live tuples
+                walk = set().union(*[rows[rest] for rest in rests])
+            elif tail_f is not None and visits:  # the first head kept every truthy one
+                walk = tails.items()
+            else:
+                walk = zip(combinations(range(n), alt), combinations(basis, alt))
+        else:
+            distinct = list(dict.fromkeys(orders))
+            walk = sup.tuples(spec.terms[:1], distinct)
+            if rests and not fresh:
+                walk &= set().union(*[rows[rest] for rest in rests])
+            elif keep and fresh:  # a fresh row fills where its inner value can be nonzero
+                filling = [order for order, rest in zip(orders, rests) if rest in fresh]
+                walk |= sup.tuples((inner,), filling, True)
+            walk |= sup.tuples(spec.terms[1:], distinct)  # they do not go through the rows
+        if isinstance(walk, set):
+            if not walk:
+                continue
+            walk = [(t, [basis[i] for i in t]) for t in sorted(walk)]
+        heads = [tuple([pool[i] for i in order]) for order in orders]
+        # each ordering with its row and what the row reads for an absent
+        # tuple: None (not yet computed) while it fills
         head_rows = [(occ, rows[rest], None if rest in fresh else False)
                      for occ, rest in zip(heads, rests)]
-        # (tuple, its tail part or basis vectors); a walk over complete rows
-        # reads no part.  The first head has only fresh rows and no tails yet
-        if rests and not fresh:
-            walk = zip(sorted(set().union(*[row for _, row, _ in head_rows])), repeat(None))
-        elif tails is not None:
-            walk = tails.items()
-        elif visits and spec.support is not None:
-            walk = [(t, tuple([basis[i] for i in t])) for t in spec.support(b, memo, basis, *heads[0])]
-        else:
-            walk = zip(combinations(range(n), alt), combinations(basis, alt))
-        # the tail parts this head computes: only the first head does
-        parts = {} if tail_f is not None and tails is None else None
+        looked = bool(tails)  # a walk meets each tuple once: none kept yet
         for t, part in walk:
             visits += 1
-            if parts is not None:
-                part = tail_f(b, *part)
-                if not part:  # the value is zero for every head
-                    continue
-                if keep:
-                    parts[t] = part
+            if tail_f is not None:
+                got = tails.get(t) if looked else None
+                if got is None:
+                    got = tail_f(b, *part)
+                    if not got:  # the value is zero for every head
+                        continue
+                    if keep:
+                        tails[t] = got
+                part = got
             out: dict = {}
             if inner_f is None:
                 for occ in heads:
@@ -544,15 +678,13 @@ def _sweep(g, spec: _Identity, payload, maps):
                         v = inner_f(b, memo, *occ[1:], *part) or False
                         if keep:
                             row[t] = v
-                    if v:
-                        _sadd(out, f(b, memo, *occ, v))
+                    if v or not linear and part[-1]:
+                        _sadd(out, f(b, memo, *occ, v, part))
             if out:
                 if weight is not None:
                     out = {k: c * weight for k, c in out.items()}
                 yield head_key + t, out
         if keep:
-            if parts is not None:
-                tails = parts
             for rest in fresh:
                 rows[rest] = {t: v for t, v in rows[rest].items() if v}
     return visits

@@ -20,6 +20,7 @@ from .errors import (
     AlgebraMismatch,
     ArityMismatch,
     BadAssignment,
+    BadTable,
     JacobiViolation,
     NotClosed,
     NotIndependent,
@@ -48,12 +49,12 @@ class Element:
         self.algebra = algebra
         if isinstance(coords, dict):
             if any(not 0 <= i < algebra.dim for i in coords):
-                raise ValueError("coordinate index out of range")
+                raise ShapeMismatch("coordinate index out of range")
             items = sorted(coords.items())
         else:
             items = list(enumerate(coords))
             if len(items) != algebra.dim:
-                raise ValueError("coordinate count does not match the dimension")
+                raise ShapeMismatch("coordinate count does not match the dimension")
         self._sparse = _nonzero(items)
 
     @property
@@ -135,22 +136,22 @@ class LieAlgebra:
             labels = tuple(f"e{i + 1}" for i in range(dim))
         self.labels = tuple(labels)
         if len(self.labels) != dim or len(set(self.labels)) != dim:
-            raise ValueError("need one distinct label per basis vector")
+            raise BadTable("need one distinct label per basis vector")
         self.params = tuple(params)
         if set(self.params) & set(self.labels):
-            raise ValueError("parameter names collide with basis labels")
+            raise BadTable("parameter names collide with basis labels")
 
         table: dict = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"bracket index out of range: {(i, j)}")
+                raise BadTable(f"bracket index out of range: {(i, j)}")
             if i == j:
                 if any(_native(c) for c in comps.values()):
-                    raise ValueError(f"[e{i + 1}, e{i + 1}] must vanish")
+                    raise BadTable(f"[e{i + 1}, e{i + 1}] must vanish")
                 continue
             for k in comps:
                 if not (0 <= k < dim):
-                    raise ValueError(f"bracket component out of range: {k}")
+                    raise BadTable(f"bracket component out of range: {k}")
             entry = table.setdefault((min(i, j), max(i, j)), {})
             _sadd(entry, _nonzero(comps.items()), 1 if i < j else -1)
         # a pair given in both orders is summed: store the sums
@@ -215,7 +216,7 @@ class LieAlgebra:
         accumulated in the same order as a scan of the whole table.  With
         one entry on each side (a sweep's basis vectors) at most one pair is
         visited: it is looked up, and its coefficient is the general path's.
-        An index outside ``range(dim)`` is a ValueError."""
+        An index outside ``range(dim)`` is a ShapeMismatch."""
         if not u or not v:
             return {}
         n = self.dim
@@ -224,7 +225,7 @@ class LieAlgebra:
             (c, vc), = v.items()
             # compared inline: a call to _check_indices costs more here
             if not (0 <= a < n and 0 <= c < n):
-                raise ValueError(f"coordinate index out of range for size {n}")
+                raise ShapeMismatch(f"coordinate index out of range for size {n}")
             out = {}
             hit = self._pairs[a].get(c)
             if hit is not None:
@@ -542,7 +543,9 @@ def from_matrices(mats, labels=None) -> LieAlgebra:
     the transform, and the commutator is compared entry by entry with that
     combination of the matrices.  The matrices must be linearly independent
     and their span closed under commutators; otherwise NotIndependent /
-    NotClosed is raised."""
+    NotClosed is raised.  The table is not checked for Jacobi: the closure
+    check is exact and every bracket is a commutator of matrices, for which
+    Jacobi holds by associativity."""
     mats = [m if isinstance(m, Matrix) else Matrix(m) for m in mats]
     if not mats:
         raise ShapeMismatch("need at least one matrix")
@@ -569,7 +572,7 @@ def from_matrices(mats, labels=None) -> LieAlgebra:
             if rest:
                 raise NotClosed(i, j)
             brackets[(i, j)] = _nonzero((t, coords[t]) for t in sorted(coords))
-    return LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets))
+    return LieAlgebra(k, brackets, labels=labels, params=_table_params(brackets), validate=False)
 
 
 class BilinearAlgebra:

@@ -142,11 +142,11 @@ def _nonzero(items) -> dict:
 
 
 def _check_indices(keys, n: int, what: str) -> None:
-    """ValueError, as for ragged rows, unless every key is in ``range(n)``.
-    A loop, which on the few keys of a sparse row beats ``min`` and ``max``."""
+    """ShapeMismatch unless every key is in ``range(n)``.  A loop, which on
+    the few keys of a sparse row beats ``min`` and ``max``."""
     for k in keys:
         if not 0 <= k < n:
-            raise ValueError(f"{what} index out of range for size {n}")
+            raise ShapeMismatch(f"{what} index out of range for size {n}")
 
 
 class Matrix:

@@ -129,3 +129,17 @@ def test_parametric_derivation_algebras_have_the_solved_values(name, weight):
     h = from_matrices(space.basis)
     for pair, got in _table_tuples(h).items():
         assert all((a - b).is_zero() for a, b in zip(got, solved[pair])), pair
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl3", "sp4", "g2"])
+def test_catalog_matrix_algebras_satisfy_jacobi(name):
+    # from_matrices skips the Jacobi check: a closed span of matrices
+    # satisfies it by associativity.  _validate raises on any failing triple
+    get(name)._validate()
+
+
+@pytest.mark.parametrize("name", _parametric_families())
+def test_parametric_derivation_algebras_satisfy_jacobi(name):
+    # Der of each family as a span of matrices; all but r3lambda's have
+    # structure constants that carry the parameter
+    from_matrices(derivation_space(get(name)).basis)._validate()

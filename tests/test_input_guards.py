@@ -37,6 +37,7 @@ from liedouble.errors import (
     AlgebraMismatch,
     ArityMismatch,
     BadAssignment,
+    BadTable,
     DivisionByZero,
     DuplicateName,
     ExcludedParameterValue,
@@ -98,7 +99,7 @@ CATALOG_FILES = [
      "entry 'x': duplicate parameter names"),
     ("labels-too-few", [_entry(labels=["a", "b"])], ParseError,
      "entry 'x': labels must be 3 distinct nonempty strings"),
-    ("params-collide-with-labels", [_entry(params=["e1"])], ValueError,
+    ("params-collide-with-labels", [_entry(params=["e1"])], BadTable,
      "parameter names collide with basis labels"),
     ("brackets-not-a-list", [_entry(brackets={})], ParseError,
      "entry 'x': brackets must be a list"),
@@ -172,18 +173,27 @@ _SIZES = [
 
 # (id, call, exception type, message)
 LIBRARY = [
-    ("labels-too-few", lambda: LieAlgebra(2, {}, labels=("a",)), ValueError,
+    ("labels-too-few", lambda: LieAlgebra(2, {}, labels=("a",)), BadTable,
      "need one distinct label per basis vector"),
-    ("labels-repeated", lambda: LieAlgebra(2, {}, labels=("a", "a")), ValueError,
+    ("labels-repeated", lambda: LieAlgebra(2, {}, labels=("a", "a")), BadTable,
      "need one distinct label per basis vector"),
-    ("params-collide-with-labels", lambda: LieAlgebra(2, {}, params=("e2",)), ValueError,
+    ("params-collide-with-labels", lambda: LieAlgebra(2, {}, params=("e2",)), BadTable,
      "parameter names collide with basis labels"),
-    ("bracket-index-out-of-range", lambda: LieAlgebra(2, {(0, 2): {0: 1}}), ValueError,
+    ("bracket-index-out-of-range", lambda: LieAlgebra(2, {(0, 2): {0: 1}}), BadTable,
      "bracket index out of range: (0, 2)"),
-    ("bracket-of-a-vector-with-itself", lambda: LieAlgebra(2, {(1, 1): {0: 1}}), ValueError,
+    ("bracket-of-a-vector-with-itself", lambda: LieAlgebra(2, {(1, 1): {0: 1}}), BadTable,
      "[e2, e2] must vanish"),
-    ("bracket-component-out-of-range", lambda: LieAlgebra(2, {(0, 1): {2: 1}}), ValueError,
+    ("bracket-component-out-of-range", lambda: LieAlgebra(2, {(0, 1): {2: 1}}), BadTable,
      "bracket component out of range: 2"),
+    ("element-index-out-of-range", lambda: get("n3").element({3: 1}), ShapeMismatch,
+     "coordinate index out of range"),
+    ("element-coordinate-count", lambda: get("n3").element((1, 2)), ShapeMismatch,
+     "coordinate count does not match the dimension"),
+    ("bracket-of-basis-index-out-of-range", lambda: get("n3").bracket_sparse({3: 1}, {0: 1}),
+     ShapeMismatch, "coordinate index out of range for size 3"),
+    ("bracket-index-out-of-range-in-a-sum",
+     lambda: get("n3").bracket_sparse({0: 1, 3: 1}, {1: 1}), ShapeMismatch,
+     "coordinate index out of range for size 3"),
     ("specialize-unknown-parameter", lambda: get("glambda").specialize({"mu": 1}),
      BadAssignment, "unknown parameter 'mu'"),
     ("specialize-unassigned-parameter", lambda: get("g4ab").specialize({"alpha": 1}),
