@@ -225,16 +225,15 @@ def _e3_inner(b, memo, z2, *pairs):
     return tuple(terms)
 
 
-def _e3(b, memo, z1, z2, terms, part):
+def _e3(b, memo, z1, z2, terms):
     out: dict = {}
     for term in terms:
         _sadd(out, b(z1, term))
     return out
 
 
-def _e4_inner(b, memo, z2, z3, x, y, xy=None):
-    """[[z2, x], [z3, y]]; as the inner part of 6 it is also handed [x, y],
-    which it does not read."""
+def _e4_inner(b, memo, z2, z3, x, y):
+    """[[z2, x], [z3, y]]."""
     right = b(z3, y)
     if not right:
         return {}
@@ -248,10 +247,15 @@ def _xy(b, x, y):
     return x, y, b(x, y)
 
 
-def _e6(b, memo, z, w1, w2, first, part):
+def _e6_inner(b, memo, w1, w2, x, y, xy):
+    """[[w1, x], [w2, y]], from 6's tail part."""
+    return _e4_inner(b, memo, w1, w2, x, y)
+
+
+def _e6(b, memo, z, w1, w2, first, x, y, xy):
     """[z, first] - [w1, [[z, w2], [x, y]]], where ``first`` is the inner
-    part [[w1, x], [w2, y]], falsy when zero, and ``part`` the tail part."""
-    xy = part[2]
+    part [[w1, x], [w2, y]], falsy when zero, and x, y, [x, y] the tail
+    part."""
     out: dict = {}
     if first:
         _sadd(out, b(z, first))
@@ -343,15 +347,16 @@ class _Identity(NamedTuple):
     every head.
 
     With ``inner`` set, the value at the head ``(first, *rest)`` and the
-    tail part (or tuple) ``part`` is ``f(bracket, memo, first, *rest, v,
-    part)``, where ``v = inner(bracket, memo, *rest, *part)`` is falsy
-    when zero.  ``v`` does not depend on ``first``, so a sweep computes it
-    once per ``(rest, tuple)``: per map and tuple for 1, per z and tuple for
-    3, per pair of z's (or w's) and tuple for 4 and 6.  It is the value of
-    the last operand of the first term.  That term is linear in it, and the
-    only term of 1, 3 and 4, so there a zero ``v`` adds nothing.  6 has a
-    second term, [w1, [[z, w2], [x, y]]], which ``v`` does not enter; it
-    vanishes with [x, y], the last entry of 6's tail part."""
+    tail part (or tuple) ``part`` is ``f(bracket, memo, first, *rest, v)``,
+    where ``v = inner(bracket, memo, *rest, *part)`` is falsy when zero.
+    ``v`` does not depend on ``first``, so a sweep computes it once per
+    ``(rest, tuple)``: per map and tuple for 1, per z and tuple for 3, per
+    pair of z's (or w's) and tuple for 4 and 6.  It is the value of the last
+    operand of the first term.  That term is linear in it, and the only
+    term of 1, 3 and 4, so there a zero ``v`` adds nothing.  6 has a second
+    term, [w1, [[z, w2], [x, y]]], which ``v`` does not enter, so its ``f``
+    also reads the tail part, ``f(bracket, memo, first, *rest, v, *part)``;
+    that term vanishes with [x, y], the last entry of 6's tail part."""
 
     groups: tuple
     weight: Fraction
@@ -372,17 +377,17 @@ _I4 = _br(_br(1, _X), _br(2, _X))
 
 _IDENTITIES = {
     "1": _Identity((("map", 2), ("alt", 3)), 1,
-                   lambda b, memo, d1, d2, v, part: d1.apply_sparse(v),
+                   lambda b, memo, d1, d2, v: d1.apply_sparse(v),
                    (_D(0, _br(_D(1, _X), _br(_X, _X))),), _e2, _cyclic_pairs),
     "2": _Identity((("map", 1), ("alt", 3)), 1, _e2, (_br(_D(0, _X), _br(_X, _X)),),
                    tail=_cyclic_pairs),
     "3": _Identity((("z", 2), ("alt", 3)), Fraction(1, 2), _e3,
                    (_br(0, _br(_br(1, _X), _br(_X, _X))),), _e3_inner, _cyclic_pairs),
     "4": _Identity((("z", 3), ("alt", 2)), Fraction(1, 6),
-                   lambda b, memo, z1, z2, z3, v, part: b(z1, v), (_br(0, _I4),), _e4_inner),
+                   lambda b, memo, z1, z2, z3, v: b(z1, v), (_br(0, _I4),), _e4_inner),
     "6": _Identity((("elem", 1), ("elem", 2), ("alt", 2)), Fraction(1, 2), _e6,
                    (_br(0, _I4), _br(1, _br(_br(0, 2), _br(_X, _X)))),
-                   _e4_inner, _xy),
+                   _e6_inner, _xy),
     "s5": _Identity((("elem", 1), ("alt", 4)), 1, _e_s5,
                     (_br(_X, _br(_X, _br(_X, _br(_X, 0)))),)),
 }
@@ -425,9 +430,11 @@ def eval_identity(g: LieAlgebra, ident, *slots) -> Element:
     if spec.inner is None:
         return Element(g, spec.f(b, memo, *head, *part))
     v = spec.inner(b, memo, *head[1:], *part)
-    if not v and len(spec.terms) == 1:  # f is linear in it: the value is zero
+    if len(spec.terms) > 1:  # 6: f reads the tail part too
+        return Element(g, spec.f(b, memo, *head, v, *part))
+    if not v:  # f is linear in it: the value is zero
         return Element(g, {})
-    return Element(g, spec.f(b, memo, *head, v, part))
+    return Element(g, spec.f(b, memo, *head, v))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +546,9 @@ def _symbolic(g) -> bool:
     """Whether sweeps of ``g`` run the symbolic phase: only when at most half
     of its basis pairs have a nonzero bracket.  A fuller table has nearly
     full supports, so the phase would skip almost nothing, and a failing
-    sweep would pay for a whole head's supports before its first tuple."""
+    sweep would pay for a whole head's supports before its first tuple.
+    The README's note "Symbolic support before the numeric sweep" gives
+    the measurements."""
     return 4 * len(g._table) <= g.dim * (g.dim - 1)
 
 
@@ -608,7 +617,6 @@ def _sweep(g, spec: _Identity, payload, maps):
     else:
         pool = maps if spec.argument == "map" else basis
     sup = _Supports(g, pool) if _symbolic(g) else None
-    inner = spec.terms[0].kids[-1]  # the node of the inner value
     linear = len(spec.terms) == 1
     # per head group: (key part, pool indices of its occurrences) per choice
     choices = []
@@ -644,7 +652,7 @@ def _sweep(g, spec: _Identity, payload, maps):
                 walk &= set().union(*[rows[rest] for rest in rests])
             elif keep and fresh:  # a fresh row fills where its inner value can be nonzero
                 filling = [order for order, rest in zip(orders, rests) if rest in fresh]
-                walk |= sup.tuples((inner,), filling, True)
+                walk |= sup.tuples(spec.terms[0].kids[-1:], filling, True)
             walk |= sup.tuples(spec.terms[1:], distinct)  # they do not go through the rows
         if isinstance(walk, set):
             if not walk:
@@ -672,14 +680,15 @@ def _sweep(g, spec: _Identity, payload, maps):
                 for occ in heads:
                     _sadd(out, f(b, memo, *occ, *part))
             else:
+                extra = () if linear else part  # 6's f reads the tail part too
                 for occ, row, absent in head_rows:
                     v = row.get(t, absent)
                     if v is None:
                         v = inner_f(b, memo, *occ[1:], *part) or False
                         if keep:
                             row[t] = v
-                    if v or not linear and part[-1]:
-                        _sadd(out, f(b, memo, *occ, v, part))
+                    if v or extra and extra[-1]:
+                        _sadd(out, f(b, memo, *occ, v, *extra))
             if out:
                 if weight is not None:
                     out = {k: c * weight for k, c in out.items()}
