@@ -200,7 +200,11 @@ def _build_filiform(n: int) -> LieAlgebra:
         raise ExcludedParameterValue("filiform needs n >= 3")
     if n > MAX_DIM:
         raise ExcludedParameterValue(f"filiform needs n <= {MAX_DIM}")
-    return LieAlgebra(n, {(0, j): {j + 1: 1} for j in range(1, n - 1)})
+    # no Jacobi check: each term [x, [y, w]] of the Jacobiator of three
+    # distinct basis vectors vanishes.  Only brackets with e1 are nonzero, so
+    # [y, w] is zero unless e1 is y or w, and then it is a multiple of some
+    # ek with k > 1; x is then not e1, and [x, ek] is zero
+    return LieAlgebra(n, {(0, j): {j + 1: 1} for j in range(1, n - 1)}, validate=False)
 
 
 def _build_glambda() -> LieAlgebra:

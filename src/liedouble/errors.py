@@ -73,9 +73,10 @@ class NotClosed(LieDoubleError):
 
 class ShapeMismatch(LieDoubleError, ValueError):
     """Matrices or vectors whose number or sizes do not fit the operation:
-    no matrix at all, matrices of unequal sizes, a right-hand side whose
-    length is not the row count, a coordinate count that is not the
-    dimension, or an index out of range."""
+    no matrix at all, ragged rows, a matrix that is not square where one is
+    needed, shapes that do not chain or differ, a vector or right-hand side
+    whose length is not the column or row count, a coordinate count that is
+    not the dimension, or an index out of range."""
 
 
 class BadTable(LieDoubleError, ValueError):
@@ -111,6 +112,11 @@ class NotNilpotent(LieDoubleError):
 class NotParameterFree(LieDoubleError, ValueError):
     """Operation requires a parameter-free algebra; a parametric one is
     refused rather than answered generically."""
+
+
+class UnknownDoubleKind(LieDoubleError, ValueError):
+    """``build_double`` asked for a kind of double other than "derivation"
+    and "rbracket"."""
 
 
 class UnknownName(LieDoubleError, KeyError):

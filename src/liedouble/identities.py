@@ -45,8 +45,9 @@ One function, ``_verdict``, turns a stream of nonzero values into a
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from functools import lru_cache, partial
+from heapq import heappop, heappush, heapreplace
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -485,7 +486,10 @@ class _Supports:
     by coordinate, so its cost follows the structurally nonzero partial
     brackets, not the number of tuples.  Nodes below a term are kept for the
     sweep, keyed by the occurrences they read; a whole term is computed once
-    per ordering of each head (``term``)."""
+    per ordering of each head (``term``).  An occurrence given as None is a
+    variable: it takes every pool index i, as the pair (h, i) in the index
+    set, which no alternating index meets; ``heads`` joins 6's second term
+    so."""
 
     def __init__(self, g, pool):
         self.pairs, self.pool, self.memo = g._pairs, pool, {}
@@ -501,14 +505,17 @@ class _Supports:
         return got
 
     def term(self, node, occ) -> _Support:
+        h = node.h
         if node.kind == "occ":
-            return _Support({frozenset(): self.pool[occ[node.h]].keys()})
+            if occ[h] is None:  # a variable: every pool index, as the pair (h, i)
+                return _Support((frozenset(((h, i),)), v.keys()) for i, v in enumerate(self.pool))
+            return _Support({frozenset(): self.pool[occ[h]].keys()})
         out = _Support()
         if node.kind == "map":
-            key = ("columns", occ[node.h])
+            key = ("columns", occ[h])
             cols = self.memo.get(key)
             if cols is None:
-                cols = self.memo[key] = [c.keys() for c in self.pool[occ[node.h]]._column_view]
+                cols = self.memo[key] = [c.keys() for c in self.pool[occ[h]]._column_view]
             for indices, s in self.of(node.kids[0], occ).items():
                 image = set().union(*[cols[i] for i in s])
                 if image:
@@ -534,12 +541,95 @@ class _Supports:
                                 got.update(hit[3])
         return out
 
+    def heads(self, spec):
+        """Lazily yield, in product order, the heads of ``spec`` whose walk
+        can be nonempty, as ``_sweep`` takes them: per group, its key part
+        and its pool indices, which are equal here.  These are the heads
+        with a rest whose inner support is nonempty, since a term of 1, 3, 4
+        and 6 reads the rest through the inner node only and the head may
+        fill the rest's row, and those where a later term (6's second) can
+        be nonzero at some ordering.
+
+        Each multiset of rests is checked once, in the order of its first
+        head (first occurrence 0), by the supports that ``of`` keeps for the
+        walk.  A live one gives a stream of heads, one per first occurrence,
+        and the streams are merged on a heap.  The later terms are joined
+        once per z, the head's first group, with the other occurrences as
+        variables.  The next rest and the next z wait until they could give
+        a head below the heap's least, so a failing sweep checks about the
+        rests that its own heads read."""
+        k = len(self.pool)
+        sizes, cuts, shape, perms = _head_shape(spec.groups)
+        inner, later = spec.terms[0].kids[-1], spec.terms[1:]
+
+        def multisets(i=0):  # the first head (0, *rest) of every rest, in order
+            for group in combinations_with_replacement(range(k), shape[i]):
+                if i + 1 == len(shape):
+                    yield (0,) + group
+                else:
+                    for others in multisets(i + 1):
+                        yield (0,) + group + others[1:]
+
+        firsts = multisets()
+        first = next(firsts, None)
+        z = 0 if later else k  # the next z whose later terms are not joined yet
+        low = (0,) * (sum(sizes) - 1)
+        # heads are flat on the heap, which keeps product order: (head, its
+        # first occurrence, the rest's part of the first group, the other
+        # groups) from a live rest, (head, k, (), ()) from a later term
+        heap: list = []
+        last = ()
+        while True:
+            # what can give no head below the heap's least waits: a head
+            # equal to it that comes again later is not yielded twice
+            top = heap[0][0] if heap else None
+            if first is not None and (top is None or first < top):
+                if self.of(inner, first) or perms and any(
+                        self.of(inner, tuple([first[i] for i in perm])) for perm in perms):
+                    heappush(heap, (first, 0, first[1:sizes[0]], first[sizes[0]:]))
+                first = next(firsts, None)
+            elif z < k and (top is None or (z,) + low < top):
+                for term in later:
+                    for key in self.term(term, (z,) + (None,) * len(low)):
+                        order = (z,) + tuple(i for _, i in sorted(e for e in key if type(e) is tuple))
+                        head = sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
+                        heappush(heap, (head, k, (), ()))
+                z += 1
+            elif top is None:
+                return
+            else:
+                top, c, part, tail = heap[0]
+                if top > last:
+                    last = top
+                    yield [(top[a:b],) * 2 for a, b in cuts]
+                c += 1
+                if c < k:  # the head of that rest with the next first occurrence
+                    heapreplace(heap, (tuple(sorted(part + (c,))) + tail, c, part, tail))
+                else:
+                    heappop(heap)
+
     def tuples(self, nodes, orders, keep=False) -> set:
         """The index tuples (sorted) where some of ``nodes`` can be nonzero
         at some of the orderings ``orders``.  With ``keep`` the nodes are
         kept for the sweep too, as inner nodes, which later heads share."""
         get = self.of if keep else self.term
         return {tuple(sorted(key)) for occ in orders for node in nodes for key in get(node, occ)}
+
+
+@lru_cache(maxsize=None)
+def _head_shape(groups) -> tuple:
+    """For the heads of an entry with these slot groups: the sizes of the
+    head groups, their (start, end) in a flat head, the sizes of a rest's
+    parts (its part of the first group, then the other groups), and the
+    orderings of an ordering (0, *rest) other than itself, each as the
+    indices it picks: they permute the rest within each part."""
+    sizes = [d for _, d in groups[:-1]]
+    shape = [d - (g == 0) for g, d in enumerate(sizes)]
+    cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
+    ends = list(accumulate(shape, initial=1))
+    perms = [(0,) + sum(perm, ()) for perm in product(*[
+        permutations(range(a, b)) for a, b in zip(ends, ends[1:])])]
+    return sizes, cuts, shape, perms[1:]
 
 
 def _symbolic(g) -> bool:
@@ -567,24 +657,32 @@ def _sweep(g, spec: _Identity, payload, maps):
     head, from index supports alone; the numeric walk visits them in
     lexicographic order and skips every other tuple, which is zero for
     certain.  So a failing sweep meets its first nonzero tuple as before,
-    with no more bracket calls.  A table that is more than half full
-    (``_symbolic``) skips the symbolic phase: its first head visits every
-    tuple, and a later head without complete rows visits every tuple with a
-    truthy tail part (1, 2, 3 and 6), which the first head kept, or every
-    tuple.
+    with no more bracket calls.  Without a payload, an entry with an inner
+    part (1, 3, 4 and 6) walks only the heads that ``_Supports.heads``
+    lists, lazily and in product order: those with a rest whose inner
+    support is nonempty, or where a later term can be nonzero.  Every other
+    head would have an empty walk.  2 and s5, whose head is one occurrence,
+    take every head.  A table that is more than half full
+    (``_symbolic``) skips the symbolic phase and takes every head: its
+    first head visits every tuple, and a later head with complete rows the
+    tuples they hold, with 6 also those whose kept [x, y] is nonzero; a
+    later head without them visits every tuple with a truthy tail part (1,
+    2, 3 and 6), which the first head kept, or every tuple.
 
     Values shared across orderings and tuples are computed when a tuple
     first needs them.  Without a payload they are kept for the call, keyed by
     the tuple itself: the truthy tail parts, and one row of inner values per
     ``rest`` of the head (keyed by the pool indices of its occurrences).  A
-    row is filled by the first head that needs it, at every tuple where the
-    inner value itself can be nonzero, whether or not this head's outer step
-    can be; another head, with another ``first``, may need it there.  A zero
-    is kept as False while the row fills.  When that head is done the row is
-    complete and keeps only its nonzero values, so its keys are its live
-    tuples, which see cancellation too: a head whose rows are all complete
-    visits only those of its tuples that some row holds, and the tuples of
-    6's second term, which the rows do not enter.
+    row is filled by the first head that has the rest, the one where it
+    follows pool index 0, at every tuple where the inner value itself can
+    be nonzero, whether or not this head's outer step can be; another head,
+    with another ``first``, may need it there.  A zero is kept as False
+    while the row fills.  When that head is done the row is complete and
+    keeps only its nonzero values, so its keys are its live tuples, which
+    see cancellation too: a head whose rows are all complete visits only
+    those of its tuples that some row holds, and the tuples of 6's second
+    term, which the rows do not enter.  A rest whose first head was not
+    listed has an empty inner support, and counts as a complete empty row.
 
     A Fixed payload makes the head unique, so nothing would be read twice
     and nothing is kept.  The evaluators' memo also lives for the call; in
@@ -618,29 +716,37 @@ def _sweep(g, spec: _Identity, payload, maps):
         pool = maps if spec.argument == "map" else basis
     sup = _Supports(g, pool) if _symbolic(g) else None
     linear = len(spec.terms) == 1
-    # per head group: (key part, pool indices of its occurrences) per choice
-    choices = []
-    for kind, d in spec.groups[:-1]:
-        if payload is not None and kind in ("map", "z"):
-            choices.append([((), (0,) * d)])
-        else:
-            choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
+    # a head: per group, its key part and the pool indices of its occurrences
+    if sup is not None and keep and inner_f is not None:
+        heads = sup.heads(spec)
+    else:
+        choices = []
+        for kind, d in spec.groups[:-1]:
+            if payload is not None and kind in ("map", "z"):
+                choices.append([((), (0,) * d)])
+            else:
+                choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
+        heads = product(*choices)
     visits = 0
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     # a Fixed payload fills its slots once; the other slots are polarized
     orderings = permutations if payload is None else lambda t: (t,)
-    for head in product(*choices):
+    for head in heads:
         head_key = sum([key for key, _ in head], ())
         orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for _, t in head])]
+        # heads come in product order, so the first head whose orderings
+        # have a rest is the one where it follows pool index 0
         rests = [order[1:] for order in orders] if inner_f is not None else ()
-        fresh = [rest for rest in dict.fromkeys(rests) if rest not in rows]
+        fresh = [rest for order, rest in dict(zip(orders, rests)).items() if order[0] == 0]
         for rest in fresh:
             rows[rest] = {}
         # the tuples this head visits, each with its basis vectors or its
         # kept tail part
         if sup is None:
-            if rests and not fresh and linear:  # a complete row's keys are its live tuples
+            if rests and not fresh:  # a complete row's keys are its live tuples
                 walk = set().union(*[rows[rest] for rest in rests])
+                if not linear:  # and 6's second term lives where [x, y] does
+                    walk.update([t for t, part in tails.items() if part[-1]])
             elif tail_f is not None and visits:  # the first head kept every truthy one
                 walk = tails.items()
             else:
@@ -649,7 +755,7 @@ def _sweep(g, spec: _Identity, payload, maps):
             distinct = list(dict.fromkeys(orders))
             walk = sup.tuples(spec.terms[:1], distinct)
             if rests and not fresh:
-                walk &= set().union(*[rows[rest] for rest in rests])
+                walk &= set().union(*[rows.get(rest, ()) for rest in rests])
             elif keep and fresh:  # a fresh row fills where its inner value can be nonzero
                 filling = [order for order, rest in zip(orders, rests) if rest in fresh]
                 walk |= sup.tuples(spec.terms[0].kids[-1:], filling, True)
@@ -658,11 +764,11 @@ def _sweep(g, spec: _Identity, payload, maps):
             if not walk:
                 continue
             walk = [(t, [basis[i] for i in t]) for t in sorted(walk)]
-        heads = [tuple([pool[i] for i in order]) for order in orders]
+        occs = [tuple([pool[i] for i in order]) for order in orders]
         # each ordering with its row and what the row reads for an absent
         # tuple: None (not yet computed) while it fills
-        head_rows = [(occ, rows[rest], None if rest in fresh else False)
-                     for occ, rest in zip(heads, rests)]
+        head_rows = [(occ, rows.get(rest, {}), None if rest in fresh else False)
+                     for occ, rest in zip(occs, rests)]
         looked = bool(tails)  # a walk meets each tuple once: none kept yet
         for t, part in walk:
             visits += 1
@@ -677,7 +783,7 @@ def _sweep(g, spec: _Identity, payload, maps):
                 part = got
             out: dict = {}
             if inner_f is None:
-                for occ in heads:
+                for occ in occs:
                     _sadd(out, f(b, memo, *occ, *part))
             else:
                 extra = () if linear else part  # 6's f reads the tail part too

@@ -168,7 +168,7 @@ class Matrix:
         dense = [tuple(row) for row in entries]
         cols = len(dense[0]) if dense else 0
         if any(len(row) != cols for row in dense):
-            raise ValueError("ragged matrix rows")
+            raise ShapeMismatch("ragged matrix rows")
         self.rows, self.cols, self._columns = len(dense), cols, None
         self._rows = tuple(_nonzero(enumerate(row)) for row in dense)
 
@@ -243,7 +243,7 @@ class Matrix:
     def dim(self) -> int:
         """Size of a square matrix."""
         if self.rows != self.cols:
-            raise ValueError(f"a {self.rows}x{self.cols} matrix is not square")
+            raise ShapeMismatch(f"a {self.rows}x{self.cols} matrix is not square")
         return self.rows
 
     def vec(self) -> tuple:
@@ -273,7 +273,7 @@ class Matrix:
 
     def apply_vec(self, coords) -> tuple:
         if len(coords) != self.cols:
-            raise ValueError("vector length does not match column count")
+            raise ShapeMismatch("vector length does not match column count")
         return _view(self.apply_sparse(_nonzero(enumerate(coords))), self.rows)
 
     def apply(self, x):
@@ -285,7 +285,7 @@ class Matrix:
         summed from zero over ascending inner indices, the order of the
         dense product (it fixes how rational-function entries print)."""
         if self.cols != other.rows:
-            raise ValueError("matrix shapes do not chain")
+            raise ShapeMismatch("matrix shapes do not chain")
         mine = self._column_view
         cols = []
         for col in other._column_view:
@@ -318,7 +318,7 @@ class Matrix:
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
+            raise ShapeMismatch("matrix shapes differ")
         return Matrix.sparse([
             {j: op(ra.get(j, 0), rb.get(j, 0)) for j in sorted(ra.keys() | rb.keys())}
             for ra, rb in zip(self._rows, other._rows)

@@ -11,7 +11,7 @@ built directly.
 
 from __future__ import annotations
 
-from .errors import NotADerivation, NotParameterFree
+from .errors import NotADerivation, NotParameterFree, UnknownDoubleKind
 from .lie_core import Element, LieAlgebra, _table_params, derived_series
 from .derivations import is_derivation
 from .identities import Report, _verdict
@@ -154,7 +154,7 @@ def build_double(g: LieAlgebra, op: Matrix, kind: str = "derivation") -> LieAlge
     an arbitrary operator.  Jacobi failure of the new table raises with the
     witness triple."""
     if kind not in ("derivation", "rbracket"):
-        raise ValueError(f"unknown double kind {kind!r}")
+        raise UnknownDoubleKind(f"unknown double kind {kind!r}")
     _check_map(op, g.dim, "build_double")
     if kind == "derivation":
         ok, pair = is_derivation(g, op)

@@ -98,6 +98,13 @@ def test_size_parameter_requires_integer():
     assert get("filiform", {"n": 5}).dim == 5
 
 
+def test_filiform_tables_satisfy_jacobi():
+    # the catalog builds filiform(n) without the Jacobi check, since only
+    # brackets with e1 are nonzero; _validate raises on any failing triple
+    for n in [*range(3, 41), 200]:
+        get("filiform", {"n": n})._validate()
+
+
 def test_materialized_algebras_are_cached():
     assert get("sl2") is get("sl2")
     assert get("filiform", {"n": 6}) is get("filiform", {"n": 6})

@@ -47,6 +47,7 @@ from liedouble.errors import (
     NotUnivariate,
     ParseError,
     ShapeMismatch,
+    UnknownDoubleKind,
     UnknownName,
     ValueTooLarge,
 )
@@ -224,10 +225,14 @@ LIBRARY = [
      "fixed quantifier payload must be a map or an element"),
     ("not-a-quantifier", lambda: check_quantified(get("n3"), 3, "all-elem"), ArityMismatch,
      "not a quantifier: 'all-elem'"),
-    ("matrix-ragged", lambda: Matrix([[1, 2], [3]]), ValueError, "ragged matrix rows"),
-    ("matrix-not-square", lambda: Matrix([[1, 2, 3]]).dim, ValueError,
+    ("matrix-ragged", lambda: Matrix([[1, 2], [3]]), ShapeMismatch, "ragged matrix rows"),
+    ("matrix-not-square", lambda: Matrix([[1, 2, 3]]).dim, ShapeMismatch,
      "a 1x3 matrix is not square"),
-    ("matrix-shapes-differ", lambda: Matrix([[1]]) + Matrix([[1, 2]]), ValueError,
+    ("matrix-vector-length", lambda: Matrix([[1, 2, 3]]).apply_vec((1, 2)), ShapeMismatch,
+     "vector length does not match column count"),
+    ("matrix-shapes-do-not-chain", lambda: Matrix([[1, 2, 3]]).compose(Matrix([[1], [1]])),
+     ShapeMismatch, "matrix shapes do not chain"),
+    ("matrix-shapes-differ", lambda: Matrix([[1]]) + Matrix([[1, 2]]), ShapeMismatch,
      "matrix shapes differ"),
     ("filiform-too-small", lambda: get("filiform", {"n": "2"}), ExcludedParameterValue,
      "filiform needs n >= 3"),
@@ -256,7 +261,7 @@ LIBRARY = [
      lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
      "x has no parameter q"),
     ("double-unknown-kind", lambda: build_double(get("n3"), Matrix(E12), kind="twisted"),
-     ValueError, "unknown double kind 'twisted'"),
+     UnknownDoubleKind, "unknown double kind 'twisted'"),
     ("element-sum-across-algebras", lambda: get("n3").basis_element(0) + get("sl2").basis_element(0),
      AlgebraMismatch, "elements live in different algebras"),
     ("element-difference-across-algebras",

@@ -42,7 +42,12 @@ from liedouble import (  # noqa: E402
     solve_columns,
 )
 from liedouble import identities  # noqa: E402
-from test_identities import _fixed_quantifiers, _reference_stream, _sweep_stream  # noqa: E402
+from test_identities import (  # noqa: E402
+    _fixed_quantifiers,
+    _reference_stream,
+    _sweep_stream,
+    check_the_head_list_against_every_head,
+)
 
 def checks(examples):
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
@@ -692,3 +697,12 @@ def test_every_swept_value_matches_the_polarized_reference_on_random_algebras(g)
     for code, spec in identities._IDENTITIES.items():
         for quant in admitted[spec.argument]:
             assert _sweep_stream(g, code, quant) == _reference_stream(g, code, quant), (code, quant)
+
+
+@checks(10)
+@given(nilpotent_algebras())
+def test_the_head_list_matches_the_loop_over_every_head_on_random_algebras(g):
+    # with the symbolic phase forced, so that every example lists its heads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_symbolic", lambda g: True)
+        check_the_head_list_against_every_head(g)
