@@ -17,6 +17,27 @@ class ValueTooLarge(LieDoubleError, ValueError):
     """A value has more digits than the interpreter can print."""
 
 
+class NegativePower(LieDoubleError, ValueError):
+    """A polynomial raised to a negative power."""
+
+
+class ZeroPolynomial(LieDoubleError, ValueError):
+    """The leading term or the rational roots of the zero polynomial."""
+
+
+class InexactDivision(LieDoubleError, ArithmeticError):
+    """``Poly.exact_div`` by a polynomial that does not divide."""
+
+
+class NotAScalar(LieDoubleError, TypeError):
+    """A value that is not an int, a Fraction, a Poly or a Scalar where a
+    scalar is needed, or a divisor of a Poly that is not a Poly."""
+
+
+class NotRational(LieDoubleError, ValueError):
+    """``Scalar.as_fraction`` of a value that carries a variable."""
+
+
 class ParseError(LieDoubleError, ValueError):
     """Malformed scalar literal, element expression, or catalog file."""
 

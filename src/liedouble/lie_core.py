@@ -30,7 +30,8 @@ from .errors import (
 )
 from .linalg import (ExceptionalSet, Matrix, NullspaceResult, _check_indices, _eliminate,
                      _nonzero, _sadd, _view, nullspace, rank)
-from .scalars import Poly, Scalar, _native, _rat_str, _signed_content, parse_scalar_with_names
+from .scalars import (Poly, Scalar, _addto, _finish, _mac, _native, _rat_str, _signed_content,
+                      _terms, parse_scalar_with_names)
 
 
 class Element:
@@ -118,6 +119,38 @@ class Element:
 
 #: Square matrices act as linear maps on coordinate space.
 LinearMap = Matrix
+
+
+def _bracket_terms(u: dict, v: dict, hits: dict):
+    """``LieAlgebra.bracket_sparse`` on term dicts, over ``hits``, its
+    table pairs by position: each pair's coefficient ``ui*vj - uj*vi`` is
+    one term dict, added into the coordinates by ``scalars._mac``, and each
+    coordinate becomes a Scalar once, at the end, with the type, terms and
+    variable order of the Scalar path.  None, before anything is returned,
+    when a value has no term dict (see ``scalars._terms``)."""
+    U, V = {}, {}
+    for side, conv in ((u, U), (v, V)):
+        for a, c in side.items():
+            conv[a] = t = _terms(c)
+            if t is None:
+                return None
+    acc: dict = {}
+    for pos in sorted(hits):
+        _, i, j, comps = hits[pos]
+        ui, vj, uj, vi = U.get(i), V.get(j), U.get(j), V.get(i)
+        prods, cv, sc = [], (), False
+        if ui is not None and vj is not None:
+            prods = [(m1 + m2, c1 * c2) for m1, c1 in ui[0].items() for m2, c2 in vj[0].items()]
+            cv, sc = (ui[1], vj[1]), ui[2] or vj[2]
+        if uj is not None and vi is not None:
+            prods += [(m1 + m2, -c1 * c2) for m1, c1 in uj[0].items() for m2, c2 in vi[0].items()]
+            cv += (uj[1], vi[1])
+            sc = sc or uj[2] or vi[2]
+        coef: dict = {}
+        _addto(coef, prods)
+        if coef and not _mac(acc, comps, coef, () if len(coef) == 1 and 0 in coef else cv, sc):
+            return None
+    return _finish(acc)
 
 
 class LieAlgebra:
@@ -216,7 +249,10 @@ class LieAlgebra:
         accumulated in the same order as a scan of the whole table.  With
         one entry on each side (a sweep's basis vectors) at most one pair is
         visited: it is looked up, and its coefficient is the general path's.
-        An index outside ``range(dim)`` is a ShapeMismatch."""
+        Otherwise, when the first value of either side is a Scalar, the sum
+        is taken on term dicts (``_bracket_terms``), with the same result;
+        values with a denominator fall back to Scalar arithmetic.  An index
+        outside ``range(dim)`` is a ShapeMismatch."""
         if not u or not v:
             return {}
         n = self.dim
@@ -242,6 +278,10 @@ class LieAlgebra:
                 hit = row.get(b)
                 if hit is not None:
                     hits[hit[0]] = hit
+        if type(next(iter(u.values()))) is Scalar or type(next(iter(v.values()))) is Scalar:
+            out = _bracket_terms(u, v, hits)
+            if out is not None:
+                return out
         out: dict = {}
         for pos in sorted(hits):
             _, i, j, comps = hits[pos]

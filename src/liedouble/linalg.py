@@ -47,7 +47,8 @@ from math import gcd, lcm
 from operator import add, sub, truediv
 
 from .errors import AlgebraMismatch, ArityMismatch, ShapeMismatch
-from .scalars import _ZERO, Poly, Scalar, _merged_vars, _native, _poly, poly_normalize
+from .scalars import (_ZERO, Poly, Scalar, _finish, _mac, _merged_vars, _native, _poly, _terms,
+                      poly_normalize)
 
 
 def _view(v: dict, n=None):
@@ -263,9 +264,21 @@ class Matrix:
 
     def apply_sparse(self, v: dict) -> dict:
         """Image of a sparse vector, computed on the column view: a value is
-        a Scalar when the input or a column entry it meets is one."""
+        a Scalar when the input or a column entry it meets is one.  When the
+        first value of ``v`` is a Scalar, the sum is taken on term dicts
+        (``scalars._mac``), with the same result; a native vector, such as
+        a basis vector, mostly copies or scales the columns, which Scalar
+        arithmetic does as fast."""
         _check_indices(v, self.cols, "vector")
         cols = self._column_view
+        if v and type(next(iter(v.values()))) is Scalar:
+            acc: dict = {}
+            for b, vb in v.items():
+                t = _terms(vb)
+                if t is None or not _mac(acc, cols[b], t[0], (t[1],), t[2]):
+                    break
+            else:
+                return _finish(acc)
         out: dict = {}
         for b, vb in v.items():
             _sadd(out, cols[b], vb)

@@ -30,7 +30,8 @@ from itertools import chain
 from math import comb, gcd, lcm
 from operator import add, mul, or_, sub
 
-from .errors import DenominatorVanishes, DivisionByZero, NotUnivariate, ParseError, ValueTooLarge
+from .errors import (DenominatorVanishes, DivisionByZero, InexactDivision, NegativePower, NotAScalar,
+                     NotRational, NotUnivariate, ParseError, ValueTooLarge, ZeroPolynomial)
 
 # A monomial is one int.  Each variable name is interned in _FIELDS, in the
 # order names are first seen, which gives it a _W-bit field holding its
@@ -51,6 +52,7 @@ _MASK = (1 << _W) - 1
 _FIELDS: dict = {}  # name -> bit offset of its field
 _NAMES: list = []  # field number -> name
 _GUARD = 0  # the guard bits of every registered field
+_HIGH = 0  # the top three bits of every registered field (see _terms)
 _TOO_LARGE = f"exponent above {MAX_POLY_EXPONENT} in a polynomial"
 _new = object.__new__
 
@@ -58,10 +60,11 @@ _new = object.__new__
 def _shift(name: str) -> int:
     s = _FIELDS.get(name)
     if s is None:
-        global _GUARD
+        global _GUARD, _HIGH
         s = _FIELDS[name] = _W * len(_NAMES)
         _NAMES.append(name)
         _GUARD |= 1 << (s + _W - 1)
+        _HIGH |= 7 << (s + _W - 3)
     return s
 
 
@@ -135,6 +138,103 @@ def _power(base, n: int, one):
         n >>= 1
         if n:
             base = base * base
+    return out
+
+
+def _addto(acc: dict, items, negate=False) -> None:
+    """``acc += items`` (``-=`` with ``negate``) on a dict keyed by packed
+    monomials, from (monomial, coefficient) pairs: each coefficient is
+    stored in its native form (an int when integral) and a term that
+    cancels is deleted.  The one add loop of Poly sums and differences and
+    of the term-dict kernels (``_mac``)."""
+    get = acc.get
+    for m, c in items:
+        s = get(m)
+        if s is None:
+            if negate:
+                c = -c
+        else:
+            c = s - c if negate else s + c
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c if type(c) is int else _native(c)
+
+
+def _terms(c):
+    """(term dict, variable order, whether c is a Scalar) of a value for
+    the term-dict kernels; a rational has a constant dict and no order.
+    None for a fraction, a zero, any other type, and an exponent of 2**13
+    or more, where a product of three values could overflow: those take
+    Scalar arithmetic, which raises as before."""
+    if type(c) is Scalar:
+        if c._den is not None:
+            return None
+        c = c._num
+        if type(c) is Poly:
+            t = c._t
+            return None if reduce(or_, t, 0) & _HIGH else (t, c.vars, True)
+        return ({0: c}, (), True) if c else None
+    if type(c) is not int and type(c) is not Fraction:
+        return None
+    return ({0: c}, (), False) if c else None
+
+
+def _mac(acc: dict, comps: dict, coef: dict, cv: tuple, scalar: bool) -> bool:
+    """``linalg._sadd(acc, comps, coef)`` on term dicts, for a nonzero
+    ``coef`` with the variable orders ``cv`` of its factors, left first,
+    that stands for a Scalar when ``scalar``.  ``acc`` maps each k to [its
+    own term dict, its orders listed in the sequence Scalar arithmetic
+    merges them, whether it is a Scalar]; a sum that turns constant drops
+    its orders.  README, "Polynomial coordinates in the bracket kernel",
+    has the rule.  False, with ``acc`` part done, when a ``c`` has no term
+    dict (see ``_terms``)."""
+    items = coef.items()
+    for k, c in comps.items():
+        if type(c) is Scalar:
+            ct = _terms(c)
+            if ct is None:
+                return False
+            prod = [(m1 + m2, c1 * c2) for m1, c1 in ct[0].items() for m2, c2 in items]
+            tv, sc = (ct[1], *cv), True
+        else:
+            prod = items if c == 1 else [(m, c * x) for m, x in items]
+            tv, sc = cv, scalar
+        entry = acc.get(k)
+        if entry is None:
+            if prod is items:
+                t = dict(coef)
+            else:
+                t = {}
+                _addto(t, prod)
+            acc[k] = [t, list(tv), sc]
+            continue
+        t = entry[0]
+        _addto(t, prod)
+        if not t:
+            del acc[k]
+            continue
+        if len(t) == 1 and 0 in t:
+            entry[1] = []
+        else:
+            entry[1] += tv
+        if sc:
+            entry[2] = True
+    return True
+
+
+def _finish(acc: dict) -> dict:
+    """The sparse vector of a ``_mac`` accumulator, each list of orders
+    merged once; where the merged order is the first one listed, that
+    tuple itself, as merging keeps it."""
+    out = {}
+    for k, (t, orders, sc) in acc.items():
+        if len(t) != 1 or 0 not in t:
+            merged = dict.fromkeys(chain.from_iterable(orders))
+            first = orders[0] if orders else ()
+            out[k] = Scalar(_poly(t, first if len(first) == len(merged) else tuple(merged)))
+        else:
+            out[k] = Scalar(Fraction(t[0])) if sc else t[0]
     return out
 
 
@@ -217,33 +317,14 @@ class Poly:
         if type(other) is not Poly:
             return NotImplemented
         terms = dict(self._t)
-        for m, c in other._t.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if s:
-                    terms[m] = s if type(s) is int else _native(s)
-                else:
-                    del terms[m]
+        _addto(terms, other._t.items())
         return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        # self + -other in one pass: the same terms, in the same order
         if type(other) is not Poly:
             return NotImplemented
         terms = dict(self._t)
-        for m, c in other._t.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[m] = s if type(s) is int else _native(s)
-                else:
-                    del terms[m]
+        _addto(terms, other._t.items(), True)
         return _poly(terms, _merged_vars(self.vars, other.vars))
 
     def __neg__(self) -> "Poly":
@@ -283,7 +364,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise NegativePower("negative polynomial power")
         return _power(self, n, Poly.const(1))
 
     def __eq__(self, other) -> bool:
@@ -300,7 +381,7 @@ class Poly:
         """(monomial, coefficient) largest in graded lex over the sorted
         variables."""
         if not self._t:
-            raise ValueError("zero polynomial has no leading term")
+            raise ZeroPolynomial("zero polynomial has no leading term")
         m = max(self._t, key=_grlex_key(tuple(sorted(self.variables()))))
         return _unpack(m), self._t[m]
 
@@ -323,7 +404,7 @@ class Poly:
         rather than a scan; a term that cancels stays in the heap and is
         skipped when it comes up (Johnson 1974; Monagan and Pearce 2007)."""
         if type(divisor) is not Poly:
-            raise TypeError(f"cannot divide a Poly by {type(divisor).__name__}")
+            raise NotAScalar(f"cannot divide a Poly by {type(divisor).__name__}")
         if not divisor._t:
             raise DivisionByZero("polynomial division by zero")
         if divisor.is_constant():
@@ -352,7 +433,7 @@ class Poly:
                 continue
             q = lm - dmono
             if q & guard:
-                raise ArithmeticError("inexact polynomial division")
+                raise InexactDivision("inexact polynomial division")
             qc = out[q] = _cdiv(lc, dcoef)
             for m, c in rest:
                 mm = m + q
@@ -483,15 +564,28 @@ def poly_normalize(p: Poly) -> Poly:
     univariate polynomials are additionally replaced by their square-free
     part.  Multivariate input keeps its square structure (no multivariate
     gcd in this package)."""
-    if p.is_zero():
+    t = p._t
+    if not t:
         return _poly({}, p.vars)
-    used = p.variables()
+    used = [name for name, _ in _exps(reduce(or_, t, 0))]
     if len(used) == 1:
-        name = next(iter(used))
-        deriv = _derivative(p, name)
+        deriv = _derivative(p, used[0])
         g = poly_gcd_univariate(p, deriv)
         if g.total_degree() > 0:
             p = p.exact_div(g)
+    else:
+        # integer coefficients: one gcd, which stops at 1, and the sign of
+        # the leading term; the same terms as dividing by _signed_content
+        try:
+            g = gcd(*t.values())
+        except TypeError:  # a Fraction coefficient
+            pass
+        else:
+            if t[max(t, key=_grlex_key(tuple(sorted(used))))] < 0:
+                g = -g
+            if g == 1:
+                return _poly(dict(t), p.vars)
+            return _poly({m: c // g for m, c in t.items()}, p.vars)
     return p.scale(1 / _signed_content(p))
 
 
@@ -526,7 +620,7 @@ def rational_roots(p: Poly) -> RootReport:
     integer form; every reported root is verified by exact evaluation and
     divided out.  The residual is the primitive root-free cofactor."""
     if p.is_zero():
-        raise ValueError("zero polynomial has every root")
+        raise ZeroPolynomial("zero polynomial has every root")
     name = _univar(p)
     if name is None:
         return RootReport(frozenset(), Poly.const(1))
@@ -594,7 +688,7 @@ class Scalar:
             if value.is_constant():
                 return Scalar(value.constant_value())
             return Scalar(value)
-        raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        raise NotAScalar(f"cannot build a Scalar from {type(value).__name__}")
 
     @staticmethod
     def variable(name: str) -> "Scalar":
@@ -648,7 +742,7 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self} is not a rational constant")
+            raise NotRational(f"{self} is not a rational constant")
         return self._num
 
     def numerator_poly(self) -> Poly:

@@ -29,6 +29,9 @@ FORMATS = ("text", "json", "csv")
 
 _ELEMENT_NAMES = ("r2", "n3", "r3lambda", "sl2", "g3", "g5alpha", "filiform")
 _MAP_NAMES = _ELEMENT_NAMES + ("n4", "glambda")
+_Z_SP4 = ("z1*A11 + z2*A12 + z3*A21 + z4*A22 + z5*B11 + z6*B12 + z7*B22 + z8*C11"
+          " + z9*C12 + z10*C22")
+_Z_SL3 = "z1*E12 + z2*E13 + z3*E23 + z4*E21 + z5*E31 + z6*E32 + z7*H1 + z8*H2"
 
 
 def _files() -> dict:
@@ -87,6 +90,11 @@ def cases() -> list:
         ("rmatrix", "sl2", "--matrix", "op3.json"),
         ("rmatrix", "sl2", "--matrix", "op3.json", "--build-double"),
         ("rmatrix", "n3", "--matrix", "sym3.json", "--build-double"),
+        # a generic z in every coordinate: multivariate conditions, whose
+        # printed term order follows the variable orders of the brackets
+        ("identity", "sp4", "--id", "3", "--z", _Z_SP4),
+        ("identity", "sp4", "--id", "4", "--z", _Z_SP4),
+        ("rmatrix", "sl3", "--z", _Z_SL3),
         # exit 2
         ("rmatrix", "n3", "--matrix", "label3.json", "--build-double"),
         ("rmatrix", "sl2"),

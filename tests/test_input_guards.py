@@ -41,15 +41,20 @@ from liedouble.errors import (
     DivisionByZero,
     DuplicateName,
     ExcludedParameterValue,
+    InexactDivision,
+    NegativePower,
+    NotAScalar,
     NotClosed,
     NotIndependent,
     NotParameterFree,
+    NotRational,
     NotUnivariate,
     ParseError,
     ShapeMismatch,
     UnknownDoubleKind,
     UnknownName,
     ValueTooLarge,
+    ZeroPolynomial,
 )
 from liedouble.identities import Fixed, eval_identity
 from liedouble.scalars import (
@@ -267,12 +272,12 @@ LIBRARY = [
     ("element-difference-across-algebras",
      lambda: get("n3").basis_element(0) - get("sl2").basis_element(0), AlgebraMismatch,
      "elements live in different algebras"),
-    ("poly-negative-power", lambda: X ** -1, ValueError, "negative polynomial power"),
-    ("poly-zero-leading-term", lambda: Poly.const(0).leading(), ValueError,
+    ("poly-negative-power", lambda: X ** -1, NegativePower, "negative polynomial power"),
+    ("poly-zero-leading-term", lambda: Poly.const(0).leading(), ZeroPolynomial,
      "zero polynomial has no leading term"),
     ("poly-division-by-zero", lambda: X.exact_div(Poly.const(0)), DivisionByZero,
      "polynomial division by zero"),
-    ("poly-inexact-division", lambda: (X + Poly.const(1)).exact_div(X), ArithmeticError,
+    ("poly-inexact-division", lambda: (X + Poly.const(1)).exact_div(X), InexactDivision,
      "inexact polynomial division"),
     # Poly arithmetic takes Polys only: a plain number is a TypeError
     ("poly-plus-int", lambda: X + 1, TypeError,
@@ -281,7 +286,7 @@ LIBRARY = [
      "unsupported operand type(s) for -: 'Poly' and 'int'"),
     ("poly-times-int", lambda: X * 2, TypeError,
      "unsupported operand type(s) for *: 'Poly' and 'int'"),
-    ("poly-exact-div-by-int", lambda: X.exact_div(2), TypeError,
+    ("poly-exact-div-by-int", lambda: X.exact_div(2), NotAScalar,
      "cannot divide a Poly by int"),
     # one row per limit of a literal, each one past its bound
     ("literal-nested-too-deep", lambda: parse_scalar(_TOO_DEEP), ParseError,
@@ -309,10 +314,12 @@ LIBRARY = [
      ParseError, _TOO_LARGE),
     ("gcd-of-two-variables", lambda: poly_gcd_univariate(X, Y), NotUnivariate,
      "gcd requires a common single variable"),
-    ("roots-of-zero", lambda: rational_roots(Poly.const(0)), ValueError,
+    ("roots-of-zero", lambda: rational_roots(Poly.const(0)), ZeroPolynomial,
      "zero polynomial has every root"),
-    ("scalar-variable-as-fraction", lambda: Scalar.variable("t").as_fraction(), ValueError,
+    ("scalar-variable-as-fraction", lambda: Scalar.variable("t").as_fraction(), NotRational,
      "t is not a rational constant"),
+    ("scalar-of-a-float", lambda: Scalar.of(0.5), NotAScalar,
+     "cannot build a Scalar from float"),
     ("characteristically-nilpotent-family",
      lambda: is_characteristically_nilpotent(get("glambda")), NotParameterFree,
      "requires a parameter-free algebra"),
