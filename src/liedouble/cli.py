@@ -26,7 +26,7 @@ import sys
 
 from .catalog import ParamSpec, _bracket_doc, check_no_builtin_collision, entry, get, load_file, names, table1
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
-from .errors import DuplicateName, LieDoubleError, ParseError
+from .errors import BadAssignment, DuplicateName, LieDoubleError, OptionConflict, ParseError, ShapeMismatch
 from .identities import _BY_NAME, _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
 from .lie_core import (
     LieAlgebra,
@@ -156,7 +156,7 @@ def _materialize(name: str, params: dict, external: dict) -> LieAlgebra:
         if params:
             unknown = sorted(set(params) - set(g.params))
             if unknown:
-                raise ValueError(f"{name} has no parameter {', '.join(unknown)}")
+                raise BadAssignment(f"{name} has no parameter {', '.join(unknown)}")
             g = g.specialize({k: parse_rational(v) for k, v in params.items()})
         return g
     return get(name, params or None)
@@ -172,11 +172,11 @@ def _read_matrix(path: str, g: LieAlgebra) -> Matrix:
     if not isinstance(raw, list) or len(raw) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in raw
     ):
-        raise ValueError(f"{path}: expected a {dim}x{dim} JSON array of rows")
+        raise ShapeMismatch(f"{path}: expected a {dim}x{dim} JSON array of rows")
 
     def cell(value):
         if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError(f"{path}: entries must be exact (int or string)")
+            raise ParseError(f"{path}: entries must be exact (int or string)")
         value = parse_scalar(str(value))
         if value.variables() & set(g.labels):
             raise ParseError("parameter names collide with basis labels")
@@ -373,22 +373,22 @@ def _cmd_derivations(args, params, external):
 def _identity_quantifier(args, g, code):
     qname = args.quantifier
     if args.z is not None and args.map_file is not None:
-        raise ValueError("--z and --map are mutually exclusive")
+        raise OptionConflict("--z and --map are mutually exclusive")
     has_payload = args.z is not None or args.map_file is not None
     takes_map = _IDENTITIES[code].argument == "map"
     if qname is None:
         qname = "fixed" if has_payload else "all-der" if takes_map else "all-elem"
     if qname != "fixed":
         if has_payload:
-            raise ValueError(f"--quantifier {qname} does not take --z or --map")
+            raise OptionConflict(f"--quantifier {qname} does not take --z or --map")
         return qname, quantifier_from_name(qname)
     if takes_map:
         if args.map_file is None:
-            raise ValueError(f"identity {code} with fixed quantifier needs --map FILE")
+            raise OptionConflict(f"identity {code} with fixed quantifier needs --map FILE")
         payload = _read_matrix(args.map_file, g)
     else:
         if args.z is None:
-            raise ValueError(f"identity {code} with fixed quantifier needs --z EXPR")
+            raise OptionConflict(f"identity {code} with fixed quantifier needs --z EXPR")
         payload = parse_element(g, args.z)
     return "fixed", Fixed(payload)
 
@@ -413,7 +413,7 @@ _MYBE_TEXT = {"unique": "unique scalar", "all": "every scalar", "none": "no scal
 def _cmd_rmatrix(args, params, external):
     g = _materialize(args.name, params, external)
     if (args.z is None) == (args.matrix is None):
-        raise ValueError("rmatrix needs exactly one of --z EXPR or --matrix FILE")
+        raise OptionConflict("rmatrix needs exactly one of --z EXPR or --matrix FILE")
     if args.z is not None:
         op = g.ad(parse_element(g, args.z))
         source = f"ad({args.z})"

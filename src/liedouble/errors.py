@@ -162,3 +162,9 @@ class BadAssignment(LieDoubleError, ValueError):
 
 class DuplicateName(LieDoubleError, ValueError):
     """Two catalog entries share a name."""
+
+
+class OptionConflict(LieDoubleError, ValueError):
+    """Command-line options that exclude or need each other: ``--z`` with
+    ``--map``, a payload for a sweep, a fixed quantifier without its
+    payload, or ``rmatrix`` without exactly one operator."""

@@ -45,8 +45,7 @@ One function, ``_verdict``, turns a stream of nonzero values into a
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from heapq import heappop, heappush, heapreplace
+from functools import partial
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -487,9 +486,10 @@ class _Supports:
     brackets, not the number of tuples.  Nodes below a term are kept for the
     sweep, keyed by the occurrences they read; a whole term is computed once
     per ordering of each head (``term``).  An occurrence given as None is a
-    variable: it takes every pool index i, as the pair (h, i) in the index
-    set, which no alternating index meets; ``heads`` joins 6's second term
-    so."""
+    variable: it, or the map it applies, takes every pool index i, as the
+    pair (h, i) in the index set, which no alternating index meets.  A term
+    reads each occurrence once, so a key holds one pair per variable, and
+    ``heads`` reads the orderings off the keys of one join."""
 
     def __init__(self, g, pool):
         self.pairs, self.pool, self.memo = g._pairs, pool, {}
@@ -512,14 +512,16 @@ class _Supports:
             return _Support({frozenset(): self.pool[occ[h]].keys()})
         out = _Support()
         if node.kind == "map":
-            key = ("columns", occ[h])
-            cols = self.memo.get(key)
-            if cols is None:
-                cols = self.memo[key] = [c.keys() for c in self.pool[occ[h]]._column_view]
-            for indices, s in self.of(node.kids[0], occ).items():
-                image = set().union(*[cols[i] for i in s])
-                if image:
-                    out[indices] = image
+            kid = self.of(node.kids[0], occ)
+            for m in range(len(self.pool)) if occ[h] is None else (occ[h],):
+                var = frozenset(((h, m),)) if occ[h] is None else None
+                cols = self.memo.get(("columns", m))
+                if cols is None:
+                    cols = self.memo["columns", m] = [c.keys() for c in self.pool[m]._column_view]
+                for indices, s in kid.items():
+                    image = set().union(*[cols[i] for i in s])
+                    if image:
+                        out[indices if var is None else indices | var] = image
             return out
         right = self.of(node.kids[1], occ)
         left = self.of(node.kids[0], occ) if right else None
@@ -542,71 +544,41 @@ class _Supports:
         return out
 
     def heads(self, spec):
-        """Lazily yield, in product order, the heads of ``spec`` whose walk
-        can be nonempty, as ``_sweep`` takes them: per group, its key part
-        and its pool indices, which are equal here.  These are the heads
-        with a rest whose inner support is nonempty, since a term of 1, 3, 4
-        and 6 reads the rest through the inner node only and the head may
-        fill the rest's row, and those where a later term (6's second) can
-        be nonzero at some ordering.
+        """The heads of ``spec`` whose walk can be nonempty, in product order,
+        as ``_sweep`` takes them: per group, its key part and its pool
+        indices, which are equal here.  These are the heads with an ordering
+        whose rest has a nonempty inner support, since a term of 1, 3, 4 and
+        6 reads the rest through the inner node only, and those where a later
+        term (6's second) can be nonzero at some ordering.
 
-        Each multiset of rests is checked once, in the order of its first
-        head (first occurrence 0), by the supports that ``of`` keeps for the
-        walk.  A live one gives a stream of heads, one per first occurrence,
-        and the streams are merged on a heap.  The later terms are joined
-        once per z, the head's first group, with the other occurrences as
-        variables.  The next rest and the next z wait until they could give
-        a head below the heap's least, so a failing sweep checks about the
-        rests that its own heads read."""
-        k = len(self.pool)
-        sizes, cuts, shape, perms = _head_shape(spec.groups)
-        inner, later = spec.terms[0].kids[-1], spec.terms[1:]
+        They come from one join per term, with every head occurrence a
+        variable.  A key of the inner node, which reads every occurrence but
+        the first, gives a live rest, and so an ordering for each first
+        occurrence; a key of a later term gives an ordering.  An ordering's
+        head sorts it within each group.  The joins follow the table's
+        pairs, so a table with no live rest lists none in a few steps,
+        whatever the pool's size; a failing sweep pays for the whole join
+        before its first head."""
+        sizes = [d for _, d in spec.groups[:-1]]
+        cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
+        free = (None,) * cuts[-1][1]
 
-        def multisets(i=0):  # the first head (0, *rest) of every rest, in order
-            for group in combinations_with_replacement(range(k), shape[i]):
-                if i + 1 == len(shape):
-                    yield (0,) + group
-                else:
-                    for others in multisets(i + 1):
-                        yield (0,) + group + others[1:]
+        def orderings(term):  # each key's variables, by occurrence
+            return {tuple([i for _, i in sorted(e for e in key if type(e) is tuple)])
+                    for key in self.term(term, free)}
 
-        firsts = multisets()
-        first = next(firsts, None)
-        z = 0 if later else k  # the next z whose later terms are not joined yet
-        low = (0,) * (sum(sizes) - 1)
-        # heads are flat on the heap, which keeps product order: (head, its
-        # first occurrence, the rest's part of the first group, the other
-        # groups) from a live rest, (head, k, (), ()) from a later term
-        heap: list = []
-        last = ()
-        while True:
-            # what can give no head below the heap's least waits: a head
-            # equal to it that comes again later is not yielded twice
-            top = heap[0][0] if heap else None
-            if first is not None and (top is None or first < top):
-                if self.of(inner, first) or perms and any(
-                        self.of(inner, tuple([first[i] for i in perm])) for perm in perms):
-                    heappush(heap, (first, 0, first[1:sizes[0]], first[sizes[0]:]))
-                first = next(firsts, None)
-            elif z < k and (top is None or (z,) + low < top):
-                for term in later:
-                    for key in self.term(term, (z,) + (None,) * len(low)):
-                        order = (z,) + tuple(i for _, i in sorted(e for e in key if type(e) is tuple))
-                        head = sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
-                        heappush(heap, (head, k, (), ()))
-                z += 1
-            elif top is None:
-                return
-            else:
-                top, c, part, tail = heap[0]
-                if top > last:
-                    last = top
-                    yield [(top[a:b],) * 2 for a, b in cuts]
-                c += 1
-                if c < k:  # the head of that rest with the next first occurrence
-                    heapreplace(heap, (tuple(sorted(part + (c,))) + tail, c, part, tail))
-                else:
-                    heappop(heap)
+        def head(order):
+            return sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
+
+        heads = set()
+        # each live rest once, as the head of its ordering after a first -1
+        for rest in {head((-1, *rest))[1:] for rest in orderings(spec.terms[0].kids[-1])}:
+            part, others = rest[:sizes[0] - 1], rest[sizes[0] - 1:]
+            heads.update([tuple(sorted((first, *part))) + others for first in range(len(self.pool))])
+        for term in spec.terms[1:]:
+            heads.update(map(head, orderings(term)))
+        for h in sorted(heads):
+            yield [(h[a:b],) * 2 for a, b in cuts]
 
     def tuples(self, nodes, orders, keep=False) -> set:
         """The index tuples (sorted) where some of ``nodes`` can be nonzero
@@ -614,22 +586,6 @@ class _Supports:
         kept for the sweep too, as inner nodes, which later heads share."""
         get = self.of if keep else self.term
         return {tuple(sorted(key)) for occ in orders for node in nodes for key in get(node, occ)}
-
-
-@lru_cache(maxsize=None)
-def _head_shape(groups) -> tuple:
-    """For the heads of an entry with these slot groups: the sizes of the
-    head groups, their (start, end) in a flat head, the sizes of a rest's
-    parts (its part of the first group, then the other groups), and the
-    orderings of an ordering (0, *rest) other than itself, each as the
-    indices it picks: they permute the rest within each part."""
-    sizes = [d for _, d in groups[:-1]]
-    shape = [d - (g == 0) for g, d in enumerate(sizes)]
-    cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-    ends = list(accumulate(shape, initial=1))
-    perms = [(0,) + sum(perm, ()) for perm in product(*[
-        permutations(range(a, b)) for a, b in zip(ends, ends[1:])])]
-    return sizes, cuts, shape, perms[1:]
 
 
 def _symbolic(g) -> bool:
@@ -659,7 +615,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     certain.  So a failing sweep meets its first nonzero tuple as before,
     with no more bracket calls.  Without a payload, an entry with an inner
     part (1, 3, 4 and 6) walks only the heads that ``_Supports.heads``
-    lists, lazily and in product order: those with a rest whose inner
+    lists from one join, in product order: those with a rest whose inner
     support is nonempty, or where a later term can be nonzero.  Every other
     head would have an empty walk.  2 and s5, whose head is one occurrence,
     take every head.  A table that is more than half full

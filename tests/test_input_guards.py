@@ -32,7 +32,7 @@ from liedouble import (
     solve_columns,
 )
 from liedouble.catalog import MAX_DIM
-from liedouble.cli import _materialize, main
+from liedouble.cli import _materialize, build_parser, main
 from liedouble.errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -49,6 +49,7 @@ from liedouble.errors import (
     NotParameterFree,
     NotRational,
     NotUnivariate,
+    OptionConflict,
     ParseError,
     ShapeMismatch,
     UnknownDoubleKind,
@@ -263,7 +264,7 @@ LIBRARY = [
     ("get-size-past-the-int-string-limit", lambda: get("filiform", {"n": 10 ** 5000}),
      ParseError, f"integer of more than {MAX_DIGITS} digits in literal"),
     ("external-entry-unknown-parameter",
-     lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), ValueError,
+     lambda: _materialize("x", {"q": "1"}, loads(json.dumps([_entry()]))), BadAssignment,
      "x has no parameter q"),
     ("double-unknown-kind", lambda: build_double(get("n3"), Matrix(E12), kind="twisted"),
      UnknownDoubleKind, "unknown double kind 'twisted'"),
@@ -390,6 +391,45 @@ def test_cli_guards(argv, catalog, message, tmp_path, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+# (id, argv, map file rows or None, exception type, message): checks of the
+# command line's own options and of the file that --map or --matrix names,
+# which FILE stands for in argv and message
+OPTIONS = [
+    ("identity-z-and-map", ["identity", "n3", "--id", "2", "--z", "e1", "--map", "FILE"], None,
+     OptionConflict, "--z and --map are mutually exclusive"),
+    ("identity-sweep-with-a-payload", ["identity", "n3", "--id", "3", "--quantifier", "all-elem",
+                                       "--z", "e1"], None,
+     OptionConflict, "--quantifier all-elem does not take --z or --map"),
+    ("identity-fixed-without-map", ["identity", "n3", "--id", "2", "--quantifier", "fixed"], None,
+     OptionConflict, "identity 2 with fixed quantifier needs --map FILE"),
+    ("identity-fixed-without-z", ["identity", "n3", "--id", "3", "--quantifier", "fixed"], None,
+     OptionConflict, "identity 3 with fixed quantifier needs --z EXPR"),
+    ("rmatrix-without-an-operator", ["rmatrix", "n3"], None,
+     OptionConflict, "rmatrix needs exactly one of --z EXPR or --matrix FILE"),
+    ("map-file-not-square", ["identity", "n3", "--id", "2", "--map", "FILE"], [[0, 1], [1, 0]],
+     ShapeMismatch, "FILE: expected a 3x3 JSON array of rows"),
+    ("matrix-file-inexact-entry", ["rmatrix", "n3", "--matrix", "FILE"],
+     [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]], ParseError, "FILE: entries must be exact (int or string)"),
+]
+
+
+@pytest.mark.parametrize("argv, rows, exc, message", [c[1:] for c in OPTIONS],
+                         ids=[c[0] for c in OPTIONS])
+def test_option_guards(argv, rows, exc, message, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    if rows is not None:
+        path.write_text(json.dumps(rows), encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    message = message.replace("FILE:", f"{path}:")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    args = build_parser().parse_args(argv)
+    with pytest.raises(exc) as info:
+        args.run(args, {}, {})
+    assert type(info.value) is exc and info.value.args[0] == message
 
 
 def test_an_exact_assignment_within_the_digit_limit_is_taken_as_it_is():

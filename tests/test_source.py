@@ -103,3 +103,49 @@ def test_the_private_check_sees_unread_and_read_names():
 def test_every_private_module_level_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# raises of a class that is not a LieDoubleError, each with its reason
+UNTYPED_RAISES = {
+    ("cli.py", "_Usage"): "an option error of argparse's; main prints it as a usage error and exits 2",
+}
+
+
+def untyped_raises(source: str, typed) -> list:
+    """``(line, name)`` for each raise in ``source``, ``raise Name(...)`` or
+    ``raise Name``, whose name is not in ``typed``, in line order; another
+    expression counts as its text, and a bare re-raise is not a new
+    raise."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = raised.id if isinstance(raised, ast.Name) else ast.unparse(raised)
+            if name not in typed:
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_the_raise_check_sees_untyped_and_typed_raises():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ParseError('bad')\n"
+        "    if x is None:\n"
+        "        raise ValueError('none')\n"
+        "    raise errors.Other\n"
+    )
+    assert untyped_raises(source, {"ParseError"}) == [(5, "ValueError"), (6, "errors.Other")]
+
+
+def test_every_raise_in_the_package_is_a_typed_error():
+    # each raise names a LieDoubleError subclass, so a library caller can
+    # catch the package's refusals by one class; UNTYPED_RAISES gives the
+    # reason for each exception to that
+    from liedouble import errors
+
+    typed = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.LieDoubleError)}
+    found = {(module, name) for module in MODULES + ["__init__.py"]
+             for _, name in untyped_raises((SRC / module).read_text(encoding="utf-8"), typed)}
+    assert found == set(UNTYPED_RAISES)
