@@ -393,15 +393,29 @@ def check_no_builtin_collision(extra_names):
 # ---------------------------------------------------------------------------
 # JSON catalog files
 
-def loads(text: str) -> dict:
+def _json(text: str):
+    """The JSON document in ``text``; invalid JSON is a ``ParseError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
     except ValueError:  # json's int() refused a literal past the int-string limit
         raise ParseError(
             f"invalid JSON: integer of more than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, or a ParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def loads(text: str) -> dict:
+    doc = _json(text)
     if not isinstance(doc, list):
         raise ParseError("catalog file must be a JSON list of entries")
     out = {}
@@ -414,8 +428,7 @@ def loads(text: str) -> dict:
 
 
 def load_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(_read_text(path))
 
 
 def _entry_from_json(raw, pos):

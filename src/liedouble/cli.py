@@ -24,7 +24,8 @@ import io
 import json
 import sys
 
-from .catalog import ParamSpec, _bracket_doc, check_no_builtin_collision, entry, get, load_file, names, table1
+from .catalog import (ParamSpec, _bracket_doc, _json, _read_text, check_no_builtin_collision, entry, get,
+                      load_file, names, table1)
 from .derivations import derivation_space, generalized_derivation_space, is_characteristically_nilpotent
 from .errors import BadAssignment, DuplicateName, LieDoubleError, OptionConflict, ParseError, ShapeMismatch
 from .identities import _BY_NAME, _IDENTITIES, Fixed, canonical_identity, check_quantified, quantifier_from_name
@@ -44,7 +45,7 @@ from .lie_core import (
 )
 from .linalg import Matrix
 from .rmatrix import build_double, is_classical_rmatrix, mybe_solve, recognize_r31
-from .scalars import parse_rational, parse_scalar
+from .scalars import Scalar, parse_rational, parse_scalar
 
 
 class _Usage(Exception):
@@ -166,8 +167,11 @@ def _read_matrix(path: str, g: LieAlgebra) -> Matrix:
     """The square JSON matrix in ``path`` as an operator on g.  A cell may
     not mention a basis label of g: the operator's variables become
     parameters of any double built from it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    text = _read_text(path)
+    try:
+        raw = _json(text)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     dim = g.dim
     if not isinstance(raw, list) or len(raw) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in raw
@@ -356,7 +360,9 @@ def _cmd_derivations(args, params, external):
         "weight": str(space.weight),
         "dim": space.dim,
         "exceptional": _strs(space.exceptional),
-        "basis": [[_strs(row) for row in m.entries] for m in space.basis],
+        # stored cells only: a dense Scalar view would print every zero
+        "basis": [[[str(Scalar.of(row[j])) if j in row else "0" for j in range(m.cols)]
+                   for row in m._rows] for m in space.basis],
     }
     text = [f"{args.name}: derivation space of weight {doc['weight']}, dimension {doc['dim']}"]
     if doc["exceptional"]:

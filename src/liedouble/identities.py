@@ -47,7 +47,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -300,19 +299,13 @@ class _Node:
     """One node of a bracket term: a head occurrence ("occ", by its position
     ``h`` in the ordering), an alternating slot ("alt", only ``_X``), the map
     of occurrence ``h`` applied to its kid ("map"), or the bracket of its two
-    kids ("bracket").  ``deps`` are the occurrences the node reads, and
-    ``pick`` picks them from an ordering."""
+    kids ("bracket")."""
 
-    __slots__ = ("kind", "h", "kids", "deps", "pick")
+    __slots__ = ("kind", "h", "kids")
 
     def __init__(self, kind, h=None, *kids):
         self.kind, self.h = kind, h
         self.kids = tuple(_Node("occ", k) if type(k) is int else k for k in kids)
-        deps = set() if h is None else {h}
-        for kid in self.kids:
-            deps.update(kid.deps)
-        self.deps = tuple(sorted(deps))
-        self.pick = itemgetter(*self.deps) if deps else lambda occ: ()
 
 
 # an alternating slot; [u, v], where an int stands for that occurrence; and
@@ -473,58 +466,52 @@ class _Support(dict):
 class _Supports:
     """The symbolic phase of a sweep: index supports, read off ``g._pairs``.
 
-    ``of(node, occ)`` maps each set of basis indices that can fill the
-    alternating slots of ``node`` (a frozenset) to the coordinates where the
-    node's value can be nonzero, at the head occurrences ``occ`` (pool
-    indices).  A set whose value is zero for certain is absent.  The support
-    of [S, T] is the union of the table pairs' components over a in S and b
-    in T: it holds every nonzero coordinate, needs no arithmetic and sees no
-    cancellation.  A head occurrence has its vector's keys, a map applied to
-    an index set the union of those columns' keys.  A bracket walks the
-    smaller side's supports through ``g._pairs`` into the other side's index
-    by coordinate, so its cost follows the structurally nonzero partial
-    brackets, not the number of tuples.  Nodes below a term are kept for the
-    sweep, keyed by the occurrences they read; a whole term is computed once
-    per ordering of each head (``term``).  An occurrence given as None is a
-    variable: it, or the map it applies, takes every pool index i, as the
-    pair (h, i) in the index set, which no alternating index meets.  A term
-    reads each occurrence once, so a key holds one pair per variable, and
-    ``heads`` reads the orderings off the keys of one join."""
+    ``of(node)`` maps each key of ``node`` (a frozenset) to the coordinates
+    where the node's value can be nonzero.  A key holds the basis indices
+    that fill the node's alternating slots and, for each head occurrence h
+    that the node reads, the pair (h, i) of the pool index i it takes: an
+    occurrence, or the map it applies, takes every pool index, and no
+    alternating index meets a pair.  A key whose value is zero for certain
+    is absent.  The support of [S, T] is the union of the table pairs'
+    components over a in S and b in T: it holds every nonzero coordinate,
+    needs no arithmetic and sees no cancellation.  A head occurrence has its
+    vector's keys, a map applied to an index set the union of those columns'
+    keys.  A bracket walks the smaller side's supports through ``g._pairs``
+    into the other side's index by coordinate, so its cost follows the
+    structurally nonzero partial brackets, not the number of tuples or
+    heads.  Each node is joined once per sweep and kept for it.  A term
+    reads each occurrence once, so a key holds one pair per occurrence, and
+    ``walks`` reads an ordering off it."""
 
     def __init__(self, g, pool):
         self.pairs, self.pool, self.memo = g._pairs, pool, {}
         self.alt = _Support((frozenset((i,)), (i,)) for i in range(g.dim))
 
-    def of(self, node, occ) -> _Support:
+    def of(self, node) -> _Support:
         if node is _X:
             return self.alt
-        key = (node, node.pick(occ))
-        got = self.memo.get(key)
+        got = self.memo.get(node)
         if got is None:
-            got = self.memo[key] = self.term(node, occ)
+            got = self.memo[node] = self.term(node)
         return got
 
-    def term(self, node, occ) -> _Support:
+    def term(self, node) -> _Support:
         h = node.h
         if node.kind == "occ":
-            if occ[h] is None:  # a variable: every pool index, as the pair (h, i)
-                return _Support((frozenset(((h, i),)), v.keys()) for i, v in enumerate(self.pool))
-            return _Support({frozenset(): self.pool[occ[h]].keys()})
+            return _Support((frozenset(((h, i),)), v.keys()) for i, v in enumerate(self.pool))
         out = _Support()
         if node.kind == "map":
-            kid = self.of(node.kids[0], occ)
-            for m in range(len(self.pool)) if occ[h] is None else (occ[h],):
-                var = frozenset(((h, m),)) if occ[h] is None else None
-                cols = self.memo.get(("columns", m))
-                if cols is None:
-                    cols = self.memo["columns", m] = [c.keys() for c in self.pool[m]._column_view]
+            kid = self.of(node.kids[0])
+            for m, d in enumerate(self.pool):
+                var = frozenset(((h, m),))
+                cols = [c.keys() for c in d._column_view]
                 for indices, s in kid.items():
                     image = set().union(*[cols[i] for i in s])
                     if image:
-                        out[indices if var is None else indices | var] = image
+                        out[indices | var] = image
             return out
-        right = self.of(node.kids[1], occ)
-        left = self.of(node.kids[0], occ) if right else None
+        right = self.of(node.kids[1])
+        left = self.of(node.kids[0]) if right else None
         if not left:
             return out
         if len(left) > len(right):
@@ -543,49 +530,40 @@ class _Supports:
                                 got.update(hit[3])
         return out
 
-    def heads(self, spec):
-        """The heads of ``spec`` whose walk can be nonempty, in product order,
-        as ``_sweep`` takes them: per group, its key part and its pool
-        indices, which are equal here.  These are the heads with an ordering
-        whose rest has a nonempty inner support, since a term of 1, 3, 4 and
-        6 reads the rest through the inner node only, and those where a later
-        term (6's second) can be nonzero at some ordering.
+    def walks(self, term) -> dict:
+        """The orderings where ``term`` can be nonzero, each with the index
+        tuples (sorted) where it can: a key's pairs, by occurrence, give the
+        pool indices of the ordering, and its basis indices the tuple.  For
+        the inner node of 1, 3, 4 and 6, which reads every occurrence but
+        the first, an ordering is a rest."""
+        got = self.memo.get(("walks", term))
+        if got is None:
+            got = self.memo["walks", term] = {}
+            for key in self.of(term):
+                order = tuple([i for _, i in sorted(e for e in key if type(e) is tuple)])
+                got.setdefault(order, set()).add(tuple(sorted(e for e in key if type(e) is int)))
+        return got
 
-        They come from one join per term, with every head occurrence a
-        variable.  A key of the inner node, which reads every occurrence but
-        the first, gives a live rest, and so an ordering for each first
-        occurrence; a key of a later term gives an ordering.  An ordering's
-        head sorts it within each group.  The joins follow the table's
-        pairs, so a table with no live rest lists none in a few steps,
-        whatever the pool's size; a failing sweep pays for the whole join
-        before its first head."""
+    def heads(self, spec):
+        """The heads of ``spec`` whose walk can be nonempty, in product
+        order, as ``_sweep`` takes them: per group, the pool indices of its
+        occurrences.  These are the heads with an ordering where some term
+        can be nonzero, and, for 1, 3, 4 and 6, the first head (0, *rest) of
+        each live rest, which fills the rest's row.  An ordering's head
+        sorts it within each group.  The walks follow the table's pairs, so
+        a table with no live ordering lists none in a few steps, whatever
+        the pool's size; a failing sweep pays for every term's join before
+        its first head."""
         sizes = [d for _, d in spec.groups[:-1]]
         cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-        free = (None,) * cuts[-1][1]
-
-        def orderings(term):  # each key's variables, by occurrence
-            return {tuple([i for _, i in sorted(e for e in key if type(e) is tuple)])
-                    for key in self.term(term, free)}
 
         def head(order):
             return sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
 
-        heads = set()
-        # each live rest once, as the head of its ordering after a first -1
-        for rest in {head((-1, *rest))[1:] for rest in orderings(spec.terms[0].kids[-1])}:
-            part, others = rest[:sizes[0] - 1], rest[sizes[0] - 1:]
-            heads.update([tuple(sorted((first, *part))) + others for first in range(len(self.pool))])
-        for term in spec.terms[1:]:
-            heads.update(map(head, orderings(term)))
-        for h in sorted(heads):
-            yield [(h[a:b],) * 2 for a, b in cuts]
-
-    def tuples(self, nodes, orders, keep=False) -> set:
-        """The index tuples (sorted) where some of ``nodes`` can be nonzero
-        at some of the orderings ``orders``.  With ``keep`` the nodes are
-        kept for the sweep too, as inner nodes, which later heads share."""
-        get = self.of if keep else self.term
-        return {tuple(sorted(key)) for occ in orders for node in nodes for key in get(node, occ)}
+        heads = {head(order) for term in spec.terms for order in self.walks(term)}
+        if spec.inner is not None:
+            heads.update([head((0, *rest)) for rest in self.walks(spec.terms[0].kids[-1])])
+        return [[h[a:b] for a, b in cuts] for h in sorted(heads)]
 
 
 def _symbolic(g) -> bool:
@@ -607,23 +585,23 @@ def _sweep(g, spec: _Identity, payload, maps):
     orderings are summed in ``permutations`` order, and the weight is
     applied last.
 
-    Each head has a symbolic phase, run as the walk reaches the head, then
-    a numeric walk.  The symbolic phase (``_Supports``) lists the tuples
-    where some term of ``spec`` can be nonzero at some ordering of the
-    head, from index supports alone; the numeric walk visits them in
-    lexicographic order and skips every other tuple, which is zero for
-    certain.  So a failing sweep meets its first nonzero tuple as before,
-    with no more bracket calls.  Without a payload, an entry with an inner
-    part (1, 3, 4 and 6) walks only the heads that ``_Supports.heads``
-    lists from one join, in product order: those with a rest whose inner
-    support is nonempty, or where a later term can be nonzero.  Every other
-    head would have an empty walk.  2 and s5, whose head is one occurrence,
-    take every head.  A table that is more than half full
-    (``_symbolic``) skips the symbolic phase and takes every head: its
-    first head visits every tuple, and a later head with complete rows the
-    tuples they hold, with 6 also those whose kept [x, y] is nonzero; a
-    later head without them visits every tuple with a truthy tail part (1,
-    2, 3 and 6), which the first head kept, or every tuple.
+    On a table at most half full (``_symbolic``) a symbolic phase comes
+    first: ``_Supports`` joins each term once, with every head occurrence a
+    variable, and reads off it (``walks``) the orderings where the term can
+    be nonzero, each with its tuples, from index supports alone.  That one
+    join per term serves twice.  It lists the heads (``heads``), in product
+    order: those with an ordering where some term can be nonzero, and the
+    first head of each live rest, which fills its row; every other head
+    would have an empty walk.  And it gives each head its walk: the tuples
+    of its orderings, which the numeric walk visits in lexicographic order,
+    skipping every other tuple, which is zero for certain.  So a failing
+    sweep meets its first nonzero tuple as before, with no more bracket
+    calls.  This holds for every entry and for a Fixed payload, a pool of
+    one.  A fuller table skips the symbolic phase and takes every head:
+    its first head visits every tuple, and a later head with complete rows
+    the tuples they hold, with 6 also those whose kept [x, y] is nonzero;
+    a later head without them visits every tuple with a truthy tail part
+    (1, 2, 3 and 6), which the first head kept, or every tuple.
 
     Values shared across orderings and tuples are computed when a tuple
     first needs them.  Without a payload they are kept for the call, keyed by
@@ -637,7 +615,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     keeps only its nonzero values, so its keys are its live tuples, which
     see cancellation too: a head whose rows are all complete visits only
     those of its tuples that some row holds, and the tuples of 6's second
-    term, which the rows do not enter.  A rest whose first head was not
+    term, which the rows do not enter.  A rest whose first head is not
     listed has an empty inner support, and counts as a complete empty row.
 
     A Fixed payload makes the head unique, so nothing would be read twice
@@ -672,24 +650,20 @@ def _sweep(g, spec: _Identity, payload, maps):
         pool = maps if spec.argument == "map" else basis
     sup = _Supports(g, pool) if _symbolic(g) else None
     linear = len(spec.terms) == 1
-    # a head: per group, its key part and the pool indices of its occurrences
-    if sup is not None and keep and inner_f is not None:
+    # a head: per group, the pool indices of its occurrences
+    if sup is not None:
         heads = sup.heads(spec)
+        walks = [sup.walks(term) for term in spec.terms]
+        inner = sup.walks(spec.terms[0].kids[-1]) if inner_f is not None else None
     else:
-        choices = []
-        for kind, d in spec.groups[:-1]:
-            if payload is not None and kind in ("map", "z"):
-                choices.append([((), (0,) * d)])
-            else:
-                choices.append([(t, t) for t in combinations_with_replacement(range(len(pool)), d)])
-        heads = product(*choices)
+        heads = product(*[combinations_with_replacement(range(len(pool)), d) for _, d in spec.groups[:-1]])
     visits = 0
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     # a Fixed payload fills its slots once; the other slots are polarized
     orderings = permutations if payload is None else lambda t: (t,)
     for head in heads:
-        head_key = sum([key for key, _ in head], ())
-        orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for _, t in head])]
+        head_key = sum(head, ()) if keep else ()  # a Fixed payload adds nothing
+        orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for t in head])]
         # heads come in product order, so the first head whose orderings
         # have a rest is the one where it follows pool index 0
         rests = [order[1:] for order in orders] if inner_f is not None else ()
@@ -708,14 +682,13 @@ def _sweep(g, spec: _Identity, payload, maps):
             else:
                 walk = zip(combinations(range(n), alt), combinations(basis, alt))
         else:
-            distinct = list(dict.fromkeys(orders))
-            walk = sup.tuples(spec.terms[:1], distinct)
+            walk = set().union(*[walks[0].get(order, ()) for order in orders])
             if rests and not fresh:
                 walk &= set().union(*[rows.get(rest, ()) for rest in rests])
             elif keep and fresh:  # a fresh row fills where its inner value can be nonzero
-                filling = [order for order, rest in zip(orders, rests) if rest in fresh]
-                walk |= sup.tuples(spec.terms[0].kids[-1:], filling, True)
-            walk |= sup.tuples(spec.terms[1:], distinct)  # they do not go through the rows
+                walk.update(*[inner.get(rest, ()) for rest in fresh])
+            # later terms do not go through the rows
+            walk.update(*[w.get(order, ()) for w in walks[1:] for order in orders])
         if isinstance(walk, set):
             if not walk:
                 continue

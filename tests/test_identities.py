@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from functools import lru_cache
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -45,6 +47,7 @@ from liedouble.errors import (
     UnknownIdentity,
     UnknownQuantifier,
 )
+from liedouble.identities import _X, _Support
 from liedouble.linalg import _sadd
 
 
@@ -687,11 +690,149 @@ def test_rows_filled_past_a_zero_outer_step_match_the_reference(first, second):
     assert failing == 2
 
 
-def _product_sweep(g, spec, payload, maps):
-    """The sweep of a table that takes the symbolic phase, as it was before
-    it listed its live heads: every head in product order, each with its own
-    supports, and a rest's row made at the first head that has the rest.
-    The reference of the head list."""
+@lru_cache(maxsize=None)
+def _pick(node):
+    """Picks the head occurrences that ``node`` reads from an ordering: the
+    key under which ``_ParentSupports`` keeps the node's supports."""
+    deps = set()
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if n.h is not None:
+            deps.add(n.h)
+        todo.extend(n.kids)
+    return itemgetter(*sorted(deps)) if deps else lambda occ: ()
+
+
+# the symbolic phase as it was before one join per term gave the sweep its
+# heads and its tuples, kept verbatim but for the memo key that ``_pick``
+# gives: supports per head, with concrete occurrences, and a head list for
+# 1, 3, 4 and 6 from one join with every head occurrence a variable
+class _ParentSupports:
+    """The symbolic phase of a sweep: index supports, read off ``g._pairs``.
+
+    ``of(node, occ)`` maps each set of basis indices that can fill the
+    alternating slots of ``node`` (a frozenset) to the coordinates where the
+    node's value can be nonzero, at the head occurrences ``occ`` (pool
+    indices).  A set whose value is zero for certain is absent.  The support
+    of [S, T] is the union of the table pairs' components over a in S and b
+    in T: it holds every nonzero coordinate, needs no arithmetic and sees no
+    cancellation.  A head occurrence has its vector's keys, a map applied to
+    an index set the union of those columns' keys.  A bracket walks the
+    smaller side's supports through ``g._pairs`` into the other side's index
+    by coordinate, so its cost follows the structurally nonzero partial
+    brackets, not the number of tuples.  Nodes below a term are kept for the
+    sweep, keyed by the occurrences they read; a whole term is computed once
+    per ordering of each head (``term``).  An occurrence given as None is a
+    variable: it, or the map it applies, takes every pool index i, as the
+    pair (h, i) in the index set, which no alternating index meets.  A term
+    reads each occurrence once, so a key holds one pair per variable, and
+    ``heads`` reads the orderings off the keys of one join."""
+
+    def __init__(self, g, pool):
+        self.pairs, self.pool, self.memo = g._pairs, pool, {}
+        self.alt = _Support((frozenset((i,)), (i,)) for i in range(g.dim))
+
+    def of(self, node, occ) -> _Support:
+        if node is _X:
+            return self.alt
+        key = (node, _pick(node)(occ))
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self.term(node, occ)
+        return got
+
+    def term(self, node, occ) -> _Support:
+        h = node.h
+        if node.kind == "occ":
+            if occ[h] is None:  # a variable: every pool index, as the pair (h, i)
+                return _Support((frozenset(((h, i),)), v.keys()) for i, v in enumerate(self.pool))
+            return _Support({frozenset(): self.pool[occ[h]].keys()})
+        out = _Support()
+        if node.kind == "map":
+            kid = self.of(node.kids[0], occ)
+            for m in range(len(self.pool)) if occ[h] is None else (occ[h],):
+                var = frozenset(((h, m),)) if occ[h] is None else None
+                cols = self.memo.get(("columns", m))
+                if cols is None:
+                    cols = self.memo["columns", m] = [c.keys() for c in self.pool[m]._column_view]
+                for indices, s in kid.items():
+                    image = set().union(*[cols[i] for i in s])
+                    if image:
+                        out[indices if var is None else indices | var] = image
+            return out
+        right = self.of(node.kids[1], occ)
+        left = self.of(node.kids[0], occ) if right else None
+        if not left:
+            return out
+        if len(left) > len(right):
+            left, right = right, left
+        index, pairs = right.by_coord(), self.pairs
+        for key, s in left.items():
+            for p in s:
+                for q, hit in pairs[p].items():
+                    for other in index.get(q, ()):
+                        if key.isdisjoint(other):
+                            both = key | other
+                            got = out.get(both)
+                            if got is None:
+                                out[both] = set(hit[3])
+                            else:
+                                got.update(hit[3])
+        return out
+
+    def heads(self, spec):
+        """The heads of ``spec`` whose walk can be nonempty, in product order,
+        as ``_sweep`` takes them: per group, its key part and its pool
+        indices, which are equal here.  These are the heads with an ordering
+        whose rest has a nonempty inner support, since a term of 1, 3, 4 and
+        6 reads the rest through the inner node only, and those where a later
+        term (6's second) can be nonzero at some ordering.
+
+        They come from one join per term, with every head occurrence a
+        variable.  A key of the inner node, which reads every occurrence but
+        the first, gives a live rest, and so an ordering for each first
+        occurrence; a key of a later term gives an ordering.  An ordering's
+        head sorts it within each group.  The joins follow the table's
+        pairs, so a table with no live rest lists none in a few steps,
+        whatever the pool's size; a failing sweep pays for the whole join
+        before its first head."""
+        sizes = [d for _, d in spec.groups[:-1]]
+        cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
+        free = (None,) * cuts[-1][1]
+
+        def orderings(term):  # each key's variables, by occurrence
+            return {tuple([i for _, i in sorted(e for e in key if type(e) is tuple)])
+                    for key in self.term(term, free)}
+
+        def head(order):
+            return sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
+
+        heads = set()
+        # each live rest once, as the head of its ordering after a first -1
+        for rest in {head((-1, *rest))[1:] for rest in orderings(spec.terms[0].kids[-1])}:
+            part, others = rest[:sizes[0] - 1], rest[sizes[0] - 1:]
+            heads.update([tuple(sorted((first, *part))) + others for first in range(len(self.pool))])
+        for term in spec.terms[1:]:
+            heads.update(map(head, orderings(term)))
+        for h in sorted(heads):
+            yield [(h[a:b],) * 2 for a, b in cuts]
+
+    def tuples(self, nodes, orders, keep=False) -> set:
+        """The index tuples (sorted) where some of ``nodes`` can be nonzero
+        at some of the orderings ``orders``.  With ``keep`` the nodes are
+        kept for the sweep too, as inner nodes, which later heads share."""
+        get = self.of if keep else self.term
+        return {tuple(sorted(key)) for occ in orders for node in nodes for key in get(node, occ)}
+
+
+def _product_sweep(g, spec, payload, maps, lister=None):
+    """The sweep of a table that takes the symbolic phase, on the supports
+    of ``_ParentSupports``: every head in product order, each with its own
+    supports, and a rest's row made at the head where it follows pool index
+    0.  With ``lister``, a sweep of 1, 3, 4 or 6 without a payload takes
+    the heads ``lister(supports, spec)`` gives instead, as the sweep did
+    when it listed the heads of those alone.  The reference of the sweep."""
     assert identities._symbolic(g)
     b, f, inner_f, tail_f = g.bracket_sparse, spec.f, spec.inner, spec.tail
     keep = payload is None
@@ -703,31 +844,34 @@ def _product_sweep(g, spec, payload, maps):
             b = identities._with_images(b, payload, basis)
     else:
         pool = maps if spec.argument == "map" else basis
-    sup = identities._Supports(g, pool)
+    sup = _ParentSupports(g, pool)
     linear = len(spec.terms) == 1
     choices = [[((), (0,) * d)] if payload is not None and kind in ("map", "z")
                else [(t, t) for t in combinations_with_replacement(range(len(pool)), d)]
                for kind, d in spec.groups[:-1]]
+    heads = product(*choices)
+    if lister is not None and keep and inner_f is not None:
+        heads = lister(sup, spec)
     visits = 0
     weight = None if payload is not None or spec.weight == 1 else spec.weight
     orderings = permutations if payload is None else lambda t: (t,)
-    for head in product(*choices):
+    for head in heads:
         head_key = sum([key for key, _ in head], ())
         orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for _, t in head])]
         rests = [order[1:] for order in orders] if inner_f is not None else ()
-        fresh = [rest for rest in dict.fromkeys(rests) if rest not in rows]
+        fresh = [rest for order, rest in dict(zip(orders, rests)).items() if order[0] == 0]
         for rest in fresh:
             rows[rest] = {}
         distinct = list(dict.fromkeys(orders))
         walk = sup.tuples(spec.terms[:1], distinct)
         if rests and not fresh:
-            walk &= set().union(*[rows[rest] for rest in rests])
+            walk &= set().union(*[rows.get(rest, ()) for rest in rests])
         elif keep and fresh:
             filling = [order for order, rest in zip(orders, rests) if rest in fresh]
             walk |= sup.tuples(spec.terms[0].kids[-1:], filling, True)
         walk |= sup.tuples(spec.terms[1:], distinct)
         occs = [tuple([pool[i] for i in order]) for order in orders]
-        head_rows = [(occ, rows[rest], None if rest in fresh else False)
+        head_rows = [(occ, rows.get(rest, {}), None if rest in fresh else False)
                      for occ, rest in zip(occs, rests)]
         for t in sorted(walk):
             visits += 1
@@ -762,12 +906,17 @@ def _product_sweep(g, spec, payload, maps):
     return visits
 
 
+# every entry a sweep takes: the identities, and the square bracket
+# [[z, x], [z, y]] of metabelian_equivalences
+_SPECS = {**identities._IDENTITIES, "square": identities._SQUARE_BRACKET}
+
+
 def _run(sweep, g, code, quant):
     """The ``(key, printed value)`` stream of ``sweep`` and its visit count."""
     payload = quant.payload if isinstance(quant, Fixed) else None
     if isinstance(payload, Element):
         payload = payload._sparse
-    values = sweep(g, identities._IDENTITIES[code], payload, _maps(g, quant))
+    values = sweep(g, _SPECS[code], payload, _maps(g, quant))
     stream = []
     while True:
         try:
@@ -777,17 +926,38 @@ def _run(sweep, g, code, quant):
         stream.append((key, str(Element(g, value))))
 
 
+def _symbolic_quantifiers(g):
+    """A Fixed map and a Fixed element with polynomial entries in s and t,
+    which are neither basis labels nor catalog parameters.  The element is
+    built from its coordinates, not parsed: parsing registers each basis
+    label as a name, and every name a process meets widens its packed
+    monomials for good, which the memory checks of ``test_shared_images``
+    would read."""
+    n = g.dim
+    cells = [parse_scalar(c) for c in ("0", "s", "t + 1", "0", "s*t - 2", "0", "1/2")]
+    m = LinearMap([[cells[(2 * i + 3 * j) % 7] for j in range(n)] for i in range(n)])
+    z = g.element([cells[(1, 2, 4, 6)[k % 4]] for k in range(n)])
+    return Fixed(m), Fixed(z)
+
+
+def every_sweep(g, symbolic=True):
+    """``(code, quantifier)`` for every sweep of ``g``: each entry of
+    ``_SPECS`` under each admitted quantifier, with rational Fixed payloads
+    and, when ``symbolic``, polynomial ones."""
+    maps, zs = zip(_fixed_quantifiers(g), _symbolic_quantifiers(g)) if symbolic else (
+        [[q] for q in _fixed_quantifiers(g)])
+    admitted = {"map": (*maps, ALL_DERIVATIONS, ALL_INNER_DERIVATIONS),
+                "z": (*zs, ALL_ELEMENTS), None: (ALL_ELEMENTS,)}
+    return [(code, quant) for code, spec in _SPECS.items() for quant in admitted[spec.argument]]
+
+
 def check_the_head_list_against_every_head(g):
-    """Every sweep of ``g``, under each admitted quantifier, yields the same
-    stream and visits as many (head, tuple) pairs as the loop over every
-    head."""
-    fixed_map, fixed_elem = _fixed_quantifiers(g)
-    admitted = {"map": (fixed_map, ALL_DERIVATIONS, ALL_INNER_DERIVATIONS),
-                "z": (fixed_elem, ALL_ELEMENTS), None: (ALL_ELEMENTS,)}
-    for code, spec in identities._IDENTITIES.items():
-        for quant in admitted[spec.argument]:
-            got = _run(identities._sweep, g, code, quant)
-            assert got == _run(_product_sweep, g, code, quant), (code, quant)
+    """Every sweep of ``g`` (``every_sweep``) yields the same stream and
+    visits as many (head, tuple) pairs as the loop over every head on the
+    earlier supports."""
+    for code, quant in every_sweep(g):
+        got = _run(identities._sweep, g, code, quant)
+        assert got == _run(_product_sweep, g, code, quant), (code, quant)
 
 
 @pytest.mark.parametrize("name", [*[f"filiform{n}" for n in range(3, 13)], "ex413", "glambda",

@@ -32,7 +32,7 @@ from liedouble import (
     solve_columns,
 )
 from liedouble.catalog import MAX_DIM
-from liedouble.cli import _materialize, build_parser, main
+from liedouble.cli import _load_external, _materialize, build_parser, main
 from liedouble.errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -393,9 +393,10 @@ def test_cli_guards(argv, catalog, message, tmp_path, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
-# (id, argv, map file rows or None, exception type, message): checks of the
-# command line's own options and of the file that --map or --matrix names,
-# which FILE stands for in argv and message
+# (id, argv, file contents or None, exception type, message): checks of the
+# command line's own options and of the file that --map, --matrix or
+# --catalog names, which FILE stands for in argv and message.  Contents are
+# rows to write as JSON, or the file's bytes
 OPTIONS = [
     ("identity-z-and-map", ["identity", "n3", "--id", "2", "--z", "e1", "--map", "FILE"], None,
      OptionConflict, "--z and --map are mutually exclusive"),
@@ -412,6 +413,17 @@ OPTIONS = [
      ShapeMismatch, "FILE: expected a 3x3 JSON array of rows"),
     ("matrix-file-inexact-entry", ["rmatrix", "n3", "--matrix", "FILE"],
      [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]], ParseError, "FILE: entries must be exact (int or string)"),
+    ("map-file-invalid-json", ["identity", "n3", "--id", "2", "--map", "FILE"], b"[[0, 1, 0],\n [0 0",
+     ParseError, "FILE: line 2: invalid JSON: Expecting ',' delimiter"),
+    *[("map-file-huge-integer", ["identity", "n3", "--id", "2", "--map", "FILE"],
+       ("[[" + "9" * (_LIMIT + 1) + ", 0, 0], [0, 0, 0], [0, 0, 0]]").encode(), ParseError,
+       f"FILE: invalid JSON: integer of more than {_LIMIT} digits")] * bool(_LIMIT),
+    ("map-file-not-utf8", ["identity", "n3", "--id", "2", "--map", "FILE"], b"\xff\xfe",
+     ParseError, "FILE: not UTF-8 text (invalid start byte)"),
+    ("matrix-file-not-utf8", ["rmatrix", "n3", "--matrix", "FILE"], b"\xff\xfe",
+     ParseError, "FILE: not UTF-8 text (invalid start byte)"),
+    ("catalog-file-not-utf8", ["--catalog", "FILE", "catalog-list"], b"\xff\xfe",
+     ParseError, "FILE: not UTF-8 text (invalid start byte)"),
 ]
 
 
@@ -419,7 +431,9 @@ OPTIONS = [
                          ids=[c[0] for c in OPTIONS])
 def test_option_guards(argv, rows, exc, message, tmp_path, capsys):
     path = tmp_path / "map.json"
-    if rows is not None:
+    if isinstance(rows, bytes):
+        path.write_bytes(rows)
+    elif rows is not None:
         path.write_text(json.dumps(rows), encoding="utf-8")
     argv = [str(path) if arg == "FILE" else arg for arg in argv]
     message = message.replace("FILE:", f"{path}:")
@@ -428,7 +442,7 @@ def test_option_guards(argv, rows, exc, message, tmp_path, capsys):
     assert out == "" and err == f"error: {message}\n"
     args = build_parser().parse_args(argv)
     with pytest.raises(exc) as info:
-        args.run(args, {}, {})
+        args.run(args, {}, _load_external(args.catalog + args.sub_catalog))
     assert type(info.value) is exc and info.value.args[0] == message
 
 

@@ -232,19 +232,21 @@ def test_sweeps_with_empty_supports_take_no_bracket():
 
 def test_sweeps_without_a_live_head_enter_none(monkeypatch):
     # identity 4 over all elements of filiform(60) has 37,820 heads and 6
-    # over those of filiform(45) 46,575, none of them live: the sweep takes
-    # the supports of no head
-    entered = []
-    tuples = identities._Supports.tuples
+    # over those of filiform(45) 46,575, none of them live: the sweep lists
+    # no head, so it enters none
+    listed = []
+    heads = identities._Supports.heads
 
     def counted(self, *args):
-        entered.append(args)
-        return tuples(self, *args)
+        got = heads(self, *args)
+        listed.append(len(got))
+        return got
 
-    monkeypatch.setattr(identities._Supports, "tuples", counted)
+    monkeypatch.setattr(identities._Supports, "heads", counted)
     for n, code in ((60, "4"), (45, "6")):
+        del listed[:]
         rep = check_quantified(get("filiform", {"n": n}), code, ALL_ELEMENTS)
-        assert rep.status == "holds" and not entered, (code, len(entered))
+        assert rep.status == "holds" and listed == [0], (code, listed)
 
 
 def _stream(g, code, quant):
