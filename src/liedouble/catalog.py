@@ -22,6 +22,7 @@ from .errors import (
     LieDoubleError,
     ParseError,
     UnknownName,
+    UnreadableFile,
 )
 from .identities import ALL_DERIVATIONS, ALL_ELEMENTS, check_quantified
 from .lie_core import (
@@ -406,12 +407,15 @@ def _json(text: str):
 
 
 def _read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, or a ParseError naming it."""
+    """The text of the UTF-8 file at ``path``, or a ParseError or
+    UnreadableFile naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except OSError as e:  # the message names the path, as open's does
+        raise UnreadableFile(str(e)) from None
 
 
 def loads(text: str) -> dict:

@@ -48,6 +48,11 @@ class ParseError(LieDoubleError, ValueError):
         super().__init__(message)
 
 
+class UnreadableFile(LieDoubleError, OSError):
+    """A catalog, map or matrix path that cannot be opened for reading: it
+    does not exist, is a directory, or is not readable."""
+
+
 class JacobiViolation(LieDoubleError):
     """A bracket table fails the Jacobi identity.
 

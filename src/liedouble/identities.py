@@ -533,9 +533,9 @@ class _Supports:
     def walks(self, term) -> dict:
         """The orderings where ``term`` can be nonzero, each with the index
         tuples (sorted) where it can: a key's pairs, by occurrence, give the
-        pool indices of the ordering, and its basis indices the tuple.  For
-        the inner node of 1, 3, 4 and 6, which reads every occurrence but
-        the first, an ordering is a rest."""
+        pool indices of the ordering, and its basis indices the tuple.  A
+        head walks the tuples of its orderings and computes a shared value
+        there the first time a head needs it (``_sweep``)."""
         got = self.memo.get(("walks", term))
         if got is None:
             got = self.memo["walks", term] = {}
@@ -548,9 +548,9 @@ class _Supports:
         """The heads of ``spec`` whose walk can be nonempty, in product
         order, as ``_sweep`` takes them: per group, the pool indices of its
         occurrences.  These are the heads with an ordering where some term
-        can be nonzero, and, for 1, 3, 4 and 6, the first head (0, *rest) of
-        each live rest, which fills the rest's row.  An ordering's head
-        sorts it within each group.  The walks follow the table's pairs, so
+        can be nonzero; an ordering's head sorts it within each group.  No
+        head is listed to fill a row: a shared value is computed where a
+        head first needs it.  The walks follow the table's pairs, so
         a table with no live ordering lists none in a few steps, whatever
         the pool's size; a failing sweep pays for every term's join before
         its first head."""
@@ -561,8 +561,6 @@ class _Supports:
             return sum([tuple(sorted(order[a:b])) for a, b in cuts], ())
 
         heads = {head(order) for term in spec.terms for order in self.walks(term)}
-        if spec.inner is not None:
-            heads.update([head((0, *rest)) for rest in self.walks(spec.terms[0].kids[-1])])
         return [[h[a:b] for a, b in cuts] for h in sorted(heads)]
 
 
@@ -570,7 +568,7 @@ def _symbolic(g) -> bool:
     """Whether sweeps of ``g`` run the symbolic phase: only when at most half
     of its basis pairs have a nonzero bracket.  A fuller table has nearly
     full supports, so the phase would skip almost nothing, and a failing
-    sweep would pay for a whole head's supports before its first tuple.
+    sweep would pay for every term's whole join before its first tuple.
     The README's note "Symbolic support before the numeric sweep" gives
     the measurements."""
     return 4 * len(g._table) <= g.dim * (g.dim - 1)
@@ -590,33 +588,25 @@ def _sweep(g, spec: _Identity, payload, maps):
     variable, and reads off it (``walks``) the orderings where the term can
     be nonzero, each with its tuples, from index supports alone.  That one
     join per term serves twice.  It lists the heads (``heads``), in product
-    order: those with an ordering where some term can be nonzero, and the
-    first head of each live rest, which fills its row; every other head
-    would have an empty walk.  And it gives each head its walk: the tuples
-    of its orderings, which the numeric walk visits in lexicographic order,
-    skipping every other tuple, which is zero for certain.  So a failing
-    sweep meets its first nonzero tuple as before, with no more bracket
-    calls.  This holds for every entry and for a Fixed payload, a pool of
-    one.  A fuller table skips the symbolic phase and takes every head:
-    its first head visits every tuple, and a later head with complete rows
-    the tuples they hold, with 6 also those whose kept [x, y] is nonzero;
-    a later head without them visits every tuple with a truthy tail part
-    (1, 2, 3 and 6), which the first head kept, or every tuple.
+    order: those with an ordering where some term can be nonzero; every
+    other head would have an empty walk.  And it gives each head its walk:
+    the tuples of its orderings, which the numeric walk visits in
+    lexicographic order, skipping every other tuple, which is zero for
+    certain.  So a failing sweep meets its first nonzero tuple as before,
+    with no more bracket calls.  This holds for every entry and for a Fixed
+    payload, a pool of one.  A fuller table skips the symbolic phase: it
+    takes every head, and each head visits every tuple.
 
-    Values shared across orderings and tuples are computed when a tuple
-    first needs them.  Without a payload they are kept for the call, keyed by
-    the tuple itself: the truthy tail parts, and one row of inner values per
-    ``rest`` of the head (keyed by the pool indices of its occurrences).  A
-    row is filled by the first head that has the rest, the one where it
-    follows pool index 0, at every tuple where the inner value itself can
-    be nonzero, whether or not this head's outer step can be; another head,
-    with another ``first``, may need it there.  A zero is kept as False
-    while the row fills.  When that head is done the row is complete and
-    keeps only its nonzero values, so its keys are its live tuples, which
-    see cancellation too: a head whose rows are all complete visits only
-    those of its tuples that some row holds, and the tuples of 6's second
-    term, which the rows do not enter.  A rest whose first head is not
-    listed has an empty inner support, and counts as a complete empty row.
+    One rule shares the values that several heads read: each is computed
+    the first time a head needs it and kept for the call, zeros included,
+    keyed by the tuple itself.  These are a tuple's tail part, kept as it
+    is even when falsy, and the inner value of a ``rest`` of the head (the
+    pool indices of its occurrences) at a tuple, kept in the rest's row as
+    False when zero.  An ordering needs its inner value only at the tuples
+    where its first term can be nonzero; at the other tuples of the walk it
+    reads as zero and is not computed.  So each tail part and each inner
+    value is computed at most once per sweep, and only at a tuple that
+    some head visits.
 
     A Fixed payload makes the head unique, so nothing would be read twice
     and nothing is kept.  The evaluators' memo also lives for the call; in
@@ -635,7 +625,7 @@ def _sweep(g, spec: _Identity, payload, maps):
     keep = payload is None
     n, alt = g.dim, spec.groups[-1][1]
     rows: dict = {}  # rest -> its row of inner values, by tuple
-    tails: dict = {}  # tuple -> its truthy tail part
+    tails: dict = {}  # tuple -> its tail part
     memo: dict = {}
     # basis vectors stay these dicts throughout: memo keys are their ids
     basis = [{i: 1} for i in range(n)]
@@ -654,7 +644,6 @@ def _sweep(g, spec: _Identity, payload, maps):
     if sup is not None:
         heads = sup.heads(spec)
         walks = [sup.walks(term) for term in spec.terms]
-        inner = sup.walks(spec.terms[0].kids[-1]) if inner_f is not None else None
     else:
         heads = product(*[combinations_with_replacement(range(len(pool)), d) for _, d in spec.groups[:-1]])
     visits = 0
@@ -664,51 +653,29 @@ def _sweep(g, spec: _Identity, payload, maps):
     for head in heads:
         head_key = sum(head, ()) if keep else ()  # a Fixed payload adds nothing
         orders = [sum(chosen, ()) for chosen in product(*[orderings(t) for t in head])]
-        # heads come in product order, so the first head whose orderings
-        # have a rest is the one where it follows pool index 0
-        rests = [order[1:] for order in orders] if inner_f is not None else ()
-        fresh = [rest for order, rest in dict(zip(orders, rests)).items() if order[0] == 0]
-        for rest in fresh:
-            rows[rest] = {}
-        # the tuples this head visits, each with its basis vectors or its
-        # kept tail part
+        # the tuples this head visits, each with its basis vectors
         if sup is None:
-            if rests and not fresh:  # a complete row's keys are its live tuples
-                walk = set().union(*[rows[rest] for rest in rests])
-                if not linear:  # and 6's second term lives where [x, y] does
-                    walk.update([t for t, part in tails.items() if part[-1]])
-            elif tail_f is not None and visits:  # the first head kept every truthy one
-                walk = tails.items()
-            else:
-                walk = zip(combinations(range(n), alt), combinations(basis, alt))
+            walk = zip(combinations(range(n), alt), combinations(basis, alt))
+            lives = [None] * len(orders)
         else:
-            walk = set().union(*[walks[0].get(order, ()) for order in orders])
-            if rests and not fresh:
-                walk &= set().union(*[rows.get(rest, ()) for rest in rests])
-            elif keep and fresh:  # a fresh row fills where its inner value can be nonzero
-                walk.update(*[inner.get(rest, ()) for rest in fresh])
-            # later terms do not go through the rows
-            walk.update(*[w.get(order, ()) for w in walks[1:] for order in orders])
-        if isinstance(walk, set):
-            if not walk:
-                continue
+            lives = [walks[0].get(order, ()) for order in orders]
+            walk = set().union(*lives, *[w.get(order, ()) for w in walks[1:] for order in orders])
             walk = [(t, [basis[i] for i in t]) for t in sorted(walk)]
         occs = [tuple([pool[i] for i in order]) for order in orders]
-        # each ordering with its row and what the row reads for an absent
-        # tuple: None (not yet computed) while it fills
-        head_rows = [(occ, rows.get(rest, {}), None if rest in fresh else False)
-                     for occ, rest in zip(occs, rests)]
-        looked = bool(tails)  # a walk meets each tuple once: none kept yet
+        # each ordering with the row of inner values of its rest, and the
+        # tuples where its first term can be nonzero (None: every tuple)
+        head_rows = [(occ, rows.setdefault(order[1:], {}), live)
+                     for occ, order, live in zip(occs, orders, lives)] if inner_f is not None else ()
         for t, part in walk:
             visits += 1
             if tail_f is not None:
-                got = tails.get(t) if looked else None
+                got = tails.get(t)
                 if got is None:
                     got = tail_f(b, *part)
-                    if not got:  # the value is zero for every head
-                        continue
                     if keep:
                         tails[t] = got
+                if not got:  # the value is zero for every head
+                    continue
                 part = got
             out: dict = {}
             if inner_f is None:
@@ -716,9 +683,9 @@ def _sweep(g, spec: _Identity, payload, maps):
                     _sadd(out, f(b, memo, *occ, *part))
             else:
                 extra = () if linear else part  # 6's f reads the tail part too
-                for occ, row, absent in head_rows:
-                    v = row.get(t, absent)
-                    if v is None:
+                for occ, row, live in head_rows:
+                    v = row.get(t)
+                    if v is None and (live is None or t in live):
                         v = inner_f(b, memo, *occ[1:], *part) or False
                         if keep:
                             row[t] = v
@@ -728,9 +695,6 @@ def _sweep(g, spec: _Identity, payload, maps):
                 if weight is not None:
                     out = {k: c * weight for k, c in out.items()}
                 yield head_key + t, out
-        if keep:
-            for rest in fresh:
-                rows[rest] = {t: v for t, v in rows[rest].items() if v}
     return visits
 
 

@@ -5,7 +5,9 @@ must exit 2, print nothing on stdout, and print ``error: <message>`` on
 stderr.
 """
 
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from liedouble import (
     get,
     id6_from_id3_audit,
     is_characteristically_nilpotent,
+    load_file,
     loads,
     parse_element,
     parse_scalar,
@@ -54,6 +57,7 @@ from liedouble.errors import (
     ShapeMismatch,
     UnknownDoubleKind,
     UnknownName,
+    UnreadableFile,
     ValueTooLarge,
     ZeroPolynomial,
 )
@@ -396,7 +400,10 @@ def test_cli_guards(argv, catalog, message, tmp_path, capsys):
 # (id, argv, file contents or None, exception type, message): checks of the
 # command line's own options and of the file that --map, --matrix or
 # --catalog names, which FILE stands for in argv and message.  Contents are
-# rows to write as JSON, or the file's bytes
+# rows to write as JSON, the file's bytes, DIRECTORY for a directory, or
+# None for no file
+DIRECTORY = object()
+
 OPTIONS = [
     ("identity-z-and-map", ["identity", "n3", "--id", "2", "--z", "e1", "--map", "FILE"], None,
      OptionConflict, "--z and --map are mutually exclusive"),
@@ -424,6 +431,11 @@ OPTIONS = [
      ParseError, "FILE: not UTF-8 text (invalid start byte)"),
     ("catalog-file-not-utf8", ["--catalog", "FILE", "catalog-list"], b"\xff\xfe",
      ParseError, "FILE: not UTF-8 text (invalid start byte)"),
+    *[(f"{name}-file-{what}", argv, rows, UnreadableFile, f"[Errno {code}] {os.strerror(code)}: 'FILE'")
+      for name, argv in (("map", ["identity", "n3", "--id", "2", "--map", "FILE"]),
+                         ("matrix", ["rmatrix", "n3", "--matrix", "FILE"]),
+                         ("catalog", ["--catalog", "FILE", "catalog-list"]))
+      for what, rows, code in (("missing", None, errno.ENOENT), ("a-directory", DIRECTORY, errno.EISDIR))],
 ]
 
 
@@ -431,12 +443,14 @@ OPTIONS = [
                          ids=[c[0] for c in OPTIONS])
 def test_option_guards(argv, rows, exc, message, tmp_path, capsys):
     path = tmp_path / "map.json"
-    if isinstance(rows, bytes):
+    if rows is DIRECTORY:
+        path.mkdir()
+    elif isinstance(rows, bytes):
         path.write_bytes(rows)
     elif rows is not None:
         path.write_text(json.dumps(rows), encoding="utf-8")
     argv = [str(path) if arg == "FILE" else arg for arg in argv]
-    message = message.replace("FILE:", f"{path}:")
+    message = message.replace("FILE:", f"{path}:").replace("'FILE'", repr(str(path)))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
@@ -444,6 +458,14 @@ def test_option_guards(argv, rows, exc, message, tmp_path, capsys):
     with pytest.raises(exc) as info:
         args.run(args, {}, _load_external(args.catalog + args.sub_catalog))
     assert type(info.value) is exc and info.value.args[0] == message
+
+
+def test_an_unreadable_file_is_an_os_error_too(tmp_path):
+    # as a ShapeMismatch is a ValueError: a caller that catches OSError
+    # around a read keeps working
+    with pytest.raises(OSError) as info:
+        load_file(tmp_path / "missing.json")
+    assert type(info.value) is UnreadableFile
 
 
 def test_an_exact_assignment_within_the_digit_limit_is_taken_as_it_is():

@@ -9,6 +9,7 @@ decide how larger sums print.  hypothesis draws the inputs (derandomized,
 so every run checks the same cases); without it the module is skipped.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from liedouble import Element, Poly, Scalar, get, poly_normalize  # noqa: E402
+from liedouble import Element, Poly, Scalar, get, loads, poly_normalize  # noqa: E402
 from liedouble import lie_core  # noqa: E402
 from liedouble.errors import ValueTooLarge  # noqa: E402
 from liedouble.linalg import _sadd  # noqa: E402
@@ -282,6 +283,22 @@ def test_denominators_take_the_scalar_path():
     x = Scalar.variable("x")
     u, v = {i: x / (x + 1), j: x}, {j: x * x, i: 3}
     assert _cells(g.bracket_sparse(u, v)) == _cells(_reference_bracket(g, u, v))
+
+
+def test_a_fraction_in_the_table_falls_back_in_mid_sum():
+    # the catalog cell 1/(t + 1) has no term dict: the kernel has summed
+    # the pair [e1, e2] when it meets [e1, e3] and gives up, and the Scalar
+    # path computes the whole bracket
+    entry = {"name": "fr", "dim": 4, "params": ["t"],
+             "brackets": [{"i": 1, "j": 2, "value": {"3": 1}},
+                          {"i": 1, "j": 3, "value": {"4": "1/(t + 1)"}}]}
+    g = loads(json.dumps([entry]))["fr"]
+    x, y = Scalar.variable("x"), Scalar.variable("y")
+    u, v = {0: x}, {1: y + 1, 2: y}
+    assert lie_core._bracket_terms(u, v, {0: g._pairs[0][1], 1: g._pairs[0][2]}) is None
+    got, want = g.bracket_sparse(u, v), _reference_bracket(g, u, v)
+    assert _cells(got) == _cells(want)
+    assert str(Element(g, got)) == str(Element(g, want)) == "(x*y + x)*e3 + ((x*y)/(t + 1))*e4"
 
 
 # -- apply_sparse ----------------------------------------------------------
